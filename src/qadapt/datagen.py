@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import tensor as T
 from .model import SOURCE, TARGET_SYNTHETIC, SpanModel, TokenizationError, predict_span, tokenize_sample
 
 log = logging.getLogger(__name__)
@@ -256,7 +257,8 @@ def roundtrip_filter(
         except TokenizationError as err:
             log.warning("roundtrip: dropping untokenizable candidate (%s)", err)
             continue
-        logits = qa_model.span_logits(qa_model.encode(ts))
+        with T.no_grad():
+            logits = qa_model.span_logits(qa_model.encode(ts))
         s, e = predict_span(logits, ts.context_mask, max_answer_len)
         ctx_bytes = cand.context.encode("utf-8")
         offset = ts.context_token_start

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .losses import KernelConfig, class_means, mmd_squared
 from .model import SpanModel, TokenizationError, predict_span, tokenize_sample
 from .datagen import DomainDataset
@@ -76,7 +77,8 @@ def predict_answer(model: SpanModel, sample, max_answer_len: int) -> str:
         sample.question, sample.context, sample.answer_start, sample.answer_text,
         domain_tag="source", max_len=model.config.max_len, sample_id=sample.sample_id,
     )
-    logits = model.span_logits(model.encode(ts))
+    with T.no_grad():
+        logits = model.span_logits(model.encode(ts))
     s, e = predict_span(logits, ts.context_mask, max_answer_len)
     offset = ts.context_token_start
     ctx_bytes = sample.context.encode("utf-8")
@@ -120,7 +122,8 @@ def answer_mean_features(model: SpanModel, dataset: DomainDataset) -> np.ndarray
         except TokenizationError as err:
             log.warning("domain features: skipping %s: %s", sample.sample_id, err)
             continue
-        cm = class_means(model.encode(ts), ts)
+        with T.no_grad():
+            cm = class_means(model.encode(ts), ts)
         rows.append(cm.answer_mean.data)
     if not rows:
         raise ValueError("no tokenizable samples to extract features from")
@@ -191,7 +194,8 @@ def token_feature_cloud(model: SpanModel, dataset: DomainDataset, max_samples: i
         except TokenizationError as err:
             log.warning("pca: skipping %s: %s", sample.sample_id, err)
             continue
-        out = model.encode(ts).data
+        with T.no_grad():
+            out = model.encode(ts).data
         for pos in range(len(ts)):
             if ts.answer_mask[pos]:
                 label = "answer"

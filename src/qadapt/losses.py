@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .model import SpanLogits, TokenizedSample, SOURCE, TARGET_SYNTHETIC
+from .model import PackedBatch, SpanLogits, TokenizedSample, SOURCE, TARGET_SYNTHETIC
 
 MEDIAN_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 MEDIAN_FALLBACK = 1.0
@@ -70,12 +70,13 @@ class ContrastiveConfig:
 
 @dataclass
 class ClassMeans:
-    """Per-sample mean feature of answer tokens and of the remaining
-    question/context tokens (specials excluded from both)."""
+    """Mean feature of the answer tokens and of the remaining question/context
+    tokens (specials excluded from both): [H] means and one domain tag for a
+    sample, or [B x H] means and one tag per row for a packed batch."""
 
     answer_mean: Tensor
     cq_mean: Tensor
-    domain_tag: str
+    domain_tag: str | tuple[str, ...]
 
 
 def resolve_bandwidths(points: np.ndarray, config: KernelConfig) -> tuple[float, ...]:
@@ -133,24 +134,53 @@ def mmd_squared(x, y, config: KernelConfig = KernelConfig()) -> float:
     return float(kxx + kyy - 2.0 * kxy)
 
 
-def class_means(features: Tensor, sample: TokenizedSample) -> ClassMeans:
+def _class_weights(batch: PackedBatch) -> tuple[np.ndarray, np.ndarray]:
+    """[B x N] averaging weights over the packed rows: row i of the first
+    matrix averages sample i's answer tokens, of the second its non-answer
+    question/context tokens."""
+    answer = np.zeros((len(batch), batch.offsets[-1]))
+    cq = np.zeros_like(answer)
+    for i, (ts, lo) in enumerate(zip(batch.samples, batch.offsets)):
+        cq_mask = (ts.question_mask | ts.context_mask) & ~ts.answer_mask
+        if not ts.answer_mask.any():
+            raise MalformedSampleError("sample has an empty answer mask")
+        if not cq_mask.any():
+            raise MalformedSampleError("sample has no non-answer question/context tokens")
+        answer[i, lo:lo + len(ts)] = ts.answer_mask / ts.answer_mask.sum()
+        cq[i, lo:lo + len(ts)] = cq_mask / cq_mask.sum()
+    return answer, cq
+
+
+def class_means(features: Tensor, sample: TokenizedSample | PackedBatch) -> ClassMeans:
     """Mean features of the answer tokens and of the non-answer question/context
-    tokens for one sample."""
-    cq_mask = (sample.question_mask | sample.context_mask) & ~sample.answer_mask
-    if not sample.answer_mask.any():
-        raise MalformedSampleError("sample has an empty answer mask")
-    if not cq_mask.any():
-        raise MalformedSampleError("sample has no non-answer question/context tokens")
-    return ClassMeans(
-        answer_mean=T.masked_mean(features, sample.answer_mask),
-        cq_mean=T.masked_mean(features, cq_mask),
-        domain_tag=sample.domain_tag,
-    )
+    tokens, for one sample ([L x H] features) or for every segment of a packed
+    batch ([N x H] features, one weight-matrix product per class)."""
+    packed = sample if isinstance(sample, PackedBatch) else PackedBatch.pack([sample])
+    answer_w, cq_w = _class_weights(packed)
+    answer = T.matmul(T.constant(answer_w), features)
+    cq = T.matmul(T.constant(cq_w), features)
+    if isinstance(sample, PackedBatch):
+        return ClassMeans(answer, cq, tuple(ts.domain_tag for ts in sample.samples))
+    width = (features.shape[1],)
+    return ClassMeans(T.reshape(answer, width), T.reshape(cq, width), sample.domain_tag)
 
 
-def contrastive_loss(batch: Sequence[ClassMeans], config: ContrastiveConfig) -> Tensor:
-    """Kernel sum over class means: two intra-class terms and one (negated)
-    cross-class term, each normalized by its pair count.
+def contrastive_loss(batch: Sequence[ClassMeans] | ClassMeans, config: ContrastiveConfig) -> Tensor:
+    """The contrastive term of a batch given as per-sample class means, or as
+    the stacked class means of a packed batch; see ``contrastive_term``."""
+    if isinstance(batch, ClassMeans):
+        return contrastive_term(batch.answer_mean, batch.cq_mean, batch.domain_tag, config)
+    if len(batch) == 0:
+        raise ValueError("contrastive_loss over an empty batch")
+    return contrastive_term(T.stack_rows([m.answer_mean for m in batch]),
+                            T.stack_rows([m.cq_mean for m in batch]),
+                            [m.domain_tag for m in batch], config)
+
+
+def contrastive_term(answer: Tensor, cq: Tensor, domain_tags: Sequence[str],
+                     config: ContrastiveConfig) -> Tensor:
+    """Kernel sum over stacked [B x H] class means: two intra-class terms and
+    one (negated) cross-class term, each normalized by its pair count.
 
     sign_variant "as-printed" scores intra-class terms positively (minimizing
     spreads same-class means apart); "similarity-flipped" negates the intra
@@ -158,19 +188,19 @@ def contrastive_loss(batch: Sequence[ClassMeans], config: ContrastiveConfig) -> 
     together and pushes the classes apart. pairing_variant "domain-separated"
     restricts the intra-class sums to symmetrized source/target pairs.
     """
-    n = len(batch)
+    n = answer.shape[0]
     if n == 0:
         raise ValueError("contrastive_loss over an empty batch")
-    answer = T.stack_rows([m.answer_mean for m in batch])
-    cq = T.stack_rows([m.cq_mean for m in batch])
+    if cq.shape != answer.shape or len(domain_tags) != n:
+        raise T.ShapeError(f"class means {answer.shape} / {cq.shape} for {len(domain_tags)} tags")
     bw = resolve_bandwidths(np.vstack([answer.data, cq.data]), config.kernel)
     k_aa = kernel_matrix(answer, answer, bw)
     k_cc = kernel_matrix(cq, cq, bw)
     k_ac = kernel_matrix(answer, cq, bw)
 
     if config.pairing_variant == PAIRING_DOMAIN_SEPARATED:
-        src = np.array([m.domain_tag == SOURCE for m in batch])
-        tgt = np.array([m.domain_tag == TARGET_SYNTHETIC for m in batch])
+        src = np.array([tag == SOURCE for tag in domain_tags])
+        tgt = np.array([tag == TARGET_SYNTHETIC for tag in domain_tags])
         cross = np.outer(src, tgt).astype(np.float64)
         cross = cross + cross.T
         pairs = cross.sum()
@@ -188,15 +218,23 @@ def contrastive_loss(batch: Sequence[ClassMeans], config: ContrastiveConfig) -> 
     return intra_a + intra_c - inter
 
 
-def span_cross_entropy(logits: SpanLogits, gold: tuple[int, int]) -> Tensor:
-    """Mean of the start and end negative log-softmax at the gold positions."""
-    start, end = gold
-    length = logits.start_scores.shape[0]
-    if not (0 <= start < length and 0 <= end < length):
-        raise ValueError(f"gold span {gold} outside sequence of length {length}")
-    nll_start = -T.pick(T.log_softmax(logits.start_scores), start)
-    nll_end = -T.pick(T.log_softmax(logits.end_scores), end)
-    return (nll_start + nll_end) * 0.5
+def span_cross_entropy(logits: SpanLogits, gold: tuple[int, int] | PackedBatch) -> Tensor:
+    """Mean over sequences of the mean start and end negative log-softmax at
+    the gold positions. ``gold`` is the (start, end) pair of one sequence, or
+    the packed batch the logits were computed from, whose samples' answer
+    spans are the golds of its segments."""
+    if isinstance(gold, PackedBatch):
+        offsets = gold.offsets
+        spans = np.array([ts.answer_span for ts in gold.samples]) + offsets[:-1, None]
+    else:
+        length = logits.start_scores.shape[0]
+        start, end = gold
+        if not (0 <= start < length and 0 <= end < length):
+            raise ValueError(f"gold span {gold} outside sequence of length {length}")
+        offsets, spans = np.array([0, length]), np.array([gold])
+    nll_start = T.segment_nll(logits.start_scores, offsets, spans[:, 0])
+    nll_end = T.segment_nll(logits.end_scores, offsets, spans[:, 1])
+    return ((nll_start + nll_end) * 0.5).mean()
 
 
 def total_loss(ce, con, config: ContrastiveConfig) -> Tensor:

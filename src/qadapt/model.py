@@ -4,7 +4,8 @@ Input layout mirrors span-extraction QA: a sequence-start marker, the question
 bytes, a separator, the context bytes, a trailing separator. Marker/separator
 positions belong to neither token class. The encoder is a small pre-norm
 transformer; the span head is a per-token linear projection producing start
-and end scores.
+and end scores. A batch is encoded as one ``PackedBatch``: its samples' tokens
+concatenated without padding, attention confined to each sample's segment.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, asdict
+from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +51,11 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("vocab_size", "hidden_dim", "num_layers", "num_heads", "ff_dim", "max_len",
+                     "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"EncoderConfig.{name} must be an integer, got {value!r}")
         for name in ("vocab_size", "hidden_dim", "num_layers", "num_heads", "ff_dim", "max_len"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"EncoderConfig.{name} must be positive")
@@ -111,8 +118,37 @@ class TokenizedSample:
         return int(np.flatnonzero(self.context_mask)[0])
 
 
+@dataclass(eq=False)
+class PackedBatch:
+    """Samples concatenated token by token, without padding. Segment i (sample
+    i) owns rows ``offsets[i]:offsets[i + 1]`` of every packed [N x ...] array;
+    ``positions`` is each token's index inside its own sample."""
+
+    samples: tuple[TokenizedSample, ...]
+    offsets: np.ndarray  # [B + 1]
+    token_ids: np.ndarray  # [N]
+    positions: np.ndarray  # [N]
+
+    @classmethod
+    def pack(cls, samples: Sequence[TokenizedSample]) -> "PackedBatch":
+        if len(samples) == 0:
+            raise ValueError("cannot pack an empty batch")
+        lengths = [len(ts) for ts in samples]
+        return cls(
+            samples=tuple(samples),
+            offsets=np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+            token_ids=np.concatenate([ts.token_ids for ts in samples]),
+            positions=np.concatenate([np.arange(n) for n in lengths]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+
 @dataclass
 class SpanLogits:
+    """Start and end scores per token; packed like the features they come from."""
+
     start_scores: Tensor
     end_scores: Tensor
 
@@ -184,45 +220,48 @@ class SpanModel:
         self.params = _params if _params is not None else self._init_params(config)
 
     @staticmethod
-    def _init_params(cfg: EncoderConfig) -> dict[str, Tensor]:
-        rng = _seeded_rng(cfg.seed, 0xC0FFEE)
-
-        def uniform(shape, scale):
-            return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
-
-        def glorot(fan_in, fan_out):
-            return uniform((fan_in, fan_out), np.sqrt(6.0 / (fan_in + fan_out)))
-
-        def zeros(shape):
-            return Tensor(np.zeros(shape), requires_grad=True)
-
-        def ones(shape):
-            return Tensor(np.ones(shape), requires_grad=True)
-
+    def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+        """Name and shape of every parameter, in initialisation order."""
         h, f = cfg.hidden_dim, cfg.ff_dim
-        p: dict[str, Tensor] = {
-            "tok_emb": uniform((cfg.vocab_size, h), 0.1),
-            "pos_emb": uniform((cfg.max_len, h), 0.1),
-            "final_ln.gain": ones(h),
-            "final_ln.bias": zeros(h),
-            "span.w": glorot(h, 2),
-            "span.b": zeros(2),
+        shapes = {
+            "tok_emb": (cfg.vocab_size, h),
+            "pos_emb": (cfg.max_len, h),
+            "final_ln.gain": (h,),
+            "final_ln.bias": (h,),
+            "span.w": (h, 2),
+            "span.b": (2,),
         }
         for i in range(cfg.num_layers):
             pre = f"layer{i}."
             for name in ("wq", "wk", "wv", "wo"):
-                p[pre + "attn." + name] = glorot(h, h)
+                shapes[pre + "attn." + name] = (h, h)
             for name in ("bq", "bk", "bv", "bo"):
-                p[pre + "attn." + name] = zeros(h)
-            p[pre + "ln1.gain"] = ones(h)
-            p[pre + "ln1.bias"] = zeros(h)
-            p[pre + "ln2.gain"] = ones(h)
-            p[pre + "ln2.bias"] = zeros(h)
-            p[pre + "ff.w1"] = glorot(h, f)
-            p[pre + "ff.b1"] = zeros(f)
-            p[pre + "ff.w2"] = glorot(f, h)
-            p[pre + "ff.b2"] = zeros(h)
-        return p
+                shapes[pre + "attn." + name] = (h,)
+            for ln in ("ln1", "ln2"):
+                shapes[pre + ln + ".gain"] = (h,)
+                shapes[pre + ln + ".bias"] = (h,)
+            shapes[pre + "ff.w1"] = (h, f)
+            shapes[pre + "ff.b1"] = (f,)
+            shapes[pre + "ff.w2"] = (f, h)
+            shapes[pre + "ff.b2"] = (h,)
+        return shapes
+
+    @staticmethod
+    def _init_params(cfg: EncoderConfig) -> dict[str, Tensor]:
+        """Embeddings uniform in +-0.1, weight matrices Glorot-uniform, gains
+        one, biases zero; one seeded stream drawn in ``param_shapes`` order."""
+        rng = _seeded_rng(cfg.seed, 0xC0FFEE)
+
+        def init(name: str, shape: tuple[int, ...]) -> np.ndarray:
+            if name in ("tok_emb", "pos_emb"):
+                return rng.uniform(-0.1, 0.1, size=shape)
+            if len(shape) == 2:
+                scale = np.sqrt(6.0 / (shape[0] + shape[1]))
+                return rng.uniform(-scale, scale, size=shape)
+            return np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
+
+        return {name: Tensor(init(name, shape), requires_grad=True)
+                for name, shape in SpanModel.param_shapes(cfg).items()}
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -232,50 +271,52 @@ class SpanModel:
             t.zero_grad()
 
     def _ln(self, x: Tensor, prefix: str) -> Tensor:
-        return T.layer_norm(x) * self.params[prefix + ".gain"] + self.params[prefix + ".bias"]
+        return T.layer_norm(x, self.params[prefix + ".gain"], self.params[prefix + ".bias"])
 
-    def _attention(self, x: Tensor, layer: int) -> Tensor:
-        cfg = self.config
+    def _attention(self, x: Tensor, layer: int, offsets: np.ndarray) -> Tensor:
         p = self.params
         pre = f"layer{layer}.attn."
-        q = T.matmul(x, p[pre + "wq"]) + p[pre + "bq"]
-        k = T.matmul(x, p[pre + "wk"]) + p[pre + "bk"]
-        v = T.matmul(x, p[pre + "wv"]) + p[pre + "bv"]
-        dh = cfg.hidden_dim // cfg.num_heads
-        heads = []
-        for hidx in range(cfg.num_heads):
-            lo, hi = hidx * dh, (hidx + 1) * dh
-            qh, kh, vh = (T.slice_cols(t, lo, hi) for t in (q, k, v))
-            scores = T.matmul(qh, T.transpose(kh)) * (1.0 / np.sqrt(dh))
-            heads.append(T.matmul(T.softmax(scores), vh))
-        return T.matmul(T.concat_cols(heads), p[pre + "wo"]) + p[pre + "bo"]
+        q, k, v = (T.linear(x, p[pre + "w" + c], p[pre + "b" + c]) for c in "qkv")
+        heads = T.segment_attention(q, k, v, offsets, self.config.num_heads)
+        return T.linear(heads, p[pre + "wo"], p[pre + "bo"])
 
     def _ffn(self, x: Tensor, layer: int) -> Tensor:
         p = self.params
         pre = f"layer{layer}.ff."
-        return T.matmul(T.relu(T.matmul(x, p[pre + "w1"]) + p[pre + "b1"]), p[pre + "w2"]) + p[pre + "b2"]
+        return T.ffn(x, p[pre + "w1"], p[pre + "b1"], p[pre + "w2"], p[pre + "b2"])
 
-    def encode(self, sample: TokenizedSample, noise_sigma: float = 0.0, noise_seed: int = 0) -> Tensor:
-        """Per-token features [L x H]; optional Gaussian noise is applied to the
-        token embeddings before the positional addition."""
-        length = len(sample)
-        if length > self.config.max_len:
-            raise TokenizationError(
-                f"sequence length {length} exceeds max length {self.config.max_len}"
-            )
-        if np.any(sample.token_ids >= self.config.vocab_size):
+    def encode(self, sample: TokenizedSample | PackedBatch, noise_sigma: float = 0.0,
+               noise_seed: int | Sequence[int] = 0) -> Tensor:
+        """Per-token features: [L x H] for one sample, [N x H] in packed row
+        order for a ``PackedBatch``. Optional Gaussian noise is applied to the
+        token embeddings before the positional addition, seeded per sample:
+        ``noise_seed`` is one seed for a sample, one seed per segment for a
+        packed batch."""
+        cfg = self.config
+        packed = sample if isinstance(sample, PackedBatch) else PackedBatch.pack([sample])
+        longest = int(np.diff(packed.offsets).max())
+        if longest > cfg.max_len:
+            raise TokenizationError(f"sequence length {longest} exceeds max length {cfg.max_len}")
+        if np.any(packed.token_ids >= cfg.vocab_size):
             raise TokenizationError("token id outside the configured vocabulary")
-        x = T.embedding(self.params["tok_emb"], sample.token_ids)
+        x = T.embedding(self.params["tok_emb"], packed.token_ids)
         if noise_sigma > 0.0:
-            x = x + T.constant(embedding_noise((length, self.config.hidden_dim), noise_sigma, noise_seed))
-        x = x + T.embedding(self.params["pos_emb"], np.arange(length))
-        for i in range(self.config.num_layers):
-            x = x + self._attention(self._ln(x, f"layer{i}.ln1"), i)
+            seeds = list(noise_seed) if isinstance(sample, PackedBatch) else [noise_seed]
+            if len(seeds) != len(packed):
+                raise ValueError(f"{len(seeds)} noise seeds for {len(packed)} segments")
+            noise = np.concatenate([
+                embedding_noise((len(ts), cfg.hidden_dim), noise_sigma, seed)
+                for ts, seed in zip(packed.samples, seeds)
+            ])
+            x = x + T.constant(noise)
+        x = x + T.embedding(self.params["pos_emb"], packed.positions)
+        for i in range(cfg.num_layers):
+            x = x + self._attention(self._ln(x, f"layer{i}.ln1"), i, packed.offsets)
             x = x + self._ffn(self._ln(x, f"layer{i}.ln2"), i)
         return self._ln(x, "final_ln")
 
     def span_logits(self, features: Tensor) -> SpanLogits:
-        scores = T.matmul(features, self.params["span.w"]) + self.params["span.b"]
+        scores = T.linear(features, self.params["span.w"], self.params["span.b"])
         length = features.shape[0]
         return SpanLogits(
             start_scores=T.reshape(T.slice_cols(scores, 0, 1), (length,)),
@@ -307,34 +348,58 @@ class SpanModel:
 
     @classmethod
     def load(cls, path, expected_config: EncoderConfig | None = None) -> "SpanModel":
+        """Read a checkpoint written by ``save``. Any malformed content (bad
+        magic, short reads, a bad header, unknown config keys, parameters of
+        the wrong name or shape, non-finite values) raises CheckpointError."""
         with open(path, "rb") as fh:
-            if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-                raise CheckpointError(f"{path}: not a model checkpoint (bad magic)")
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            config = EncoderConfig(**json.loads(fh.read(hlen).decode("utf-8")))
-            if expected_config is not None and config != expected_config:
-                raise CheckpointError(
-                    f"checkpoint config {config} does not match runtime config {expected_config}"
-                )
-            (n_params,) = struct.unpack("<I", fh.read(4))
-            params: dict[str, Tensor] = {}
-            for _ in range(n_params):
-                (nlen,) = struct.unpack("<H", fh.read(2))
-                name = fh.read(nlen).decode("utf-8")
-                (ndim,) = struct.unpack("<B", fh.read(1))
-                shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-                count = int(np.prod(shape)) if shape else 1
-                buf = fh.read(8 * count)
-                if len(buf) != 8 * count:
-                    raise CheckpointError(f"{path}: truncated parameter {name}")
-                params[name] = Tensor(
-                    np.frombuffer(buf, dtype="<f8").reshape(shape).copy(), requires_grad=True
-                )
-        model = cls(config, _params=params)
-        expected_names = set(cls._init_params(config))
-        if set(params) != expected_names:
-            raise CheckpointError(f"{path}: parameter names do not match the architecture")
-        return model
+            buf = fh.read()
+        pos = len(CHECKPOINT_MAGIC)
+        if buf[:pos] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: not a model checkpoint (bad magic)")
+
+        def take(size: int) -> bytes:
+            nonlocal pos
+            if pos + size > len(buf):
+                raise CheckpointError(f"{path}: truncated at byte {len(buf)}")
+            chunk = buf[pos:pos + size]
+            pos += size
+            return chunk
+
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+        (hlen,) = unpack("<I")
+        header = take(hlen)
+        try:
+            # bad UTF-8 and bad JSON are ValueErrors; unknown keys, TypeErrors
+            config = EncoderConfig(**json.loads(header.decode("utf-8")))
+        except (TypeError, ValueError) as err:
+            raise CheckpointError(f"{path}: bad config header: {err}") from err
+        shapes = cls.param_shapes(config)
+        if expected_config is not None and config != expected_config:
+            raise CheckpointError(
+                f"checkpoint config {config} does not match runtime config {expected_config}"
+            )
+        (n_params,) = unpack("<I")
+        params: dict[str, Tensor] = {}
+        for _ in range(n_params):
+            (nlen,) = unpack("<H")
+            try:
+                name = take(nlen).decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise CheckpointError(f"{path}: bad parameter name: {err}") from err
+            (ndim,) = unpack("<B")
+            shape = unpack("<" + "I" * ndim)
+            if shapes.get(name) != shape or name in params:
+                raise CheckpointError(f"{path}: unexpected parameter {name!r} of shape {shape}")
+            values = np.frombuffer(take(8 * int(np.prod(shape))), dtype="<f8")
+            try:
+                params[name] = Tensor(values.reshape(shape).copy(), requires_grad=True)
+            except T.NonFiniteError as err:
+                raise CheckpointError(f"{path}: parameter {name} holds non-finite values") from err
+        if set(params) != set(shapes) or pos != len(buf):
+            raise CheckpointError(f"{path}: parameters do not match the architecture")
+        return cls(config, _params=params)
 
 
 def predict_span(logits: SpanLogits, context_mask, max_answer_len: int) -> tuple[int, int]:
@@ -343,20 +408,17 @@ def predict_span(logits: SpanLogits, context_mask, max_answer_len: int) -> tuple
     if max_answer_len < 1:
         raise ValueError("max_answer_len must be >= 1")
     mask = np.asarray(context_mask, dtype=bool)
-    positions = np.flatnonzero(mask)
-    if positions.size == 0:
+    starts = np.flatnonzero(mask)
+    if starts.size == 0:
         raise ValueError("empty context mask")
-    start_scores = logits.start_scores.data
-    end_scores = logits.end_scores.data
-    best = None
-    best_score = -np.inf
-    for s in positions:
-        for e in range(s, min(s + max_answer_len, len(mask))):
-            if not mask[e]:
-                continue
-            score = start_scores[s] + end_scores[e]
-            if score > best_score:
-                best_score = score
-                best = (int(s), int(e))
-    assert best is not None
-    return best
+    length = mask.shape[0]
+    # band[i, d] scores the span (starts[i], starts[i] + d); row-major argmax
+    # order is the tie order: smallest start, then smallest end
+    ends = starts[:, None] + np.arange(min(max_answer_len, length))[None, :]
+    inside = ends < length
+    ends = np.where(inside, ends, length - 1)
+    valid = inside & mask[ends]
+    band = np.where(valid, logits.start_scores.data[starts][:, None] + logits.end_scores.data[ends],
+                    -np.inf)
+    row, d = divmod(int(np.argmax(band)), band.shape[1])
+    return int(starts[row]), int(starts[row] + d)

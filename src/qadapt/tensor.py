@@ -3,7 +3,19 @@
 Define-by-run: every operation whose inputs require gradients records a node
 holding parent links and a vector-Jacobian closure. ``backward`` replays the
 recorded graph once, in reverse topological order; a consumed graph cannot be
-replayed. Graphs are rebuilt on every forward pass.
+replayed. Graphs are rebuilt on every forward pass. Inside ``no_grad()`` no
+node is recorded at all, so inference builds no graph.
+
+The encoder runs on a packed layout: the tokens of a batch of variable-length
+sequences are concatenated into one ``[N x H]`` array without padding, and
+``offsets`` (``[B + 1]``, starting at 0 and ending at N) mark where each
+sequence (segment) begins. A single sequence is the one-segment case. The
+fused ops with hand-written VJPs that the encoder and its loss are built from
+are ``linear``, ``layer_norm`` (with gain and bias), ``ffn`` (ReLU
+feed-forward block), ``segment_attention`` (multi-head softmax attention
+within each segment) and ``segment_nll`` (negative log-softmax of each
+segment at one position). Segment means are a ``matmul`` with a constant
+weight matrix.
 
 Broadcasting is deliberately narrow: operand shapes must match exactly, or the
 smaller operand's shape must equal the trailing dimensions of the larger one
@@ -13,7 +25,8 @@ float64; every completed operation is checked for NaN/Inf.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -112,15 +125,32 @@ def _coerce(value) -> Tensor:
     return constant(value)
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph nodes inside the block: results never require grad,
+    whatever their inputs. The previous setting is restored on exit."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _node(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    """Wrap an op result; record the graph node only when a parent needs grad."""
+    """Wrap an op result; record the graph node only when a parent needs grad
+    and recording is enabled."""
     if not np.all(np.isfinite(data)):
         raise NonFiniteError("operation produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._consumed = False
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -255,20 +285,147 @@ def log_softmax(a: Tensor) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance (no affine part)."""
+def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
+               eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance, then scale by
+    ``gain`` and shift by ``bias`` (both [H]; omitted, they are 1 and 0)."""
+    width = a.shape[-1]
+    gain = constant(np.ones(width)) if gain is None else gain
+    bias = constant(np.zeros(width)) if bias is None else bias
+    if gain.shape != (width,) or bias.shape != (width,):
+        raise ShapeError(f"layer_norm gain {gain.shape} / bias {bias.shape} vs width {width}")
     mu = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     s = np.sqrt(var + eps)
     xhat = centered / s
+    out = xhat * gain.data + bias.data
 
     def vjp(g: Array):
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
-        return ((g - gm - xhat * gx) / s,)
+        gx = g * gain.data
+        gm = gx.mean(axis=-1, keepdims=True)
+        gxh = (gx * xhat).mean(axis=-1, keepdims=True)
+        return ((gx - gm - xhat * gxh) / s, _unbroadcast(g * xhat, gain.shape),
+                _unbroadcast(g, bias.shape))
 
-    return _node(xhat, (a,), vjp)
+    return _node(out, (a, gain, bias), vjp)
+
+
+# -- fused blocks -------------------------------------------------------------
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map of rows: x [N x I] @ w [I x O] + b [O]."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear expects [N x I] @ [I x O], got {x.shape} @ {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"linear bias {b.shape} does not match output width {w.shape[1]}")
+    out = x.data @ w.data + b.data
+
+    def vjp(g: Array):
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+
+    return _node(out, (x, w, b), vjp)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Feed-forward block relu(x @ w1 + b1) @ w2 + b2 as one node."""
+    if x.data.ndim != 2 or x.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
+        raise ShapeError(f"ffn shapes do not chain: {x.shape}, {w1.shape}, {w2.shape}")
+    if b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],):
+        raise ShapeError(f"ffn biases {b1.shape}, {b2.shape} do not match {w1.shape}, {w2.shape}")
+    pre = x.data @ w1.data + b1.data
+    mask = pre > 0.0
+    hidden = np.where(mask, pre, 0.0)
+    out = hidden @ w2.data + b2.data
+
+    def vjp(g: Array):
+        gh = (g @ w2.data.T) * mask
+        return gh @ w1.data.T, x.data.T @ gh, gh.sum(axis=0), hidden.T @ g, g.sum(axis=0)
+
+    return _node(out, (x, w1, b1, w2, b2), vjp)
+
+
+def _segment_bounds(offsets, rows: int) -> Array:
+    bounds = np.asarray(offsets, dtype=np.int64)
+    if (bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0 or bounds[-1] != rows
+            or np.any(np.diff(bounds) <= 0)):
+        raise ShapeError(f"offsets must rise strictly from 0 to {rows}, got {bounds.tolist()}")
+    return bounds
+
+
+def segment_attention(q: Tensor, k: Tensor, v: Tensor, offsets, num_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention inside each segment of packed
+    rows. q, k, v are [N x H]; heads are the H / num_heads column groups, and
+    each segment gets one [heads x L x L] softmax. Rows never attend across
+    segments."""
+    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention expects equal [N x H] q, k, v, got {q.shape}, {k.shape}, {v.shape}")
+    rows, width = q.shape
+    if num_heads < 1 or width % num_heads:
+        raise ShapeError(f"width {width} does not split into {num_heads} heads")
+    bounds = _segment_bounds(offsets, rows)
+    segments = list(zip(bounds[:-1], bounds[1:]))
+    dh = width // num_heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(a: Array) -> Array:  # [N x H] -> [heads x N x dh], a view
+        return a.reshape(rows, num_heads, dh).transpose(1, 0, 2)
+
+    def merge(a: Array) -> Array:  # [heads x N x dh] -> [N x H]
+        return a.transpose(1, 0, 2).reshape(rows, width)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    out = np.empty((num_heads, rows, dh))
+    probs = []
+    for lo, hi in segments:
+        p = qh[:, lo:hi] @ kh[:, lo:hi].transpose(0, 2, 1)
+        p *= scale
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, vh[:, lo:hi], out=out[:, lo:hi])
+        probs.append(p)
+
+    def vjp(g: Array):
+        gh = split(g)
+        gq, gk, gv = (np.empty((num_heads, rows, dh)) for _ in range(3))
+        for (lo, hi), p in zip(segments, probs):
+            go = gh[:, lo:hi]
+            np.matmul(p.transpose(0, 2, 1), go, out=gv[:, lo:hi])
+            gs = go @ vh[:, lo:hi].transpose(0, 2, 1)
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= scale
+            np.matmul(gs, kh[:, lo:hi], out=gq[:, lo:hi])
+            np.matmul(gs.transpose(0, 2, 1), qh[:, lo:hi], out=gk[:, lo:hi])
+        return merge(gq), merge(gk), merge(gv)
+
+    return _node(merge(out), (q, k, v), vjp)
+
+
+def segment_nll(scores: Tensor, offsets, index) -> Tensor:
+    """Per-segment negative log-softmax of a packed score vector at one row per
+    segment: out[i] = -log softmax(scores[o_i:o_(i+1)])[index[i] - o_i], where
+    ``index`` holds absolute rows."""
+    if scores.data.ndim != 1:
+        raise ShapeError(f"segment_nll expects 1-D scores, got {scores.shape}")
+    bounds = _segment_bounds(offsets, scores.shape[0])
+    starts, lengths = bounds[:-1], np.diff(bounds)
+    idx = np.asarray(index, dtype=np.int64)
+    if idx.shape != starts.shape or np.any(idx < starts) or np.any(idx >= bounds[1:]):
+        raise ValueError(f"index {idx.tolist()} outside segments {bounds.tolist()}")
+    shifted = scores.data - np.repeat(np.maximum.reduceat(scores.data, starts), lengths)
+    e = np.exp(shifted)
+    total = np.add.reduceat(e, starts)
+    out = np.log(total) - shifted[idx]
+    soft = e / np.repeat(total, lengths)
+
+    def vjp(g: Array):
+        gs = soft * np.repeat(g, lengths)
+        gs[idx] -= g
+        return (gs,)
+
+    return _node(out, (scores,), vjp)
 
 
 # -- structural ops -----------------------------------------------------------
@@ -349,39 +506,6 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     def vjp(g: Array):
         ga = np.zeros_like(a.data)
         ga[:, start:stop] = g
-        return (ga,)
-
-    return _node(out, (a,), vjp)
-
-
-def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat_cols of an empty sequence")
-    rows = tensors[0].shape[0]
-    for t in tensors:
-        if t.data.ndim != 2 or t.shape[0] != rows:
-            raise ShapeError("concat_cols expects 2-D tensors with equal row counts")
-    widths = [t.shape[1] for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=1)
-    edges = np.cumsum([0] + widths)
-
-    def vjp(g: Array):
-        return tuple(g[:, edges[i]:edges[i + 1]] for i in range(len(tensors)))
-
-    return _node(out, tuple(tensors), vjp)
-
-
-def pick(a: Tensor, index: int) -> Tensor:
-    """Select one element of a 1-D tensor as a scalar."""
-    if a.data.ndim != 1:
-        raise ShapeError(f"pick expects a 1-D tensor, got {a.shape}")
-    if not 0 <= index < a.shape[0]:
-        raise ValueError(f"pick index {index} out of range for length {a.shape[0]}")
-    out = a.data[index].reshape(())
-
-    def vjp(g: Array):
-        ga = np.zeros_like(a.data)
-        ga[index] = g
         return (ga,)
 
     return _node(out, (a,), vjp)

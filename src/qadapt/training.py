@@ -30,7 +30,14 @@ from .losses import (
     span_cross_entropy,
     total_loss,
 )
-from .model import EncoderConfig, SpanModel, TokenizationError, TokenizedSample, tokenize_sample
+from .model import (
+    EncoderConfig,
+    PackedBatch,
+    SpanModel,
+    TokenizationError,
+    TokenizedSample,
+    tokenize_sample,
+)
 
 log = logging.getLogger(__name__)
 
@@ -118,6 +125,7 @@ class TrainReport:
     seed: int
     resolved_config: dict
     final_epoch_mean_loss: float
+    single_domain_batches: int = 0  # domain-separated pairing: batches with no contrastive term
 
 
 class AdamW:
@@ -226,19 +234,19 @@ def tokenize_dataset(dataset: DomainDataset, domain_tag: str, max_len: int) -> l
 
 
 def _batch_losses(model: SpanModel, batch, config: TrainConfig, step: int):
-    """Cross-entropy and contrastive terms of one mixed batch."""
+    """Cross-entropy and contrastive terms of one mixed batch, encoded as one
+    packed graph, and whether the contrastive term was skipped. Under
+    domain-separated pairing a single-domain batch has no cross-domain pair,
+    so its contrastive term is a constant 0."""
     cc = config.contrastive
-    ce_terms = []
-    means = []
-    for i, ts in enumerate(batch):
-        noise_seed = derive_seed(config.seed, 0x401535, step, i)
-        features = model.encode(ts, noise_sigma=cc.noise_sigma, noise_seed=noise_seed)
-        logits = model.span_logits(features)
-        ce_terms.append(span_cross_entropy(logits, ts.answer_span))
-        means.append(class_means(features, ts))
-    ce = T.stack_rows(ce_terms).mean()
-    con = contrastive_loss(means, cc)
-    return ce, con
+    packed = PackedBatch.pack(batch)
+    noise_seeds = [derive_seed(config.seed, 0x401535, step, i) for i in range(len(batch))]
+    features = model.encode(packed, noise_sigma=cc.noise_sigma, noise_seed=noise_seeds)
+    ce = span_cross_entropy(model.span_logits(features), packed)
+    if (cc.pairing_variant == PAIRING_DOMAIN_SEPARATED
+            and len({ts.domain_tag for ts in batch}) < 2):
+        return ce, T.constant(0.0), True
+    return ce, contrastive_loss(class_means(features, packed), cc), False
 
 
 def train(
@@ -287,10 +295,12 @@ def train(
             seed=config.seed,
             resolved_config=config_to_dict(config),
             final_epoch_mean_loss=float(np.mean(tail)) if tail else float("nan"),
+            single_domain_batches=single_domain_batches,
         )
 
     step = 0
     current_epoch = -1
+    single_domain_batches = 0
     for epoch, batch in mixed_batch_sampler(src_tok, syn_tok, config.batch_size,
                                             policy, config.seed, epochs=config.epochs):
         if epoch != current_epoch:
@@ -299,17 +309,23 @@ def train(
             current_epoch = epoch
             last_epoch_first_step = step
         try:
-            ce, con = _batch_losses(model, batch, config, step)
+            ce, con, skipped = _batch_losses(model, batch, config, step)
             loss = total_loss(ce, con, config.contrastive)
             l_ce, l_con, l_qa = ce.item(), con.item(), loss.item()
-            # decomposition identity, recomputed independently of the graph
-            assert abs(l_qa - (l_ce + beta * l_con)) <= 1e-12
             model.zero_grad()
             T.backward(loss)
         except T.NonFiniteError as err:
+            report = build_report()
+            if run_dir is not None:
+                _write_config_and_steps(Path(run_dir), config, report.steps)
             raise DivergenceError(
-                f"non-finite loss at step {step}: {err}", step - 1, build_report()
+                f"non-finite loss at step {step}: {err}", step - 1, report
             ) from err
+        # decomposition identity, recomputed independently of the graph
+        if abs(l_qa - (l_ce + beta * l_con)) > 1e-12:
+            raise RuntimeError(f"step {step}: loss_total {l_qa!r} != loss_ce {l_ce!r} "
+                               f"+ beta * loss_con {l_con!r}")
+        single_domain_batches += skipped
         clip_gradients(model.params, config.grad_clip)
         optimizer.step(model.params)
         steps.append(StepRecord(step=step, loss_ce=l_ce, loss_con=l_con, loss_total=l_qa))
@@ -378,16 +394,22 @@ def config_from_dict(d: dict) -> TrainConfig:
         raise ConfigError(str(err)) from err
 
 
-def write_run_dir(run_dir: Path, model: SpanModel, config: TrainConfig, report: TrainReport) -> None:
-    """Persist the run: config snapshot, step log, epoch metrics, checkpoint,
-    and a timing report (the only non-deterministic file)."""
+def _write_config_and_steps(run_dir: Path, config: TrainConfig, steps: list[StepRecord]) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").write_text(
         json.dumps(config_to_dict(config), indent=1, sort_keys=True) + "\n")
     with open(run_dir / "steps.jsonl", "w") as fh:
-        for r in report.steps:
+        for r in steps:
             fh.write(json.dumps({"step": r.step, "loss_ce": r.loss_ce,
                                  "loss_con": r.loss_con, "loss_total": r.loss_total}) + "\n")
+
+
+def write_run_dir(run_dir: Path, model: SpanModel, config: TrainConfig, report: TrainReport) -> None:
+    """Persist the run: config snapshot, step log, epoch metrics, checkpoint,
+    and a timing report (the only non-deterministic file). A diverged run
+    keeps only the config snapshot and the step log up to its last finite
+    step."""
+    _write_config_and_steps(run_dir, config, report.steps)
     (run_dir / "metrics.json").write_text(json.dumps(report.epoch_metrics, indent=1) + "\n")
     model.save(run_dir / "checkpoint.bin")
     (run_dir / "report.json").write_text(json.dumps({
@@ -395,6 +417,7 @@ def write_run_dir(run_dir: Path, model: SpanModel, config: TrainConfig, report: 
         "wall_clock_s": report.wall_clock_s,
         "final_epoch_mean_loss": report.final_epoch_mean_loss,
         "n_steps": len(report.steps),
+        "single_domain_batches": report.single_domain_batches,
     }, indent=1) + "\n")
 
 

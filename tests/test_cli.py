@@ -189,6 +189,36 @@ class TestTrainEvalPca:
         assert main(["eval", "--checkpoint", str(tmp_path / "none.bin"),
                      "--dataset", str(synth_dir / "source.json")]) == 2
 
+    @pytest.mark.parametrize("damage", ["truncate", "nan"])
+    def test_eval_bad_checkpoint_is_one_line_runtime_error(self, synth_dir, run_dir, tmp_path,
+                                                           capsys, damage):
+        from qadapt.model import SpanModel
+        bad = tmp_path / "bad.bin"
+        if damage == "truncate":
+            bad.write_bytes((run_dir / "checkpoint.bin").read_bytes()[:9])
+        else:
+            model = SpanModel.load(run_dir / "checkpoint.bin")
+            model.params["span.b"].data[:] = float("nan")
+            model.save(bad)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(bad),
+                     "--dataset", str(synth_dir / "source.json")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_diverged_train_keeps_config_and_finite_steps(self, synth_dir, tmp_path):
+        cfg_path = tmp_path / "huge_lr.json"
+        cfg_path.write_text(json.dumps(train_config_dict(
+            synth_dir / "source.json", learning_rate=1e300)))
+        out = tmp_path / "diverged"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert json.loads((out / "config.json").read_text())["learning_rate"] == 1e300
+        rows = [json.loads(l) for l in (out / "steps.jsonl").read_text().splitlines()]
+        assert rows and [r["step"] for r in rows] == list(range(len(rows)))
+        assert all(abs(r["loss_total"]) < float("inf") for r in rows)
+        assert not (out / "checkpoint.bin").exists()
+
     def test_pca_dump_rows(self, synth_dir, run_dir, tmp_path):
         out = tmp_path / "proj"
         assert main(["pca", "--checkpoint", str(run_dir / "checkpoint.bin"),

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qadapt import tensor as T
 from qadapt.model import (
     EncoderConfig,
+    PackedBatch,
     SpanLogits,
     SpanModel,
     TokenizationError,
@@ -117,6 +118,34 @@ class TestEncode:
         assert not np.allclose(tiny_model.encode(swapped).data, base)
 
 
+class TestPackedEncode:
+    def test_packed_rows_equal_per_sample_encodings(self, tiny_model):
+        samples = [make_sample(seed=s, length=n) for s, n in ((40, 7), (41, 12), (42, 9))]
+        packed = PackedBatch.pack(samples)
+        seeds = [11, 12, 13]
+        feats = tiny_model.encode(packed, noise_sigma=0.01, noise_seed=seeds).data
+        assert feats.shape == (28, tiny_model.config.hidden_dim)
+        for ts, seed, lo, hi in zip(samples, seeds, packed.offsets[:-1], packed.offsets[1:]):
+            alone = tiny_model.encode(ts, noise_sigma=0.01, noise_seed=seed).data
+            assert np.max(np.abs(feats[lo:hi] - alone)) < 1e-12
+
+    def test_layout(self):
+        samples = [make_sample(seed=43, length=6), make_sample(seed=44, length=8)]
+        packed = PackedBatch.pack(samples)
+        assert packed.offsets.tolist() == [0, 6, 14]
+        assert packed.positions.tolist() == list(range(6)) + list(range(8))
+        assert np.array_equal(packed.token_ids[6:], samples[1].token_ids)
+
+    def test_one_noise_seed_per_segment_required(self, tiny_model):
+        packed = PackedBatch.pack([make_sample(seed=45), make_sample(seed=46)])
+        with pytest.raises(ValueError, match="noise seeds"):
+            tiny_model.encode(packed, noise_sigma=0.01, noise_seed=[1])
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            PackedBatch.pack([])
+
+
 class TestSpanHead:
     def test_zero_head_gives_uniform_distributions(self, tiny_config):
         model = SpanModel(tiny_config)
@@ -190,6 +219,23 @@ class TestPredictSpan:
         assert mask[s] and mask[e]
         assert s <= e <= s + max_len - 1
 
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop_reference_with_ties(self, seed, max_len):
+        # small integer scores force ties; masks need not be contiguous
+        rng = np.random.default_rng(seed)
+        L = int(rng.integers(1, 14))
+        mask = rng.random(L) < 0.6
+        mask[int(rng.integers(0, L))] = True
+        start, end = rng.integers(-2, 3, size=L).astype(float), rng.integers(-2, 3, size=L).astype(float)
+        best, best_score = None, -np.inf
+        for s in np.flatnonzero(mask):
+            for e in range(s, min(s + max_len, L)):
+                if mask[e] and start[s] + end[e] > best_score:
+                    best_score, best = start[s] + end[e], (int(s), e)
+        got = predict_span(SpanLogits(T.constant(start), T.constant(end)), mask, max_len)
+        assert got == best
+
     def test_constant_shift_invariance(self):
         rng = np.random.default_rng(42)
         start, end = rng.standard_normal(9), rng.standard_normal(9)
@@ -222,6 +268,60 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointError, match="magic"):
             SpanModel.load(path)
+
+
+    def test_truncated_file_rejected(self, tiny_model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        tiny_model.save(path)
+        path.write_bytes(path.read_bytes()[:9])
+        with pytest.raises(CheckpointError, match="truncated"):
+            SpanModel.load(path)
+
+    def test_non_finite_parameter_rejected(self, tiny_model, tmp_path):
+        model = SpanModel(tiny_model.config)
+        model.params["span.b"].data[0] = np.nan
+        path = tmp_path / "nan.ckpt"
+        model.save(path)
+        with pytest.raises(CheckpointError, match="non-finite"):
+            SpanModel.load(path)
+
+    def test_unknown_config_key_rejected(self, tiny_model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        tiny_model.save(path)
+        raw = path.read_bytes().replace(b'"seed"', b'"sEed"')
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointError, match="config header"):
+            SpanModel.load(path)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    cfg = EncoderConfig(vocab_size=32, hidden_dim=8, num_layers=1, num_heads=2, ff_dim=8,
+                        max_len=12, seed=4)
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    SpanModel(cfg).save(path)
+    return path, path.read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_checkpoint_loads_or_raises_checkpoint_error(saved_checkpoint, data):
+    """Random truncations and single-byte changes, weighted toward the header."""
+    path, raw = saved_checkpoint
+    anywhere = st.integers(min_value=0, max_value=len(raw) - 1)
+    pos = data.draw(st.one_of(st.integers(min_value=0, max_value=200), anywhere))
+    if data.draw(st.booleans()):
+        damaged = raw[:pos]
+    else:
+        damaged = bytearray(raw)
+        damaged[pos] ^= data.draw(st.integers(min_value=1, max_value=255))
+    target = path.with_name("damaged.ckpt")
+    target.write_bytes(bytes(damaged))
+    try:
+        model = SpanModel.load(target)
+    except CheckpointError:
+        return
+    assert set(model.params) == set(SpanModel.param_shapes(model.config))
 
 
 def test_full_forward_backward_gradcheck():

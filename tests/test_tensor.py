@@ -176,6 +176,22 @@ class TestFiniteDifference:
             finite_difference_check(f, x, step=1e-5)
 
 
+def _fixed(shape, seed):
+    return constant(rand(shape, seed=300 + seed))
+
+
+SEGMENTS = [0, 1, 4]  # two segments of different lengths over 4 packed rows
+
+
+def _attention_with(position):
+    """segment_attention with the [4 x 3] input as q, k or v (3 heads)."""
+    def fn(t, aux):
+        qkv = [constant(aux.data[:4]), constant(aux.data[4:]), _fixed((4, 3), 1)]
+        qkv[position] = t
+        return T.mul(T.segment_attention(*qkv, SEGMENTS, num_heads=3), _fixed((4, 3), 2)).sum()
+    return fn
+
+
 # each entry: (aux shape, scalar-valued function of a [4 x 3] input and the aux)
 OPS = {
     "add": ((4, 3), lambda t, aux: (t + aux).sum()),
@@ -192,18 +208,106 @@ OPS = {
     "pairwise_sq_dist": ((5, 3), lambda t, aux: T.exp(-1.0 * T.pairwise_sq_dist(t, aux)).sum()),
     "transpose": ((4, 4), lambda t, aux: T.matmul(T.transpose(t), aux).sum()),
     "stack_slice": ((3, 4), lambda t, aux: T.slice_cols(T.matmul(t, aux), 1, 3).sum()),
+    "linear": ((3, 5), lambda t, aux: T.mul(T.linear(t, aux, _fixed(5, 3)), _fixed((4, 5), 4)).sum()),
+    "layer_norm_affine": ((2, 3), lambda t, aux: T.mul(
+        T.layer_norm(t, constant(aux.data[0]), constant(aux.data[1])), _fixed((4, 3), 5)).sum()),
+    "ffn": ((3, 6), lambda t, aux: T.mul(
+        T.ffn(t, aux, _fixed(6, 6), _fixed((6, 3), 7), _fixed(3, 8)), _fixed((4, 3), 9)).sum()),
+    "segment_attention_q": ((8, 3), _attention_with(0)),
+    "segment_attention_k": ((8, 3), _attention_with(1)),
+    "segment_attention_v": ((8, 3), _attention_with(2)),
+    "segment_nll": ((2,), lambda t, aux: T.mul(
+        T.segment_nll(T.reshape(t, (12,)), [0, 5, 12], [2, 9]), aux).sum()),
 }
 
 
 @pytest.mark.parametrize("op", sorted(OPS))
 @pytest.mark.parametrize("seed", range(7))
 def test_gradcheck_per_op(op, seed):
-    # spread: 14 ops x 7 seeds, plus 2 model-level checks, covers 100 seeded cases
+    # spread: 22 ops x 7 seeds, plus 2 model-level checks
     aux_shape, fn = OPS[op]
     x = constant(rand((4, 3), seed=100 + seed))
     aux = constant(rand(aux_shape, seed=200 + seed))
     err = finite_difference_check(lambda t: fn(t, aux), x)
     assert err < 1e-5, f"{op} seed={seed}: rel err {err:.3e}"
+
+
+# fused ops' parameter inputs: (op, [input shapes], scalar function of the inputs)
+FUSED_INPUTS = {
+    "linear": ([(4, 3), (3, 5), (5,)], lambda x, w, b: T.mul(T.linear(x, w, b), _fixed((4, 5), 10)).sum()),
+    "layer_norm": ([(4, 3), (3,), (3,)],
+                   lambda x, g, b: T.mul(T.layer_norm(x, g, b), _fixed((4, 3), 11)).sum()),
+    "ffn": ([(4, 3), (3, 6), (6,), (6, 3), (3,)],
+            lambda x, w1, b1, w2, b2: T.mul(T.ffn(x, w1, b1, w2, b2), _fixed((4, 3), 12)).sum()),
+}
+
+
+@pytest.mark.parametrize("op,position", [(op, i) for op, (shapes, _) in sorted(FUSED_INPUTS.items())
+                                         for i in range(1, len(shapes))])
+@pytest.mark.parametrize("seed", range(3))
+def test_gradcheck_fused_op_parameters(op, position, seed):
+    shapes, fn = FUSED_INPUTS[op]
+    inputs = [constant(rand(shape, seed=400 + 10 * seed + i)) for i, shape in enumerate(shapes)]
+
+    def f(t):
+        return fn(*inputs[:position], t, *inputs[position + 1:])
+
+    err = finite_difference_check(f, inputs[position])
+    assert err < 1e-5, f"{op} input {position} seed={seed}: rel err {err:.3e}"
+
+
+class TestFusedForward:
+    def test_segment_attention_keeps_segments_apart(self):
+        q, k, v = (rand((7, 4), seed=s) for s in (30, 31, 32))
+        packed = T.segment_attention(constant(q), constant(k), constant(v), [0, 3, 7], 2).data
+        for lo, hi in ((0, 3), (3, 7)):
+            alone = T.segment_attention(constant(q[lo:hi]), constant(k[lo:hi]),
+                                        constant(v[lo:hi]), [0, hi - lo], 2).data
+            assert np.max(np.abs(packed[lo:hi] - alone)) < 1e-15
+
+    def test_segment_attention_matches_per_head_softmax(self):
+        q, k, v = (rand((5, 4), seed=s) for s in (33, 34, 35))
+        got = T.segment_attention(constant(q), constant(k), constant(v), [0, 5], 2).data
+        for h in range(2):
+            cols = slice(2 * h, 2 * h + 2)
+            want = T.softmax(constant(q[:, cols] @ k[:, cols].T / np.sqrt(2))).data @ v[:, cols]
+            assert np.max(np.abs(got[:, cols] - want)) < 1e-14
+
+    def test_segment_nll_matches_log_softmax(self):
+        x = rand(9, seed=36)
+        got = T.segment_nll(constant(x), [0, 4, 9], [1, 8]).data
+        want = [-T.log_softmax(constant(x[:4])).data[1], -T.log_softmax(constant(x[4:])).data[4]]
+        assert np.max(np.abs(got - want)) < 1e-14
+
+    @pytest.mark.parametrize("offsets", [[0, 4], [0, 2, 2, 5], [1, 5], [0, 3], [[0, 5]]])
+    def test_bad_offsets_rejected(self, offsets):
+        x = constant(np.ones((5, 2)))
+        with pytest.raises(T.ShapeError, match="offsets"):
+            T.segment_attention(x, x, x, offsets, 1)
+
+    def test_segment_nll_index_outside_its_segment_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            T.segment_nll(constant(np.zeros(6)), [0, 3, 6], [1, 2])
+
+
+class TestNoGrad:
+    def test_records_nothing_and_restores(self):
+        x = Tensor(rand(3, seed=40), requires_grad=True)
+        with T.no_grad():
+            y = T.exp(x) * x
+            assert not y.requires_grad and y._parents == ()
+        z = T.exp(x)
+        assert z.requires_grad and z._parents == (x,)
+
+    def test_nested_and_restored_after_error(self):
+        x = Tensor(rand(3, seed=41), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                with T.no_grad():
+                    pass
+                assert not T.exp(x).requires_grad
+                raise RuntimeError("boom")
+        assert T.exp(x).requires_grad
 
 
 @given(st.integers(min_value=0, max_value=10_000))

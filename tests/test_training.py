@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from qadapt import tensor as T
-from qadapt.datagen import DomainDataset, DomainShiftSpec, make_synthetic_domains
+from qadapt.datagen import DomainDataset, DomainShiftSpec, derive_seed, make_synthetic_domains
 from qadapt.evaluation import evaluate
-from qadapt.losses import ContrastiveConfig, KernelConfig
-from qadapt.model import EncoderConfig, SpanModel
+from qadapt.experiment import build_experiment_data
+from qadapt.losses import ClassMeans, ContrastiveConfig, KernelConfig, contrastive_loss, total_loss
+from qadapt.model import EncoderConfig, SpanModel, embedding_noise
 from qadapt.training import (
     AdamW,
     ConfigError,
@@ -21,7 +22,9 @@ from qadapt.training import (
     grid_search,
     mixed_batch_sampler,
     train,
+    _batch_losses,
 )
+from conftest import make_sample
 
 TINY_ENC = EncoderConfig(vocab_size=258, hidden_dim=16, num_layers=1, num_heads=2,
                          ff_dim=32, max_len=96, seed=1)
@@ -326,3 +329,109 @@ def test_overfit_smoke_200_samples_under_200_steps():
     )
     _, report = train(cfg, source)
     assert min(r.loss_total for r in report.steps[:200]) < 0.1
+
+
+# -- the packed batch against the per-sample graph it replaces ----------------------
+
+def _reference_features(model, ts, sigma, seed):
+    """Per-sample encoder built from the narrow ops, one graph per head."""
+    p, cfg = model.params, model.config
+    x = T.embedding(p["tok_emb"], ts.token_ids)
+    if sigma > 0.0:
+        x = x + T.constant(embedding_noise((len(ts), cfg.hidden_dim), sigma, seed))
+    x = x + T.embedding(p["pos_emb"], np.arange(len(ts)))
+
+    def ln(t, pre):
+        return T.layer_norm(t) * p[pre + ".gain"] + p[pre + ".bias"]
+
+    dh = cfg.hidden_dim // cfg.num_heads
+    for i in range(cfg.num_layers):
+        pre = f"layer{i}."
+        h = ln(x, pre + "ln1")
+        q, k, v = (T.matmul(h, p[pre + "attn.w" + c]) + p[pre + "attn.b" + c] for c in "qkv")
+        heads = []
+        for lo in range(0, cfg.hidden_dim, dh):
+            qh, kh, vh = (T.slice_cols(t, lo, lo + dh) for t in (q, k, v))
+            scores = T.matmul(qh, T.transpose(kh)) * (1.0 / np.sqrt(dh))
+            heads.append(T.matmul(T.softmax(scores), vh))
+        merged = None
+        for j, head in enumerate(heads):  # concatenate the heads' columns by placement
+            part = T.matmul(head, T.constant(np.eye(dh, cfg.hidden_dim, k=j * dh)))
+            merged = part if merged is None else merged + part
+        x = x + T.matmul(merged, p[pre + "attn.wo"]) + p[pre + "attn.bo"]
+        h = ln(x, pre + "ln2")
+        ff = T.relu(T.matmul(h, p[pre + "ff.w1"]) + p[pre + "ff.b1"])
+        x = x + T.matmul(ff, p[pre + "ff.w2"]) + p[pre + "ff.b2"]
+    return ln(x, "final_ln")
+
+
+def _reference_loss(model, batch, config, step):
+    cc = config.contrastive
+    ce_terms, means = [], []
+    for i, ts in enumerate(batch):
+        feats = _reference_features(model, ts, cc.noise_sigma,
+                                    derive_seed(config.seed, 0x401535, step, i))
+        scores = T.matmul(feats, model.params["span.w"]) + model.params["span.b"]
+        nll = []
+        for col, gold in enumerate(ts.answer_span):
+            column = T.reshape(T.slice_cols(scores, col, col + 1), (len(ts),))
+            nll.append(-T.mul(T.log_softmax(column), T.constant(np.eye(len(ts))[gold])).sum())
+        ce_terms.append((nll[0] + nll[1]) * 0.5)
+        cq_mask = (ts.question_mask | ts.context_mask) & ~ts.answer_mask
+        means.append(ClassMeans(T.masked_mean(feats, ts.answer_mask),
+                                T.masked_mean(feats, cq_mask), ts.domain_tag))
+    ce = T.stack_rows(ce_terms).mean()
+    return total_loss(ce, contrastive_loss(means, cc), cc)
+
+
+PARITY_ENC = EncoderConfig(vocab_size=32, hidden_dim=16, num_layers=2, num_heads=4, ff_dim=24,
+                           max_len=16, seed=11)
+
+
+@pytest.mark.parametrize("sign", ["as-printed", "similarity-flipped"])
+@pytest.mark.parametrize("pairing", ["mixed-batch", "domain-separated"])
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_packed_batch_matches_per_sample_graphs(sign, pairing, sigma):
+    """Loss and every parameter gradient of the packed batch equal those of
+    per-sample, per-head graphs within 1e-12 relative to the largest gradient
+    entry (some gradients, such as the key biases', are exactly zero in exact
+    arithmetic and round-off in both)."""
+    config = tiny_config(
+        seed=5, batch_size=5, encoder=PARITY_ENC,
+        contrastive=ContrastiveConfig(beta=0.1, noise_sigma=sigma, sign_variant=sign,
+                                      pairing_variant=pairing,
+                                      kernel=KernelConfig(bandwidths=(0.5, 2.0))))
+    batch = [make_sample(seed=60 + i, length=n, vocab=32,
+                         domain_tag="source" if i % 2 else "target_synthetic")
+             for i, n in enumerate((9, 16, 6, 13, 11))]
+    grads = []
+    for build in (lambda m: total_loss(*_batch_losses(m, batch, config, 3)[:2], config.contrastive),
+                  lambda m: _reference_loss(m, batch, config, 3)):
+        model = SpanModel(PARITY_ENC)
+        loss = build(model)
+        T.backward(loss)
+        grads.append((loss.item(), {n: t.grad for n, t in model.params.items()}))
+    (packed_loss, packed), (ref_loss, ref) = grads
+    assert abs(packed_loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    scale = max(np.max(np.abs(g)) for g in ref.values())
+    for name, want in ref.items():
+        assert np.max(np.abs(packed[name] - want)) <= 1e-12 * scale, name
+
+
+def test_domain_separated_single_domain_batches_skip_the_term(tmp_path):
+    """On the experiment data (240 source, 180 synthetic, batch 12) the
+    synthetic side runs out after 30 mixed batches; the 5 source-only batches
+    that follow train on cross-entropy alone instead of aborting."""
+    source, synthetic, _ = build_experiment_data(0)
+    cfg = tiny_config(
+        epochs=1, batch_size=12, seed=0,
+        encoder=EncoderConfig(hidden_dim=16, num_layers=1, num_heads=2, ff_dim=16, max_len=128),
+        contrastive=ContrastiveConfig(beta=0.001, noise_sigma=0.01,
+                                      pairing_variant="domain-separated"))
+    _, report = train(cfg, source, synthetic, run_dir=tmp_path / "run")
+    assert len(report.steps) == 35
+    assert report.single_domain_batches == 5
+    assert [r.loss_con for r in report.steps[-5:]] == [0.0] * 5
+    assert all(r.loss_con != 0.0 for r in report.steps[:30])
+    saved = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert saved["single_domain_batches"] == 5
