@@ -163,8 +163,10 @@ def cmd_generate(args) -> int:
 def _load_train_spec(path: str):
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise UsageError(f"cannot read config {path}: {err}") from err
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config: must be a JSON object, not {type(raw).__name__}")
     data = raw.pop("data", None)
     if not isinstance(data, dict) or "source" not in data:
         raise ConfigError("data: must be an object naming at least a 'source' dataset")

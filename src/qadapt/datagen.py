@@ -23,7 +23,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .model import SOURCE, TARGET_SYNTHETIC, SpanModel, TokenizationError, predict_span, tokenize_sample
+from .model import SOURCE, TARGET_SYNTHETIC, SpanModel, predict_span, tokenize_samples
+from .model import tokenize_sample  # noqa: F401  unused; perfbench/tracing.py patches it here
 
 log = logging.getLogger(__name__)
 
@@ -243,26 +244,16 @@ def roundtrip_filter(
     qa_model: SpanModel,
     max_answer_len: int = 48,
 ) -> list[GenCandidate]:
-    """Keep candidates whose predicted answer, normalized, equals the generated
-    answer. Candidates the model cannot tokenize are dropped, not fatal."""
+    """Keep candidates whose predicted answer (tokenized, encoded and decoded as
+    in ``evaluation.predict_answer``), normalized, equals the generated answer.
+    Candidates the model cannot tokenize are dropped, not fatal."""
     from .evaluation import normalize_answer  # local import to avoid a cycle
 
     kept = []
-    for cand in candidates:
-        try:
-            ts = tokenize_sample(
-                cand.question, cand.context, cand.answer_start, cand.answer_text,
-                domain_tag=TARGET_SYNTHETIC, max_len=qa_model.config.max_len,
-            )
-        except TokenizationError as err:
-            log.warning("roundtrip: dropping untokenizable candidate (%s)", err)
-            continue
+    for cand, ts in tokenize_samples(candidates, TARGET_SYNTHETIC, qa_model.config.max_len):
         with T.no_grad():
             logits = qa_model.span_logits(qa_model.encode(ts))
-        s, e = predict_span(logits, ts.context_mask, max_answer_len)
-        ctx_bytes = cand.context.encode("utf-8")
-        offset = ts.context_token_start
-        predicted = ctx_bytes[s - offset:e - offset + 1].decode("utf-8", errors="ignore")
+        predicted = ts.span_text(cand.context, predict_span(logits, ts.context_mask, max_answer_len))
         if normalize_answer(predicted) == normalize_answer(cand.answer_text):
             kept.append(cand)
     return kept
@@ -409,42 +400,46 @@ def make_synthetic_domains(
 # -- SQuAD-format IO -------------------------------------------------------------
 
 def load_squad_json(path, domain_tag: str = SOURCE, provenance: str = "human") -> DomainDataset:
-    """Read a SQuAD v1.1 layout file. Structural problems raise DatasetError
-    with a path into the document; answer/offset mismatches reject the sample
-    and are counted on the returned dataset."""
+    """Read a SQuAD v1.1 layout file. Bytes that are not UTF-8 JSON, and
+    missing or wrong-typed fields, raise DatasetError with a path into the
+    document; answer/offset mismatches reject the sample and are counted on
+    the returned dataset."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise DatasetError(f"{path}: invalid JSON: {err}") from err
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise DatasetError(f"{path}: invalid UTF-8 JSON: {err}") from err
 
-    def need(obj, key, where):
+    def need(obj, key, where, kind=list):
         if not isinstance(obj, dict) or key not in obj:
             raise DatasetError(f"{path}: missing {key!r} at {where}")
-        return obj[key]
+        value = obj[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise DatasetError(f"{path}: {key!r} at {where} must be {kind.__name__}, "
+                               f"not {type(value).__name__}")
+        return value
 
     samples: list[RawQASample] = []
     rejected = 0
     for di, article in enumerate(need(doc, "data", "$")):
         for pi, para in enumerate(need(article, "paragraphs", f"data[{di}]")):
             where = f"data[{di}].paragraphs[{pi}]"
-            context = need(para, "context", where)
+            context = need(para, "context", where, str)
             for qi, qa in enumerate(need(para, "qas", where)):
                 qwhere = f"{where}.qas[{qi}]"
-                question = need(qa, "question", qwhere)
+                question = need(qa, "question", qwhere, str)
                 answers = need(qa, "answers", qwhere)
                 if not answers:
                     raise DatasetError(f"{path}: empty answers at {qwhere}")
-                ans = answers[0]
-                text = need(ans, "text", f"{qwhere}.answers[0]")
-                start = need(ans, "answer_start", f"{qwhere}.answers[0]")
+                text = need(answers[0], "text", f"{qwhere}.answers[0]", str)
+                start = need(answers[0], "answer_start", f"{qwhere}.answers[0]", int)
                 try:
                     samples.append(
                         RawQASample(
                             question=question,
                             context=context,
                             answer_text=text,
-                            answer_start=int(start),
+                            answer_start=start,
                             sample_id=str(qa.get("id", f"{di}-{pi}-{qi}")),
                         )
                     )
@@ -495,16 +490,24 @@ def write_contexts(path, contexts: Iterable[ContextOnly]) -> None:
 
 
 def load_contexts(path) -> list[ContextOnly]:
+    """Read one ``{"context": ..., "id": ...}`` record per line. Bytes that are
+    not UTF-8 and malformed records raise DatasetError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise DatasetError(f"{path}: not UTF-8: {err}") from err
     contexts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                contexts.append(ContextOnly(context=rec["context"], domain_id=str(rec.get("id", lineno))))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-                raise DatasetError(f"{path}:{lineno + 1}: bad context record: {err}") from err
+    for lineno, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict) or not isinstance(rec.get("context"), str):
+                raise TypeError("expected an object with a string 'context'")
+            contexts.append(ContextOnly(context=rec["context"], domain_id=str(rec.get("id", lineno))))
+        except (TypeError, ValueError) as err:
+            raise DatasetError(f"{path}:{lineno + 1}: bad context record: {err}") from err
     return contexts
 
 

@@ -1,5 +1,9 @@
 """Answer normalization, EM/F1 scoring, dataset evaluation, kernel-distance
 domain diagnostics, and 2-D principal-component projections of token features.
+
+Samples reach the model through ``model.tokenize_samples`` (``tokenize_sample``
+for the one sample ``predict_answer`` scores); a predicted span becomes answer
+text through ``TokenizedSample.span_text``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ import numpy as np
 
 from . import tensor as T
 from .losses import KernelConfig, class_means, mmd_squared
-from .model import SpanModel, TokenizationError, predict_span, tokenize_sample
+from .model import (
+    PackedBatch, SpanModel, TokenizationError, predict_span, tokenize_sample, tokenize_samples,
+)
 from .datagen import DomainDataset
 
 log = logging.getLogger(__name__)
@@ -79,10 +85,7 @@ def predict_answer(model: SpanModel, sample, max_answer_len: int) -> str:
     )
     with T.no_grad():
         logits = model.span_logits(model.encode(ts))
-    s, e = predict_span(logits, ts.context_mask, max_answer_len)
-    offset = ts.context_token_start
-    ctx_bytes = sample.context.encode("utf-8")
-    return ctx_bytes[s - offset:e - offset + 1].decode("utf-8", errors="ignore")
+    return ts.span_text(sample.context, predict_span(logits, ts.context_mask, max_answer_len))
 
 
 def evaluate(model: SpanModel, dataset: DomainDataset, max_answer_len: int = 48) -> EvalResult:
@@ -110,21 +113,13 @@ def evaluate(model: SpanModel, dataset: DomainDataset, max_answer_len: int = 48)
 
 
 def answer_mean_features(model: SpanModel, dataset: DomainDataset) -> np.ndarray:
-    """Answer-token mean feature per sample under the frozen model."""
+    """Answer-token mean feature per sample under the frozen model. Samples
+    are encoded one at a time: packing them was not measurably faster here,
+    raised peak memory and moved the features in the last bits."""
     rows = []
-    for sample in dataset.samples:
-        try:
-            ts = tokenize_sample(
-                sample.question, sample.context, sample.answer_start, sample.answer_text,
-                domain_tag=dataset.domain_tag, max_len=model.config.max_len,
-                sample_id=sample.sample_id,
-            )
-        except TokenizationError as err:
-            log.warning("domain features: skipping %s: %s", sample.sample_id, err)
-            continue
-        with T.no_grad():
-            cm = class_means(model.encode(ts), ts)
-        rows.append(cm.answer_mean.data)
+    with T.no_grad():
+        for _, ts in tokenize_samples(dataset.samples, dataset.domain_tag, model.config.max_len):
+            rows.append(class_means(model.encode(ts), ts).answer_mean.data)
     if not rows:
         raise ValueError("no tokenizable samples to extract features from")
     return np.stack(rows, axis=0)
@@ -183,29 +178,14 @@ def pca_project(features: np.ndarray, labels: list[str] | None = None,
 def token_feature_cloud(model: SpanModel, dataset: DomainDataset, max_samples: int = 8):
     """Per-token features and class labels (answer/question/other; specials are
     'other') for a handful of samples, ready for projection dumps."""
-    feats, labels, ids = [], [], []
-    for sample in dataset.samples[:max_samples]:
-        try:
-            ts = tokenize_sample(
-                sample.question, sample.context, sample.answer_start, sample.answer_text,
-                domain_tag=dataset.domain_tag, max_len=model.config.max_len,
-                sample_id=sample.sample_id,
-            )
-        except TokenizationError as err:
-            log.warning("pca: skipping %s: %s", sample.sample_id, err)
-            continue
-        with T.no_grad():
-            out = model.encode(ts).data
-        for pos in range(len(ts)):
-            if ts.answer_mask[pos]:
-                label = "answer"
-            elif ts.question_mask[pos]:
-                label = "question"
-            else:
-                label = "other"
-            feats.append(out[pos])
-            labels.append(label)
-            ids.append(sample.sample_id)
-    if not feats:
+    tokenized = [ts for _, ts in tokenize_samples(dataset.samples[:max_samples],
+                                                  dataset.domain_tag, model.config.max_len)]
+    if not tokenized:
         raise ValueError("no tokenizable samples for the feature cloud")
-    return np.stack(feats, axis=0), labels, ids
+    with T.no_grad():
+        feats = model.encode(PackedBatch.pack(tokenized)).data
+    answer = np.concatenate([ts.answer_mask for ts in tokenized])
+    question = np.concatenate([ts.question_mask for ts in tokenized])
+    labels = ["answer" if a else "question" if q else "other" for a, q in zip(answer, question)]
+    ids = [ts.sample_id for ts in tokenized for _ in range(len(ts))]
+    return feats, labels, ids

@@ -29,7 +29,7 @@ from .datagen import (
     make_synthetic_domains,
 )
 from .evaluation import answer_mean_features, evaluate
-from .losses import ContrastiveConfig, KernelConfig, mmd_squared
+from .losses import ContrastiveConfig, KernelConfig, mmd_squared, resolve_bandwidths
 from .model import EncoderConfig, SpanModel
 from .training import TrainConfig, train
 
@@ -119,12 +119,8 @@ def measurement_kernel(model: SpanModel, source, gold) -> KernelConfig:
     model's pooled answer-mean features."""
     pooled = np.vstack([answer_mean_features(model, source),
                         answer_mean_features(model, gold)])
-    diffs = pooled[:, None, :] - pooled[None, :, :]
-    d2 = (diffs * diffs).sum(-1)
-    med = float(np.median(d2[np.triu_indices(len(pooled), k=1)]))
-    if not np.isfinite(med) or med <= 0:
-        med = 1.0
-    return KernelConfig(bandwidths=(0.5 * med, med, 2.0 * med))
+    return KernelConfig(bandwidths=resolve_bandwidths(
+        pooled, KernelConfig(median_multipliers=(0.5, 1.0, 2.0))))
 
 
 def run_seed(seed: int) -> SeedOutcome:

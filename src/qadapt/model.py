@@ -11,6 +11,7 @@ concatenated without padding, attention confined to each sample's segment.
 from __future__ import annotations
 
 import json
+import logging
 import struct
 from dataclasses import dataclass, asdict
 from typing import Sequence
@@ -19,6 +20,8 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
+
+log = logging.getLogger(__name__)
 
 BYTE_VOCAB = 256
 SEQ_START_ID = 256
@@ -117,6 +120,13 @@ class TokenizedSample:
     def context_token_start(self) -> int:
         return int(np.flatnonzero(self.context_mask)[0])
 
+    def span_text(self, context: str, span: tuple[int, int]) -> str:
+        """The text of ``context`` under an inclusive token span. The bytes of
+        a character cut by either end of the span are dropped."""
+        offset = self.context_token_start
+        raw = context.encode("utf-8")[span[0] - offset:span[1] - offset + 1]
+        return raw.decode("utf-8", errors="ignore")
+
 
 @dataclass(eq=False)
 class PackedBatch:
@@ -198,6 +208,25 @@ def tokenize_sample(
         special_positions=(0, 1 + len(q_bytes), length - 1),
         sample_id=sample_id,
     )
+
+
+def tokenize_samples(samples: Sequence, domain_tag: str, max_len: int) -> list[tuple]:
+    """``(sample, TokenizedSample)`` pairs, in order, for QA samples with
+    ``question``, ``context``, ``answer_start`` and ``answer_text`` fields (and
+    ``sample_id``, when they have one). Untokenizable samples are skipped,
+    with one warning that counts them."""
+    pairs = []
+    for s in samples:
+        try:
+            pairs.append((s, tokenize_sample(
+                s.question, s.context, s.answer_start, s.answer_text, domain_tag=domain_tag,
+                max_len=max_len, sample_id=getattr(s, "sample_id", ""),
+            )))
+        except TokenizationError:
+            continue
+    if len(pairs) < len(samples):
+        log.warning("%s: skipped %d untokenizable sample(s)", domain_tag, len(samples) - len(pairs))
+    return pairs
 
 
 def embedding_noise(shape: tuple[int, ...], sigma: float, seed: int) -> np.ndarray:
@@ -322,10 +351,6 @@ class SpanModel:
             start_scores=T.reshape(T.slice_cols(scores, 0, 1), (length,)),
             end_scores=T.reshape(T.slice_cols(scores, 1, 2), (length,)),
         )
-
-    def forward(self, sample: TokenizedSample, noise_sigma: float = 0.0, noise_seed: int = 0):
-        features = self.encode(sample, noise_sigma, noise_seed)
-        return features, self.span_logits(features)
 
     # -- checkpoint container --------------------------------------------------
 

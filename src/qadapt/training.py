@@ -30,14 +30,8 @@ from .losses import (
     span_cross_entropy,
     total_loss,
 )
-from .model import (
-    EncoderConfig,
-    PackedBatch,
-    SpanModel,
-    TokenizationError,
-    TokenizedSample,
-    tokenize_sample,
-)
+from .model import SOURCE, TARGET_SYNTHETIC, EncoderConfig, PackedBatch, SpanModel, tokenize_samples
+from .model import tokenize_sample  # noqa: F401  unused; perfbench/tracing.py patches it here
 
 log = logging.getLogger(__name__)
 
@@ -216,23 +210,6 @@ def mixed_batch_sampler(
             yield epoch, batch
 
 
-def tokenize_dataset(dataset: DomainDataset, domain_tag: str, max_len: int) -> list[TokenizedSample]:
-    """Tokenize every sample; untokenizable samples are skipped with a count."""
-    out = []
-    skipped = 0
-    for s in dataset.samples:
-        try:
-            out.append(
-                tokenize_sample(s.question, s.context, s.answer_start, s.answer_text,
-                                domain_tag=domain_tag, max_len=max_len, sample_id=s.sample_id)
-            )
-        except TokenizationError:
-            skipped += 1
-    if skipped:
-        log.warning("tokenize_dataset: skipped %d untokenizable sample(s)", skipped)
-    return out
-
-
 def _batch_losses(model: SpanModel, batch, config: TrainConfig, step: int):
     """Cross-entropy and contrastive terms of one mixed batch, encoded as one
     packed graph, and whether the contrastive term was skipped. Under
@@ -263,9 +240,10 @@ def train(
     instead of a fresh initialization (optimizer state starts fresh)."""
     started = time.perf_counter()
     dev_sets = dev_sets or {}
-    src_tok = tokenize_dataset(source, "source", config.encoder.max_len)
-    syn_tok = (tokenize_dataset(synthetic, "target_synthetic", config.encoder.max_len)
-               if synthetic is not None and len(synthetic) else [])
+    max_len = config.encoder.max_len
+    src_tok = [ts for _, ts in tokenize_samples(source.samples, SOURCE, max_len)]
+    syn_tok = ([ts for _, ts in tokenize_samples(synthetic.samples, TARGET_SYNTHETIC, max_len)]
+               if synthetic is not None else [])
     if not src_tok:
         raise ConfigError("source dataset has no tokenizable samples")
     policy = config.mixing_policy if syn_tok else MIX_SOURCE_ONLY

@@ -265,6 +265,53 @@ class TestTrainEvalPca:
         assert all(c["status"] == "ok" for c in table["cells"])
 
 
+class TestMalformedInputsExitWithoutTraceback:
+    QA = {"context": "ab cd", "qas": [{"question": "q", "id": "x",
+                                       "answers": [{"text": "cd", "answer_start": 3}]}]}
+
+    @staticmethod
+    def one_line_error(capsys) -> str:
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("doc", [
+        {"data": 5},
+        {"data": [{"paragraphs": [dict(QA, qas=[dict(QA["qas"][0], answers=[
+            {"text": "cd", "answer_start": None}])])]}]},
+        {"data": [{"paragraphs": [dict(QA, qas=[dict(QA["qas"][0], answers=5)])]}]},
+        {"data": [{"paragraphs": [dict(QA, context=5)]}]},
+        b'{"data": "caf\xe9"}',
+    ])
+    def test_eval_on_malformed_dataset_exits_2(self, tmp_path, capsys, doc):
+        from qadapt.model import SpanModel
+        ckpt = tmp_path / "model.bin"
+        SpanModel(EncoderConfig(hidden_dim=8, num_layers=1, num_heads=2, ff_dim=8,
+                                max_len=32)).save(ckpt)
+        dataset = tmp_path / "dataset.json"
+        dataset.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert len(self.one_line_error(capsys).strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("content", [b'{"context": 5}\n', b'{"context": "caf\xe9"}\n'])
+    def test_generate_on_malformed_contexts_exits_2(self, tmp_path, capsys, content):
+        contexts = tmp_path / "contexts.jsonl"
+        contexts.write_bytes(content)
+        capsys.readouterr()
+        assert main(["generate", "--contexts", str(contexts), "--k", "2",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert len(self.one_line_error(capsys).strip().splitlines()) == 1
+
+    def test_train_on_top_level_list_config_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "list.json"
+        cfg_path.write_text("[1, 2]")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "must be a JSON object" in self.one_line_error(capsys)
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1

@@ -1,15 +1,18 @@
+import copy
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qadapt.datagen import (
     ContextOnly,
     DatasetError,
     DomainShiftSpec,
+    DomainDataset,
     GenCandidate,
+    RawQASample,
     candidates_to_dataset,
     fit_toy_generator,
     generate_candidates,
@@ -329,6 +332,128 @@ class TestSquadIO:
         assert rows[0]["context_id"] == "c"
         assert rows[0]["lm_score"] == 0.5
         assert set(rows[0]) == {"context_id", "question", "answer", "answer_start", "token_probs", "lm_score"}
+
+
+# -- reader fuzzing: every mutation of a written file loads or raises DatasetError --
+
+FUZZ_CONTEXT = "Zoë met José — naïve café 東京 at dawn"
+FUZZ_DATASET = DomainDataset(
+    samples=[
+        RawQASample("who met ___", FUZZ_CONTEXT, "José", FUZZ_CONTEXT.index("José"), "q0"),
+        RawQASample("___ at dawn", FUZZ_CONTEXT, "東京", FUZZ_CONTEXT.index("東京"), "q1"),
+        RawQASample("where", "ba re mi to", "mi to", 6, "q2"),
+    ],
+    domain_tag="source", provenance="human",
+)
+FUZZ_CONTEXTS = [ContextOnly(FUZZ_CONTEXT, "a"), ContextOnly("ba re mi", "b")]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def _substitute(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@st.composite
+def mutated(draw, raw: bytes, jsonl: bool):
+    """A written file cut short, with bytes flipped, or with one JSON value
+    (of the whole file, or of one line for JSON Lines) replaced by another
+    of any type."""
+    kind = draw(st.sampled_from(["truncate", "flip", "substitute"]))
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "flip":
+        out = bytearray(raw)
+        for pos in draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=4)):
+            out[pos] ^= draw(st.integers(1, 255))
+        return bytes(out)
+    text = raw.decode("utf-8")
+    docs = text.rstrip("\n").split("\n") if jsonl else [text]
+    i = draw(st.integers(0, len(docs) - 1))
+    doc = json.loads(docs[i])
+    path = draw(st.sampled_from(list(_json_paths(doc))))
+    docs[i] = json.dumps(_substitute(doc, path, draw(JSON_VALUES)), ensure_ascii=False)
+    return "\n".join(docs).encode("utf-8")
+
+
+def _load_or_dataset_error(load, tmp_path_factory, data: bytes):
+    path = tmp_path_factory.mktemp("fuzz") / "file"
+    path.write_bytes(data)
+    try:
+        load(path)
+    except DatasetError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def written_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("written")
+    write_dataset(root / "squad.json", FUZZ_DATASET)
+    write_contexts(root / "contexts.jsonl", FUZZ_CONTEXTS)
+    return (root / "squad.json").read_bytes(), (root / "contexts.jsonl").read_bytes()
+
+
+class TestReaderFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_squad_reader_loads_or_raises_dataset_error(self, written_files, tmp_path_factory,
+                                                         data):
+        raw = written_files[0]
+        _load_or_dataset_error(load_squad_json, tmp_path_factory, data.draw(mutated(raw, jsonl=False)))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_contexts_reader_loads_or_raises_dataset_error(self, written_files, tmp_path_factory,
+                                                            data):
+        raw = written_files[1]
+        _load_or_dataset_error(load_contexts, tmp_path_factory, data.draw(mutated(raw, jsonl=True)))
+
+    @pytest.mark.parametrize("path,value", [
+        (("data",), 5),
+        (("data", 0, "paragraphs", 0, "qas", 0, "answers", 0, "answer_start"), None),
+        (("data", 0, "paragraphs", 0, "qas", 0, "answers"), 5),
+        (("data", 0, "paragraphs", 0, "context"), 5),
+    ])
+    def test_wrong_typed_squad_field_names_its_path(self, tmp_path, path, value):
+        doc = _substitute(json.loads(json.dumps(TestSquadIO.MINIMAL)), path, value)
+        p = tmp_path / "typed.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match=repr(path[-1])):
+            load_squad_json(p)
+
+    @pytest.mark.parametrize("loader", [load_squad_json, load_contexts])
+    def test_bad_utf8_is_dataset_error(self, tmp_path, loader):
+        p = tmp_path / "bad"
+        p.write_bytes(b'{"context": "caf\xe9"}\n')
+        with pytest.raises(DatasetError, match="UTF-8"):
+            loader(p)
+
+    @pytest.mark.parametrize("line", ['{"context": 5}', "[1]", '"text"', '{"id": "a"}'])
+    def test_context_record_without_string_context(self, tmp_path, line):
+        p = tmp_path / "ctx.jsonl"
+        p.write_text(line + "\n")
+        with pytest.raises(DatasetError, match=":1: bad context record"):
+            load_contexts(p)
 
 
 def test_candidates_to_dataset_preserves_fields():

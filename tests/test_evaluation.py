@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qadapt.datagen import DomainDataset, DomainShiftSpec, RawQASample, make_synthetic_domains
 from qadapt.evaluation import (
+    answer_mean_features,
     domain_gap,
     em_f1,
     evaluate,
@@ -12,8 +13,9 @@ from qadapt.evaluation import (
     pca_project,
     token_feature_cloud,
 )
+from qadapt.experiment import measurement_kernel
 from qadapt.losses import KernelConfig
-from qadapt.model import EncoderConfig, SpanModel
+from qadapt.model import EncoderConfig, SpanModel, tokenize_sample
 
 
 class TestNormalize:
@@ -231,3 +233,28 @@ def test_token_feature_cloud_has_three_classes(toy_pair):
     assert feats.shape[1] == model.config.hidden_dim
     assert {"answer", "question", "other"} <= set(labels)
     assert len(ids) == len(labels) == feats.shape[0]
+
+
+def test_token_feature_cloud_labels_match_masks(toy_pair):
+    model, source, _ = toy_pair
+    feats, labels, ids = token_feature_cloud(model, source, max_samples=4)
+    row = 0
+    for sample in source.samples[:4]:
+        ts = tokenize_sample(sample.question, sample.context, sample.answer_start,
+                             sample.answer_text, "source", max_len=model.config.max_len)
+        for pos in range(len(ts)):
+            want = ("answer" if ts.answer_mask[pos] else
+                    "question" if ts.question_mask[pos] else "other")
+            assert (labels[row], ids[row]) == (want, sample.sample_id)
+            np.testing.assert_allclose(feats[row], model.encode(ts).data[pos], rtol=0, atol=1e-12)
+            row += 1
+    assert row == len(labels)
+
+
+def test_measurement_kernel_is_half_one_and_two_medians(toy_pair):
+    model, source, gold = toy_pair
+    pooled = np.vstack([answer_mean_features(model, source), answer_mean_features(model, gold)])
+    d2 = ((pooled[:, None, :] - pooled[None, :, :]) ** 2).sum(-1)
+    median = np.median(d2[np.triu_indices(len(pooled), k=1)])
+    assert median > 0
+    assert measurement_kernel(model, source, gold).bandwidths == (0.5 * median, median, 2 * median)

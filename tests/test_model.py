@@ -15,7 +15,9 @@ from qadapt.model import (
     embedding_noise,
     predict_span,
     tokenize_sample,
+    tokenize_samples,
 )
+from qadapt.datagen import GenCandidate, RawQASample
 from qadapt.losses import span_cross_entropy
 from conftest import make_sample
 
@@ -68,6 +70,54 @@ class TestTokenizer:
                 domain_tag=ts.domain_tag,
                 special_positions=ts.special_positions,
             )
+
+
+class TestTokenizeSamples:
+    SAMPLES = [
+        RawQASample("who ___", "ab cd ef", "cd", 3, "s0"),
+        RawQASample("q" * 40, "ab cd ef", "ef", 6, "too-long"),
+        RawQASample("what ___", "café au lait", "au", 5, "s2"),
+        RawQASample("where", "x" * 40, "x", 0, "too-long-2"),
+        RawQASample("which", "gh ij", "gh", 0, "s4"),
+    ]
+
+    def test_order_tag_and_id_pass_through(self):
+        pairs = tokenize_samples(self.SAMPLES, "target_synthetic", max_len=32)
+        assert [s.sample_id for s, _ in pairs] == ["s0", "s2", "s4"]
+        for s, ts in pairs:
+            assert ts.domain_tag == "target_synthetic" and ts.sample_id == s.sample_id
+            ref = tokenize_sample(s.question, s.context, s.answer_start, s.answer_text,
+                                  "target_synthetic", max_len=32, sample_id=s.sample_id)
+            assert np.array_equal(ts.token_ids, ref.token_ids)
+            assert ts.answer_span == ref.answer_span
+
+    def test_accepts_generator_candidates(self):
+        cand = GenCandidate(context_id="c", context="ab cd", question="___ cd",
+                            answer_text="ab", answer_start=0, token_probs=(0.5,), lm_score=0.5)
+        [(got, ts)] = tokenize_samples([cand], "target_synthetic", max_len=32)
+        assert got is cand and ts.sample_id == ""
+        assert ts.span_text(cand.context, ts.answer_span) == "ab"
+
+    def test_skips_with_one_counting_warning(self, caplog):
+        with caplog.at_level("WARNING", logger="qadapt.model"):
+            pairs = tokenize_samples(self.SAMPLES, "source", max_len=32)
+        assert len(pairs) == 3
+        warnings = [r for r in caplog.records if r.name == "qadapt.model"]
+        assert len(warnings) == 1 and "skipped 2 " in warnings[0].getMessage()
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="qadapt.model"):
+            tokenize_samples(self.SAMPLES[:1], "source", max_len=32)
+        assert not caplog.records
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_span_text_returns_the_gold_answer(self, data):
+        context = data.draw(st.text(st.characters(blacklist_categories=("Cs",)),
+                                    min_size=1, max_size=24))
+        start = data.draw(st.integers(0, len(context) - 1))
+        answer = context[start:data.draw(st.integers(start + 1, len(context)))]
+        ts = tokenize_sample("qü?", context, start, answer, "source", max_len=256)
+        assert ts.span_text(context, ts.answer_span) == answer
 
 
 class TestEncode:
