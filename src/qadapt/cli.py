@@ -170,6 +170,12 @@ def _load_train_spec(path: str):
     data = raw.pop("data", None)
     if not isinstance(data, dict) or "source" not in data:
         raise ConfigError("data: must be an object naming at least a 'source' dataset")
+    for key in ("source", "synthetic"):
+        if key in data and not isinstance(data[key], str):
+            raise ConfigError(f"data.{key}: must be a file path string")
+    dev = data.get("dev", {})
+    if not isinstance(dev, dict) or not all(isinstance(p, str) for p in dev.values()):
+        raise ConfigError("data.dev: must be an object of name -> file path strings")
     config = training.config_from_dict(raw)
     return config, data
 

@@ -49,7 +49,7 @@ class RawQASample:
 
     def __post_init__(self):
         got = self.context[self.answer_start:self.answer_start + len(self.answer_text)]
-        if got != self.answer_text or not self.answer_text:
+        if got != self.answer_text or not self.answer_text or self.answer_start < 0:
             raise ValueError(
                 f"answer {self.answer_text!r} not at offset {self.answer_start} of context"
             )

@@ -119,7 +119,8 @@ def answer_mean_features(model: SpanModel, dataset: DomainDataset) -> np.ndarray
     rows = []
     with T.no_grad():
         for _, ts in tokenize_samples(dataset.samples, dataset.domain_tag, model.config.max_len):
-            rows.append(class_means(model.encode(ts), ts).answer_mean.data)
+            packed = PackedBatch.pack([ts])
+            rows.append(class_means(model.encode(packed), packed).answer_mean.data[0])
     if not rows:
         raise ValueError("no tokenizable samples to extract features from")
     return np.stack(rows, axis=0)

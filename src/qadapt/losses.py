@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .model import PackedBatch, SpanLogits, TokenizedSample, SOURCE, TARGET_SYNTHETIC
+from .model import PackedBatch, SpanLogits, SOURCE, TARGET_SYNTHETIC
 
 MEDIAN_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 MEDIAN_FALLBACK = 1.0
@@ -71,12 +71,12 @@ class ContrastiveConfig:
 @dataclass
 class ClassMeans:
     """Mean feature of the answer tokens and of the remaining question/context
-    tokens (specials excluded from both): [H] means and one domain tag for a
-    sample, or [B x H] means and one tag per row for a packed batch."""
+    tokens (specials excluded from both) of every sample of a packed batch:
+    [B x H] means, one row and one domain tag per sample."""
 
     answer_mean: Tensor
     cq_mean: Tensor
-    domain_tag: str | tuple[str, ...]
+    domain_tag: tuple[str, ...]
 
 
 def resolve_bandwidths(points: np.ndarray, config: KernelConfig) -> tuple[float, ...]:
@@ -151,36 +151,20 @@ def _class_weights(batch: PackedBatch) -> tuple[np.ndarray, np.ndarray]:
     return answer, cq
 
 
-def class_means(features: Tensor, sample: TokenizedSample | PackedBatch) -> ClassMeans:
+def class_means(features: Tensor, batch: PackedBatch) -> ClassMeans:
     """Mean features of the answer tokens and of the non-answer question/context
-    tokens, for one sample ([L x H] features) or for every segment of a packed
-    batch ([N x H] features, one weight-matrix product per class)."""
-    packed = sample if isinstance(sample, PackedBatch) else PackedBatch.pack([sample])
-    answer_w, cq_w = _class_weights(packed)
-    answer = T.matmul(T.constant(answer_w), features)
-    cq = T.matmul(T.constant(cq_w), features)
-    if isinstance(sample, PackedBatch):
-        return ClassMeans(answer, cq, tuple(ts.domain_tag for ts in sample.samples))
-    width = (features.shape[1],)
-    return ClassMeans(T.reshape(answer, width), T.reshape(cq, width), sample.domain_tag)
+    tokens of every segment of a packed batch ([N x H] features), one
+    weight-matrix product per class."""
+    answer_w, cq_w = _class_weights(batch)
+    return ClassMeans(T.matmul(T.constant(answer_w), features),
+                      T.matmul(T.constant(cq_w), features),
+                      tuple(ts.domain_tag for ts in batch.samples))
 
 
-def contrastive_loss(batch: Sequence[ClassMeans] | ClassMeans, config: ContrastiveConfig) -> Tensor:
-    """The contrastive term of a batch given as per-sample class means, or as
-    the stacked class means of a packed batch; see ``contrastive_term``."""
-    if isinstance(batch, ClassMeans):
-        return contrastive_term(batch.answer_mean, batch.cq_mean, batch.domain_tag, config)
-    if len(batch) == 0:
-        raise ValueError("contrastive_loss over an empty batch")
-    return contrastive_term(T.stack_rows([m.answer_mean for m in batch]),
-                            T.stack_rows([m.cq_mean for m in batch]),
-                            [m.domain_tag for m in batch], config)
-
-
-def contrastive_term(answer: Tensor, cq: Tensor, domain_tags: Sequence[str],
-                     config: ContrastiveConfig) -> Tensor:
-    """Kernel sum over stacked [B x H] class means: two intra-class terms and
-    one (negated) cross-class term, each normalized by its pair count.
+def contrastive_loss(means: ClassMeans, config: ContrastiveConfig) -> Tensor:
+    """Kernel sum over the stacked [B x H] class means of a batch: two
+    intra-class terms and one (negated) cross-class term, each normalized by
+    its pair count.
 
     sign_variant "as-printed" scores intra-class terms positively (minimizing
     spreads same-class means apart); "similarity-flipped" negates the intra
@@ -188,11 +172,12 @@ def contrastive_term(answer: Tensor, cq: Tensor, domain_tags: Sequence[str],
     together and pushes the classes apart. pairing_variant "domain-separated"
     restricts the intra-class sums to symmetrized source/target pairs.
     """
-    n = answer.shape[0]
+    answer, cq, domain_tags = means.answer_mean, means.cq_mean, means.domain_tag
+    n = len(domain_tags)
+    if answer.data.ndim != 2 or answer.shape[0] != n or cq.shape != answer.shape:
+        raise T.ShapeError(f"class means {answer.shape} / {cq.shape} for {n} tags")
     if n == 0:
         raise ValueError("contrastive_loss over an empty batch")
-    if cq.shape != answer.shape or len(domain_tags) != n:
-        raise T.ShapeError(f"class means {answer.shape} / {cq.shape} for {len(domain_tags)} tags")
     bw = resolve_bandwidths(np.vstack([answer.data, cq.data]), config.kernel)
     k_aa = kernel_matrix(answer, answer, bw)
     k_cc = kernel_matrix(cq, cq, bw)
@@ -218,22 +203,13 @@ def contrastive_term(answer: Tensor, cq: Tensor, domain_tags: Sequence[str],
     return intra_a + intra_c - inter
 
 
-def span_cross_entropy(logits: SpanLogits, gold: tuple[int, int] | PackedBatch) -> Tensor:
-    """Mean over sequences of the mean start and end negative log-softmax at
-    the gold positions. ``gold`` is the (start, end) pair of one sequence, or
-    the packed batch the logits were computed from, whose samples' answer
-    spans are the golds of its segments."""
-    if isinstance(gold, PackedBatch):
-        offsets = gold.offsets
-        spans = np.array([ts.answer_span for ts in gold.samples]) + offsets[:-1, None]
-    else:
-        length = logits.start_scores.shape[0]
-        start, end = gold
-        if not (0 <= start < length and 0 <= end < length):
-            raise ValueError(f"gold span {gold} outside sequence of length {length}")
-        offsets, spans = np.array([0, length]), np.array([gold])
-    nll_start = T.segment_nll(logits.start_scores, offsets, spans[:, 0])
-    nll_end = T.segment_nll(logits.end_scores, offsets, spans[:, 1])
+def span_cross_entropy(logits: SpanLogits, gold: PackedBatch) -> Tensor:
+    """Mean over segments of the mean start and end negative log-softmax at
+    the gold positions; the golds are the answer spans of the samples of the
+    packed batch the logits were computed from."""
+    spans = np.array([ts.answer_span for ts in gold.samples]) + gold.offsets[:-1, None]
+    nll_start = T.segment_nll(logits.start_scores, gold.offsets, spans[:, 0])
+    nll_end = T.segment_nll(logits.end_scores, gold.offsets, spans[:, 1])
     return ((nll_start + nll_end) * 0.5).mean()
 
 

@@ -173,14 +173,17 @@ def tokenize_sample(
     sample_id: str = "",
 ) -> TokenizedSample:
     """Byte-tokenize a QA triple; answer offsets are character positions."""
-    if context[answer_start:answer_start + len(answer_text)] != answer_text:
+    if answer_start < 0 or context[answer_start:answer_start + len(answer_text)] != answer_text:
         raise TokenizationError(
             f"answer {answer_text!r} not found at offset {answer_start} of context"
         )
     if len(answer_text) == 0:
         raise TokenizationError("empty answer text")
-    q_bytes = question.encode("utf-8")
-    c_bytes = context.encode("utf-8")
+    try:
+        q_bytes = question.encode("utf-8")
+        c_bytes = context.encode("utf-8")
+    except UnicodeEncodeError as err:  # a lone surrogate has no UTF-8 bytes
+        raise TokenizationError(f"text is not encodable as UTF-8: {err}") from err
     length = 3 + len(q_bytes) + len(c_bytes)
     if length > max_len:
         raise TokenizationError(f"sequence length {length} exceeds max length {max_len}")

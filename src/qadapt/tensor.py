@@ -15,7 +15,10 @@ are ``linear``, ``layer_norm`` (with gain and bias), ``ffn`` (ReLU
 feed-forward block), ``segment_attention`` (multi-head softmax attention
 within each segment) and ``segment_nll`` (negative log-softmax of each
 segment at one position). Segment means are a ``matmul`` with a constant
-weight matrix.
+weight matrix. Besides these the engine holds only the arithmetic, ``exp``,
+``embedding``, ``pairwise_sq_dist`` (for the kernel losses), ``reshape`` and
+``slice_cols`` (for the span head): every op has a caller in the model or its
+losses.
 
 Broadcasting is deliberately narrow: operand shapes must match exactly, or the
 smaller operand's shape must equal the trailing dimensions of the larger one
@@ -26,7 +29,7 @@ float64; every completed operation is checked for NaN/Inf.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -228,12 +231,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), vjp)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
-    return _node(a.data.T.copy(), (a,), lambda g: (g.T,))
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     if int(np.prod(shape)) != a.data.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
@@ -248,50 +245,10 @@ def exp(a: Tensor) -> Tensor:
     return _node(out, (a,), lambda g: (g * out,))
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise ValueError(f"log requires positive values, min={a.data.min()!r}")
-    out = np.log(a.data)
-    return _node(out, (a,), lambda g: (g / a.data,))
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g: Array):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
-
-    return _node(out, (a,), vjp)
-
-
-def log_softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
-    soft = np.exp(out)
-
-    def vjp(g: Array):
-        return (g - soft * g.sum(axis=-1, keepdims=True),)
-
-    return _node(out, (a,), vjp)
-
-
-def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
-               eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale by
-    ``gain`` and shift by ``bias`` (both [H]; omitted, they are 1 and 0)."""
+    ``gain`` and shift by ``bias`` (both [H])."""
     width = a.shape[-1]
-    gain = constant(np.ones(width)) if gain is None else gain
-    bias = constant(np.zeros(width)) if bias is None else bias
     if gain.shape != (width,) or bias.shape != (width,):
         raise ShapeError(f"layer_norm gain {gain.shape} / bias {bias.shape} vs width {width}")
     mu = a.data.mean(axis=-1, keepdims=True)
@@ -449,24 +406,6 @@ def embedding(table: Tensor, ids) -> Tensor:
     return _node(out, (table,), vjp)
 
 
-def masked_mean(a: Tensor, mask) -> Tensor:
-    """Mean over axis 0 restricted to rows where mask is true."""
-    m = np.asarray(mask, dtype=bool)
-    if m.ndim != 1 or m.shape[0] != a.shape[0]:
-        raise ShapeError(f"mask shape {m.shape} does not match leading dim of {a.shape}")
-    count = int(m.sum())
-    if count == 0:
-        raise ValueError("masked_mean over an empty mask")
-    out = a.data[m].mean(axis=0)
-
-    def vjp(g: Array):
-        ga = np.zeros_like(a.data)
-        ga[m] = g / count
-        return (ga,)
-
-    return _node(out, (a,), vjp)
-
-
 def pairwise_sq_dist(a: Tensor, b: Tensor) -> Tensor:
     """Squared Euclidean distances between rows: out[i, j] = ||a_i - b_j||^2."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
@@ -480,22 +419,6 @@ def pairwise_sq_dist(a: Tensor, b: Tensor) -> Tensor:
         return scaled.sum(axis=1), -scaled.sum(axis=0)
 
     return _node(out, (a, b), vjp)
-
-
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-shape tensors along a new leading axis."""
-    if not tensors:
-        raise ShapeError("stack_rows of an empty sequence")
-    shape = tensors[0].shape
-    for t in tensors:
-        if t.shape != shape:
-            raise ShapeError(f"stack_rows shapes differ: {shape} vs {t.shape}")
-    out = np.stack([t.data for t in tensors], axis=0)
-
-    def vjp(g: Array):
-        return tuple(g[i] for i in range(len(tensors)))
-
-    return _node(out, tuple(tensors), vjp)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:

@@ -30,14 +30,13 @@ from qadapt.losses import (
     ClassMeans,
     ContrastiveConfig,
     KernelConfig,
-    class_means,
     contrastive_loss,
     gaussian_kernel,
     mmd_squared,
-    span_cross_entropy,
     total_loss,
 )
 from qadapt.model import EncoderConfig, SpanModel
+from qadapt.training import TrainConfig, _batch_losses
 from conftest import make_sample
 from test_evaluation import EM_F1_CASES
 
@@ -59,15 +58,10 @@ VARIANTS = [
 ]
 
 
-def _combined_loss(model, batch, config, base_seed):
-    ce_terms, means = [], []
-    for i, ts in enumerate(batch):
-        feats = model.encode(ts, noise_sigma=config.noise_sigma, noise_seed=base_seed + i)
-        logits = model.span_logits(feats)
-        ce_terms.append(span_cross_entropy(logits, ts.answer_span))
-        means.append(class_means(feats, ts))
-    ce = T.stack_rows(ce_terms).mean()
-    return total_loss(ce, contrastive_loss(means, config), config)
+def _combined_loss(model, batch, config):
+    """The trained objective: one packed batch at step 0."""
+    ce, con, _ = _batch_losses(model, batch, config, 0)
+    return total_loss(ce, con, config.contrastive)
 
 
 def test_criterion_1_gradient_fidelity():
@@ -79,13 +73,14 @@ def test_criterion_1_gradient_fidelity():
         enc = EncoderConfig(vocab_size=16, hidden_dim=hidden, num_layers=1, num_heads=2,
                             ff_dim=2 * hidden, max_len=16, seed=9000 + idx)
         sign, pairing = VARIANTS[idx % len(VARIANTS)]
-        config = ContrastiveConfig(
+        contrastive = ContrastiveConfig(
             beta=float(rng.choice([0.1, 0.01, 0.001])),
             noise_sigma=float(rng.choice([0.0, 0.01])),
             kernel=KernelConfig(bandwidths=BANDWIDTH_SETS[idx % len(BANDWIDTH_SETS)]),
             sign_variant=sign,
             pairing_variant=pairing,
         )
+        config = TrainConfig(seed=100 * idx, contrastive=contrastive, encoder=enc)
         n = int(rng.integers(2, 5))  # >= 2 keeps domain-separated pairing valid
         batch = [
             make_sample(seed=7000 + 10 * idx + i, length=int(rng.integers(8, 17)), vocab=16,
@@ -99,7 +94,7 @@ def test_criterion_1_gradient_fidelity():
 
             def f(t, name=name):
                 model.params[name] = t
-                return _combined_loss(model, batch, config, base_seed=100 * idx)
+                return _combined_loss(model, batch, config)
 
             err = T.finite_difference_check(f, base, max_coords=12, seed=idx)
             model.params[name] = base
@@ -156,9 +151,9 @@ def test_criterion_3_contrastive_closed_forms():
     for _ in range(100):
         a = rng.standard_normal(5)
         c = rng.standard_normal(5)
-        batch = [ClassMeans(T.constant(a), T.constant(c), "source")]
+        means = ClassMeans(T.constant(a[None]), T.constant(c[None]), ("source",))
         expected = 2.0 - gaussian_kernel(a, c, cfg.kernel)
-        ok &= abs(contrastive_loss(batch, cfg).item() - expected) <= 1e-12
+        ok &= abs(contrastive_loss(means, cfg).item() - expected) <= 1e-12
 
     def k(a, b):
         d2 = float(((a - b) ** 2).sum())
@@ -167,13 +162,13 @@ def test_criterion_3_contrastive_closed_forms():
     for _ in range(100):
         a = [rng.standard_normal(4) for _ in range(2)]
         c = [rng.standard_normal(4) for _ in range(2)]
-        batch = [ClassMeans(T.constant(a[i]), T.constant(c[i]),
-                            "source" if i == 0 else "target_synthetic") for i in range(2)]
+        means = ClassMeans(T.constant(np.stack(a)), T.constant(np.stack(c)),
+                           ("source", "target_synthetic"))
         brute = sum(
             (k(a[i], a[j]) + k(c[i], c[j]) - k(a[i], c[j])) / 4
             for i in range(2) for j in range(2)
         )
-        ok &= abs(contrastive_loss(batch, cfg).item() - brute) <= 1e-12
+        ok &= abs(contrastive_loss(means, cfg).item() - brute) <= 1e-12
     criterion(3, "single-sample batches equal 2 - k(answer, rest) and two-sample "
                  "batches match the expanded double sums", ok)
 

@@ -311,6 +311,44 @@ class TestMalformedInputsExitWithoutTraceback:
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert "must be a JSON object" in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("data", [
+        {"source": "source.json", "dev": ["x.json"]},
+        {"source": "source.json", "dev": {"target": 7}},
+        {"source": "source.json", "dev": None},
+        {"source": ["a"]},
+        {"source": 12345},
+        {"source": 0},
+        {"source": "source.json", "synthetic": 5},
+    ])
+    def test_train_on_malformed_data_section_exits_1(self, tmp_path, capsys, data,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "source.json").write_text(json.dumps({"data": [{"paragraphs": [self.QA]}]}))
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps(dict(train_config_dict("source.json"), data=data)))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "data." in self.one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_scores_a_lone_surrogate_context_zero(self, tmp_path, capsys):
+        from qadapt.model import SpanModel
+        ckpt = tmp_path / "model.bin"
+        SpanModel(EncoderConfig(hidden_dim=8, num_layers=1, num_heads=2, ff_dim=8,
+                                max_len=32)).save(ckpt)
+        bad = dict(self.QA, context="ab cd \ud800", qas=[dict(self.QA["qas"][0], id="bad")])
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps({"data": [{"paragraphs": [self.QA, bad]}]}))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        scored = {r["sample_id"]: r for r in report["samples"]}
+        assert report["n"] == 2
+        assert scored["bad"]["em"] == 0 and scored["bad"]["f1"] == 0.0
+        assert "UTF-8" in scored["bad"]["note"]
+
 
 class TestUsage:
     def test_unknown_subcommand(self):

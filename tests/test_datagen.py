@@ -302,6 +302,20 @@ class TestSquadIO:
         assert len(ds) == 0
         assert ds.rejected == 1
 
+    def test_negative_offset_rejected_with_count(self, tmp_path):
+        # "ab cd"[-5:-3] == "ab": only the sign of the offset is wrong
+        doc = json.loads(json.dumps(self.MINIMAL))
+        para = doc["data"][0]["paragraphs"][0]
+        para["context"] = "ab cd"
+        para["qas"][0]["answers"][0] = {"text": "ab", "answer_start": -5}
+        p = tmp_path / "negative.json"
+        p.write_text(json.dumps(doc))
+        ds = load_squad_json(p)
+        assert len(ds) == 0
+        assert ds.rejected == 1
+        with pytest.raises(ValueError):
+            RawQASample("q", "ab cd", "ab", -5)
+
     def test_malformed_record_names_path(self, tmp_path):
         doc = json.loads(json.dumps(self.MINIMAL))
         del doc["data"][0]["paragraphs"][0]["qas"][0]["question"]

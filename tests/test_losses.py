@@ -19,7 +19,7 @@ from qadapt.losses import (
     span_cross_entropy,
     total_loss,
 )
-from qadapt.model import SpanLogits
+from qadapt.model import PackedBatch, SpanLogits, TokenizedSample
 from conftest import make_sample
 
 
@@ -138,33 +138,34 @@ class TestClassMeans:
     def test_singleton_answer_mean_is_that_feature(self, tiny_model):
         ts = make_sample(seed=21)
         s = ts.answer_span[0]
-        single = make_sample(seed=21, answer=(s, s))
+        single = PackedBatch.pack([make_sample(seed=21, answer=(s, s))])
         feats = tiny_model.encode(single)
         cm = class_means(feats, single)
-        assert np.array_equal(cm.answer_mean.data, feats.data[s])
+        assert np.array_equal(cm.answer_mean.data, feats.data[s:s + 1])
 
     def test_constant_features_equalize_means(self):
         ts = make_sample(seed=22)
         feats = T.constant(np.ones((len(ts), 4)))
-        cm = class_means(feats, ts)
+        cm = class_means(feats, PackedBatch.pack([ts]))
         assert np.array_equal(cm.answer_mean.data, cm.cq_mean.data)
 
     def test_hand_summed_means(self):
         ts = make_sample(seed=23)
         rng = np.random.default_rng(9)
         values = rng.standard_normal((len(ts), 5))
-        cm = class_means(T.constant(values), ts)
+        cm = class_means(T.constant(values), PackedBatch.pack([ts]))
         ans = values[ts.answer_mask].mean(axis=0)
         cq_mask = (ts.question_mask | ts.context_mask) & ~ts.answer_mask
         cq = values[cq_mask].mean(axis=0)
-        assert np.max(np.abs(cm.answer_mean.data - ans)) < 1e-12
-        assert np.max(np.abs(cm.cq_mean.data - cq)) < 1e-12
+        assert cm.answer_mean.shape == cm.cq_mean.shape == (1, 5)
+        assert np.max(np.abs(cm.answer_mean.data[0] - ans)) < 1e-12
+        assert np.max(np.abs(cm.cq_mean.data[0] - cq)) < 1e-12
 
     def test_specials_excluded(self):
         ts = make_sample(seed=24)
         values = np.zeros((len(ts), 3))
         values[list(ts.special_positions)] = 1e6
-        cm = class_means(T.constant(values), ts)
+        cm = class_means(T.constant(values), PackedBatch.pack([ts]))
         assert np.max(np.abs(cm.cq_mean.data)) == 0.0
 
     def test_empty_answer_mask_signalled(self, tiny_model):
@@ -172,41 +173,38 @@ class TestClassMeans:
         feats = tiny_model.encode(ts)
         ts.answer_mask[:] = False
         with pytest.raises(MalformedSampleError):
-            class_means(feats, ts)
+            class_means(feats, PackedBatch.pack([ts]))
 
 
 def random_means(seed, n, dim=4, tags=None):
+    """[n x dim] answer and cq means drawn row by row, as n per-sample pairs."""
     rng = np.random.default_rng(seed)
     if tags is None:
         tags = ["source" if i % 2 == 0 else "target_synthetic" for i in range(n)]
-    return [
-        ClassMeans(
-            answer_mean=T.constant(rng.standard_normal(dim)),
-            cq_mean=T.constant(rng.standard_normal(dim)),
-            domain_tag=tags[i],
-        )
-        for i in range(n)
-    ]
+    rows = [(rng.standard_normal(dim), rng.standard_normal(dim)) for _ in range(n)]
+    answer = np.array([a for a, _ in rows])
+    cq = np.array([c for _, c in rows])
+    return ClassMeans(answer_mean=T.constant(answer), cq_mean=T.constant(cq),
+                      domain_tag=tuple(tags))
 
 
 class TestContrastiveLoss:
     CFG = ContrastiveConfig(beta=0.01, noise_sigma=0.0, kernel=KernelConfig(bandwidths=(1.0, 3.0)))
 
     def test_single_sample_identical_means(self):
-        v = T.constant(np.array([0.3, -0.2, 1.0]))
-        batch = [ClassMeans(answer_mean=v, cq_mean=v, domain_tag="source")]
-        assert abs(contrastive_loss(batch, self.CFG).item() - 1.0) < 1e-12
+        v = T.constant(np.array([[0.3, -0.2, 1.0]]))
+        means = ClassMeans(answer_mean=v, cq_mean=v, domain_tag=("source",))
+        assert abs(contrastive_loss(means, self.CFG).item() - 1.0) < 1e-12
 
     def test_single_sample_closed_form(self):
-        batch = random_means(31, 1)
-        k = gaussian_kernel(batch[0].answer_mean.data, batch[0].cq_mean.data, self.CFG.kernel)
-        got = contrastive_loss(batch, self.CFG).item()
+        means = random_means(31, 1)
+        k = gaussian_kernel(means.answer_mean.data[0], means.cq_mean.data[0], self.CFG.kernel)
+        got = contrastive_loss(means, self.CFG).item()
         assert abs(got - (2.0 - k)) < 1e-12
 
     def test_two_sample_brute_force(self):
         batch = random_means(32, 2)
-        a = [m.answer_mean.data for m in batch]
-        c = [m.cq_mean.data for m in batch]
+        a, c = batch.answer_mean.data, batch.cq_mean.data
         bw = self.CFG.kernel.bandwidths
         expected = 0.0
         for i in range(2):
@@ -226,20 +224,23 @@ class TestContrastiveLoss:
     def test_permutation_invariance(self):
         batch = random_means(34, 4)
         base = contrastive_loss(batch, self.CFG).item()
-        perm = [batch[2], batch[0], batch[3], batch[1]]
+        order = [2, 0, 3, 1]
+        perm = ClassMeans(T.constant(batch.answer_mean.data[order]),
+                          T.constant(batch.cq_mean.data[order]),
+                          tuple(batch.domain_tag[i] for i in order))
         assert abs(contrastive_loss(perm, self.CFG).item() - base) < 1e-12
 
     def test_empty_batch_rejected(self):
+        empty = T.constant(np.zeros((0, 4)))
         with pytest.raises(ValueError, match="empty"):
-            contrastive_loss([], self.CFG)
+            contrastive_loss(ClassMeans(empty, empty, ()), self.CFG)
 
     def test_domain_separated_intra_terms(self):
         tags = ["source", "target_synthetic", "source"]
         batch = random_means(35, 3, tags=tags)
         cfg = ContrastiveConfig(beta=0.01, noise_sigma=0.0, kernel=self.CFG.kernel,
                                 pairing_variant="domain-separated")
-        a = [m.answer_mean.data for m in batch]
-        c = [m.cq_mean.data for m in batch]
+        a, c = batch.answer_mean.data, batch.cq_mean.data
         bw = cfg.kernel.bandwidths
         cross = [(i, j) for i in range(3) for j in range(3)
                  if {tags[i], tags[j]} == {"source", "target_synthetic"}]
@@ -258,19 +259,13 @@ class TestContrastiveLoss:
     def test_gradient_through_loss(self):
         # finite differences wrt the stacked answer means
         rng = np.random.default_rng(37)
-        cq = [T.constant(rng.standard_normal(4)) for _ in range(3)]
+        cq = T.constant(np.array([rng.standard_normal(4) for _ in range(3)]))
         flat = rng.standard_normal((3, 4))
+        tags = ("source", "target_synthetic", "source")
 
         def f(t):
-            batch = [
-                ClassMeans(
-                    answer_mean=T.reshape(T.slice_cols(t, 0, 4), (4,)) if False else T.masked_mean(t, np.arange(3) == i),
-                    cq_mean=cq[i],
-                    domain_tag="source" if i % 2 == 0 else "target_synthetic",
-                )
-                for i in range(3)
-            ]
-            return contrastive_loss(batch, self.CFG)
+            return contrastive_loss(ClassMeans(answer_mean=t, cq_mean=cq, domain_tag=tags),
+                                    self.CFG)
 
         assert T.finite_difference_check(f, T.constant(flat)) < 1e-5
 
@@ -299,15 +294,8 @@ class TestContrastiveLoss:
             for _ in range(100):
                 a = T.Tensor(a_val, requires_grad=True)
                 c = T.Tensor(c_val, requires_grad=True)
-                batch = [
-                    ClassMeans(
-                        answer_mean=T.masked_mean(a, np.arange(4) == i),
-                        cq_mean=T.masked_mean(c, np.arange(4) == i),
-                        domain_tag="source" if i % 2 == 0 else "target_synthetic",
-                    )
-                    for i in range(4)
-                ]
-                T.backward(contrastive_loss(batch, cfg))
+                tags = ("source", "target_synthetic") * 2
+                T.backward(contrastive_loss(ClassMeans(a, c, tags), cfg))
                 a_val = a_val - 0.05 * a.grad
                 c_val = c_val - 0.05 * c.grad
             intra1, inter1 = stats(a_val, c_val)
@@ -316,10 +304,20 @@ class TestContrastiveLoss:
         assert wins >= 95, f"only {wins}/100 seeds moved in the intended direction"
 
 
+def gold_batch(length, span):
+    """A one-sample packed batch of context tokens only, answer ``span``."""
+    mask = np.ones(length, dtype=bool)
+    answer = np.zeros(length, dtype=bool)
+    answer[span[0]:span[1] + 1] = True
+    return PackedBatch.pack([TokenizedSample(
+        token_ids=np.zeros(length), question_mask=~mask, context_mask=mask, answer_mask=answer,
+        answer_span=span, domain_tag="source", special_positions=())])
+
+
 class TestSpanCrossEntropy:
     def test_uniform_logits(self):
         logits = SpanLogits(T.constant(np.zeros(4)), T.constant(np.zeros(4)))
-        assert abs(span_cross_entropy(logits, (1, 2)).item() - math.log(4)) < 1e-12
+        assert abs(span_cross_entropy(logits, gold_batch(4, (1, 2))).item() - math.log(4)) < 1e-12
 
     def test_saturated_softmax(self):
         start = np.zeros(6)
@@ -327,21 +325,22 @@ class TestSpanCrossEntropy:
         start[2] = 30.0
         end[4] = 30.0
         logits = SpanLogits(T.constant(start), T.constant(end))
-        assert span_cross_entropy(logits, (2, 4)).item() < 1e-9
+        assert span_cross_entropy(logits, gold_batch(6, (2, 4))).item() < 1e-9
 
     def test_hand_computed_three_positions(self):
         scores = np.array([1.0, 2.0, 3.0])
         logits = SpanLogits(T.constant(scores), T.constant(scores))
-        start_term = -math.log(math.exp(3) / (math.exp(1) + math.exp(2) + math.exp(3)))
-        assert abs(start_term - 0.40760596444438) < 1e-9
-        end_term = -math.log(math.exp(1) / (math.exp(1) + math.exp(2) + math.exp(3)))
+        start_term = -math.log(math.exp(1) / (math.exp(1) + math.exp(2) + math.exp(3)))
+        end_term = -math.log(math.exp(3) / (math.exp(1) + math.exp(2) + math.exp(3)))
+        assert abs(end_term - 0.40760596444438) < 1e-9
         expected = 0.5 * (start_term + end_term)
-        assert abs(span_cross_entropy(logits, (2, 0)).item() - expected) < 1e-9
+        assert abs(span_cross_entropy(logits, gold_batch(3, (0, 2))).item() - expected) < 1e-9
 
     def test_gold_outside_sequence_rejected(self):
+        # logits of 3 tokens against a 4-token sample whose gold ends at token 3
         logits = SpanLogits(T.constant(np.zeros(3)), T.constant(np.zeros(3)))
-        with pytest.raises(ValueError, match="outside"):
-            span_cross_entropy(logits, (1, 3))
+        with pytest.raises(ValueError, match="offsets"):
+            span_cross_entropy(logits, gold_batch(4, (1, 3)))
 
 
 class TestTotalLoss:

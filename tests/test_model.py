@@ -37,6 +37,16 @@ class TestTokenizer:
         with pytest.raises(TokenizationError, match="not found"):
             tokenize_sample("q", "abcdef", 0, "cde", "source")
 
+    def test_negative_answer_start_rejected(self):
+        # "ab cd"[-5:-3] == "ab", so only the sign check rejects it
+        with pytest.raises(TokenizationError, match="not found"):
+            tokenize_sample("q", "ab cd", -5, "ab", "source")
+
+    @pytest.mark.parametrize("question,context", [("q", "ab \ud800"), ("q\udfff", "ab cd")])
+    def test_lone_surrogate_is_a_tokenization_error(self, question, context):
+        with pytest.raises(TokenizationError, match="UTF-8"):
+            tokenize_sample(question, context, 0, "ab", "source")
+
     def test_too_long_rejected(self):
         with pytest.raises(TokenizationError, match="max length"):
             tokenize_sample("q" * 10, "c" * 10, 0, "c", "source", max_len=16)
@@ -104,6 +114,12 @@ class TestTokenizeSamples:
         assert len(pairs) == 3
         warnings = [r for r in caplog.records if r.name == "qadapt.model"]
         assert len(warnings) == 1 and "skipped 2 " in warnings[0].getMessage()
+        caplog.clear()
+        surrogate = RawQASample("q", "ab \ud800", "ab", 0, "lone-surrogate")
+        with caplog.at_level("WARNING", logger="qadapt.model"):
+            pairs = tokenize_samples([surrogate, *self.SAMPLES], "source", max_len=32)
+        assert [s.sample_id for s, _ in pairs] == ["s0", "s2", "s4"]
+        assert "skipped 3 " in caplog.records[0].getMessage()
         caplog.clear()
         with caplog.at_level("WARNING", logger="qadapt.model"):
             tokenize_samples(self.SAMPLES[:1], "source", max_len=32)
@@ -196,6 +212,11 @@ class TestPackedEncode:
             PackedBatch.pack([])
 
 
+def softmax(scores):
+    e = np.exp(scores.data - scores.data.max())
+    return e / e.sum()
+
+
 class TestSpanHead:
     def test_zero_head_gives_uniform_distributions(self, tiny_config):
         model = SpanModel(tiny_config)
@@ -203,18 +224,18 @@ class TestSpanHead:
         model.params["span.b"] = T.Tensor(np.zeros(2), requires_grad=True)
         ts = make_sample(seed=7)
         logits = model.span_logits(model.encode(ts))
-        probs = T.softmax(logits.start_scores).data
+        probs = softmax(logits.start_scores)
         assert np.allclose(probs, 1.0 / len(ts), atol=1e-15)
 
     def test_distributions_sum_to_one(self, tiny_model):
         ts = make_sample(seed=8)
         logits = tiny_model.span_logits(tiny_model.encode(ts))
         for scores in (logits.start_scores, logits.end_scores):
-            assert abs(T.softmax(scores).data.sum() - 1.0) < 1e-12
+            assert abs(softmax(scores).sum() - 1.0) < 1e-12
 
     def test_length_one_distribution_is_point_mass(self):
         logits = SpanLogits(T.constant(np.array([2.0])), T.constant(np.array([-1.0])))
-        assert T.softmax(logits.start_scores).data[0] == 1.0
+        assert softmax(logits.start_scores)[0] == 1.0
         assert predict_span(logits, np.array([True]), max_answer_len=4) == (0, 0)
 
 
@@ -378,7 +399,7 @@ def test_full_forward_backward_gradcheck():
     """Finite differences through encode + span head + cross-entropy."""
     cfg = EncoderConfig(vocab_size=16, hidden_dim=8, num_layers=1, num_heads=2,
                         ff_dim=16, max_len=12, seed=3)
-    ts = make_sample(seed=11, length=10, vocab=16)
+    ts = PackedBatch.pack([make_sample(seed=11, length=10, vocab=16)])
 
     worst = 0.0
     for name in ("span.w", "layer0.attn.wq", "layer0.ff.w1", "tok_emb", "final_ln.gain"):
@@ -388,7 +409,7 @@ def test_full_forward_backward_gradcheck():
         def f(t, name=name, model=model):
             model.params[name] = t
             logits = model.span_logits(model.encode(ts))
-            return span_cross_entropy(logits, ts.answer_span)
+            return span_cross_entropy(logits, ts)
 
         err = T.finite_difference_check(f, base, max_coords=24, seed=5)
         model.params[name] = base

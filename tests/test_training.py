@@ -3,13 +3,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qadapt import tensor as T
 from qadapt.datagen import DomainDataset, DomainShiftSpec, derive_seed, make_synthetic_domains
 from qadapt.evaluation import evaluate
 from qadapt.experiment import build_experiment_data
 from qadapt.losses import ClassMeans, ContrastiveConfig, KernelConfig, contrastive_loss, total_loss
-from qadapt.model import EncoderConfig, SpanModel, embedding_noise
+from qadapt.model import EncoderConfig, SpanModel, tokenize_samples
 from qadapt.training import (
     AdamW,
     ConfigError,
@@ -104,6 +106,59 @@ class TestSampler:
     def test_mixed_requires_both_sets(self):
         with pytest.raises(ConfigError, match="non-empty"):
             list(mixed_batch_sampler([1, 2], [], 2, "mixed", seed=0))
+
+
+SAMPLER_CASES = st.tuples(
+    st.sampled_from(["mixed", "source-only"]), st.integers(1, 30), st.integers(0, 30),
+    st.integers(1, 9), st.integers(0, 2**32 - 1), st.integers(1, 3),
+).filter(lambda c: c[0] == "source-only" or (c[2] >= 1 and c[3] >= 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SAMPLER_CASES)
+def test_sampler_invariants(case):
+    """Each epoch visits every item once, in full batches but the last; under
+    the mixed policy every batch splits 1:1 (rounded toward source) while both
+    sides last; the same seed gives the same batches."""
+    policy, n_src, n_syn, batch_size, seed, epochs = case
+    src = [("s", i) for i in range(n_src)]
+    syn = [("t", i) for i in range(n_syn)]
+    run = list(mixed_batch_sampler(src, syn, batch_size, policy, seed, epochs=epochs))
+    assert run == list(mixed_batch_sampler(src, syn, batch_size, policy, seed, epochs=epochs))
+    assert [e for e, _ in run] == sorted(e for e, _ in run)
+    for epoch in range(epochs):
+        batches = [b for e, b in run if e == epoch]
+        items = [x for b in batches for x in b]
+        assert sorted(items) == sorted(src + (syn if policy == "mixed" else []))
+        assert all(len(b) == batch_size for b in batches[:-1])
+        assert 1 <= len(batches[-1]) <= batch_size
+        if policy == "source-only":
+            continue
+        left = Counter(s=n_src, t=n_syn)
+        for b in batches:
+            kinds = Counter(kind for kind, _ in b)
+            if left["s"] >= (batch_size + 1) // 2 and left["t"] >= batch_size // 2:
+                assert kinds == Counter(s=(batch_size + 1) // 2, t=batch_size // 2)
+            left.subtract(kinds)
+
+
+def test_single_domain_batch_count_matches_the_sampler(toy_data):
+    """``single_domain_batches`` is the number of batches the sampler yields
+    with only one domain in them."""
+    source, synthetic = toy_data
+    synthetic = DomainDataset(samples=synthetic.samples[:5], domain_tag="target_synthetic",
+                              provenance="synthetic")
+    cfg = tiny_config(epochs=2, batch_size=4, contrastive=ContrastiveConfig(
+        beta=0.001, noise_sigma=0.0, pairing_variant="domain-separated",
+        kernel=KernelConfig(bandwidths=(1.0, 4.0))))
+    tags = [tag for ds, tag in ((source, "s"), (synthetic, "t"))
+            for _ in tokenize_samples(ds.samples, ds.domain_tag, cfg.encoder.max_len)]
+    batches = mixed_batch_sampler([t for t in tags if t == "s"], [t for t in tags if t == "t"],
+                                  cfg.batch_size, "mixed", cfg.seed, epochs=cfg.epochs)
+    expected = sum(len(set(b)) == 1 for _, b in batches)
+    _, report = train(cfg, source, synthetic)
+    assert expected > 0
+    assert report.single_domain_batches == expected
 
 
 class TestOptimizer:
@@ -331,57 +386,32 @@ def test_overfit_smoke_200_samples_under_200_steps():
     assert min(r.loss_total for r in report.steps[:200]) < 0.1
 
 
-# -- the packed batch against the per-sample graph it replaces ----------------------
-
-def _reference_features(model, ts, sigma, seed):
-    """Per-sample encoder built from the narrow ops, one graph per head."""
-    p, cfg = model.params, model.config
-    x = T.embedding(p["tok_emb"], ts.token_ids)
-    if sigma > 0.0:
-        x = x + T.constant(embedding_noise((len(ts), cfg.hidden_dim), sigma, seed))
-    x = x + T.embedding(p["pos_emb"], np.arange(len(ts)))
-
-    def ln(t, pre):
-        return T.layer_norm(t) * p[pre + ".gain"] + p[pre + ".bias"]
-
-    dh = cfg.hidden_dim // cfg.num_heads
-    for i in range(cfg.num_layers):
-        pre = f"layer{i}."
-        h = ln(x, pre + "ln1")
-        q, k, v = (T.matmul(h, p[pre + "attn.w" + c]) + p[pre + "attn.b" + c] for c in "qkv")
-        heads = []
-        for lo in range(0, cfg.hidden_dim, dh):
-            qh, kh, vh = (T.slice_cols(t, lo, lo + dh) for t in (q, k, v))
-            scores = T.matmul(qh, T.transpose(kh)) * (1.0 / np.sqrt(dh))
-            heads.append(T.matmul(T.softmax(scores), vh))
-        merged = None
-        for j, head in enumerate(heads):  # concatenate the heads' columns by placement
-            part = T.matmul(head, T.constant(np.eye(dh, cfg.hidden_dim, k=j * dh)))
-            merged = part if merged is None else merged + part
-        x = x + T.matmul(merged, p[pre + "attn.wo"]) + p[pre + "attn.bo"]
-        h = ln(x, pre + "ln2")
-        ff = T.relu(T.matmul(h, p[pre + "ff.w1"]) + p[pre + "ff.b1"])
-        x = x + T.matmul(ff, p[pre + "ff.w2"]) + p[pre + "ff.b2"]
-    return ln(x, "final_ln")
-
+# -- the packed batch against per-sample graphs ------------------------------------
 
 def _reference_loss(model, batch, config, step):
+    """The objective rebuilt one sample at a time: each sample's features from
+    its own encode call, its span NLL from segment_nll on one segment, its
+    class-mean rows from a constant [1 x N] weight, placed into the [B x H]
+    means by a constant [B x 1] one-hot."""
     cc = config.contrastive
-    ce_terms, means = [], []
+    n = len(batch)
+    ce = answer = cq = None
     for i, ts in enumerate(batch):
-        feats = _reference_features(model, ts, cc.noise_sigma,
-                                    derive_seed(config.seed, 0x401535, step, i))
-        scores = T.matmul(feats, model.params["span.w"]) + model.params["span.b"]
-        nll = []
-        for col, gold in enumerate(ts.answer_span):
-            column = T.reshape(T.slice_cols(scores, col, col + 1), (len(ts),))
-            nll.append(-T.mul(T.log_softmax(column), T.constant(np.eye(len(ts))[gold])).sum())
-        ce_terms.append((nll[0] + nll[1]) * 0.5)
+        feats = model.encode(ts, noise_sigma=cc.noise_sigma,
+                             noise_seed=derive_seed(config.seed, 0x401535, step, i))
+        logits = model.span_logits(feats)
+        start, end = ts.answer_span
+        nll = (T.segment_nll(logits.start_scores, [0, len(ts)], [start])
+               + T.segment_nll(logits.end_scores, [0, len(ts)], [end])) * 0.5
+        place = T.constant(np.eye(n)[:, i:i + 1])
         cq_mask = (ts.question_mask | ts.context_mask) & ~ts.answer_mask
-        means.append(ClassMeans(T.masked_mean(feats, ts.answer_mask),
-                                T.masked_mean(feats, cq_mask), ts.domain_tag))
-    ce = T.stack_rows(ce_terms).mean()
-    return total_loss(ce, contrastive_loss(means, cc), cc)
+        a_row, c_row = (T.matmul(place, T.matmul(T.constant(m[None] / m.sum()), feats))
+                        for m in (ts.answer_mask, cq_mask))
+        ce = nll if ce is None else ce + nll
+        answer = a_row if answer is None else answer + a_row
+        cq = c_row if cq is None else cq + c_row
+    means = ClassMeans(answer, cq, tuple(ts.domain_tag for ts in batch))
+    return total_loss((ce * (1.0 / n)).sum(), contrastive_loss(means, cc), cc)
 
 
 PARITY_ENC = EncoderConfig(vocab_size=32, hidden_dim=16, num_layers=2, num_heads=4, ff_dim=24,
@@ -393,8 +423,8 @@ PARITY_ENC = EncoderConfig(vocab_size=32, hidden_dim=16, num_layers=2, num_heads
 @pytest.mark.parametrize("sigma", [0.0, 0.05])
 def test_packed_batch_matches_per_sample_graphs(sign, pairing, sigma):
     """Loss and every parameter gradient of the packed batch equal those of
-    per-sample, per-head graphs within 1e-12 relative to the largest gradient
-    entry (some gradients, such as the key biases', are exactly zero in exact
+    per-sample graphs within 1e-12 relative to the largest gradient entry
+    (some gradients, such as the key biases', are exactly zero in exact
     arithmetic and round-off in both)."""
     config = tiny_config(
         seed=5, batch_size=5, encoder=PARITY_ENC,
