@@ -11,7 +11,6 @@ median.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -96,16 +95,6 @@ def resolve_bandwidths(points: np.ndarray, config: KernelConfig) -> tuple[float,
     return tuple(m * med for m in config.median_multipliers)
 
 
-def kernel_matrix(x: Tensor, y: Tensor, bandwidths: Sequence[float]) -> Tensor:
-    """Average over bandwidths of exp(-||x_i - y_j||^2 / gamma), differentiable."""
-    d2 = T.pairwise_sq_dist(x, y)
-    acc = None
-    for gamma in bandwidths:
-        term = T.exp(d2 * (-1.0 / gamma))
-        acc = term if acc is None else acc + term
-    return acc * (1.0 / len(bandwidths))
-
-
 def gaussian_kernel(x, y, config: KernelConfig = KernelConfig()) -> float:
     """Multi-bandwidth Gaussian kernel value for two vectors, in (0, 1]."""
     xv = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -113,7 +102,7 @@ def gaussian_kernel(x, y, config: KernelConfig = KernelConfig()) -> float:
     if xv.shape != yv.shape:
         raise T.ShapeError(f"kernel operands differ in dimension: {xv.shape} vs {yv.shape}")
     bw = resolve_bandwidths(np.vstack([xv, yv]), config)
-    return float(kernel_matrix(T.constant(xv), T.constant(yv), bw).data[0, 0])
+    return float(T.gaussian_kernel_values(xv, yv, bw)[0, 0])
 
 
 def mmd_squared(x, y, config: KernelConfig = KernelConfig()) -> float:
@@ -128,9 +117,9 @@ def mmd_squared(x, y, config: KernelConfig = KernelConfig()) -> float:
     if xv.shape[1] != yv.shape[1]:
         raise T.ShapeError(f"set dimensions differ: {xv.shape[1]} vs {yv.shape[1]}")
     bw = resolve_bandwidths(np.vstack([xv, yv]), config)
-    kxx = kernel_matrix(T.constant(xv), T.constant(xv), bw).data.mean()
-    kyy = kernel_matrix(T.constant(yv), T.constant(yv), bw).data.mean()
-    kxy = kernel_matrix(T.constant(xv), T.constant(yv), bw).data.mean()
+    kxx = T.gaussian_kernel_values(xv, xv, bw).mean()
+    kyy = T.gaussian_kernel_values(yv, yv, bw).mean()
+    kxy = T.gaussian_kernel_values(xv, yv, bw).mean()
     return float(kxx + kyy - 2.0 * kxy)
 
 
@@ -179,9 +168,9 @@ def contrastive_loss(means: ClassMeans, config: ContrastiveConfig) -> Tensor:
     if n == 0:
         raise ValueError("contrastive_loss over an empty batch")
     bw = resolve_bandwidths(np.vstack([answer.data, cq.data]), config.kernel)
-    k_aa = kernel_matrix(answer, answer, bw)
-    k_cc = kernel_matrix(cq, cq, bw)
-    k_ac = kernel_matrix(answer, cq, bw)
+    k_aa = T.gaussian_kernel(answer, answer, bw)
+    k_cc = T.gaussian_kernel(cq, cq, bw)
+    k_ac = T.gaussian_kernel(answer, cq, bw)
 
     if config.pairing_variant == PAIRING_DOMAIN_SEPARATED:
         src = np.array([tag == SOURCE for tag in domain_tags])

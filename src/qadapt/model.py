@@ -308,8 +308,8 @@ class SpanModel:
     def _attention(self, x: Tensor, layer: int, offsets: np.ndarray) -> Tensor:
         p = self.params
         pre = f"layer{layer}.attn."
-        q, k, v = (T.linear(x, p[pre + "w" + c], p[pre + "b" + c]) for c in "qkv")
-        heads = T.segment_attention(q, k, v, offsets, self.config.num_heads)
+        heads = T.segment_attention(x, *(p[pre + n] for n in ("wq", "bq", "wk", "bk", "wv", "bv")),
+                                    offsets, self.config.num_heads)
         return T.linear(heads, p[pre + "wo"], p[pre + "bo"])
 
     def _ffn(self, x: Tensor, layer: int) -> Tensor:

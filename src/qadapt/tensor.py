@@ -12,13 +12,14 @@ sequences are concatenated into one ``[N x H]`` array without padding, and
 sequence (segment) begins. A single sequence is the one-segment case. The
 fused ops with hand-written VJPs that the encoder and its loss are built from
 are ``linear``, ``layer_norm`` (with gain and bias), ``ffn`` (ReLU
-feed-forward block), ``segment_attention`` (multi-head softmax attention
-within each segment) and ``segment_nll`` (negative log-softmax of each
-segment at one position). Segment means are a ``matmul`` with a constant
-weight matrix. Besides these the engine holds only the arithmetic, ``exp``,
-``embedding``, ``pairwise_sq_dist`` (for the kernel losses), ``reshape`` and
-``slice_cols`` (for the span head): every op has a caller in the model or its
-losses.
+feed-forward block), ``segment_attention`` (the q, k and v projections and
+multi-head softmax attention within each segment), ``segment_nll`` (negative
+log-softmax of each segment at one position) and ``gaussian_kernel``
+(multi-bandwidth Gaussian kernel matrix, for the contrastive loss; its numpy
+forward ``gaussian_kernel_values`` serves constant point sets). Segment means
+are a ``matmul`` with a constant weight matrix. Besides these the engine holds
+only the arithmetic, ``embedding``, ``reshape`` and ``slice_cols`` (for the
+span head): every op has a caller in the model or its losses.
 
 Broadcasting is deliberately narrow: operand shapes must match exactly, or the
 smaller operand's shape must equal the trailing dimensions of the larger one
@@ -29,7 +30,7 @@ float64; every completed operation is checked for NaN/Inf.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -182,6 +183,12 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
+def _col_sums(a: Array) -> Array:
+    """Column sums of a 2-D array as one matrix-vector product, which is
+    several times faster than ``a.sum(axis=0)`` on row-major data."""
+    return np.ones(a.shape[0]) @ a
+
+
 # -- arithmetic ---------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -238,37 +245,33 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-# -- pointwise functions ------------------------------------------------------
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _node(out, (a,), lambda g: (g * out,))
-
+# -- fused blocks -------------------------------------------------------------
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then scale by
-    ``gain`` and shift by ``bias`` (both [H])."""
+    """Normalize the rows of a [N x H] to zero mean and unit variance, then
+    scale by ``gain`` and shift by ``bias`` (both [H]). Row means are products
+    with a constant 1/H vector and variances row dots, so no pass builds a
+    squared copy of the input."""
     width = a.shape[-1]
-    if gain.shape != (width,) or bias.shape != (width,):
-        raise ShapeError(f"layer_norm gain {gain.shape} / bias {bias.shape} vs width {width}")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    s = np.sqrt(var + eps)
-    xhat = centered / s
-    out = xhat * gain.data + bias.data
+    if a.data.ndim != 2 or gain.shape != (width,) or bias.shape != (width,):
+        raise ShapeError(f"layer_norm input {a.shape} / gain {gain.shape} / bias {bias.shape}")
+    inv_width = np.full(width, 1.0 / width)
+    xhat = a.data - (a.data @ inv_width)[:, None]
+    rstd = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / width + eps)[:, None]
+    xhat *= rstd
+    out = xhat * gain.data
+    out += bias.data
 
     def vjp(g: Array):
         gx = g * gain.data
-        gm = gx.mean(axis=-1, keepdims=True)
-        gxh = (gx * xhat).mean(axis=-1, keepdims=True)
-        return ((gx - gm - xhat * gxh) / s, _unbroadcast(g * xhat, gain.shape),
-                _unbroadcast(g, bias.shape))
+        gxh = np.einsum("ij,ij->i", gx, xhat)[:, None] / width
+        gx -= (gx @ inv_width)[:, None]
+        gx -= xhat * gxh
+        gx *= rstd
+        return gx, np.einsum("ij,ij->j", g, xhat), _col_sums(g)
 
     return _node(out, (a, gain, bias), vjp)
 
-
-# -- fused blocks -------------------------------------------------------------
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map of rows: x [N x I] @ w [I x O] + b [O]."""
@@ -276,10 +279,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear expects [N x I] @ [I x O], got {x.shape} @ {w.shape}")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"linear bias {b.shape} does not match output width {w.shape[1]}")
-    out = x.data @ w.data + b.data
+    out = x.data @ w.data
+    out += b.data
 
     def vjp(g: Array):
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+        return g @ w.data.T, x.data.T @ g, _col_sums(g)
 
     return _node(out, (x, w, b), vjp)
 
@@ -290,14 +294,17 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         raise ShapeError(f"ffn shapes do not chain: {x.shape}, {w1.shape}, {w2.shape}")
     if b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],):
         raise ShapeError(f"ffn biases {b1.shape}, {b2.shape} do not match {w1.shape}, {w2.shape}")
-    pre = x.data @ w1.data + b1.data
-    mask = pre > 0.0
-    hidden = np.where(mask, pre, 0.0)
-    out = hidden @ w2.data + b2.data
+    hidden = x.data @ w1.data
+    hidden += b1.data
+    mask = hidden > 0.0
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ w2.data
+    out += b2.data
 
     def vjp(g: Array):
-        gh = (g @ w2.data.T) * mask
-        return gh @ w1.data.T, x.data.T @ gh, gh.sum(axis=0), hidden.T @ g, g.sum(axis=0)
+        gh = g @ w2.data.T
+        gh *= mask
+        return gh @ w1.data.T, x.data.T @ gh, _col_sums(gh), hidden.T @ g, _col_sums(g)
 
     return _node(out, (x, w1, b1, w2, b2), vjp)
 
@@ -310,54 +317,86 @@ def _segment_bounds(offsets, rows: int) -> Array:
     return bounds
 
 
-def segment_attention(q: Tensor, k: Tensor, v: Tensor, offsets, num_heads: int) -> Tensor:
+# The softmax skips its row-max subtraction in a segment where every score
+# provably lies in [-SCORE_BOUND, SCORE_BOUND], so exp can neither overflow
+# nor underflow; by Cauchy-Schwarz |q_i . k_j| <= max |q| * max |k|.
+SCORE_BOUND = 30.0
+
+
+def segment_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Tensor,
+                      bv: Tensor, offsets, num_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention inside each segment of packed
-    rows. q, k, v are [N x H]; heads are the H / num_heads column groups, and
-    each segment gets one [heads x L x L] softmax. Rows never attend across
-    segments."""
-    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"attention expects equal [N x H] q, k, v, got {q.shape}, {k.shape}, {v.shape}")
-    rows, width = q.shape
+    rows, projections included: q, k, v = x @ w + b for x [N x H] and each
+    [H x H] weight, computed as one [H x 3H] product. Heads are the
+    H / num_heads column groups, and each segment gets one [heads x L x L]
+    softmax; rows never attend across segments. The softmax is left
+    unnormalised: each head's output rows are divided by the row sums
+    instead. The output is the [N x H] head mix, before the output
+    projection."""
+    width = x.shape[1] if x.data.ndim == 2 else -1
+    weights, biases = (wq, wk, wv), (bq, bk, bv)
+    if (width < 0 or any(w.shape != (width, width) for w in weights)
+            or any(b.shape != (width,) for b in biases)):
+        raise ShapeError(f"attention expects [N x H] input with [H x H] weights and [H] biases, "
+                         f"got {x.shape}, {[w.shape for w in weights]}, {[b.shape for b in biases]}")
+    rows = x.shape[0]
     if num_heads < 1 or width % num_heads:
         raise ShapeError(f"width {width} does not split into {num_heads} heads")
     bounds = _segment_bounds(offsets, rows)
     segments = list(zip(bounds[:-1], bounds[1:]))
     dh = width // num_heads
     scale = 1.0 / np.sqrt(dh)
+    w = np.concatenate([t.data for t in weights], axis=1)
+    qkv = x.data @ w
+    qkv += np.concatenate([t.data for t in biases])
+    if not np.isfinite(qkv).all():  # stop before the score matmuls turn inf into NaN
+        raise NonFiniteError("operation produced non-finite values")
+    qkv[:, :width] *= scale
 
-    def split(a: Array) -> Array:  # [N x H] -> [heads x N x dh], a view
-        return a.reshape(rows, num_heads, dh).transpose(1, 0, 2)
+    def heads(a: Array, part: int) -> Array:  # column block of [N x kH] -> [heads x N x dh] view
+        return a[:, part * width:(part + 1) * width].reshape(rows, num_heads, dh).transpose(1, 0, 2)
 
-    def merge(a: Array) -> Array:  # [heads x N x dh] -> [N x H]
-        return a.transpose(1, 0, 2).reshape(rows, width)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    out = np.empty((num_heads, rows, dh))
-    probs = []
-    for lo, hi in segments:
-        p = qh[:, lo:hi] @ kh[:, lo:hi].transpose(0, 2, 1)
-        p *= scale
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        np.matmul(p, vh[:, lo:hi], out=out[:, lo:hi])
-        probs.append(p)
+    qh, kh, vh = heads(qkv, 0), heads(qkv, 1), heads(qkv, 2)
+    q_norm = np.sqrt(np.einsum("ij,ij->i", qkv[:, :width], qkv[:, :width]))
+    k_norm = np.sqrt(np.einsum("ij,ij->i", qkv[:, width:2 * width], qkv[:, width:2 * width]))
+    bounded = (np.maximum.reduceat(q_norm, bounds[:-1]) * np.maximum.reduceat(k_norm, bounds[:-1])
+               <= SCORE_BOUND)
+    ones = np.ones(int(np.diff(bounds).max()))
+    out = np.empty((rows, width))
+    outh = heads(out, 0)
+    sums = np.empty((num_heads, rows, 1))  # softmax denominators, per head and row
+    exps = []  # unnormalised softmax numerators, per segment
+    for (lo, hi), skip_max in zip(segments, bounded):
+        e = qh[:, lo:hi] @ kh[:, lo:hi].transpose(0, 2, 1)
+        if not skip_max:
+            e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        np.matmul(e, ones[:hi - lo, None], out=sums[:, lo:hi])
+        np.matmul(e, vh[:, lo:hi], out=outh[:, lo:hi])
+        exps.append(e)
+    outh /= sums
 
     def vjp(g: Array):
-        gh = split(g)
-        gq, gk, gv = (np.empty((num_heads, rows, dh)) for _ in range(3))
-        for (lo, hi), p in zip(segments, probs):
-            go = gh[:, lo:hi]
-            np.matmul(p.transpose(0, 2, 1), go, out=gv[:, lo:hi])
-            gs = go @ vh[:, lo:hi].transpose(0, 2, 1)
-            gs -= (gs * p).sum(axis=-1, keepdims=True)
-            gs *= p
-            gs *= scale
-            np.matmul(gs, kh[:, lo:hi], out=gq[:, lo:hi])
-            np.matmul(gs.transpose(0, 2, 1), qh[:, lo:hi], out=gk[:, lo:hi])
-        return merge(gq), merge(gk), merge(gv)
+        go = heads(g, 0) / sums  # gradient of the unnormalised mix e @ v
+        # rows of go . out: the softmax VJP's row dots, divided by the sums
+        dots = np.einsum("hnd,hnd->hn", go, outh)[..., None]
+        gqkv = np.empty((rows, 3 * width))
+        gqh, gkh, gvh = heads(gqkv, 0), heads(gqkv, 1), heads(gqkv, 2)
+        for (lo, hi), e in zip(segments, exps):
+            np.matmul(e.transpose(0, 2, 1), go[:, lo:hi], out=gvh[:, lo:hi])
+            gs = go[:, lo:hi] @ vh[:, lo:hi].transpose(0, 2, 1)
+            gs -= dots[:, lo:hi]
+            gs *= e
+            np.matmul(gs, kh[:, lo:hi], out=gqh[:, lo:hi])
+            np.matmul(gs.transpose(0, 2, 1), qh[:, lo:hi], out=gkh[:, lo:hi])
+        gqkv[:, :width] *= scale
+        gw = x.data.T @ gqkv
+        gb = _col_sums(gqkv)
+        return (gqkv @ w.T,) + tuple(
+            part for i in range(3)
+            for part in (gw[:, i * width:(i + 1) * width], gb[i * width:(i + 1) * width]))
 
-    return _node(merge(out), (q, k, v), vjp)
+    return _node(out, (x, wq, bq, wk, bk, wv, bv), vjp)
 
 
 def segment_nll(scores: Tensor, offsets, index) -> Tensor:
@@ -399,26 +438,45 @@ def embedding(table: Tensor, ids) -> Tensor:
     out = table.data[idx]
 
     def vjp(g: Array):
+        # rows of equal id summed in order of occurrence: a stable sort groups them
+        order = np.argsort(idx, kind="stable")
+        sorted_ids = idx[order]
+        firsts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
         gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
+        gt[sorted_ids[firsts]] = np.add.reduceat(g[order], firsts, axis=0)
         return (gt,)
 
     return _node(out, (table,), vjp)
 
 
-def pairwise_sq_dist(a: Tensor, b: Tensor) -> Tensor:
-    """Squared Euclidean distances between rows: out[i, j] = ||a_i - b_j||^2."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError(f"pairwise_sq_dist expects [N x H] and [M x H], got {a.shape}, {b.shape}")
-    diff = a.data[:, None, :] - b.data[None, :, :]
-    # sum of squares is >= 0 by construction; the clamp only absorbs round-off
-    out = np.maximum((diff * diff).sum(axis=-1), 0.0)
+def _sq_dists(x: Array, y: Array) -> Array:
+    diff = x[:, None, :] - y[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def gaussian_kernel_values(x: Array, y: Array, bandwidths: Sequence[float]) -> Array:
+    """Plain numpy forward of ``gaussian_kernel``, for constant point sets."""
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise ShapeError(f"gaussian kernel expects [N x H] and [M x H], got {x.shape}, {y.shape}")
+    d2 = _sq_dists(x, y)
+    return sum(np.exp(d2 * (-1.0 / gamma)) for gamma in bandwidths) * (1.0 / len(bandwidths))
+
+
+def gaussian_kernel(x: Tensor, y: Tensor, bandwidths: Sequence[float]) -> Tensor:
+    """Kernel matrix between the rows of x [N x H] and y [M x H]: the average
+    over bandwidths of exp(-||x_i - y_j||^2 / gamma). x and y may be the same
+    tensor."""
+    out = gaussian_kernel_values(x.data, y.data, bandwidths)
 
     def vjp(g: Array):
-        scaled = 2.0 * g[:, :, None] * diff
-        return scaled.sum(axis=1), -scaled.sum(axis=0)
+        d2 = _sq_dists(x.data, y.data)
+        slope = sum(np.exp(d2 * (-1.0 / gamma)) * (-1.0 / gamma) for gamma in bandwidths)
+        # gd_ij is twice the gradient reaching ||x_i - y_j||^2
+        gd = g * slope * (2.0 / len(bandwidths))
+        return (gd.sum(axis=1)[:, None] * x.data - gd @ y.data,
+                gd.sum(axis=0)[:, None] * y.data - gd.T @ x.data)
 
-    return _node(out, (a, b), vjp)
+    return _node(out, (x, y), vjp)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:

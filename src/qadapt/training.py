@@ -1,10 +1,10 @@
 """End-to-end training: mixed-domain batch sampling, adaptive gradient descent
 on the combined objective, hyperparameter grid search, and run reporting.
 
-A run directory holds a resolved config snapshot, a one-record-per-step loss
-log, per-epoch evaluation metrics, and the final checkpoint. All artifacts are
-deterministic for a given seed; wall-clock timing is kept out of them and
-reported separately.
+A run directory holds a resolved config snapshot, a one-record-per-step log
+of the losses and the pre-clip gradient norm, per-epoch evaluation metrics,
+and the final checkpoint. All artifacts are deterministic for a given seed;
+wall-clock timing is kept out of them and reported separately.
 """
 
 from __future__ import annotations
@@ -109,6 +109,7 @@ class StepRecord:
     loss_ce: float
     loss_con: float
     loss_total: float
+    grad_norm: float  # before clipping
 
 
 @dataclass
@@ -123,44 +124,57 @@ class TrainReport:
 
 
 class AdamW:
-    """Decoupled-weight-decay adaptive optimizer with bias correction."""
+    """Decoupled-weight-decay adaptive optimizer with bias correction.
+
+    The parameters live in one flat buffer: on construction each parameter's
+    ``.data`` becomes a view of it, so a step is a handful of whole-buffer
+    numpy calls on a flat gradient in the same order (``flat_grad``)."""
 
     def __init__(self, params: dict[str, T.Tensor], lr: float, config: OptimizerConfig):
         self.lr = lr
         self.config = config
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.params = list(params.values())
+        self.flat = np.concatenate([p.data.ravel() for p in self.params])
+        offset = 0
+        for p in self.params:
+            p.data = self.flat[offset:offset + p.data.size].reshape(p.data.shape)
+            offset += p.data.size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
-    def step(self, params: dict[str, T.Tensor]) -> None:
+    def flat_grad(self) -> np.ndarray:
+        """The parameters' gradients as one vector in buffer order; a
+        parameter without a gradient contributes zeros."""
+        return np.concatenate([p.grad.ravel() if p.grad is not None else np.zeros(p.data.size)
+                               for p in self.params])
+
+    def step(self, grad: np.ndarray) -> None:
         b1, b2 = self.config.betas
         self.t += 1
         lr = self.lr
         if self.config.warmup_steps > 0:
             lr = lr * min(1.0, self.t / self.config.warmup_steps)
-        for name, p in params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            mhat = self.m[name] / (1 - b1**self.t)
-            vhat = self.v[name] / (1 - b2**self.t)
-            p.data -= lr * (mhat / (np.sqrt(vhat) + self.config.eps)
-                            + self.config.weight_decay * p.data)
+        self.m *= b1
+        self.m += (1 - b1) * grad
+        self.v *= b2
+        self.v += (1 - b2) * grad * grad
+        update = self.m / (1 - b1**self.t)
+        denom = self.v / (1 - b2**self.t)
+        np.sqrt(denom, out=denom)
+        denom += self.config.eps
+        update /= denom
+        update += self.config.weight_decay * self.flat
+        update *= lr
+        self.flat -= update
 
 
-def clip_gradients(params: dict[str, T.Tensor], cap: float) -> float:
-    """Scale all gradients so the global norm is at most cap; returns the
-    pre-clip norm."""
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    norm = math.sqrt(total)
-    if norm > cap:
-        scale = cap / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= scale
+def clip_gradients(grad: np.ndarray, cap: float) -> float:
+    """Scale a flat gradient in place so its norm is at most cap; returns
+    the pre-clip norm."""
+    norm = math.sqrt(float(np.einsum("i,i->", grad, grad)))
+    if cap < norm < math.inf:
+        grad *= cap / norm
     return norm
 
 
@@ -236,8 +250,9 @@ def train(
 ) -> tuple[SpanModel, TrainReport]:
     """Gradient descent on the combined objective over mixed batches. Emits the
     final checkpoint and a full report; aborts with the last finite step on a
-    non-finite loss. ``initial_model`` warm-starts from an existing checkpoint
-    instead of a fresh initialization (optimizer state starts fresh)."""
+    non-finite loss or gradient norm, before that step's update.
+    ``initial_model`` warm-starts from an existing checkpoint instead of a
+    fresh initialization (optimizer state starts fresh)."""
     started = time.perf_counter()
     dev_sets = dev_sets or {}
     max_len = config.encoder.max_len
@@ -276,6 +291,14 @@ def train(
             single_domain_batches=single_domain_batches,
         )
 
+    def diverged(message: str) -> DivergenceError:
+        """The error for a non-finite step; the run directory keeps the
+        config and the finite steps before it."""
+        report = build_report()
+        if run_dir is not None:
+            _write_config_and_steps(Path(run_dir), config, report.steps)
+        return DivergenceError(message, step - 1, report)
+
     step = 0
     current_epoch = -1
     single_domain_batches = 0
@@ -293,20 +316,19 @@ def train(
             model.zero_grad()
             T.backward(loss)
         except T.NonFiniteError as err:
-            report = build_report()
-            if run_dir is not None:
-                _write_config_and_steps(Path(run_dir), config, report.steps)
-            raise DivergenceError(
-                f"non-finite loss at step {step}: {err}", step - 1, report
-            ) from err
+            raise diverged(f"non-finite loss at step {step}: {err}") from err
         # decomposition identity, recomputed independently of the graph
         if abs(l_qa - (l_ce + beta * l_con)) > 1e-12:
             raise RuntimeError(f"step {step}: loss_total {l_qa!r} != loss_ce {l_ce!r} "
                                f"+ beta * loss_con {l_con!r}")
         single_domain_batches += skipped
-        clip_gradients(model.params, config.grad_clip)
-        optimizer.step(model.params)
-        steps.append(StepRecord(step=step, loss_ce=l_ce, loss_con=l_con, loss_total=l_qa))
+        grad = optimizer.flat_grad()
+        grad_norm = clip_gradients(grad, config.grad_clip)
+        if not math.isfinite(grad_norm):
+            raise diverged(f"non-finite gradient norm at step {step}")
+        optimizer.step(grad)
+        steps.append(StepRecord(step=step, loss_ce=l_ce, loss_con=l_con, loss_total=l_qa,
+                                grad_norm=grad_norm))
         step += 1
     _maybe_evaluate(model, dev_sets, config, current_epoch, epoch_metrics)
 
@@ -378,8 +400,8 @@ def _write_config_and_steps(run_dir: Path, config: TrainConfig, steps: list[Step
         json.dumps(config_to_dict(config), indent=1, sort_keys=True) + "\n")
     with open(run_dir / "steps.jsonl", "w") as fh:
         for r in steps:
-            fh.write(json.dumps({"step": r.step, "loss_ce": r.loss_ce,
-                                 "loss_con": r.loss_con, "loss_total": r.loss_total}) + "\n")
+            fh.write(json.dumps({"step": r.step, "loss_ce": r.loss_ce, "loss_con": r.loss_con,
+                                 "loss_total": r.loss_total, "grad_norm": r.grad_norm}) + "\n")
 
 
 def write_run_dir(run_dir: Path, model: SpanModel, config: TrainConfig, report: TrainReport) -> None:

@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,13 @@ def row_log_softmax(t, j):
     rows, cols = t.shape
     return -T.segment_nll(T.reshape(t, (rows * cols,)), np.arange(rows + 1) * cols,
                           np.arange(rows) * cols + j)
+
+
+def attention_params(width, seed, scale=1.0):
+    """Constant [wq, bq, wk, bk, wv, bv] for segment_attention."""
+    return [constant(rand((width, width) if i % 2 == 0 else width, seed=1000 + 10 * seed + i,
+                          scale=scale))
+            for i in range(6)]
 
 
 def row_softmax_sums(x):
@@ -52,9 +60,9 @@ class TestForward:
         assert np.array_equal(out.data, x[2:3])
 
     def test_pairwise_sq_dist_hand_value(self):
-        # 3^2 + 4^2 = 25
-        d = T.pairwise_sq_dist(constant([[0.0, 0.0]]), constant([[3.0, 4.0]]))
-        assert d.data[0, 0] == 25.0
+        # the kernel's squared distance is 3^2 + 4^2 = 25, so bandwidth 25 gives exp(-1)
+        k = T.gaussian_kernel_values(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]), (25.0,))
+        assert k[0, 0] == np.exp(-1.0)
 
     def test_shape_mismatch_reports_dimensions(self):
         with pytest.raises(T.ShapeError, match=r"\(2, 3\)"):
@@ -79,7 +87,7 @@ class TestForward:
 
         def run():
             h = T.matmul(constant(x), constant(x))
-            return T.segment_attention(h, h, h, [0, 2, 6], 2).data
+            return T.segment_attention(h, *attention_params(6, seed=9), [0, 2, 6], 2).data
 
         assert np.array_equal(run(), run())
 
@@ -91,12 +99,13 @@ class TestBackward:
         assert x.grad == pytest.approx(6.0, abs=0)
 
     def test_sum_of_softmax_has_zero_gradient(self):
-        x = Tensor(rand(5, seed=4), requires_grad=True)
-        total = None
-        for j in range(5):
-            p = T.exp(-T.segment_nll(x, [0, 5], [j]))
-            total = p if total is None else total + p
-        backward(total.sum())
+        # with every value row 1 (wv = 0, bv = 1) each output entry is the sum
+        # of one row of attention probabilities, 1 whatever x is
+        x = Tensor(rand((5, 4), seed=4), requires_grad=True)
+        wq, bq, wk, bk = attention_params(4, seed=4)[:4]
+        out = T.segment_attention(x, wq, bq, wk, bk, constant(np.zeros((4, 4))),
+                                  constant(np.ones(4)), [0, 5], 2)
+        backward(out.sum())
         assert np.max(np.abs(x.grad)) < 1e-15
 
     def test_unused_leaf_gets_no_gradient(self):
@@ -160,7 +169,8 @@ class TestFiniteDifference:
 
         def f(t):
             h = T.ffn(x, t, constant(np.zeros(5)), constant(w2), constant(np.zeros(3)))
-            h = T.segment_attention(h, h, h, [0, 2], 1)
+            eye, zero = constant(np.eye(3)), constant(np.zeros(3))
+            h = T.segment_attention(h, eye, zero, eye, zero, eye, zero, [0, 2], 1)
             return T.mul(h, h).sum()
 
         assert finite_difference_check(f, constant(w1)) < 1e-5
@@ -169,8 +179,7 @@ class TestFiniteDifference:
         y = constant(rand((3, 4), seed=24))
 
         def f(t):
-            d = T.pairwise_sq_dist(t, y)
-            return T.exp(T.mul(d, constant(-1.0))).sum()
+            return T.gaussian_kernel(t, y, (1.0,)).sum()
 
         assert finite_difference_check(f, constant(rand((2, 4), seed=25))) < 1e-5
 
@@ -184,11 +193,12 @@ class TestFiniteDifference:
         assert err > 1e-2
 
     def test_nonfinite_reports_coordinate(self):
-        # exp overflows float64 just above 709.7827128933840
-        x = constant(np.array([1.0, 709.78271]))
+        # the largest float64 is 1.7976931348623157e308: coordinate 1 overflows
+        # when the step is added
+        x = constant(np.array([1.0, 1.79769313486]))
 
         def f(t):
-            return T.exp(t).sum()
+            return T.mul(t, constant([1.0, 1e308])).sum()
 
         with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="coordinate 1"):
             finite_difference_check(f, x, step=1e-5)
@@ -199,55 +209,84 @@ def _fixed(shape, seed):
 
 
 SEGMENTS = [0, 1, 4]  # two segments of different lengths over 4 packed rows
+WEIGHT_ROWS, BIAS_ROW = constant(np.eye(4)[:3]), constant(np.eye(4)[3:])
 
 
 def _attention_with(position):
-    """segment_attention with the [4 x 3] input as q, k or v (3 heads)."""
+    """segment_attention (3 heads) with the [4 x 3] input as x (position 0) or
+    as the stacked [w; b] of the q, k or v projection (positions 1 to 3)."""
     def fn(t, aux):
-        qkv = [constant(aux.data[:4]), constant(aux.data[4:]), _fixed((4, 3), 1)]
-        qkv[position] = t
-        return T.mul(T.segment_attention(*qkv, SEGMENTS, num_heads=3), _fixed((4, 3), 2)).sum()
+        args = [constant(aux.data)] + attention_params(3, seed=1)
+        if position == 0:
+            args[0] = t
+        else:
+            args[2 * position - 1] = T.matmul(WEIGHT_ROWS, t)
+            args[2 * position] = T.reshape(T.matmul(BIAS_ROW, t), (3,))
+        out = T.mul(T.segment_attention(*args, SEGMENTS, num_heads=3), _fixed((4, 3), 2)).sum()
+        if position == 2:
+            # bk shifts a row's scores by a constant, so its exact gradient is 0
+            # and its finite differences are round-off: a linear term in t gives
+            # every coordinate a nonzero reference
+            out = out + T.mul(t, _fixed((4, 3), 6)).sum()
+        return out
     return fn
 
 
-def _row_softmax_weighted(t, aux, log):
-    """Sum of the row-wise (log-)softmax of t weighted by aux, from segment_nll."""
+def _row_log_softmax_weighted(t, aux):
+    """Sum of the row-wise log-softmax of t weighted by aux, from segment_nll."""
     total = None
     for j in range(3):
-        column = row_log_softmax(t, j)
-        term = T.mul(column if log else T.exp(column), constant(aux.data[:, j])).sum()
+        term = T.mul(row_log_softmax(t, j), constant(aux.data[:, j])).sum()
         total = term if total is None else total + term
     return total
+
+
+def _row_softmax_weighted(t, aux):
+    """Sum of the row-wise softmax of t weighted by aux, from segment_attention:
+    row i of t becomes a segment of 3 packed rows (t_ij, aux_ij). The query
+    (sqrt 2, 0) scores key j by t_ij and the value of key j is (0, aux_ij),
+    so each of the segment's 3 output rows is (0, sum_j softmax_ij aux_ij)."""
+    rows = (T.matmul(T.reshape(t, (12, 1)), constant([[1.0, 0.0]]))
+            + constant(np.stack([np.zeros(12), aux.data.ravel()], axis=1)))
+    zero = constant(np.zeros(2))
+    mixed = T.segment_attention(rows, constant(np.zeros((2, 2))), constant([np.sqrt(2.0), 0.0]),
+                                constant(np.eye(2)), zero, constant(np.diag([0.0, 1.0])), zero,
+                                [0, 3, 6, 9, 12], 1)
+    return mixed.sum() * (1.0 / 3.0)
 
 
 IDENTITY_FFN = (constant(np.eye(3)), constant(np.zeros(3))) * 2  # ffn(t, ...) == relu(t)
 
 # each entry: (aux shape, scalar-valued function of a [4 x 3] input and the aux);
 # relu, softmax, log_softmax and masked_mean are the forms those functions take
-# inside the fused ops and the class means
+# inside the fused ops and the class means, and exp and pairwise_sq_dist the
+# forms they take inside gaussian_kernel: with x the same tensor as y (as in
+# the intra-class terms) and with x != y
 OPS = {
     "add": ((4, 3), lambda t, aux: (t + aux).sum()),
     "sub": ((4, 3), lambda t, aux: (aux - t).mean()),
     "mul": ((4, 3), lambda t, aux: (t * aux * t).sum()),
     "matmul": ((3, 4), lambda t, aux: T.matmul(t, aux).sum()),
-    "exp": ((4, 3), lambda t, aux: T.exp(t).sum()),
+    "exp": ((4, 4), lambda t, aux: T.mul(T.gaussian_kernel(t, t, (0.5, 2.0, 8.0)), aux).sum()),
     "relu": ((4, 3), lambda t, aux: T.ffn(t, *IDENTITY_FFN).sum()),
-    "softmax": ((4, 3), lambda t, aux: _row_softmax_weighted(t, aux, log=False)),
-    "log_softmax": ((4, 3), lambda t, aux: _row_softmax_weighted(t, aux, log=True)),
+    "softmax": ((4, 3), _row_softmax_weighted),
+    "log_softmax": ((4, 3), _row_log_softmax_weighted),
     "layer_norm": ((4, 3), lambda t, aux: T.mul(
         T.layer_norm(t, constant(np.ones(3)), constant(np.zeros(3))), aux).sum()),
     "masked_mean": ((3,), lambda t, aux: T.mul(
         T.matmul(constant([[1 / 3, 0.0, 1 / 3, 1 / 3]]), t), aux).sum()),
-    "pairwise_sq_dist": ((5, 3), lambda t, aux: T.exp(-1.0 * T.pairwise_sq_dist(t, aux)).sum()),
+    "pairwise_sq_dist": ((5, 3), lambda t, aux: T.gaussian_kernel(t, aux, (1.0,)).sum()),
     "stack_slice": ((3, 4), lambda t, aux: T.slice_cols(T.matmul(t, aux), 1, 3).sum()),
     "linear": ((3, 5), lambda t, aux: T.mul(T.linear(t, aux, _fixed(5, 3)), _fixed((4, 5), 4)).sum()),
     "layer_norm_affine": ((2, 3), lambda t, aux: T.mul(
         T.layer_norm(t, constant(aux.data[0]), constant(aux.data[1])), _fixed((4, 3), 5)).sum()),
     "ffn": ((3, 6), lambda t, aux: T.mul(
         T.ffn(t, aux, _fixed(6, 6), _fixed((6, 3), 7), _fixed(3, 8)), _fixed((4, 3), 9)).sum()),
-    "segment_attention_q": ((8, 3), _attention_with(0)),
-    "segment_attention_k": ((8, 3), _attention_with(1)),
-    "segment_attention_v": ((8, 3), _attention_with(2)),
+    "segment_attention_x": ((4, 3), _attention_with(0)),
+    "segment_attention_q": ((4, 3), _attention_with(1)),
+    "segment_attention_k": ((4, 3), _attention_with(2)),
+    "segment_attention_v": ((4, 3), _attention_with(3)),
+    "embedding": ((6, 3), lambda t, aux: T.mul(T.embedding(t, [3, 0, 3, 3, 1, 0]), aux).sum()),
     "segment_nll": ((2,), lambda t, aux: T.mul(
         T.segment_nll(T.reshape(t, (12,)), [0, 5, 12], [2, 9]), aux).sum()),
 }
@@ -256,7 +295,7 @@ OPS = {
 @pytest.mark.parametrize("op", sorted(OPS))
 @pytest.mark.parametrize("seed", range(7))
 def test_gradcheck_per_op(op, seed):
-    # spread: 20 ops x 7 seeds, plus 2 model-level checks
+    # spread: 22 ops x 7 seeds, plus 2 model-level checks
     aux_shape, fn = OPS[op]
     x = constant(rand((4, 3), seed=100 + seed))
     aux = constant(rand(aux_shape, seed=200 + seed))
@@ -290,22 +329,45 @@ def test_gradcheck_fused_op_parameters(op, position, seed):
 
 class TestFusedForward:
     def test_segment_attention_keeps_segments_apart(self):
-        q, k, v = (rand((7, 4), seed=s) for s in (30, 31, 32))
-        packed = T.segment_attention(constant(q), constant(k), constant(v), [0, 3, 7], 2).data
+        x = rand((7, 4), seed=30)
+        params = attention_params(4, seed=30)
+        packed = T.segment_attention(constant(x), *params, [0, 3, 7], 2).data
         for lo, hi in ((0, 3), (3, 7)):
-            alone = T.segment_attention(constant(q[lo:hi]), constant(k[lo:hi]),
-                                        constant(v[lo:hi]), [0, hi - lo], 2).data
+            alone = T.segment_attention(constant(x[lo:hi]), *params, [0, hi - lo], 2).data
             assert np.max(np.abs(packed[lo:hi] - alone)) < 1e-15
 
-    def test_segment_attention_matches_per_head_softmax(self):
-        q, k, v = (rand((5, 4), seed=s) for s in (33, 34, 35))
-        got = T.segment_attention(constant(q), constant(k), constant(v), [0, 5], 2).data
-        for h in range(2):
-            cols = slice(2 * h, 2 * h + 2)
-            scores = q[:, cols] @ k[:, cols].T / np.sqrt(2)
+    @staticmethod
+    def per_head_reference(x, params, num_heads):
+        """Attention of one segment in numpy, with a max-subtracted softmax,
+        and the largest score magnitude."""
+        wq, bq, wk, bk, wv, bv = (p.data for p in params)
+        q, k, v = x @ wq + bq, x @ wk + bk, x @ wv + bv
+        dh = x.shape[1] // num_heads
+        out = np.empty_like(x)
+        largest = 0.0
+        for h in range(num_heads):
+            cols = slice(dh * h, dh * (h + 1))
+            scores = q[:, cols] @ k[:, cols].T / np.sqrt(dh)
+            largest = max(largest, np.max(np.abs(scores)))
             probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
-            want = probs / probs.sum(axis=-1, keepdims=True) @ v[:, cols]
-            assert np.max(np.abs(got[:, cols] - want)) < 1e-14
+            out[:, cols] = probs / probs.sum(axis=-1, keepdims=True) @ v[:, cols]
+        return out, largest
+
+    def test_segment_attention_matches_per_head_softmax(self):
+        x = rand((5, 4), seed=33)
+        params = attention_params(4, seed=33)
+        got = T.segment_attention(constant(x), *params, [0, 5], 2).data
+        want, _ = self.per_head_reference(x, params, 2)
+        assert np.max(np.abs(got - want)) < 1e-14
+
+    def test_segment_attention_large_scores_take_the_stabilised_path(self):
+        # scores near 1e3 would overflow exp without the row-max subtraction
+        x = rand((6, 4), seed=37)
+        params = attention_params(4, seed=37, scale=12.0)
+        got = T.segment_attention(constant(x), *params, [0, 6], 2).data
+        want, largest = self.per_head_reference(x, params, 2)
+        assert largest > 500.0
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_segment_nll_matches_log_softmax(self):
         x = rand(9, seed=36)
@@ -313,11 +375,21 @@ class TestFusedForward:
         want = [np.log(np.exp(seg).sum()) - seg[i] for seg, i in ((x[:4], 1), (x[4:], 4))]
         assert np.max(np.abs(got - want)) < 1e-14
 
+    def test_overflowing_projection_raises_before_the_scores(self):
+        # the projection is checked as a separate op's output would be, so no
+        # inf - inf in the score matmul warns of an invalid value first
+        x = constant(np.ones((3, 2)))
+        params = [constant(np.full((2, 2), 1e308)), constant(np.zeros(2))] * 3
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(T.NonFiniteError):
+                T.segment_attention(x, *params, [0, 3], 1)
+
     @pytest.mark.parametrize("offsets", [[0, 4], [0, 2, 2, 5], [1, 5], [0, 3], [[0, 5]]])
     def test_bad_offsets_rejected(self, offsets):
         x = constant(np.ones((5, 2)))
         with pytest.raises(T.ShapeError, match="offsets"):
-            T.segment_attention(x, x, x, offsets, 1)
+            T.segment_attention(x, *attention_params(2, seed=0), offsets, 1)
 
     def test_segment_nll_index_outside_its_segment_rejected(self):
         with pytest.raises(ValueError, match="outside"):
@@ -328,9 +400,9 @@ class TestNoGrad:
     def test_records_nothing_and_restores(self):
         x = Tensor(rand(3, seed=40), requires_grad=True)
         with T.no_grad():
-            y = T.exp(x) * x
+            y = -x * x
             assert not y.requires_grad and y._parents == ()
-        z = T.exp(x)
+        z = -x
         assert z.requires_grad and z._parents == (x,)
 
     def test_nested_and_restored_after_error(self):
@@ -339,9 +411,9 @@ class TestNoGrad:
             with T.no_grad():
                 with T.no_grad():
                     pass
-                assert not T.exp(x).requires_grad
+                assert not (-x).requires_grad
                 raise RuntimeError("boom")
-        assert T.exp(x).requires_grad
+        assert (-x).requires_grad
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -362,6 +434,18 @@ def test_embedding_gradient_scatters(seed):
     for i in ids:
         expected[i] += 1.0
     assert np.array_equal(table.grad, expected)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=7), max_size=20), st.integers(0, 10_000))
+@settings(max_examples=50, deadline=None)
+def test_embedding_gradient_matches_add_at(ids, seed):
+    table = Tensor(rand((8, 3), seed=seed), requires_grad=True)
+    weight = rand((len(ids), 3), seed=seed + 1)
+    backward(T.mul(T.embedding(table, ids), constant(weight)).sum())
+    expected = np.zeros((8, 3))
+    np.add.at(expected, np.asarray(ids, dtype=np.int64), weight)
+    # equal up to the order in which repeated ids are summed
+    assert np.max(np.abs(table.grad - expected)) <= 1e-12
 
 
 ENGINE_ENTRY_POINTS = {"finite_difference_check", "backward", "no_grad", "constant"}

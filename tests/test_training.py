@@ -164,9 +164,8 @@ def test_single_domain_batch_count_matches_the_sampler(toy_data):
 class TestOptimizer:
     def test_single_step_matches_hand_formula(self):
         p = T.Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        p.grad = np.array([0.5, -1.0])
         opt = AdamW({"p": p}, lr=0.1, config=OptimizerConfig())
-        opt.step({"p": p})
+        opt.step(np.array([0.5, -1.0]))
         g = np.array([0.5, -1.0])
         m_hat = (0.1 * g) / (1 - 0.9)
         v_hat = (0.001 * g * g) / (1 - 0.999)
@@ -175,9 +174,8 @@ class TestOptimizer:
 
     def test_weight_decay_decoupled(self):
         p = T.Tensor(np.array([2.0]), requires_grad=True)
-        p.grad = np.zeros(1)
         opt = AdamW({"p": p}, lr=0.1, config=OptimizerConfig(weight_decay=0.5))
-        opt.step({"p": p})
+        opt.step(np.zeros(1))
         assert p.data[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
     def test_clip_gradients_bounds_global_norm(self):
@@ -187,16 +185,47 @@ class TestOptimizer:
         }
         params["a"].grad = np.array([3.0, 0.0, 0.0])
         params["b"].grad = np.array([0.0, 4.0])
-        pre = clip_gradients(params, cap=1.0)
+        grad = AdamW(params, lr=0.1, config=OptimizerConfig()).flat_grad()
+        pre = clip_gradients(grad, cap=1.0)
         assert pre == pytest.approx(5.0)
-        post = np.sqrt(sum(float((p.grad**2).sum()) for p in params.values()))
+        post = np.sqrt(float((grad**2).sum()))
         assert post <= 1.0 + 1e-9
 
     def test_clip_noop_below_cap(self):
         params = {"a": T.Tensor(np.zeros(2), requires_grad=True)}
         params["a"].grad = np.array([0.3, 0.4])
-        clip_gradients(params, cap=1.0)
-        assert np.allclose(params["a"].grad, [0.3, 0.4], atol=0)
+        grad = AdamW(params, lr=0.1, config=OptimizerConfig()).flat_grad()
+        clip_gradients(grad, cap=1.0)
+        assert np.allclose(grad, [0.3, 0.4], atol=0)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    @pytest.mark.parametrize("warmup_steps", [0, 2])
+    def test_flat_steps_match_the_per_parameter_formula(self, weight_decay, warmup_steps):
+        rng = np.random.default_rng(7)
+        shapes = {"w": (3, 4), "b": (4,), "unused": (2,)}
+        start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        params = {name: T.Tensor(a.copy(), requires_grad=True) for name, a in start.items()}
+        config = OptimizerConfig(weight_decay=weight_decay, warmup_steps=warmup_steps)
+        opt = AdamW(params, lr=0.01, config=config)
+        want = {name: a.copy() for name, a in start.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        b1, b2 = config.betas
+        for t in range(1, 4):
+            grads = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4), "unused": None}
+            for name, p in params.items():
+                p.grad = grads[name]
+            opt.step(opt.flat_grad())
+            lr = 0.01 * (min(1.0, t / warmup_steps) if warmup_steps else 1.0)
+            for name in shapes:  # one parameter at a time, a parameter without a gradient as zeros
+                g = grads[name] if grads[name] is not None else np.zeros(shapes[name])
+                m[name] = b1 * m[name] + (1 - b1) * g
+                v[name] = b2 * v[name] + (1 - b2) * g * g
+                mhat = m[name] / (1 - b1**t)
+                vhat = v[name] / (1 - b2**t)
+                want[name] -= lr * (mhat / (np.sqrt(vhat) + config.eps) + weight_decay * want[name])
+            for name, p in params.items():
+                assert np.array_equal(p.data, want[name]), (name, t)
 
 
 class TestTrain:
@@ -272,6 +301,67 @@ class TestTrain:
         assert err.value.last_finite_step == 2
         assert err.value.report is not None
         assert len(err.value.report.steps) == 3
+
+    def test_nonfinite_gradient_norm_diverges_before_the_update(self, toy_data, monkeypatch,
+                                                                  tmp_path):
+        import qadapt.training as tr
+        source, synthetic = toy_data
+        cfg = tiny_config(epochs=2)
+        real_clip, real_step = tr.clip_gradients, tr.AdamW.step
+        calls = Counter()
+
+        def poisoned_clip(grad, cap):
+            if calls["clip"] == 2:
+                grad[0] = np.inf
+            calls["clip"] += 1
+            return real_clip(grad, cap)
+
+        def counted_step(self, grad):
+            calls["step"] += 1
+            real_step(self, grad)
+
+        monkeypatch.setattr(tr, "clip_gradients", poisoned_clip)
+        monkeypatch.setattr(tr.AdamW, "step", counted_step)
+        with pytest.raises(DivergenceError, match="gradient norm at step 2") as err:
+            train(cfg, source, synthetic, run_dir=tmp_path / "run")
+        assert err.value.last_finite_step == 1
+        assert len(err.value.report.steps) == 2
+        assert calls["step"] == 2
+        assert len((tmp_path / "run" / "steps.jsonl").read_text().splitlines()) == 2
+
+    def test_step0_grad_norm_recomputed(self, toy_data, tmp_path):
+        source, synthetic = toy_data
+        cfg = tiny_config(epochs=1, contrastive=ContrastiveConfig(
+            beta=0.001, noise_sigma=0.01, kernel=KernelConfig(bandwidths=(1.0, 4.0))))
+        _, report = train(cfg, source, synthetic, run_dir=tmp_path / "run")
+        src = [ts for _, ts in tokenize_samples(source.samples, "source", cfg.encoder.max_len)]
+        syn = [ts for _, ts in tokenize_samples(synthetic.samples, "target_synthetic",
+                                                cfg.encoder.max_len)]
+        _, batch = next(mixed_batch_sampler(src, syn, cfg.batch_size, "mixed", cfg.seed))
+        model = SpanModel(cfg.encoder)
+        ce, con, _ = _batch_losses(model, batch, cfg, 0)
+        T.backward(total_loss(ce, con, cfg.contrastive))
+        grads = np.concatenate([p.grad.ravel() for p in model.params.values()])
+        want = float(np.sqrt(np.sum(grads * grads)))
+        assert want > cfg.grad_clip  # the logged norm is the one before clipping
+        assert abs(report.steps[0].grad_norm - want) <= 1e-12 * want
+        rows = [json.loads(l) for l in (tmp_path / "run" / "steps.jsonl").read_text().splitlines()]
+        assert [r["grad_norm"] for r in rows] == [r.grad_norm for r in report.steps]
+
+    def test_initial_model_untouched_and_trained_model_round_trips(self, toy_data, tmp_path):
+        source, synthetic = toy_data
+        cfg = tiny_config(epochs=1)
+        start = SpanModel(cfg.encoder)
+        before = {name: p.data.copy() for name, p in start.params.items()}
+        model, _ = train(cfg, source, synthetic, initial_model=start)
+        for name, p in start.params.items():
+            assert np.array_equal(p.data, before[name]), name
+            assert not np.shares_memory(p.data, model.params[name].data)
+        assert any(not np.array_equal(model.params[n].data, before[n]) for n in before)
+        model.save(tmp_path / "m.ckpt")
+        reloaded = SpanModel.load(tmp_path / "m.ckpt", expected_config=cfg.encoder)
+        for name, p in model.params.items():
+            assert np.array_equal(reloaded.params[name].data, p.data), name
 
     def test_dev_metrics_logged_per_epoch(self, toy_data):
         source, synthetic = toy_data
