@@ -317,12 +317,6 @@ def _segment_bounds(offsets, rows: int) -> Array:
     return bounds
 
 
-# The softmax skips its row-max subtraction in a segment where every score
-# provably lies in [-SCORE_BOUND, SCORE_BOUND], so exp can neither overflow
-# nor underflow; by Cauchy-Schwarz |q_i . k_j| <= max |q| * max |k|.
-SCORE_BOUND = 30.0
-
-
 def segment_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Tensor,
                       bv: Tensor, offsets, num_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention inside each segment of packed
@@ -357,19 +351,14 @@ def segment_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
         return a[:, part * width:(part + 1) * width].reshape(rows, num_heads, dh).transpose(1, 0, 2)
 
     qh, kh, vh = heads(qkv, 0), heads(qkv, 1), heads(qkv, 2)
-    q_norm = np.sqrt(np.einsum("ij,ij->i", qkv[:, :width], qkv[:, :width]))
-    k_norm = np.sqrt(np.einsum("ij,ij->i", qkv[:, width:2 * width], qkv[:, width:2 * width]))
-    bounded = (np.maximum.reduceat(q_norm, bounds[:-1]) * np.maximum.reduceat(k_norm, bounds[:-1])
-               <= SCORE_BOUND)
     ones = np.ones(int(np.diff(bounds).max()))
     out = np.empty((rows, width))
     outh = heads(out, 0)
     sums = np.empty((num_heads, rows, 1))  # softmax denominators, per head and row
     exps = []  # unnormalised softmax numerators, per segment
-    for (lo, hi), skip_max in zip(segments, bounded):
+    for lo, hi in segments:
         e = qh[:, lo:hi] @ kh[:, lo:hi].transpose(0, 2, 1)
-        if not skip_max:
-            e -= e.max(axis=-1, keepdims=True)
+        e -= e.max(axis=-1, keepdims=True)
         np.exp(e, out=e)
         np.matmul(e, ones[:hi - lo, None], out=sums[:, lo:hi])
         np.matmul(e, vh[:, lo:hi], out=outh[:, lo:hi])
@@ -449,28 +438,29 @@ def embedding(table: Tensor, ids) -> Tensor:
     return _node(out, (table,), vjp)
 
 
-def _sq_dists(x: Array, y: Array) -> Array:
+def _kernel_terms(x: Array, y: Array, bandwidths: Sequence[float]) -> list[Array]:
+    """exp(-||x_i - y_j||^2 / gamma) for each bandwidth gamma."""
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise ShapeError(f"gaussian kernel expects [N x H] and [M x H], got {x.shape}, {y.shape}")
     diff = x[:, None, :] - y[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    return [np.exp(d2 * (-1.0 / gamma)) for gamma in bandwidths]
 
 
 def gaussian_kernel_values(x: Array, y: Array, bandwidths: Sequence[float]) -> Array:
     """Plain numpy forward of ``gaussian_kernel``, for constant point sets."""
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
-        raise ShapeError(f"gaussian kernel expects [N x H] and [M x H], got {x.shape}, {y.shape}")
-    d2 = _sq_dists(x, y)
-    return sum(np.exp(d2 * (-1.0 / gamma)) for gamma in bandwidths) * (1.0 / len(bandwidths))
+    return sum(_kernel_terms(x, y, bandwidths)) * (1.0 / len(bandwidths))
 
 
 def gaussian_kernel(x: Tensor, y: Tensor, bandwidths: Sequence[float]) -> Tensor:
     """Kernel matrix between the rows of x [N x H] and y [M x H]: the average
     over bandwidths of exp(-||x_i - y_j||^2 / gamma). x and y may be the same
     tensor."""
-    out = gaussian_kernel_values(x.data, y.data, bandwidths)
+    terms = _kernel_terms(x.data, y.data, bandwidths)
+    out = sum(terms) * (1.0 / len(bandwidths))
 
     def vjp(g: Array):
-        d2 = _sq_dists(x.data, y.data)
-        slope = sum(np.exp(d2 * (-1.0 / gamma)) * (-1.0 / gamma) for gamma in bandwidths)
+        slope = sum(t * (-1.0 / gamma) for t, gamma in zip(terms, bandwidths))
         # gd_ij is twice the gradient reaching ||x_i - y_j||^2
         gd = g * slope * (2.0 / len(bandwidths))
         return (gd.sum(axis=1)[:, None] * x.data - gd @ y.data,
