@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -219,11 +220,22 @@ def cmd_train(args) -> int:
 
 # -- grid -----------------------------------------------------------------------
 
+def _finite_nonnegative(text: str) -> float:
+    """A contrastive weight or noise scale from the command line."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # not a number at all: rejected below with the same message
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _parse_grid(text: str, flag: str) -> list[float]:
     try:
-        values = [float(v) for v in text.split(",") if v != ""]
-    except ValueError as err:
-        raise UsageError(f"{flag}: expected comma-separated numbers, got {text!r}") from err
+        values = [_finite_nonnegative(v) for v in text.split(",") if v != ""]
+    except argparse.ArgumentTypeError as err:
+        raise UsageError(f"{flag}: {err} in the comma-separated grid {text!r}") from err
     if not values:
         raise UsageError(f"{flag}: empty grid")
     return values
@@ -336,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a span model from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--beta", type=float, help="override contrastive weight")
-    p.add_argument("--sigma", type=float, help="override embedding noise scale")
+    p.add_argument("--beta", type=_finite_nonnegative, help="override contrastive weight")
+    p.add_argument("--sigma", type=_finite_nonnegative, help="override embedding noise scale")
     p.add_argument("--out")
     p.set_defaults(func=cmd_train)
 

@@ -114,13 +114,18 @@ def _phase_config(seed: int, beta: float, epochs: int) -> TrainConfig:
     )
 
 
+def _kernel_from_features(source_features: np.ndarray, gold_features: np.ndarray) -> KernelConfig:
+    """``measurement_kernel`` from answer-mean features already encoded."""
+    pooled = np.vstack([source_features, gold_features])
+    return KernelConfig(bandwidths=resolve_bandwidths(
+        pooled, KernelConfig(median_multipliers=(0.5, 1.0, 2.0))))
+
+
 def measurement_kernel(model: SpanModel, source, gold) -> KernelConfig:
     """Fixed bandwidths from the median pairwise squared distance of the
     model's pooled answer-mean features."""
-    pooled = np.vstack([answer_mean_features(model, source),
-                        answer_mean_features(model, gold)])
-    return KernelConfig(bandwidths=resolve_bandwidths(
-        pooled, KernelConfig(median_multipliers=(0.5, 1.0, 2.0))))
+    return _kernel_from_features(answer_mean_features(model, source),
+                                 answer_mean_features(model, gold))
 
 
 def run_seed(seed: int) -> SeedOutcome:
@@ -134,17 +139,18 @@ def run_seed(seed: int) -> SeedOutcome:
     contrastive, _ = train(_phase_config(fork_seed, CONTRASTIVE_BETA, FORK_EPOCHS),
                            source, synthetic, initial_model=warm)
 
-    kernel = measurement_kernel(baseline, source, gold)
+    def features(model):
+        return answer_mean_features(model, source), answer_mean_features(model, gold)
 
-    def gap(model):
-        return mmd_squared(answer_mean_features(model, source),
-                           answer_mean_features(model, gold), kernel)
+    # the baseline's features, encoded once, set the kernel and give its gap
+    baseline_features = features(baseline)
+    kernel = _kernel_from_features(*baseline_features)
 
     return SeedOutcome(
         seed=seed,
-        gap_baseline=gap(baseline),
-        gap_contrastive=gap(contrastive),
-        gap_untrained=gap(SpanModel(EXPERIMENT_ENCODER)),
+        gap_baseline=mmd_squared(*baseline_features, kernel),
+        gap_contrastive=mmd_squared(*features(contrastive), kernel),
+        gap_untrained=mmd_squared(*features(SpanModel(EXPERIMENT_ENCODER)), kernel),
         em_baseline=evaluate(baseline, gold, MAX_ANSWER_LEN).em,
         em_contrastive=evaluate(contrastive, gold, MAX_ANSWER_LEN).em,
     )

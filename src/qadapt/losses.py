@@ -5,11 +5,14 @@ The kernel is a Gaussian averaged over multiple bandwidths. Bandwidths are
 either given explicitly or resolved per call by the median heuristic (median
 pairwise squared distance of the pooled points, times a multiplier set); the
 resolved values are treated as constants, so no gradient flows through the
-median.
+median. The heuristic and the kernel take their squared distances from
+``tensor.sq_dists``, in Gram form |x|^2 + |y|^2 - 2 x.y clamped at 0: [N x M]
+memory, where the direct difference form needs [N x M x H].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,10 +45,11 @@ class KernelConfig:
         if self.bandwidths is not None:
             if len(self.bandwidths) == 0:
                 raise ValueError("bandwidth list must be non-empty")
-            if any(g <= 0 for g in self.bandwidths):
-                raise ValueError(f"bandwidths must be positive, got {self.bandwidths}")
-        if len(self.median_multipliers) == 0 or any(m <= 0 for m in self.median_multipliers):
-            raise ValueError("median multipliers must be positive and non-empty")
+            if not all(math.isfinite(g) and g > 0 for g in self.bandwidths):
+                raise ValueError(f"bandwidths must be positive and finite, got {self.bandwidths}")
+        if len(self.median_multipliers) == 0 or not all(
+                math.isfinite(m) and m > 0 for m in self.median_multipliers):
+            raise ValueError("median multipliers must be positive, finite and non-empty")
 
 
 @dataclass(frozen=True)
@@ -57,10 +61,11 @@ class ContrastiveConfig:
     pairing_variant: str = PAIRING_MIXED
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        # NaN fails every comparison, so each number is also checked to be finite
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.sign_variant not in (SIGN_AS_PRINTED, SIGN_SIMILARITY_FLIPPED):
             raise ValueError(f"unknown sign_variant {self.sign_variant!r}")
         if self.pairing_variant not in (PAIRING_MIXED, PAIRING_DOMAIN_SEPARATED):
@@ -87,8 +92,7 @@ def resolve_bandwidths(points: np.ndarray, config: KernelConfig) -> tuple[float,
     if n < 2:
         med = MEDIAN_FALLBACK
     else:
-        diffs = pts[:, None, :] - pts[None, :, :]
-        d2 = (diffs * diffs).sum(axis=-1)
+        d2 = T.sq_dists(pts, pts)
         med = float(np.median(d2[np.triu_indices(n, k=1)]))
         if not np.isfinite(med) or med <= 0.0:
             med = MEDIAN_FALLBACK

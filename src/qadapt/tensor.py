@@ -16,7 +16,10 @@ feed-forward block), ``segment_attention`` (the q, k and v projections and
 multi-head softmax attention within each segment), ``segment_nll`` (negative
 log-softmax of each segment at one position) and ``gaussian_kernel``
 (multi-bandwidth Gaussian kernel matrix, for the contrastive loss; its numpy
-forward ``gaussian_kernel_values`` serves constant point sets). Segment means
+forward ``gaussian_kernel_values`` serves constant point sets). Every squared
+distance, in the kernels and in the median-heuristic bandwidths, comes from
+``sq_dists`` in Gram form, |x|^2 + |y|^2 - 2 x.y clamped at 0, which needs
+[N x M] memory rather than an [N x M x H] difference tensor. Segment means
 are a ``matmul`` with a constant weight matrix. Besides these the engine holds
 only the arithmetic, ``embedding``, ``reshape`` and ``slice_cols`` (for the
 span head): every op has a caller in the model or its losses.
@@ -438,12 +441,29 @@ def embedding(table: Tensor, ids) -> Tensor:
     return _node(out, (table,), vjp)
 
 
+def sq_dists(x: Array, y: Array) -> Array:
+    """[N x M] squared distances ||x_i - y_j||^2 between the rows of x [N x H]
+    and y [M x H], in Gram form: |x_i|^2 + |y_j|^2 - 2 x_i.y_j, from the row
+    norms and one ``x @ y.T`` product, so no [N x M x H] difference tensor is
+    built. Round-off can take a distance of (nearly) equal rows a few ulps
+    below 0, so the result is clamped at 0. With y the same array as x the
+    norms are read off the product's diagonal: every self-distance is then
+    exactly 0, and the matrix is symmetric."""
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise ShapeError(f"squared distances expect [N x H] and [M x H], got {x.shape}, {y.shape}")
+    gram = x @ y.T
+    if y is x:
+        xx = yy = np.diagonal(gram)
+    else:
+        xx, yy = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
+    d2 = np.add.outer(xx, yy)
+    d2 -= 2.0 * gram
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def _kernel_terms(x: Array, y: Array, bandwidths: Sequence[float]) -> list[Array]:
     """exp(-||x_i - y_j||^2 / gamma) for each bandwidth gamma."""
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
-        raise ShapeError(f"gaussian kernel expects [N x H] and [M x H], got {x.shape}, {y.shape}")
-    diff = x[:, None, :] - y[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    d2 = sq_dists(x, y)
     return [np.exp(d2 * (-1.0 / gamma)) for gamma in bandwidths]
 
 

@@ -76,8 +76,8 @@ class TrainConfig:
 
     def validate(self) -> list[str]:
         problems = []
-        if self.learning_rate <= 0:
-            problems.append("learning_rate: must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            problems.append("learning_rate: must be finite and > 0")
         if self.epochs < 1:
             problems.append("epochs: must be >= 1")
         if self.batch_size < 1:
@@ -93,8 +93,8 @@ class TrainConfig:
             problems.append("max_answer_len: must be >= 1")
         if self.eval_cadence < 0:
             problems.append("eval_cadence: must be >= 0")
-        if self.grad_clip <= 0:
-            problems.append("grad_clip: must be > 0")
+        if not (math.isfinite(self.grad_clip) and self.grad_clip > 0):
+            problems.append("grad_clip: must be finite and > 0")
         return problems
 
     def __post_init__(self):
@@ -390,7 +390,7 @@ def config_from_dict(d: dict) -> TrainConfig:
         if "encoder" in d:
             d["encoder"] = EncoderConfig(**d["encoder"])
         return TrainConfig(**d)
-    except TypeError as err:
+    except (TypeError, ValueError) as err:  # ValueError: a section's own checks
         raise ConfigError(str(err)) from err
 
 

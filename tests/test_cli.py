@@ -350,6 +350,50 @@ class TestMalformedInputsExitWithoutTraceback:
         assert "UTF-8" in scored["bad"]["note"]
 
 
+class TestNonFiniteOrNegativeNumbersExit1:
+    """A NaN, infinite or negative weight, noise scale, bandwidth, learning
+    rate or clip is a usage error: exit 1, one message, no run directory."""
+
+    @staticmethod
+    def assert_usage_error(capsys, argv, out):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--beta=-1"], ["--beta=nan"], ["--beta=0.1,inf"],
+                                       ["--sigma=-0.01"], ["--sigma=nan"]])
+    def test_grid_rejects_before_reading_any_dataset(self, tmp_path, capsys, flags):
+        # the named datasets do not exist: reading one would be a runtime error, exit 2
+        cfg_path = tmp_path / "g.json"
+        cfg_path.write_text(json.dumps(train_config_dict(
+            tmp_path / "missing.json", dev={"sel": tmp_path / "missing_dev.json"})))
+        self.assert_usage_error(capsys, ["grid", "--config", str(cfg_path)] + flags,
+                                tmp_path / "grid")
+
+    @pytest.mark.parametrize("flags", [["--beta", "nan"], ["--sigma", "-1"], ["--beta", "inf"]])
+    def test_train_override_rejected(self, synth_dir, tmp_path, capsys, flags):
+        cfg_path = tmp_path / "t.json"
+        cfg_path.write_text(json.dumps(train_config_dict(synth_dir / "source.json")))
+        self.assert_usage_error(capsys, ["train", "--config", str(cfg_path)] + flags,
+                                tmp_path / "run")
+
+    @pytest.mark.parametrize("section", [
+        {"contrastive": {"beta": float("nan")}},
+        {"contrastive": {"beta": -1.0}},
+        {"contrastive": {"noise_sigma": float("inf")}},
+        {"contrastive": {"kernel": {"bandwidths": [1.0, float("nan")]}}},
+        {"contrastive": {"kernel": {"median_multipliers": [float("inf")]}}},
+        {"learning_rate": float("nan")},
+        {"grad_clip": float("inf")},
+    ])
+    def test_train_config_rejected(self, synth_dir, tmp_path, capsys, section):
+        cfg_path = tmp_path / "t.json"
+        cfg_path.write_text(json.dumps(train_config_dict(synth_dir / "source.json", **section)))
+        self.assert_usage_error(capsys, ["train", "--config", str(cfg_path)], tmp_path / "run")
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,33 @@ class TestMMD:
         ba = mmd_squared(Y, X, cfg)
         assert abs(ab - ba) < 1e-12
         assert ab >= -1e-12
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak of the allocations traced while fn runs, in MB (1e6 bytes)."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 1e6
+
+
+class TestKernelMemory:
+    """The distances are built in Gram form, with [N x M] memory: an
+    [N x M x H] difference tensor of these points takes 50 MB in the median
+    heuristic and 22 MB in the source-source kernel of the mmd."""
+
+    POINTS = np.random.default_rng(11).standard_normal((360, 48))
+
+    def test_median_heuristic_peak(self):
+        assert traced_peak_mb(lambda: resolve_bandwidths(self.POINTS, KernelConfig())) < 8.0
+
+    def test_mmd_peak(self):
+        source, gold = self.POINTS[:240], self.POINTS[240:]
+        bw = resolve_bandwidths(self.POINTS, KernelConfig())
+        assert traced_peak_mb(lambda: mmd_squared(source, gold, KernelConfig(bandwidths=bw))) < 8.0
 
 
 class TestClassMeans:

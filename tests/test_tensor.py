@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qadapt import tensor as T
 from qadapt.tensor import Tensor, backward, constant, finite_difference_check
@@ -472,3 +473,34 @@ def test_every_public_op_has_a_caller():
             elif isinstance(node, ast.ImportFrom) and node.module == "tensor":
                 called.update(alias.name for alias in node.names)
     assert sorted(public - ENGINE_ENTRY_POINTS - called) == []
+
+
+@st.composite
+def point_set_pair(draw):
+    """Two finite [N x H] and [M x H] point sets of a common width."""
+    width = draw(st.integers(1, 6))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    x = draw(hnp.arrays(np.float64, (draw(st.integers(1, 7)), width), elements=values))
+    y = draw(hnp.arrays(np.float64, (draw(st.integers(1, 7)), width), elements=values))
+    return x, y
+
+
+@given(point_set_pair())
+@settings(max_examples=200, deadline=None)
+def test_sq_dists_matches_direct_difference_form(pair):
+    x, y = pair
+    for a, b in ((x, y), (x, x)):
+        got = T.sq_dists(a, b)
+        direct = ((a[:, None] - b[None]) ** 2).sum(-1)
+        scale = (a * a).sum(1)[:, None] + (b * b).sum(1)[None, :] + 1.0
+        assert got.shape == direct.shape
+        assert np.all(got >= 0.0)
+        assert np.all(np.abs(got - direct) <= 1e-12 * scale)
+    same = T.sq_dists(x, x)
+    assert np.array_equal(same, same.T)
+    assert np.all(np.diagonal(same) == 0.0)
+
+
+def test_sq_dists_rejects_mismatched_widths():
+    with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
+        T.sq_dists(np.zeros((2, 3)), np.zeros((4, 2)))
