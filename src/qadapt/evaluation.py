@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .losses import KernelConfig, class_means, mmd_squared
 from .model import (
-    PackedBatch, SpanModel, TokenizationError, predict_span, tokenize_sample, tokenize_samples,
+    SpanModel, TokenizationError, encode_chunks, predict_span, tokenize_sample, tokenize_samples,
 )
 from .datagen import DomainDataset
 
@@ -113,17 +113,17 @@ def evaluate(model: SpanModel, dataset: DomainDataset, max_answer_len: int = 48)
 
 
 def answer_mean_features(model: SpanModel, dataset: DomainDataset) -> np.ndarray:
-    """Answer-token mean feature per sample under the frozen model. Samples
-    are encoded one at a time: packing them was not measurably faster here,
-    raised peak memory and moved the features in the last bits."""
-    rows = []
-    with T.no_grad():
-        for _, ts in tokenize_samples(dataset.samples, dataset.domain_tag, model.config.max_len):
-            packed = PackedBatch.pack([ts])
-            rows.append(class_means(model.encode(packed), packed).answer_mean.data[0])
-    if not rows:
+    """Answer-token mean feature per tokenizable sample under the frozen
+    model, one row per sample in dataset order. Samples are encoded in packed
+    chunks (``encode_chunks``), and each chunk's [B x H] answer means come
+    from one ``class_means`` call; a row matches the sample encoded alone up
+    to round-off."""
+    tokenized = [ts for _, ts in tokenize_samples(dataset.samples, dataset.domain_tag,
+                                                  model.config.max_len)]
+    if not tokenized:
         raise ValueError("no tokenizable samples to extract features from")
-    return np.stack(rows, axis=0)
+    return np.concatenate([class_means(features, packed).answer_mean.data
+                           for packed, features in encode_chunks(model, tokenized)])
 
 
 def domain_gap(
@@ -183,8 +183,7 @@ def token_feature_cloud(model: SpanModel, dataset: DomainDataset, max_samples: i
                                                   dataset.domain_tag, model.config.max_len)]
     if not tokenized:
         raise ValueError("no tokenizable samples for the feature cloud")
-    with T.no_grad():
-        feats = model.encode(PackedBatch.pack(tokenized)).data
+    feats = np.concatenate([features.data for _, features in encode_chunks(model, tokenized)])
     answer = np.concatenate([ts.answer_mask for ts in tokenized])
     question = np.concatenate([ts.question_mask for ts in tokenized])
     labels = ["answer" if a else "question" if q else "other" for a, q in zip(answer, question)]

@@ -6,6 +6,7 @@ positions belong to neither token class. The encoder is a small pre-norm
 transformer; the span head is a per-token linear projection producing start
 and end scores. A batch is encoded as one ``PackedBatch``: its samples' tokens
 concatenated without padding, attention confined to each sample's segment.
+Forward-only passes over a sample set (``encode_chunks``) pack it in chunks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import logging
 import struct
 from dataclasses import dataclass, asdict
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +30,12 @@ SEP_ID = 257
 DEFAULT_VOCAB = 258
 
 CHECKPOINT_MAGIC = b"QADAPT\x01"
+
+# samples per packed forward-only encode (``encode_chunks``): of 8, 16, 32 and
+# 64, 32 was the fastest for answer-mean features and tied 64 on the roundtrip
+# filter (BENCH_pr8.json); peak memory grows with the chunk, and one pack of a
+# whole set is slower, since ``losses.class_means`` builds dense [B x N] weights
+INFER_CHUNK = 32
 
 SOURCE = "source"
 TARGET_SYNTHETIC = "target_synthetic"
@@ -161,6 +168,12 @@ class SpanLogits:
 
     start_scores: Tensor
     end_scores: Tensor
+
+    def segment(self, batch: PackedBatch, i: int) -> "SpanLogits":
+        """Constant scores of segment i of the packed batch they come from."""
+        lo, hi = batch.offsets[i], batch.offsets[i + 1]
+        return SpanLogits(T.constant(self.start_scores.data[lo:hi]),
+                          T.constant(self.end_scores.data[lo:hi]))
 
 
 def tokenize_sample(
@@ -428,6 +441,18 @@ class SpanModel:
         if set(params) != set(shapes) or pos != len(buf):
             raise CheckpointError(f"{path}: parameters do not match the architecture")
         return cls(config, _params=params)
+
+
+def encode_chunks(model: SpanModel, samples: Sequence[TokenizedSample]
+                  ) -> Iterator[tuple[PackedBatch, Tensor]]:
+    """Forward-only features of ``samples``, in order: one ``PackedBatch`` of
+    up to ``INFER_CHUNK`` samples per ``encode`` call, each yielded with its
+    [N x H] features, which record no graph."""
+    for lo in range(0, len(samples), INFER_CHUNK):
+        packed = PackedBatch.pack(samples[lo:lo + INFER_CHUNK])
+        with T.no_grad():
+            features = model.encode(packed)
+        yield packed, features
 
 
 def predict_span(logits: SpanLogits, context_mask, max_answer_len: int) -> tuple[int, int]:

@@ -24,13 +24,17 @@ from .datagen import DomainDataset, derive_seed
 from .evaluation import evaluate
 from .losses import (
     ContrastiveConfig,
+    MalformedSampleError,
     PAIRING_DOMAIN_SEPARATED,
     class_means,
     contrastive_loss,
     span_cross_entropy,
     total_loss,
 )
-from .model import SOURCE, TARGET_SYNTHETIC, EncoderConfig, PackedBatch, SpanModel, tokenize_samples
+from .model import (
+    SOURCE, TARGET_SYNTHETIC, EncoderConfig, PackedBatch, SpanModel, TokenizationError,
+    tokenize_samples,
+)
 from .model import tokenize_sample  # noqa: F401  unused; perfbench/tracing.py patches it here
 
 log = logging.getLogger(__name__)
@@ -58,6 +62,21 @@ class OptimizerConfig:
     eps: float = 1e-8
     weight_decay: float = 0.0  # decoupled; off by default
     warmup_steps: int = 0  # none by default
+
+    def __post_init__(self):
+        # NaN fails every comparison, so each number is also checked to be finite
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"optimizer.eps must be finite and > 0, got {self.eps}")
+        if len(self.betas) != 2 or not all(math.isfinite(b) and 0 <= b < 1 for b in self.betas):
+            raise ValueError(f"optimizer.betas must be two finite numbers in [0, 1), "
+                             f"got {self.betas}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"optimizer.weight_decay must be finite and >= 0, "
+                             f"got {self.weight_decay}")
+        if (not isinstance(self.warmup_steps, int) or isinstance(self.warmup_steps, bool)
+                or self.warmup_steps < 0):
+            raise ValueError(f"optimizer.warmup_steps must be an integer >= 0, "
+                             f"got {self.warmup_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -444,7 +463,8 @@ def grid_search(
 ) -> GridResult:
     """Train one model per (beta, sigma) cell with a shared seed, score each on
     the selection set, and pick the best; ties prefer smaller beta, then sigma.
-    Failed cells are recorded and skipped."""
+    A cell that diverges or meets a malformed or untokenizable sample is
+    logged, recorded as failed and skipped."""
     if criterion not in CRITERIA:
         raise ConfigError(f"criterion: unknown criterion {criterion!r}")
     if not beta_grid or not sigma_grid:
@@ -461,7 +481,8 @@ def grid_search(
                 result = evaluate(model, selection, config.max_answer_len)
                 row.update(em=result.em, f1=result.f1,
                            train_loss=report.final_epoch_mean_loss)
-            except (DivergenceError, T.NonFiniteError) as err:
+            except (DivergenceError, T.NonFiniteError, MalformedSampleError,
+                    TokenizationError) as err:
                 log.warning("grid cell beta=%g sigma=%g failed: %s", beta, sigma, err)
                 row["status"] = "failed"
             rows.append(row)

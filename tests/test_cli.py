@@ -394,6 +394,26 @@ class TestNonFiniteOrNegativeNumbersExit1:
         self.assert_usage_error(capsys, ["train", "--config", str(cfg_path)], tmp_path / "run")
 
 
+@pytest.mark.parametrize("optimizer, field", [
+    ({"eps": float("nan")}, "eps"),
+    ({"betas": [1.5, -2]}, "betas"),
+    ({"weight_decay": -3}, "weight_decay"),
+    ({"warmup_steps": -1}, "warmup_steps"),
+])
+def test_train_rejects_bad_optimizer_section(synth_dir, tmp_path, capsys, optimizer, field):
+    cfg_path = tmp_path / "t.json"
+    cfg_path.write_text(json.dumps(train_config_dict(synth_dir / "source.json",
+                                                     optimizer=optimizer)))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    problems = err.strip().splitlines()[1:]  # below the "config error:" header
+    assert len(problems) == 1 and f"optimizer.{field} must be" in problems[0]
+    assert not out.exists()
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1

@@ -10,8 +10,10 @@ from qadapt import tensor as T
 from qadapt.datagen import DomainDataset, DomainShiftSpec, derive_seed, make_synthetic_domains
 from qadapt.evaluation import evaluate
 from qadapt.experiment import build_experiment_data
-from qadapt.losses import ClassMeans, ContrastiveConfig, KernelConfig, contrastive_loss, total_loss
-from qadapt.model import EncoderConfig, SpanModel, tokenize_samples
+from qadapt.losses import (
+    ClassMeans, ContrastiveConfig, KernelConfig, MalformedSampleError, contrastive_loss, total_loss,
+)
+from qadapt.model import EncoderConfig, SpanModel, TokenizationError, tokenize_samples
 from qadapt.training import (
     AdamW,
     ConfigError,
@@ -399,6 +401,39 @@ class TestConfig:
                                                       pairing_variant="domain-separated"))
 
 
+BAD_OPTIMIZER = [
+    ({"eps": float("nan")}, "optimizer.eps"),
+    ({"eps": 0.0}, "optimizer.eps"),
+    ({"eps": float("inf")}, "optimizer.eps"),
+    ({"betas": [1.5, -2]}, "optimizer.betas"),
+    ({"betas": [0.9, 1.0]}, "optimizer.betas"),
+    ({"betas": [float("nan"), 0.999]}, "optimizer.betas"),
+    ({"betas": [0.9]}, "optimizer.betas"),
+    ({"weight_decay": -3}, "optimizer.weight_decay"),
+    ({"weight_decay": float("inf")}, "optimizer.weight_decay"),
+    ({"warmup_steps": -1}, "optimizer.warmup_steps"),
+    ({"warmup_steps": 2.5}, "optimizer.warmup_steps"),
+    ({"warmup_steps": True}, "optimizer.warmup_steps"),
+]
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("section, field", BAD_OPTIMIZER)
+    def test_violation_is_a_config_error(self, section, field):
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict({"optimizer": section})
+
+    def test_all_violations_at_once_rejected(self):
+        with pytest.raises(ConfigError, match="optimizer"):
+            config_from_dict({"optimizer": {"eps": float("nan"), "betas": [1.5, -2],
+                                            "weight_decay": -3, "warmup_steps": -1}})
+
+    def test_edges_accepted(self):
+        opt = config_from_dict({"optimizer": {"eps": 1e-300, "betas": [0.0, 0.0],
+                                              "weight_decay": 0.0, "warmup_steps": 0}}).optimizer
+        assert opt == OptimizerConfig(betas=(0.0, 0.0), eps=1e-300)
+
+
 class TestGridSearch:
     def test_singleton_grid_returns_that_cell(self, toy_data):
         source, synthetic = toy_data
@@ -453,6 +488,29 @@ class TestGridSearch:
         statuses = {r["beta"]: r["status"] for r in result.rows}
         assert statuses == {0.1: "failed", 0.01: "ok"}
         assert result.best_beta == 0.01
+
+    @pytest.mark.parametrize("error", [MalformedSampleError("sample has an empty answer mask"),
+                                       TokenizationError("token id outside the vocabulary")])
+    def test_sample_error_cell_recorded_as_failed(self, toy_data, monkeypatch, caplog, error):
+        import qadapt.training as tr
+        source, synthetic = toy_data
+        real_train = tr.train
+
+        def train_or_fail(config, *a, **kw):
+            if config.contrastive.beta == 0.1:
+                raise error
+            return real_train(config, *a, **kw)
+
+        monkeypatch.setattr(tr, "train", train_or_fail)
+        with caplog.at_level("WARNING", logger="qadapt.training"):
+            result = tr.grid_search(tiny_config(epochs=1), [0.1, 0.01], [0.0], "dev_f1",
+                                    source, synthetic, source)
+        failed, ok = result.rows
+        assert failed == {"beta": 0.1, "sigma": 0.0, "status": "failed"}
+        assert ok["status"] == "ok" and {"em", "f1", "train_loss"} <= set(ok)
+        assert (result.best_beta, result.best_sigma) == (0.01, 0.0)
+        assert any("beta=0.1" in r.getMessage() and str(error) in r.getMessage()
+                   for r in caplog.records)
 
     def test_unknown_criterion_rejected(self, toy_data):
         source, synthetic = toy_data
