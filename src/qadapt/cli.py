@@ -231,6 +231,17 @@ def _finite_nonnegative(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """A count or a length from the command line."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer at all: rejected below with the same message
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _parse_grid(text: str, flag: str) -> list[float]:
     try:
         values = [_finite_nonnegative(v) for v in text.split(",") if v != ""]
@@ -336,12 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate and filter synthetic QA pairs")
     p.add_argument("--contexts", required=True, help="JSONL of target contexts")
-    p.add_argument("--k", type=int, default=5, help="max QA pairs kept per context")
+    p.add_argument("--k", type=_positive_int, default=5, help="max QA pairs kept per context")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--filters", default="lm", help="comma list: none, lm, roundtrip")
     p.add_argument("--checkpoint", help="model used by the roundtrip filter")
     p.add_argument("--order", default="bigram", choices=("unigram", "bigram"))
-    p.add_argument("--max-answer-len", type=int, default=48)
+    p.add_argument("--max-answer-len", type=_positive_int, default=48)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -366,14 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--max-answer-len", type=int, default=48)
+    p.add_argument("--max-answer-len", type=_positive_int, default=48)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("pca", help="dump a 2-D projection of token features")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--max-samples", type=int, default=8)
+    p.add_argument("--max-samples", type=_positive_int, default=8)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pca)
     return parser

@@ -22,11 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import tensor as T
-from .model import (
-    SOURCE, TARGET_SYNTHETIC, SpanModel, encode_chunks, predict_span, tokenize_samples,
-)
-from .model import tokenize_sample  # noqa: F401  unused; perfbench/tracing.py patches it here
+from .model import SOURCE, TARGET_SYNTHETIC, SpanModel, tokenize_samples
+# unused; perfbench/tracing.py patches both names here
+from .model import predict_span, tokenize_sample  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -247,25 +245,14 @@ def roundtrip_filter(
     max_answer_len: int = 48,
 ) -> list[GenCandidate]:
     """Keep candidates whose predicted answer, normalized, equals the generated
-    answer. Candidates are encoded in packed chunks (``encode_chunks``); each
-    one is decoded as in ``evaluation.predict_answer``, from its own segment
-    of the chunk's span scores. Candidates the model cannot tokenize are
-    dropped, not fatal."""
-    from .evaluation import normalize_answer  # local import to avoid a cycle
+    answer; the answers come from ``evaluation.predict_answers``, as in
+    ``eval``. Candidates the model cannot tokenize are dropped, not fatal."""
+    from .evaluation import normalize_answer, predict_answers  # local import to avoid a cycle
 
     pairs = tokenize_samples(candidates, TARGET_SYNTHETIC, qa_model.config.max_len)
-    tokenized = iter(pairs)
-    kept = []
-    for packed, features in encode_chunks(qa_model, [ts for _, ts in pairs]):
-        with T.no_grad():
-            logits = qa_model.span_logits(features)
-        for i in range(len(packed)):
-            cand, ts = next(tokenized)
-            span = predict_span(logits.segment(packed, i), ts.context_mask, max_answer_len)
-            predicted = ts.span_text(cand.context, span)
-            if normalize_answer(predicted) == normalize_answer(cand.answer_text):
-                kept.append(cand)
-    return kept
+    predicted = predict_answers(qa_model, pairs, max_answer_len)
+    return [cand for (cand, _), answer in zip(pairs, predicted)
+            if normalize_answer(answer) == normalize_answer(cand.answer_text)]
 
 
 def candidates_to_dataset(candidates: Sequence[GenCandidate], domain_tag: str = TARGET_SYNTHETIC) -> DomainDataset:

@@ -1,9 +1,12 @@
-"""Answer normalization, EM/F1 scoring, dataset evaluation, kernel-distance
-domain diagnostics, and 2-D principal-component projections of token features.
+"""Answer normalization, EM/F1 scoring, answer decoding, dataset evaluation,
+kernel-distance domain diagnostics, and 2-D principal-component projections of
+token features.
 
 Samples reach the model through ``model.tokenize_samples`` (``tokenize_sample``
-for the one sample ``predict_answer`` scores); a predicted span becomes answer
-text through ``TokenizedSample.span_text``.
+for the one sample ``predict_answer`` scores). ``predict_answers`` is the one
+decoder, for ``evaluate`` and the roundtrip filter alike: packed chunks
+(``encode_chunks``), span scores, ``predict_span`` on each sample's segment,
+then ``TokenizedSample.span_text``.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -77,15 +81,29 @@ class EvalResult:
     records: list[SampleScore] = field(default_factory=list)
 
 
+def predict_answers(model: SpanModel, pairs: Sequence[tuple], max_answer_len: int) -> list[str]:
+    """The model's best span of each ``(sample, TokenizedSample)`` pair (as
+    ``tokenize_samples`` returns them), decoded back into the sample's context
+    text, in order."""
+    contexts = iter([sample.context for sample, _ in pairs])
+    answers = []
+    for packed, features in encode_chunks(model, [ts for _, ts in pairs]):
+        with T.no_grad():
+            logits = model.span_logits(features)
+        for i, ts in enumerate(packed.samples):
+            span = predict_span(logits.segment(packed, i), ts.context_mask, max_answer_len)
+            answers.append(ts.span_text(next(contexts), span))
+    return answers
+
+
 def predict_answer(model: SpanModel, sample, max_answer_len: int) -> str:
-    """Decode the model's best span of a QA sample back into context text."""
+    """Decode the model's best span of one QA sample back into context text;
+    an untokenizable sample raises ``TokenizationError``."""
     ts = tokenize_sample(
         sample.question, sample.context, sample.answer_start, sample.answer_text,
         domain_tag="source", max_len=model.config.max_len, sample_id=sample.sample_id,
     )
-    with T.no_grad():
-        logits = model.span_logits(model.encode(ts))
-    return ts.span_text(sample.context, predict_span(logits, ts.context_mask, max_answer_len))
+    return predict_answers(model, [(sample, ts)], max_answer_len)[0]
 
 
 def evaluate(model: SpanModel, dataset: DomainDataset, max_answer_len: int = 48) -> EvalResult:

@@ -134,12 +134,11 @@ def _class_weights(batch: PackedBatch) -> tuple[np.ndarray, np.ndarray]:
     answer = np.zeros((len(batch), batch.offsets[-1]))
     cq = np.zeros_like(answer)
     for i, (ts, lo) in enumerate(zip(batch.samples, batch.offsets)):
-        cq_mask = (ts.question_mask | ts.context_mask) & ~ts.answer_mask
-        if not ts.answer_mask.any():
-            raise MalformedSampleError("sample has an empty answer mask")
+        answer_mask = ts.answer_mask
+        cq_mask = (ts.question_mask | ts.context_mask) & ~answer_mask
         if not cq_mask.any():
             raise MalformedSampleError("sample has no non-answer question/context tokens")
-        answer[i, lo:lo + len(ts)] = ts.answer_mask / ts.answer_mask.sum()
+        answer[i, lo:lo + len(ts)] = answer_mask / answer_mask.sum()
         cq[i, lo:lo + len(ts)] = cq_mask / cq_mask.sum()
     return answer, cq
 
@@ -201,9 +200,7 @@ def span_cross_entropy(logits: SpanLogits, gold: PackedBatch) -> Tensor:
     the gold positions; the golds are the answer spans of the samples of the
     packed batch the logits were computed from."""
     spans = np.array([ts.answer_span for ts in gold.samples]) + gold.offsets[:-1, None]
-    nll_start = T.segment_nll(logits.start_scores, gold.offsets, spans[:, 0])
-    nll_end = T.segment_nll(logits.end_scores, gold.offsets, spans[:, 1])
-    return ((nll_start + nll_end) * 0.5).mean()
+    return T.segment_nll(logits.scores, gold.offsets, spans).mean()
 
 
 def total_loss(ce, con, config: ContrastiveConfig) -> Tensor:

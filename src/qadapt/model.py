@@ -3,10 +3,11 @@
 Input layout mirrors span-extraction QA: a sequence-start marker, the question
 bytes, a separator, the context bytes, a trailing separator. Marker/separator
 positions belong to neither token class. The encoder is a small pre-norm
-transformer; the span head is a per-token linear projection producing start
-and end scores. A batch is encoded as one ``PackedBatch``: its samples' tokens
-concatenated without padding, attention confined to each sample's segment.
-Forward-only passes over a sample set (``encode_chunks``) pack it in chunks.
+transformer; the span head is a per-token linear projection producing one
+[N x 2] tensor of start and end scores. A batch is encoded as one
+``PackedBatch``: its samples' tokens concatenated without padding, attention
+confined to each sample's segment. Forward-only passes over a sample set
+(``encode_chunks``) pack it in chunks.
 """
 
 from __future__ import annotations
@@ -77,55 +78,46 @@ class EncoderConfig:
 
 @dataclass
 class TokenizedSample:
-    """Token ids with class masks and a gold answer span (inclusive indices)."""
+    """Token ids ``[START] question [SEP] context [SEP]`` and a gold answer
+    span (inclusive token indices). The token layout, the question and context
+    regions and the answer are all read off the question length and the span,
+    so they cannot disagree; ``tokenize_sample`` is where the fields are
+    checked against the text."""
 
     token_ids: np.ndarray
-    question_mask: np.ndarray
-    context_mask: np.ndarray
-    answer_mask: np.ndarray
+    question_len: int  # question tokens, between the start marker and the first separator
     answer_span: tuple[int, int]
     domain_tag: str
-    special_positions: tuple[int, ...]
     sample_id: str = ""
-
-    def __post_init__(self):
-        self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
-        length = self.token_ids.shape[0]
-        for name in ("question_mask", "context_mask", "answer_mask"):
-            mask = np.asarray(getattr(self, name), dtype=bool)
-            if mask.shape != (length,):
-                raise ValueError(f"{name} length {mask.shape} != sequence length {length}")
-            setattr(self, name, mask)
-        if self.domain_tag not in DOMAIN_TAGS:
-            raise ValueError(f"unknown domain_tag {self.domain_tag!r}")
-        special = np.zeros(length, dtype=bool)
-        for p in self.special_positions:
-            if not 0 <= p < length:
-                raise ValueError(f"special position {p} outside sequence of length {length}")
-            special[p] = True
-        nonspecial = ~special
-        if np.any(self.question_mask & self.context_mask):
-            raise ValueError("question and context masks overlap")
-        if np.any((self.question_mask | self.context_mask) & special):
-            raise ValueError("class masks cover special positions")
-        if not np.array_equal(self.question_mask | self.context_mask, nonspecial):
-            raise ValueError("class masks do not cover all non-special positions")
-        start, end = self.answer_span
-        if not (0 <= start <= end < length):
-            raise ValueError(f"answer span {self.answer_span} outside sequence of length {length}")
-        expected = np.zeros(length, dtype=bool)
-        expected[start:end + 1] = True
-        if not np.array_equal(self.answer_mask, expected):
-            raise ValueError("answer_mask does not match answer_span")
-        if not np.all(self.context_mask[self.answer_mask]):
-            raise ValueError("answer span leaves the context region")
 
     def __len__(self) -> int:
         return int(self.token_ids.shape[0])
 
     @property
     def context_token_start(self) -> int:
-        return int(np.flatnonzero(self.context_mask)[0])
+        return self.question_len + 2
+
+    @property
+    def special_positions(self) -> tuple[int, int, int]:
+        """The start marker and the two separators."""
+        return 0, self.question_len + 1, len(self) - 1
+
+    def _mask(self, lo: int, hi: int) -> np.ndarray:
+        mask = np.zeros(len(self), dtype=bool)
+        mask[lo:hi] = True
+        return mask
+
+    @property
+    def question_mask(self) -> np.ndarray:
+        return self._mask(1, 1 + self.question_len)
+
+    @property
+    def context_mask(self) -> np.ndarray:
+        return self._mask(self.context_token_start, len(self) - 1)
+
+    @property
+    def answer_mask(self) -> np.ndarray:
+        return self._mask(self.answer_span[0], self.answer_span[1] + 1)
 
     def span_text(self, context: str, span: tuple[int, int]) -> str:
         """The text of ``context`` under an inclusive token span. The bytes of
@@ -164,16 +156,25 @@ class PackedBatch:
 
 @dataclass
 class SpanLogits:
-    """Start and end scores per token; packed like the features they come from."""
+    """Start (column 0) and end (column 1) scores per token as one [N x 2]
+    tensor, packed like the features they come from."""
 
-    start_scores: Tensor
-    end_scores: Tensor
+    scores: Tensor
+
+    @property
+    def start_scores(self) -> Tensor:
+        """The start column, as a constant."""
+        return T.constant(self.scores.data[:, 0])
+
+    @property
+    def end_scores(self) -> Tensor:
+        """The end column, as a constant."""
+        return T.constant(self.scores.data[:, 1])
 
     def segment(self, batch: PackedBatch, i: int) -> "SpanLogits":
         """Constant scores of segment i of the packed batch they come from."""
         lo, hi = batch.offsets[i], batch.offsets[i + 1]
-        return SpanLogits(T.constant(self.start_scores.data[lo:hi]),
-                          T.constant(self.end_scores.data[lo:hi]))
+        return SpanLogits(T.constant(self.scores.data[lo:hi]))
 
 
 def tokenize_sample(
@@ -185,7 +186,9 @@ def tokenize_sample(
     max_len: int = 128,
     sample_id: str = "",
 ) -> TokenizedSample:
-    """Byte-tokenize a QA triple; answer offsets are character positions."""
+    """Byte-tokenize a QA triple; answer offsets are character positions.
+    A sample that cannot be represented raises ``TokenizationError``, an
+    unknown domain tag ``ValueError``."""
     if answer_start < 0 or context[answer_start:answer_start + len(answer_text)] != answer_text:
         raise TokenizationError(
             f"answer {answer_text!r} not found at offset {answer_start} of context"
@@ -200,28 +203,19 @@ def tokenize_sample(
     length = 3 + len(q_bytes) + len(c_bytes)
     if length > max_len:
         raise TokenizationError(f"sequence length {length} exceeds max length {max_len}")
+    if domain_tag not in DOMAIN_TAGS:
+        raise ValueError(f"unknown domain_tag {domain_tag!r}")
 
     ids = [SEQ_START_ID] + list(q_bytes) + [SEP_ID] + list(c_bytes) + [SEP_ID]
     ctx_start = 2 + len(q_bytes)
-    question_mask = np.zeros(length, dtype=bool)
-    question_mask[1:1 + len(q_bytes)] = True
-    context_mask = np.zeros(length, dtype=bool)
-    context_mask[ctx_start:ctx_start + len(c_bytes)] = True
-
     ans_byte_start = len(context[:answer_start].encode("utf-8"))
     ans_byte_len = len(answer_text.encode("utf-8"))
     span = (ctx_start + ans_byte_start, ctx_start + ans_byte_start + ans_byte_len - 1)
-    answer_mask = np.zeros(length, dtype=bool)
-    answer_mask[span[0]:span[1] + 1] = True
-
     return TokenizedSample(
         token_ids=np.array(ids, dtype=np.int64),
-        question_mask=question_mask,
-        context_mask=context_mask,
-        answer_mask=answer_mask,
+        question_len=len(q_bytes),
         answer_span=span,
         domain_tag=domain_tag,
-        special_positions=(0, 1 + len(q_bytes), length - 1),
         sample_id=sample_id,
     )
 
@@ -361,12 +355,7 @@ class SpanModel:
         return self._ln(x, "final_ln")
 
     def span_logits(self, features: Tensor) -> SpanLogits:
-        scores = T.linear(features, self.params["span.w"], self.params["span.b"])
-        length = features.shape[0]
-        return SpanLogits(
-            start_scores=T.reshape(T.slice_cols(scores, 0, 1), (length,)),
-            end_scores=T.reshape(T.slice_cols(scores, 1, 2), (length,)),
-        )
+        return SpanLogits(T.linear(features, self.params["span.w"], self.params["span.b"]))
 
     # -- checkpoint container --------------------------------------------------
 
@@ -471,7 +460,7 @@ def predict_span(logits: SpanLogits, context_mask, max_answer_len: int) -> tuple
     inside = ends < length
     ends = np.where(inside, ends, length - 1)
     valid = inside & mask[ends]
-    band = np.where(valid, logits.start_scores.data[starts][:, None] + logits.end_scores.data[ends],
-                    -np.inf)
+    scores = logits.scores.data
+    band = np.where(valid, scores[starts, 0][:, None] + scores[ends, 1], -np.inf)
     row, d = divmod(int(np.argmax(band)), band.shape[1])
     return int(starts[row]), int(starts[row] + d)

@@ -14,15 +14,16 @@ fused ops with hand-written VJPs that the encoder and its loss are built from
 are ``linear``, ``layer_norm`` (with gain and bias), ``ffn`` (ReLU
 feed-forward block), ``segment_attention`` (the q, k and v projections and
 multi-head softmax attention within each segment), ``segment_nll`` (negative
-log-softmax of each segment at one position) and ``gaussian_kernel``
+log-softmax of each segment of each score column at one position, for the
+span head's [N x 2] start and end scores) and ``gaussian_kernel``
 (multi-bandwidth Gaussian kernel matrix, for the contrastive loss; its numpy
 forward ``gaussian_kernel_values`` serves constant point sets). Every squared
 distance, in the kernels and in the median-heuristic bandwidths, comes from
 ``sq_dists`` in Gram form, |x|^2 + |y|^2 - 2 x.y clamped at 0, which needs
 [N x M] memory rather than an [N x M x H] difference tensor. Segment means
 are a ``matmul`` with a constant weight matrix. Besides these the engine holds
-only the arithmetic, ``embedding``, ``reshape`` and ``slice_cols`` (for the
-span head): every op has a caller in the model or its losses.
+only the arithmetic and ``embedding``: every op has a caller in the model or
+its losses.
 
 Broadcasting is deliberately narrow: operand shapes must match exactly, or the
 smaller operand's shape must equal the trailing dimensions of the larger one
@@ -241,13 +242,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), vjp)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != a.data.size:
-        raise ShapeError(f"cannot reshape {a.shape} to {shape}")
-    old = a.shape
-    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
-
-
 # -- fused blocks -------------------------------------------------------------
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -392,25 +386,28 @@ def segment_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
 
 
 def segment_nll(scores: Tensor, offsets, index) -> Tensor:
-    """Per-segment negative log-softmax of a packed score vector at one row per
-    segment: out[i] = -log softmax(scores[o_i:o_(i+1)])[index[i] - o_i], where
+    """Per-segment negative log-softmax of each column of packed [N x K]
+    scores, at one row per segment and column: out[i, k] =
+    -log softmax(scores[o_i:o_(i+1), k])[index[i, k] - o_i], where the [B x K]
     ``index`` holds absolute rows."""
-    if scores.data.ndim != 1:
-        raise ShapeError(f"segment_nll expects 1-D scores, got {scores.shape}")
+    if scores.data.ndim != 2:
+        raise ShapeError(f"segment_nll expects [N x K] scores, got {scores.shape}")
     bounds = _segment_bounds(offsets, scores.shape[0])
     starts, lengths = bounds[:-1], np.diff(bounds)
     idx = np.asarray(index, dtype=np.int64)
-    if idx.shape != starts.shape or np.any(idx < starts) or np.any(idx >= bounds[1:]):
+    if (idx.shape != (starts.size, scores.shape[1]) or np.any(idx < starts[:, None])
+            or np.any(idx >= bounds[1:, None])):
         raise ValueError(f"index {idx.tolist()} outside segments {bounds.tolist()}")
-    shifted = scores.data - np.repeat(np.maximum.reduceat(scores.data, starts), lengths)
+    cols = np.arange(scores.shape[1])
+    shifted = scores.data - np.repeat(np.maximum.reduceat(scores.data, starts), lengths, axis=0)
     e = np.exp(shifted)
     total = np.add.reduceat(e, starts)
-    out = np.log(total) - shifted[idx]
-    soft = e / np.repeat(total, lengths)
+    out = np.log(total) - shifted[idx, cols]
+    soft = e / np.repeat(total, lengths, axis=0)
 
     def vjp(g: Array):
-        gs = soft * np.repeat(g, lengths)
-        gs[idx] -= g
+        gs = soft * np.repeat(g, lengths, axis=0)
+        gs[idx, cols] -= g
         return (gs,)
 
     return _node(out, (scores,), vjp)
@@ -487,19 +484,6 @@ def gaussian_kernel(x: Tensor, y: Tensor, bandwidths: Sequence[float]) -> Tensor
                 gd.sum(axis=0)[:, None] * y.data - gd.T @ x.data)
 
     return _node(out, (x, y), vjp)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"slice_cols expects a 2-D tensor, got {a.shape}")
-    out = a.data[:, start:stop].copy()
-
-    def vjp(g: Array):
-        ga = np.zeros_like(a.data)
-        ga[:, start:stop] = g
-        return (ga,)
-
-    return _node(out, (a,), vjp)
 
 
 def sum_(a: Tensor) -> Tensor:

@@ -95,6 +95,12 @@ class TrainConfig:
 
     def validate(self) -> list[str]:
         problems = []
+        for name in ("epochs", "batch_size", "seed", "max_answer_len", "eval_cadence"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                problems.append(f"{name}: must be an integer, got {value!r}")
+        if problems:  # the range checks below assume integers
+            return problems
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             problems.append("learning_rate: must be finite and > 0")
         if self.epochs < 1:

@@ -10,26 +10,17 @@ def make_sample(seed=0, length=12, vocab=32, domain_tag="source", answer=None):
     assert length >= 6
     sep = int(rng.integers(2, length - 3))  # >=1 question token, >=1 context token
     ids = rng.integers(0, vocab, size=length)
-    question = np.zeros(length, dtype=bool)
-    question[1:sep] = True
-    context = np.zeros(length, dtype=bool)
-    context[sep + 1:length - 1] = True
-    ctx_positions = np.flatnonzero(context)
+    ctx_positions = np.arange(sep + 1, length - 1)
     if answer is None:
         s = int(rng.choice(ctx_positions))
         e = int(rng.integers(s, ctx_positions[-1] + 1))
     else:
         s, e = answer
-    answer_mask = np.zeros(length, dtype=bool)
-    answer_mask[s:e + 1] = True
     return TokenizedSample(
         token_ids=ids,
-        question_mask=question,
-        context_mask=context,
-        answer_mask=answer_mask,
+        question_len=sep - 1,
         answer_span=(s, e),
         domain_tag=domain_tag,
-        special_positions=(0, sep, length - 1),
         sample_id=f"synthetic-{seed}",
     )
 

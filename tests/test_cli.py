@@ -414,12 +414,48 @@ def test_train_rejects_bad_optimizer_section(synth_dir, tmp_path, capsys, optimi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 1.5), ("batch_size", 8.5), ("seed", 1.5), ("max_answer_len", 2.5),
+    ("eval_cadence", 0.5), ("epochs", True),
+])
+def test_train_rejects_non_integer_field(synth_dir, tmp_path, capsys, field, value):
+    cfg_path = tmp_path / "t.json"
+    cfg_path.write_text(json.dumps(train_config_dict(synth_dir / "source.json",
+                                                     **{field: value})))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[1:] == [f"{field}: must be an integer, got {value!r}"]
+    assert not out.exists()
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
 
     def test_missing_required_flag(self):
         assert main(["synth"]) == 1
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("generate", "--k", "0"), ("generate", "--k", "-1"), ("generate", "--k", "two"),
+        ("generate", "--max-answer-len", "0"), ("eval", "--max-answer-len", "0"),
+        ("pca", "--max-samples", "0"),
+    ])
+    def test_bad_count_flag_rejected_before_reading_inputs(self, tmp_path, capsys, command,
+                                                           flag, value):
+        # the inputs do not exist: reading one would be a runtime error, exit 2
+        missing = str(tmp_path / "missing")
+        inputs = {"generate": ["--contexts", missing],
+                  "eval": ["--checkpoint", missing, "--dataset", missing],
+                  "pca": ["--checkpoint", missing, "--dataset", missing]}[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, *inputs, f"{flag}={value}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "integer >= 1" in err
+        assert not out.exists()
 
     def test_env_run_root(self, synth_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("QADAPT_RUN_ROOT", str(tmp_path / "custom-root"))

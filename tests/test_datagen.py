@@ -190,14 +190,16 @@ class TestRoundtripFilter:
         assert bad not in kept
 
     def test_normalized_match_keeps_article_case_variants(self, model, monkeypatch):
-        # force the model's prediction to a known span, then compare normalization
+        # force the model's prediction to a known span, then compare normalization;
+        # the filter decodes through evaluation.predict_answers
         import qadapt.datagen as dg
+        import qadapt.evaluation as ev
         ctx = "The Cat sat"
         cand = GenCandidate(
             context_id="c", context=ctx, question="who ___", answer_text="The Cat",
             answer_start=0, token_probs=(0.5, 0.5), lm_score=0.25,
         )
-        monkeypatch.setattr(dg, "predict_span", lambda logits, mask, k: (13, 15))
+        monkeypatch.setattr(ev, "predict_span", lambda logits, mask, k: (13, 15))
         # tokens 13..15 decode from the context bytes; layout: [S]+question(7)+[SEP] -> ctx starts at 9
         # bytes 13-9=4..6 of "The Cat sat" = "Cat"; "cat" vs normalize("The Cat") = "cat" -> kept
         kept = dg.roundtrip_filter([cand], model, max_answer_len=8)

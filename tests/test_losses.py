@@ -20,7 +20,7 @@ from qadapt.losses import (
     span_cross_entropy,
     total_loss,
 )
-from qadapt.model import PackedBatch, SpanLogits, TokenizedSample
+from qadapt.model import PackedBatch, SpanLogits, TokenizedSample, tokenize_sample
 from conftest import make_sample
 
 
@@ -196,12 +196,12 @@ class TestClassMeans:
         cm = class_means(T.constant(values), PackedBatch.pack([ts]))
         assert np.max(np.abs(cm.cq_mean.data)) == 0.0
 
-    def test_empty_answer_mask_signalled(self, tiny_model):
-        ts = make_sample(seed=25)
-        feats = tiny_model.encode(ts)
-        ts.answer_mask[:] = False
-        with pytest.raises(MalformedSampleError):
-            class_means(feats, PackedBatch.pack([ts]))
+    def test_sample_without_non_answer_tokens_signalled(self):
+        # a SQuAD record with an empty question whose answer is the whole context
+        ts = tokenize_sample("", "ab", 0, "ab", "source")
+        feats = T.constant(np.ones((len(ts), 3)))
+        with pytest.raises(MalformedSampleError, match="non-answer"):
+            class_means(feats, PackedBatch.pack([make_sample(seed=25), ts]))
 
 
 def random_means(seed, n, dim=4, tags=None):
@@ -333,18 +333,20 @@ class TestContrastiveLoss:
 
 
 def gold_batch(length, span):
-    """A one-sample packed batch of context tokens only, answer ``span``."""
-    mask = np.ones(length, dtype=bool)
-    answer = np.zeros(length, dtype=bool)
-    answer[span[0]:span[1] + 1] = True
-    return PackedBatch.pack([TokenizedSample(
-        token_ids=np.zeros(length), question_mask=~mask, context_mask=mask, answer_mask=answer,
-        answer_span=span, domain_tag="source", special_positions=())])
+    """A one-sample packed batch of ``length`` tokens with answer ``span``."""
+    return PackedBatch.pack([TokenizedSample(token_ids=np.zeros(length, dtype=np.int64),
+                                             question_len=0, answer_span=span,
+                                             domain_tag="source")])
+
+
+def span_scores(start, end) -> SpanLogits:
+    """Constant span logits with the given start and end columns."""
+    return SpanLogits(T.constant(np.stack([start, end], axis=1)))
 
 
 class TestSpanCrossEntropy:
     def test_uniform_logits(self):
-        logits = SpanLogits(T.constant(np.zeros(4)), T.constant(np.zeros(4)))
+        logits = span_scores(np.zeros(4), np.zeros(4))
         assert abs(span_cross_entropy(logits, gold_batch(4, (1, 2))).item() - math.log(4)) < 1e-12
 
     def test_saturated_softmax(self):
@@ -352,12 +354,12 @@ class TestSpanCrossEntropy:
         end = np.zeros(6)
         start[2] = 30.0
         end[4] = 30.0
-        logits = SpanLogits(T.constant(start), T.constant(end))
+        logits = span_scores(start, end)
         assert span_cross_entropy(logits, gold_batch(6, (2, 4))).item() < 1e-9
 
     def test_hand_computed_three_positions(self):
         scores = np.array([1.0, 2.0, 3.0])
-        logits = SpanLogits(T.constant(scores), T.constant(scores))
+        logits = span_scores(scores, scores)
         start_term = -math.log(math.exp(1) / (math.exp(1) + math.exp(2) + math.exp(3)))
         end_term = -math.log(math.exp(3) / (math.exp(1) + math.exp(2) + math.exp(3)))
         assert abs(end_term - 0.40760596444438) < 1e-9
@@ -366,7 +368,7 @@ class TestSpanCrossEntropy:
 
     def test_gold_outside_sequence_rejected(self):
         # logits of 3 tokens against a 4-token sample whose gold ends at token 3
-        logits = SpanLogits(T.constant(np.zeros(3)), T.constant(np.zeros(3)))
+        logits = span_scores(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError, match="offsets"):
             span_cross_entropy(logits, gold_batch(4, (1, 3)))
 

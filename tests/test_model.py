@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from qadapt.model import (
     SpanModel,
     TokenizationError,
     CheckpointError,
-    TokenizedSample,
     embedding_noise,
     predict_span,
     tokenize_sample,
@@ -66,20 +67,9 @@ class TestTokenizer:
         assert not np.any(ts.question_mask & ts.context_mask)
         assert np.array_equal(ts.question_mask | ts.context_mask, ~special)
 
-    def test_malformed_answer_mask_rejected(self):
-        ts = make_sample(seed=4)
-        bad = ts.answer_mask.copy()
-        bad[np.flatnonzero(ts.question_mask)[0]] = True
-        with pytest.raises(ValueError):
-            TokenizedSample(
-                token_ids=ts.token_ids,
-                question_mask=ts.question_mask,
-                context_mask=ts.context_mask,
-                answer_mask=bad,
-                answer_span=ts.answer_span,
-                domain_tag=ts.domain_tag,
-                special_positions=ts.special_positions,
-            )
+    def test_unknown_domain_tag_rejected(self):
+        with pytest.raises(ValueError, match="domain_tag"):
+            tokenize_sample("q", "ab", 0, "ab", "target")
 
 
 class TestTokenizeSamples:
@@ -128,12 +118,27 @@ class TestTokenizeSamples:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_span_text_returns_the_gold_answer(self, data):
-        context = data.draw(st.text(st.characters(blacklist_categories=("Cs",)),
-                                    min_size=1, max_size=24))
+        """Also the layout invariants: the question and context masks are
+        disjoint and cover every position but the three specials, the answer
+        lies inside the context, and the context starts where its bytes do."""
+        text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=24)
+        question = data.draw(st.sampled_from(["", "qü?"]) | text, label="question")
+        context = data.draw(text.filter(bool), label="context")
         start = data.draw(st.integers(0, len(context) - 1))
         answer = context[start:data.draw(st.integers(start + 1, len(context)))]
-        ts = tokenize_sample("qü?", context, start, answer, "source", max_len=256)
+        ts = tokenize_sample(question, context, start, answer, "source", max_len=256)
         assert ts.span_text(context, ts.answer_span) == answer
+
+        special = np.zeros(len(ts), dtype=bool)
+        special[list(ts.special_positions)] = True
+        q, c, a = ts.question_mask, ts.context_mask, ts.answer_mask
+        assert not np.any(q & c) and not np.any((q | c) & special)
+        assert np.array_equal(q | c, ~special)
+        assert a.any() and np.all(c[a])
+        c_bytes = context.encode("utf-8")
+        assert ts.context_token_start == np.flatnonzero(c)[0]
+        assert bytes(ts.token_ids[c].astype(np.uint8)) == c_bytes
+        assert bytes(ts.token_ids[q].astype(np.uint8)) == question.encode("utf-8")
 
 
 class TestEncode:
@@ -172,15 +177,7 @@ class TestEncode:
         if ids[i] == ids[j]:
             ids[j] = (ids[j] + 1) % tiny_model.config.vocab_size
         ids[i], ids[j] = ids[j], ids[i]
-        swapped = TokenizedSample(
-            token_ids=ids,
-            question_mask=ts.question_mask,
-            context_mask=ts.context_mask,
-            answer_mask=ts.answer_mask,
-            answer_span=ts.answer_span,
-            domain_tag=ts.domain_tag,
-            special_positions=ts.special_positions,
-        )
+        swapped = dataclasses.replace(ts, token_ids=ids)
         assert not np.allclose(tiny_model.encode(swapped).data, base)
 
 
@@ -212,6 +209,11 @@ class TestPackedEncode:
             PackedBatch.pack([])
 
 
+def span_scores(start, end) -> SpanLogits:
+    """Constant span logits with the given start and end columns."""
+    return SpanLogits(T.constant(np.stack([start, end], axis=1)))
+
+
 def softmax(scores):
     e = np.exp(scores.data - scores.data.max())
     return e / e.sum()
@@ -234,7 +236,7 @@ class TestSpanHead:
             assert abs(softmax(scores).sum() - 1.0) < 1e-12
 
     def test_length_one_distribution_is_point_mass(self):
-        logits = SpanLogits(T.constant(np.array([2.0])), T.constant(np.array([-1.0])))
+        logits = span_scores([2.0], [-1.0])
         assert softmax(logits.start_scores)[0] == 1.0
         assert predict_span(logits, np.array([True]), max_answer_len=4) == (0, 0)
 
@@ -245,19 +247,19 @@ class TestPredictSpan:
         end = np.full(10, -5.0)
         start[3] = 5.0
         end[5] = 5.0
-        logits = SpanLogits(T.constant(start), T.constant(end))
+        logits = span_scores(start, end)
         mask = np.zeros(10, dtype=bool)
         mask[2:9] = True
         assert predict_span(logits, mask, max_answer_len=8) == (3, 5)
 
     def test_tie_break_first_context_position(self):
-        logits = SpanLogits(T.constant(np.zeros(8)), T.constant(np.zeros(8)))
+        logits = span_scores(np.zeros(8), np.zeros(8))
         mask = np.zeros(8, dtype=bool)
         mask[3:7] = True
         assert predict_span(logits, mask, max_answer_len=4) == (3, 3)
 
     def test_empty_context_rejected(self):
-        logits = SpanLogits(T.constant(np.zeros(4)), T.constant(np.zeros(4)))
+        logits = span_scores(np.zeros(4), np.zeros(4))
         with pytest.raises(ValueError, match="context"):
             predict_span(logits, np.zeros(4, dtype=bool), max_answer_len=2)
 
@@ -275,7 +277,7 @@ class TestPredictSpan:
                     if start[s] + end[e] > best_score:
                         best_score = start[s] + end[e]
                         best = (s, e)
-        got = predict_span(SpanLogits(T.constant(start), T.constant(end)), mask, max_len)
+        got = predict_span(span_scores(start, end), mask, max_len)
         assert got == best
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
@@ -285,7 +287,7 @@ class TestPredictSpan:
         L = 12
         mask = np.zeros(L, dtype=bool)
         mask[4:10] = True
-        logits = SpanLogits(T.constant(rng.standard_normal(L)), T.constant(rng.standard_normal(L)))
+        logits = span_scores(rng.standard_normal(L), rng.standard_normal(L))
         s, e = predict_span(logits, mask, max_len)
         assert mask[s] and mask[e]
         assert s <= e <= s + max_len - 1
@@ -304,7 +306,7 @@ class TestPredictSpan:
             for e in range(s, min(s + max_len, L)):
                 if mask[e] and start[s] + end[e] > best_score:
                     best_score, best = start[s] + end[e], (int(s), e)
-        got = predict_span(SpanLogits(T.constant(start), T.constant(end)), mask, max_len)
+        got = predict_span(span_scores(start, end), mask, max_len)
         assert got == best
 
     def test_constant_shift_invariance(self):
@@ -312,8 +314,8 @@ class TestPredictSpan:
         start, end = rng.standard_normal(9), rng.standard_normal(9)
         mask = np.zeros(9, dtype=bool)
         mask[2:8] = True
-        a = predict_span(SpanLogits(T.constant(start), T.constant(end)), mask, 4)
-        b = predict_span(SpanLogits(T.constant(start + 13.5), T.constant(end)), mask, 4)
+        a = predict_span(span_scores(start, end), mask, 4)
+        b = predict_span(span_scores(start + 13.5, end), mask, 4)
         assert a == b
 
 

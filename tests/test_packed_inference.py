@@ -1,5 +1,6 @@
-"""Packed forward-only inference (``model.encode_chunks``) against a per-sample
-reference that encodes each sample alone.
+"""Packed forward-only inference (``model.encode_chunks``, and the decoder
+``evaluation.predict_answers`` built on it) against a per-sample reference
+that encodes each sample alone.
 
 Set sizes are drawn across the chunk boundary (1, chunk - 1, chunk, chunk + 1
 and 2 * chunk + 3 samples), with untokenizable samples mixed in. The
@@ -20,11 +21,13 @@ from qadapt.datagen import (
     DomainDataset, DomainShiftSpec, GenCandidate, RawQASample, make_synthetic_domains,
     roundtrip_filter,
 )
-from qadapt.evaluation import answer_mean_features, normalize_answer
+from qadapt.evaluation import (
+    answer_mean_features, normalize_answer, predict_answer, predict_answers,
+)
 from qadapt.losses import class_means
 from qadapt.model import (
-    INFER_CHUNK, EncoderConfig, PackedBatch, SpanModel, TARGET_SYNTHETIC, predict_span,
-    tokenize_sample,
+    INFER_CHUNK, EncoderConfig, PackedBatch, SpanModel, TARGET_SYNTHETIC, TokenizationError,
+    predict_span, tokenize_sample, tokenize_samples,
 )
 
 SIZES = (1, INFER_CHUNK - 1, INFER_CHUNK, INFER_CHUNK + 1, 2 * INFER_CHUNK + 3)
@@ -150,3 +153,25 @@ class TestRoundtripFilter:
                     lambda p: GenCandidate(f"bad{p}", LONG_CONTEXT, "q?", "word", 0, (0.5,), 0.5))
         assert roundtrip_filter(mixed, model, MAX_ANSWER_LEN) == [
             candidates[i] for i in order if keep[i]]
+
+
+class TestPredictAnswers:
+    @pytest.fixture(scope="class")
+    def reference(self, model, source):
+        """``predict_answer`` of each pool sample, which decodes it alone."""
+        return [predict_answer(model, s, MAX_ANSWER_LEN) for s in source]
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_answers_match_predict_answer_alone(self, model, source, reference, data):
+        order, bad_positions = draw_selection(data)
+        samples = mix([source[i] for i in order], bad_positions,
+                      lambda p: RawQASample("q?", LONG_CONTEXT, "word", 0, f"bad{p}"))
+        pairs = tokenize_samples(samples, "source", CONFIG.max_len)
+        assert [s for s, _ in pairs] == [source[i] for i in order]
+        assert predict_answers(model, pairs, MAX_ANSWER_LEN) == [reference[i] for i in order]
+
+    def test_untokenizable_sample_raises_alone(self, model):
+        with pytest.raises(TokenizationError):
+            predict_answer(model, RawQASample("q?", LONG_CONTEXT, "word", 0, "bad"),
+                           MAX_ANSWER_LEN)

@@ -17,12 +17,11 @@ def rand(shape, seed, scale=1.0):
     return rng.standard_normal(shape) * scale
 
 
-def row_log_softmax(t, j):
-    """Column j of the row-wise log-softmax of a 2-D tensor, from segment_nll
-    with one segment per row."""
+def col_log_softmax(t, i):
+    """Row i of the column-wise log-softmax of a 2-D tensor, from segment_nll
+    with all rows one segment: a [1 x cols] tensor."""
     rows, cols = t.shape
-    return -T.segment_nll(T.reshape(t, (rows * cols,)), np.arange(rows + 1) * cols,
-                          np.arange(rows) * cols + j)
+    return -T.segment_nll(t, [0, rows], [[i] * cols])
 
 
 def attention_params(width, seed, scale=1.0):
@@ -33,13 +32,14 @@ def attention_params(width, seed, scale=1.0):
 
 
 def row_softmax_sums(x):
-    """Per-row sums of the softmax of a 2-D array, one segment_nll per column."""
-    return sum(np.exp(row_log_softmax(constant(x), j).data) for j in range(x.shape[1]))
+    """Per-row sums of the softmax of a 2-D array: the column-wise softmax of
+    its transpose, one segment_nll per column of x."""
+    return sum(np.exp(col_log_softmax(constant(x.T), j).data[0]) for j in range(x.shape[1]))
 
 
 class TestForward:
     def test_softmax_uniform_logits(self):
-        out = T.segment_nll(constant(np.zeros(8)), [0, 4, 8], [1, 6])
+        out = T.segment_nll(constant(np.zeros((8, 2))), [0, 4, 8], [[1, 0], [6, 7]])
         assert np.allclose(np.exp(-out.data), 0.25, atol=0)
 
     def test_softmax_rows_sum_to_one(self):
@@ -50,7 +50,7 @@ class TestForward:
         x = rand((4, 6), seed=2, scale=2.0)
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         want = np.log(e / e.sum(axis=-1, keepdims=True))
-        got = np.stack([row_log_softmax(constant(x), j).data for j in range(6)], axis=1)
+        got = np.stack([col_log_softmax(constant(x.T), j).data[0] for j in range(6)], axis=1)
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_masked_mean_single_row_identity(self):
@@ -210,50 +210,55 @@ def _fixed(shape, seed):
 
 
 SEGMENTS = [0, 1, 4]  # two segments of different lengths over 4 packed rows
-WEIGHT_ROWS, BIAS_ROW = constant(np.eye(4)[:3]), constant(np.eye(4)[3:])
+WEIGHT_ROWS = constant(np.eye(4)[:3])
 
 
 def _attention_with(position):
     """segment_attention (3 heads) with the [4 x 3] input as x (position 0) or
-    as the stacked [w; b] of the q, k or v projection (positions 1 to 3)."""
+    its first 3 rows as the q, k or v weight (positions 1 to 3). The biases,
+    and the weights of every input position, are checked in
+    ``FUSED_INPUTS``."""
     def fn(t, aux):
         args = [constant(aux.data)] + attention_params(3, seed=1)
         if position == 0:
             args[0] = t
         else:
             args[2 * position - 1] = T.matmul(WEIGHT_ROWS, t)
-            args[2 * position] = T.reshape(T.matmul(BIAS_ROW, t), (3,))
-        out = T.mul(T.segment_attention(*args, SEGMENTS, num_heads=3), _fixed((4, 3), 2)).sum()
-        if position == 2:
-            # bk shifts a row's scores by a constant, so its exact gradient is 0
-            # and its finite differences are round-off: a linear term in t gives
-            # every coordinate a nonzero reference
-            out = out + T.mul(t, _fixed((4, 3), 6)).sum()
-        return out
+        return T.mul(T.segment_attention(*args, SEGMENTS, num_heads=3), _fixed((4, 3), 2)).sum()
     return fn
 
 
-def _row_log_softmax_weighted(t, aux):
-    """Sum of the row-wise log-softmax of t weighted by aux, from segment_nll."""
+def _attention_inputs(x, wq, bq, wk, bk, wv, bv):
+    out = T.segment_attention(x, wq, bq, wk, bk, wv, bv, SEGMENTS, num_heads=3)
+    # bk shifts a row's scores by a constant, so its exact gradient is 0 and its
+    # finite differences are round-off: a linear term in bk gives every
+    # coordinate a nonzero reference
+    return T.mul(out, _fixed((4, 3), 13)).sum() + T.mul(bk, _fixed(3, 6)).sum()
+
+
+def _col_log_softmax_weighted(t, aux):
+    """Sum of the column-wise log-softmax of t weighted by aux, from segment_nll."""
     total = None
-    for j in range(3):
-        term = T.mul(row_log_softmax(t, j), constant(aux.data[:, j])).sum()
+    for i in range(4):
+        term = T.mul(col_log_softmax(t, i), constant(aux.data[i])).sum()
         total = term if total is None else total + term
     return total
 
 
-def _row_softmax_weighted(t, aux):
-    """Sum of the row-wise softmax of t weighted by aux, from segment_attention:
-    row i of t becomes a segment of 3 packed rows (t_ij, aux_ij). The query
-    (sqrt 2, 0) scores key j by t_ij and the value of key j is (0, aux_ij),
-    so each of the segment's 3 output rows is (0, sum_j softmax_ij aux_ij)."""
-    rows = (T.matmul(T.reshape(t, (12, 1)), constant([[1.0, 0.0]]))
-            + constant(np.stack([np.zeros(12), aux.data.ravel()], axis=1)))
-    zero = constant(np.zeros(2))
-    mixed = T.segment_attention(rows, constant(np.zeros((2, 2))), constant([np.sqrt(2.0), 0.0]),
-                                constant(np.eye(2)), zero, constant(np.diag([0.0, 1.0])), zero,
-                                [0, 3, 6, 9, 12], 1)
-    return mixed.sum() * (1.0 / 3.0)
+def _col_softmax_weighted(t, aux):
+    """Sum of the column-wise softmax of t weighted by aux, from
+    segment_attention: the 4 packed rows [t | aux] are one segment, split into
+    3 heads of width 2. Head j's query (sqrt 2, 0) scores row i by t_ij, and
+    its value of row i is (0, aux_ij), so head j of each of the 4 output rows
+    is (0, sum_i softmax_ij aux_ij)."""
+    rows = T.matmul(t, constant(np.eye(3, 6))) + constant(np.hstack([np.zeros((4, 3)), aux.data]))
+    wk, wv = np.zeros((6, 6)), np.zeros((6, 6))
+    wk[[0, 1, 2], [0, 2, 4]] = 1.0  # t_ij to the first key column of head j
+    wv[[3, 4, 5], [1, 3, 5]] = 1.0  # aux_ij to the second value column of head j
+    zero = constant(np.zeros(6))
+    mixed = T.segment_attention(rows, constant(np.zeros((6, 6))), constant([np.sqrt(2.0), 0.0] * 3),
+                                constant(wk), zero, constant(wv), zero, [0, 4], 3)
+    return mixed.sum() * (1.0 / 4.0)
 
 
 IDENTITY_FFN = (constant(np.eye(3)), constant(np.zeros(3))) * 2  # ffn(t, ...) == relu(t)
@@ -270,14 +275,13 @@ OPS = {
     "matmul": ((3, 4), lambda t, aux: T.matmul(t, aux).sum()),
     "exp": ((4, 4), lambda t, aux: T.mul(T.gaussian_kernel(t, t, (0.5, 2.0, 8.0)), aux).sum()),
     "relu": ((4, 3), lambda t, aux: T.ffn(t, *IDENTITY_FFN).sum()),
-    "softmax": ((4, 3), _row_softmax_weighted),
-    "log_softmax": ((4, 3), _row_log_softmax_weighted),
+    "softmax": ((4, 3), _col_softmax_weighted),
+    "log_softmax": ((4, 3), _col_log_softmax_weighted),
     "layer_norm": ((4, 3), lambda t, aux: T.mul(
         T.layer_norm(t, constant(np.ones(3)), constant(np.zeros(3))), aux).sum()),
     "masked_mean": ((3,), lambda t, aux: T.mul(
         T.matmul(constant([[1 / 3, 0.0, 1 / 3, 1 / 3]]), t), aux).sum()),
     "pairwise_sq_dist": ((5, 3), lambda t, aux: T.gaussian_kernel(t, aux, (1.0,)).sum()),
-    "stack_slice": ((3, 4), lambda t, aux: T.slice_cols(T.matmul(t, aux), 1, 3).sum()),
     "linear": ((3, 5), lambda t, aux: T.mul(T.linear(t, aux, _fixed(5, 3)), _fixed((4, 5), 4)).sum()),
     "layer_norm_affine": ((2, 3), lambda t, aux: T.mul(
         T.layer_norm(t, constant(aux.data[0]), constant(aux.data[1])), _fixed((4, 3), 5)).sum()),
@@ -288,15 +292,15 @@ OPS = {
     "segment_attention_k": ((4, 3), _attention_with(2)),
     "segment_attention_v": ((4, 3), _attention_with(3)),
     "embedding": ((6, 3), lambda t, aux: T.mul(T.embedding(t, [3, 0, 3, 3, 1, 0]), aux).sum()),
-    "segment_nll": ((2,), lambda t, aux: T.mul(
-        T.segment_nll(T.reshape(t, (12,)), [0, 5, 12], [2, 9]), aux).sum()),
+    "segment_nll": ((2, 3), lambda t, aux: T.mul(
+        T.segment_nll(t, [0, 2, 4], [[0, 1, 1], [3, 2, 3]]), aux).sum()),
 }
 
 
 @pytest.mark.parametrize("op", sorted(OPS))
 @pytest.mark.parametrize("seed", range(7))
 def test_gradcheck_per_op(op, seed):
-    # spread: 22 ops x 7 seeds, plus 2 model-level checks
+    # spread: 21 ops x 7 seeds, plus 2 model-level checks
     aux_shape, fn = OPS[op]
     x = constant(rand((4, 3), seed=100 + seed))
     aux = constant(rand(aux_shape, seed=200 + seed))
@@ -311,6 +315,7 @@ FUSED_INPUTS = {
                    lambda x, g, b: T.mul(T.layer_norm(x, g, b), _fixed((4, 3), 11)).sum()),
     "ffn": ([(4, 3), (3, 6), (6,), (6, 3), (3,)],
             lambda x, w1, b1, w2, b2: T.mul(T.ffn(x, w1, b1, w2, b2), _fixed((4, 3), 12)).sum()),
+    "segment_attention": ([(4, 3)] + [(3, 3), (3,)] * 3, _attention_inputs),
 }
 
 
@@ -371,10 +376,18 @@ class TestFusedForward:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_segment_nll_matches_log_softmax(self):
-        x = rand(9, seed=36)
-        got = T.segment_nll(constant(x), [0, 4, 9], [1, 8]).data
-        want = [np.log(np.exp(seg).sum()) - seg[i] for seg, i in ((x[:4], 1), (x[4:], 4))]
+        x = rand((9, 2), seed=36)
+        got = T.segment_nll(constant(x), [0, 4, 9], [[1, 3], [8, 4]]).data
+        want = [[np.log(np.exp(x[lo:hi, k]).sum()) - x[i, k] for k, i in enumerate(rows)]
+                for lo, hi, rows in ((0, 4, (1, 3)), (4, 9, (8, 4)))]
         assert np.max(np.abs(got - want)) < 1e-14
+
+    @pytest.mark.parametrize("scores,index", [(np.zeros(6), [[1], [4]]),
+                                              (np.zeros((6, 2)), [1, 4]),
+                                              (np.zeros((6, 2)), [[1], [4]])])
+    def test_segment_nll_shapes_checked(self, scores, index):
+        with pytest.raises(ValueError):  # ShapeError for 1-D scores
+            T.segment_nll(constant(scores), [0, 3, 6], index)
 
     def test_overflowing_projection_raises_before_the_scores(self):
         # the projection is checked as a separate op's output would be, so no
@@ -394,7 +407,7 @@ class TestFusedForward:
 
     def test_segment_nll_index_outside_its_segment_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            T.segment_nll(constant(np.zeros(6)), [0, 3, 6], [1, 2])
+            T.segment_nll(constant(np.zeros((6, 2))), [0, 3, 6], [[1, 4], [2, 5]])
 
 
 class TestNoGrad:

@@ -489,7 +489,7 @@ class TestGridSearch:
         assert statuses == {0.1: "failed", 0.01: "ok"}
         assert result.best_beta == 0.01
 
-    @pytest.mark.parametrize("error", [MalformedSampleError("sample has an empty answer mask"),
+    @pytest.mark.parametrize("error", [MalformedSampleError("sample has no non-answer question/context tokens"),
                                        TokenizationError("token id outside the vocabulary")])
     def test_sample_error_cell_recorded_as_failed(self, toy_data, monkeypatch, caplog, error):
         import qadapt.training as tr
@@ -549,8 +549,7 @@ def _reference_loss(model, batch, config, step):
                              noise_seed=derive_seed(config.seed, 0x401535, step, i))
         logits = model.span_logits(feats)
         start, end = ts.answer_span
-        nll = (T.segment_nll(logits.start_scores, [0, len(ts)], [start])
-               + T.segment_nll(logits.end_scores, [0, len(ts)], [end])) * 0.5
+        nll = T.segment_nll(logits.scores, [0, len(ts)], [[start, end]]).mean()
         place = T.constant(np.eye(n)[:, i:i + 1])
         cq_mask = (ts.question_mask | ts.context_mask) & ~ts.answer_mask
         a_row, c_row = (T.matmul(place, T.matmul(T.constant(m[None] / m.sum()), feats))
