@@ -231,15 +231,21 @@ def _finite_nonnegative(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """A count or a length from the command line."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0  # not an integer at all: rejected below with the same message
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """Parser of an integer flag that must be at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1  # not an integer at all: rejected below with the same message
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)  # a count or a length
+_seed = _int_at_least(0)  # numpy seeds must be non-negative
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
@@ -341,14 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthesize shifted source/target corpora")
     p.add_argument("--spec", help="JSON file overriding domain-shift parameters")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("generate", help="generate and filter synthetic QA pairs")
     p.add_argument("--contexts", required=True, help="JSONL of target contexts")
     p.add_argument("--k", type=_positive_int, default=5, help="max QA pairs kept per context")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--filters", default="lm", help="comma list: none, lm, roundtrip")
     p.add_argument("--checkpoint", help="model used by the roundtrip filter")
     p.add_argument("--order", default="bigram", choices=("unigram", "bigram"))
@@ -358,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a span model from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--beta", type=_finite_nonnegative, help="override contrastive weight")
     p.add_argument("--sigma", type=_finite_nonnegative, help="override embedding noise scale")
     p.add_argument("--out")
@@ -370,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", default="0,0.01", help="comma-separated grid")
     p.add_argument("--criterion", default="dev_f1", choices=training.CRITERIA)
     p.add_argument("--dataset", help="selection dataset (defaults to the config dev set)")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out")
     p.set_defaults(func=cmd_grid)
 

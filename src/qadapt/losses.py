@@ -13,6 +13,7 @@ memory, where the direct difference form needs [N x M x H].
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,12 @@ class MalformedSampleError(ValueError):
     """A sample reached the loss with an unusable token-class layout."""
 
 
+def finite_real(value) -> bool:
+    """Whether a config number is a finite real: not a bool (which Python
+    counts as an int), a string, NaN or an infinity."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     """Explicit bandwidths, or median-heuristic resolution when None."""
@@ -45,11 +52,12 @@ class KernelConfig:
         if self.bandwidths is not None:
             if len(self.bandwidths) == 0:
                 raise ValueError("bandwidth list must be non-empty")
-            if not all(math.isfinite(g) and g > 0 for g in self.bandwidths):
-                raise ValueError(f"bandwidths must be positive and finite, got {self.bandwidths}")
+            if not all(finite_real(g) and g > 0 for g in self.bandwidths):
+                raise ValueError(f"bandwidths must be positive and finite, got {self.bandwidths!r}")
         if len(self.median_multipliers) == 0 or not all(
-                math.isfinite(m) and m > 0 for m in self.median_multipliers):
-            raise ValueError("median multipliers must be positive, finite and non-empty")
+                finite_real(m) and m > 0 for m in self.median_multipliers):
+            raise ValueError(f"median_multipliers must be positive, finite and non-empty, "
+                             f"got {self.median_multipliers!r}")
 
 
 @dataclass(frozen=True)
@@ -62,10 +70,10 @@ class ContrastiveConfig:
 
     def __post_init__(self):
         # NaN fails every comparison, so each number is also checked to be finite
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not (finite_real(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
+        if not (finite_real(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if self.sign_variant not in (SIGN_AS_PRINTED, SIGN_SIMILARITY_FLIPPED):
             raise ValueError(f"unknown sign_variant {self.sign_variant!r}")
         if self.pairing_variant not in (PAIRING_MIXED, PAIRING_DOMAIN_SEPARATED):

@@ -38,6 +38,11 @@ CHECKPOINT_MAGIC = b"QADAPT\x01"
 # whole set is slower, since ``losses.class_means`` builds dense [B x N] weights
 INFER_CHUNK = 32
 
+# per-layer parameters in the argument order of the two fused sublayer ops
+_ATTENTION_PARAMS = ("ln1.gain", "ln1.bias", "attn.wq", "attn.bq", "attn.wk", "attn.bk",
+                     "attn.wv", "attn.bv", "attn.wo", "attn.bo")
+_FFN_PARAMS = ("ln2.gain", "ln2.bias", "ff.w1", "ff.b1", "ff.w2", "ff.b2")
+
 SOURCE = "source"
 TARGET_SYNTHETIC = "target_synthetic"
 DOMAIN_TAGS = (SOURCE, TARGET_SYNTHETIC)
@@ -309,20 +314,8 @@ class SpanModel:
         for t in self.params.values():
             t.zero_grad()
 
-    def _ln(self, x: Tensor, prefix: str) -> Tensor:
-        return T.layer_norm(x, self.params[prefix + ".gain"], self.params[prefix + ".bias"])
-
-    def _attention(self, x: Tensor, layer: int, offsets: np.ndarray) -> Tensor:
-        p = self.params
-        pre = f"layer{layer}.attn."
-        heads = T.segment_attention(x, *(p[pre + n] for n in ("wq", "bq", "wk", "bk", "wv", "bv")),
-                                    offsets, self.config.num_heads)
-        return T.linear(heads, p[pre + "wo"], p[pre + "bo"])
-
-    def _ffn(self, x: Tensor, layer: int) -> Tensor:
-        p = self.params
-        pre = f"layer{layer}.ff."
-        return T.ffn(x, p[pre + "w1"], p[pre + "b1"], p[pre + "w2"], p[pre + "b2"])
+    def _layer_params(self, layer: int, names: tuple[str, ...]) -> list[Tensor]:
+        return [self.params[f"layer{layer}.{name}"] for name in names]
 
     def encode(self, sample: TokenizedSample | PackedBatch, noise_sigma: float = 0.0,
                noise_seed: int | Sequence[int] = 0) -> Tensor:
@@ -350,9 +343,10 @@ class SpanModel:
             x = x + T.constant(noise)
         x = x + T.embedding(self.params["pos_emb"], packed.positions)
         for i in range(cfg.num_layers):
-            x = x + self._attention(self._ln(x, f"layer{i}.ln1"), i, packed.offsets)
-            x = x + self._ffn(self._ln(x, f"layer{i}.ln2"), i)
-        return self._ln(x, "final_ln")
+            x = T.attention_sublayer(x, *self._layer_params(i, _ATTENTION_PARAMS), packed.offsets,
+                                     cfg.num_heads)
+            x = T.ffn_sublayer(x, *self._layer_params(i, _FFN_PARAMS))
+        return T.layer_norm(x, self.params["final_ln.gain"], self.params["final_ln.bias"])
 
     def span_logits(self, features: Tensor) -> SpanLogits:
         return SpanLogits(T.linear(features, self.params["span.w"], self.params["span.b"]))

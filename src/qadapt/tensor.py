@@ -11,13 +11,15 @@ sequences are concatenated into one ``[N x H]`` array without padding, and
 ``offsets`` (``[B + 1]``, starting at 0 and ending at N) mark where each
 sequence (segment) begins. A single sequence is the one-segment case. The
 fused ops with hand-written VJPs that the encoder and its loss are built from
-are ``linear``, ``layer_norm`` (with gain and bias), ``ffn`` (ReLU
-feed-forward block), ``segment_attention`` (the q, k and v projections and
-multi-head softmax attention within each segment), ``segment_nll`` (negative
-log-softmax of each segment of each score column at one position, for the
-span head's [N x 2] start and end scores) and ``gaussian_kernel``
-(multi-bandwidth Gaussian kernel matrix, for the contrastive loss; its numpy
-forward ``gaussian_kernel_values`` serves constant point sets). Every squared
+are ``linear``, ``layer_norm`` (with gain and bias), one op for each pre-norm
+residual sublayer of a transformer layer, ``attention_sublayer`` (x plus the
+output projection of multi-head softmax attention within each segment over
+the layer norm of x) and ``ffn_sublayer`` (x plus a ReLU feed-forward block
+over the layer norm of x), ``segment_nll`` (negative log-softmax of each
+segment of each score column at one position, for the span head's [N x 2]
+start and end scores) and ``gaussian_kernel`` (multi-bandwidth Gaussian
+kernel matrix, for the contrastive loss; its numpy forward
+``gaussian_kernel_values`` serves constant point sets). Every squared
 distance, in the kernels and in the median-heuristic bandwidths, comes from
 ``sq_dists`` in Gram form, |x|^2 + |y|^2 - 2 x.y clamped at 0, which needs
 [N x M] memory rather than an [N x M x H] difference tensor. Segment means
@@ -33,6 +35,7 @@ float64; every completed operation is checked for NaN/Inf.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
@@ -244,30 +247,53 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 # -- fused blocks -------------------------------------------------------------
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the rows of a [N x H] to zero mean and unit variance, then
-    scale by ``gain`` and shift by ``bias`` (both [H]). Row means are products
-    with a constant 1/H vector and variances row dots, so no pass builds a
-    squared copy of the input."""
-    width = a.shape[-1]
-    if a.data.ndim != 2 or gain.shape != (width,) or bias.shape != (width,):
-        raise ShapeError(f"layer_norm input {a.shape} / gain {gain.shape} / bias {bias.shape}")
-    inv_width = np.full(width, 1.0 / width)
-    xhat = a.data - (a.data @ inv_width)[:, None]
-    rstd = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / width + eps)[:, None]
+LN_EPS = 1e-5  # layer-norm variance floor
+
+# A segment whose scores all lie in [-ROW_MAX_BOUND, ROW_MAX_BOUND] takes its
+# softmax exponentials without subtracting each row's max: exp stays within
+# [e^-30, e^30], far from overflow and from underflow to 0.
+ROW_MAX_BOUND = 30.0
+
+
+def _layer_norm_rows(x: Array, gain: Array, bias: Array) -> tuple[Array, Array, Array]:
+    """Layer norm of the rows of x [N x H]: the output, the normalised rows
+    and the [N x 1] reciprocal standard deviations its VJP needs. Row means
+    are products with a constant 1/H vector and variances row dots, so no
+    pass builds a squared copy of the input."""
+    width = x.shape[1]
+    xhat = x - (x @ np.full(width, 1.0 / width))[:, None]
+    rstd = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / width + LN_EPS)[:, None]
     xhat *= rstd
-    out = xhat * gain.data
-    out += bias.data
+    out = xhat * gain
+    out += bias
+    return out, xhat, rstd
 
-    def vjp(g: Array):
-        gx = g * gain.data
-        gxh = np.einsum("ij,ij->i", gx, xhat)[:, None] / width
-        gx -= (gx @ inv_width)[:, None]
-        gx -= xhat * gxh
-        gx *= rstd
-        return gx, np.einsum("ij,ij->j", g, xhat), _col_sums(g)
 
-    return _node(out, (a, gain, bias), vjp)
+def _layer_norm_vjp(g: Array, gain: Array, xhat: Array, rstd: Array) -> tuple[Array, Array, Array]:
+    """Gradients of the layer norm input, gain and bias for the output
+    gradient g."""
+    width = xhat.shape[1]
+    gx = g * gain
+    gxh = np.einsum("ij,ij->i", gx, xhat)[:, None] / width
+    gx -= (gx @ np.full(width, 1.0 / width))[:, None]
+    gx -= xhat * gxh
+    gx *= rstd
+    return gx, np.einsum("ij,ij->j", g, xhat), _col_sums(g)
+
+
+def _check_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> int:
+    width = x.shape[-1]
+    if x.data.ndim != 2 or gain.shape != (width,) or bias.shape != (width,):
+        raise ShapeError(f"layer_norm input {x.shape} / gain {gain.shape} / bias {bias.shape}")
+    return width
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the rows of a [N x H] to zero mean and unit variance, then
+    scale by ``gain`` and shift by ``bias`` (both [H])."""
+    _check_layer_norm(a, gain, bias)
+    out, xhat, rstd = _layer_norm_rows(a.data, gain.data, bias.data)
+    return _node(out, (a, gain, bias), lambda g: _layer_norm_vjp(g, gain.data, xhat, rstd))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -285,48 +311,70 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(out, (x, w, b), vjp)
 
 
-def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Feed-forward block relu(x @ w1 + b1) @ w2 + b2 as one node."""
-    if x.data.ndim != 2 or x.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
+def ffn_sublayer(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                 b2: Tensor) -> Tensor:
+    """Pre-norm residual feed-forward sublayer as one node:
+    x + relu(h @ w1 + b1) @ w2 + b2 with h = layer_norm(x, gain, bias)."""
+    width = _check_layer_norm(x, gain, bias)
+    if w1.data.ndim != 2 or w1.shape[0] != width or w2.shape != (w1.shape[1], width):
         raise ShapeError(f"ffn shapes do not chain: {x.shape}, {w1.shape}, {w2.shape}")
-    if b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],):
+    if b1.shape != (w1.shape[1],) or b2.shape != (width,):
         raise ShapeError(f"ffn biases {b1.shape}, {b2.shape} do not match {w1.shape}, {w2.shape}")
-    hidden = x.data @ w1.data
+    h, xhat, rstd = _layer_norm_rows(x.data, gain.data, bias.data)
+    hidden = h @ w1.data
     hidden += b1.data
     mask = hidden > 0.0
     np.maximum(hidden, 0.0, out=hidden)
     out = hidden @ w2.data
     out += b2.data
+    out += x.data
 
     def vjp(g: Array):
         gh = g @ w2.data.T
         gh *= mask
-        return gh @ w1.data.T, x.data.T @ gh, _col_sums(gh), hidden.T @ g, _col_sums(g)
+        gx, ggain, gbias = _layer_norm_vjp(gh @ w1.data.T, gain.data, xhat, rstd)
+        gx += g
+        return gx, ggain, gbias, h.T @ gh, _col_sums(gh), hidden.T @ g, _col_sums(g)
 
-    return _node(out, (x, w1, b1, w2, b2), vjp)
+    return _node(out, (x, gain, bias, w1, b1, w2, b2), vjp)
 
 
 def _segment_bounds(offsets, rows: int) -> Array:
     bounds = np.asarray(offsets, dtype=np.int64)
     if (bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0 or bounds[-1] != rows
-            or np.any(np.diff(bounds) <= 0)):
+            or (bounds[1:] <= bounds[:-1]).any()):
         raise ShapeError(f"offsets must rise strictly from 0 to {rows}, got {bounds.tolist()}")
     return bounds
 
 
-def segment_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Tensor,
-                      bv: Tensor, offsets, num_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention inside each segment of packed
-    rows, projections included: q, k, v = x @ w + b for x [N x H] and each
-    [H x H] weight, computed as one [H x 3H] product. Heads are the
-    H / num_heads column groups, and each segment gets one [heads x L x L]
-    softmax; rows never attend across segments. The softmax is left
-    unnormalised: each head's output rows are divided by the row sums
-    instead. The output is the [N x H] head mix, before the output
-    projection."""
-    width = x.shape[1] if x.data.ndim == 2 else -1
-    weights, biases = (wq, wk, wv), (bq, bk, bv)
-    if (width < 0 or any(w.shape != (width, width) for w in weights)
+def _needs_row_max(qk: Array, starts: Array) -> Array:
+    """Per segment, whether its softmax must subtract the row max: [B]
+    booleans for head-major queries and keys stacked as [2 x heads x N x dh]
+    and segment starts [B]. By Cauchy-Schwarz every score q_i.k_j of a
+    segment lies within max_i |q_i| * max_j |k_j| of 0, per head; a segment
+    skips the subtraction when that bound is at most ROW_MAX_BOUND on every
+    head."""
+    peaks = np.maximum.reduceat(np.einsum("shnd,shnd->shn", qk, qk), starts, axis=2)
+    return (peaks[0] * peaks[1]).max(axis=0) > ROW_MAX_BOUND ** 2
+
+
+def attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tensor,
+                       wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
+                       offsets, num_heads: int) -> Tensor:
+    """Pre-norm residual attention sublayer as one node over packed rows:
+    x + mix @ wo + bo, where mix is multi-head scaled dot-product attention
+    inside each segment over h = layer_norm(x, gain, bias). The q, k and v
+    projections of h (each weight [H x H]) are one [H x 3H] product. Heads
+    are the H / num_heads column groups, read as strided [heads x N x dh]
+    views (a head-major copy costs a training step more than its contiguous
+    matmuls save), and each segment gets one [heads x L x L] softmax; rows
+    never attend across segments. The softmax is left unnormalised: each
+    head's output rows are divided by the row sums instead, and a segment
+    whose scores are bounded (``_needs_row_max``) skips the row-max
+    subtraction."""
+    width = _check_layer_norm(x, gain, bias)
+    weights, biases = (wq, wk, wv, wo), (bq, bk, bv, bo)
+    if (any(w.shape != (width, width) for w in weights)
             or any(b.shape != (width,) for b in biases)):
         raise ShapeError(f"attention expects [N x H] input with [H x H] weights and [H] biases, "
                          f"got {x.shape}, {[w.shape for w in weights]}, {[b.shape for b in biases]}")
@@ -334,40 +382,45 @@ def segment_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     if num_heads < 1 or width % num_heads:
         raise ShapeError(f"width {width} does not split into {num_heads} heads")
     bounds = _segment_bounds(offsets, rows)
-    segments = list(zip(bounds[:-1], bounds[1:]))
+    edges = bounds.tolist()
+    segments = list(zip(edges[:-1], edges[1:]))
     dh = width // num_heads
-    scale = 1.0 / np.sqrt(dh)
-    w = np.concatenate([t.data for t in weights], axis=1)
-    qkv = x.data @ w
-    qkv += np.concatenate([t.data for t in biases])
+    scale = 1.0 / math.sqrt(dh)
+    h, xhat, rstd = _layer_norm_rows(x.data, gain.data, bias.data)
+    w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    qkv = h @ w
+    qkv += np.concatenate([bq.data, bk.data, bv.data])
     if not np.isfinite(qkv).all():  # stop before the score matmuls turn inf into NaN
         raise NonFiniteError("operation produced non-finite values")
     qkv[:, :width] *= scale
-
-    def heads(a: Array, part: int) -> Array:  # column block of [N x kH] -> [heads x N x dh] view
-        return a[:, part * width:(part + 1) * width].reshape(rows, num_heads, dh).transpose(1, 0, 2)
-
-    qh, kh, vh = heads(qkv, 0), heads(qkv, 1), heads(qkv, 2)
-    ones = np.ones(int(np.diff(bounds).max()))
-    out = np.empty((rows, width))
-    outh = heads(out, 0)
+    qkvh = qkv.reshape(rows, 3, num_heads, dh).transpose(1, 2, 0, 3)
+    qh, kh, vh = qkvh
+    shift = _needs_row_max(qkvh[:2], bounds[:-1])
+    ones = np.ones(max(hi - lo for lo, hi in segments))
+    heads = np.empty((rows, width))  # the head mix, before the output projection
+    mix = heads.reshape(rows, num_heads, dh).transpose(1, 0, 2)
     sums = np.empty((num_heads, rows, 1))  # softmax denominators, per head and row
     exps = []  # unnormalised softmax numerators, per segment
-    for lo, hi in segments:
+    for (lo, hi), shifted in zip(segments, shift.tolist()):
         e = qh[:, lo:hi] @ kh[:, lo:hi].transpose(0, 2, 1)
-        e -= e.max(axis=-1, keepdims=True)
+        if shifted:
+            e -= e.max(axis=-1, keepdims=True)
         np.exp(e, out=e)
         np.matmul(e, ones[:hi - lo, None], out=sums[:, lo:hi])
-        np.matmul(e, vh[:, lo:hi], out=outh[:, lo:hi])
+        np.matmul(e, vh[:, lo:hi], out=mix[:, lo:hi])
         exps.append(e)
-    outh /= sums
+    mix /= sums
+    out = heads @ wo.data
+    out += bo.data
+    out += x.data
 
     def vjp(g: Array):
-        go = heads(g, 0) / sums  # gradient of the unnormalised mix e @ v
-        # rows of go . out: the softmax VJP's row dots, divided by the sums
-        dots = np.einsum("hnd,hnd->hn", go, outh)[..., None]
+        # gradient of the unnormalised mix e @ v
+        go = (g @ wo.data.T).reshape(rows, num_heads, dh).transpose(1, 0, 2) / sums
+        # rows of go . mix: the softmax VJP's row dots, divided by the sums
+        dots = np.einsum("hnd,hnd->hn", go, mix)[..., None]
         gqkv = np.empty((rows, 3 * width))
-        gqh, gkh, gvh = heads(gqkv, 0), heads(gqkv, 1), heads(gqkv, 2)
+        gqh, gkh, gvh = gqkv.reshape(rows, 3, num_heads, dh).transpose(1, 2, 0, 3)
         for (lo, hi), e in zip(segments, exps):
             np.matmul(e.transpose(0, 2, 1), go[:, lo:hi], out=gvh[:, lo:hi])
             gs = go[:, lo:hi] @ vh[:, lo:hi].transpose(0, 2, 1)
@@ -376,13 +429,16 @@ def segment_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
             np.matmul(gs, kh[:, lo:hi], out=gqh[:, lo:hi])
             np.matmul(gs.transpose(0, 2, 1), qh[:, lo:hi], out=gkh[:, lo:hi])
         gqkv[:, :width] *= scale
-        gw = x.data.T @ gqkv
+        gx, ggain, gbias = _layer_norm_vjp(gqkv @ w.T, gain.data, xhat, rstd)
+        gx += g
+        gw = h.T @ gqkv
         gb = _col_sums(gqkv)
-        return (gqkv @ w.T,) + tuple(
+        return (gx, ggain, gbias) + tuple(
             part for i in range(3)
-            for part in (gw[:, i * width:(i + 1) * width], gb[i * width:(i + 1) * width]))
+            for part in (gw[:, i * width:(i + 1) * width], gb[i * width:(i + 1) * width])
+        ) + (heads.T @ g, _col_sums(g))
 
-    return _node(out, (x, wq, bq, wk, bk, wv, bv), vjp)
+    return _node(out, (x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo), vjp)
 
 
 def segment_nll(scores: Tensor, offsets, index) -> Tensor:

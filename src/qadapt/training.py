@@ -26,6 +26,7 @@ from .losses import (
     ContrastiveConfig,
     MalformedSampleError,
     PAIRING_DOMAIN_SEPARATED,
+    finite_real,
     class_means,
     contrastive_loss,
     span_cross_entropy,
@@ -65,14 +66,14 @@ class OptimizerConfig:
 
     def __post_init__(self):
         # NaN fails every comparison, so each number is also checked to be finite
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"optimizer.eps must be finite and > 0, got {self.eps}")
-        if len(self.betas) != 2 or not all(math.isfinite(b) and 0 <= b < 1 for b in self.betas):
+        if not (finite_real(self.eps) and self.eps > 0):
+            raise ValueError(f"optimizer.eps must be finite and > 0, got {self.eps!r}")
+        if len(self.betas) != 2 or not all(finite_real(b) and 0 <= b < 1 for b in self.betas):
             raise ValueError(f"optimizer.betas must be two finite numbers in [0, 1), "
-                             f"got {self.betas}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+                             f"got {self.betas!r}")
+        if not (finite_real(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"optimizer.weight_decay must be finite and >= 0, "
-                             f"got {self.weight_decay}")
+                             f"got {self.weight_decay!r}")
         if (not isinstance(self.warmup_steps, int) or isinstance(self.warmup_steps, bool)
                 or self.warmup_steps < 0):
             raise ValueError(f"optimizer.warmup_steps must be an integer >= 0, "
@@ -101,12 +102,14 @@ class TrainConfig:
                 problems.append(f"{name}: must be an integer, got {value!r}")
         if problems:  # the range checks below assume integers
             return problems
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            problems.append("learning_rate: must be finite and > 0")
+        if not (finite_real(self.learning_rate) and self.learning_rate > 0):
+            problems.append(f"learning_rate: must be finite and > 0, got {self.learning_rate!r}")
         if self.epochs < 1:
             problems.append("epochs: must be >= 1")
         if self.batch_size < 1:
             problems.append("batch_size: must be >= 1")
+        if self.seed < 0:
+            problems.append("seed: must be >= 0")
         if self.mixing_policy not in (MIX_MIXED, MIX_SOURCE_ONLY):
             problems.append(f"mixing_policy: unknown policy {self.mixing_policy!r}")
         if self.mixing_policy == MIX_MIXED and self.batch_size < 2:
@@ -118,8 +121,8 @@ class TrainConfig:
             problems.append("max_answer_len: must be >= 1")
         if self.eval_cadence < 0:
             problems.append("eval_cadence: must be >= 0")
-        if not (math.isfinite(self.grad_clip) and self.grad_clip > 0):
-            problems.append("grad_clip: must be finite and > 0")
+        if not (finite_real(self.grad_clip) and self.grad_clip > 0):
+            problems.append(f"grad_clip: must be finite and > 0, got {self.grad_clip!r}")
         return problems
 
     def __post_init__(self):

@@ -431,6 +431,58 @@ def test_train_rejects_non_integer_field(synth_dir, tmp_path, capsys, field, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize("path, value", [
+    (("learning_rate",), True), (("grad_clip",), True), (("contrastive", "beta"), True),
+    (("contrastive", "noise_sigma"), False), (("optimizer", "eps"), True),
+    (("optimizer", "betas"), [False, 0.999]), (("optimizer", "weight_decay"), False),
+    (("contrastive", "kernel", "bandwidths"), [1.0, True]),
+    (("contrastive", "kernel", "median_multipliers"), [True]),
+])
+def test_train_rejects_bool_in_number_field(synth_dir, tmp_path, capsys, path, value):
+    d = train_config_dict(synth_dir / "source.json")
+    section = d
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    cfg_path = tmp_path / "t.json"
+    cfg_path.write_text(json.dumps(d))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and path[-1] in err
+    assert not out.exists()
+
+
+class TestNegativeSeedExit1:
+    """A negative seed is a usage error (exit 1): numpy takes only seeds >= 0."""
+
+    @pytest.mark.parametrize("command", ["synth", "generate", "train", "grid"])
+    def test_seed_flag_rejected_before_reading_inputs(self, tmp_path, capsys, command):
+        # the inputs do not exist: reading one would be a runtime error, exit 2
+        missing = str(tmp_path / "missing")
+        inputs = {"synth": [], "generate": ["--contexts", missing],
+                  "train": ["--config", missing], "grid": ["--config", missing]}[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, *inputs, "--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "integer >= 0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "grid"])
+    def test_config_seed_rejected(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "t.json"
+        cfg_path.write_text(json.dumps(train_config_dict(
+            tmp_path / "missing.json", dev={"sel": tmp_path / "missing_dev.json"}, seed=-1)))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "seed: must be >= 0" in err
+        assert not out.exists()
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1

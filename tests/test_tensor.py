@@ -25,10 +25,20 @@ def col_log_softmax(t, i):
 
 
 def attention_params(width, seed, scale=1.0):
-    """Constant [wq, bq, wk, bk, wv, bv] for segment_attention."""
-    return [constant(rand((width, width) if i % 2 == 0 else width, seed=1000 + 10 * seed + i,
-                          scale=scale))
-            for i in range(6)]
+    """Constant [gain, bias, wq, bq, wk, bk, wv, bv, wo, bo] for
+    attention_sublayer: a layer norm near the identity, q, k and v projections
+    scaled by ``scale`` and an unscaled output projection."""
+    ln = [constant(1.0 + rand(width, seed=1000 + 10 * seed, scale=0.1)),
+          constant(rand(width, seed=1001 + 10 * seed, scale=0.1))]
+    return ln + [constant(rand((width, width) if i % 2 == 0 else width, seed=1002 + 10 * seed + i,
+                               scale=1.0 if i >= 6 else scale))
+                 for i in range(8)]
+
+
+def reference_layer_norm(x, gain, bias):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + T.LN_EPS) * gain + bias
 
 
 def row_softmax_sums(x):
@@ -88,7 +98,7 @@ class TestForward:
 
         def run():
             h = T.matmul(constant(x), constant(x))
-            return T.segment_attention(h, *attention_params(6, seed=9), [0, 2, 6], 2).data
+            return T.attention_sublayer(h, *attention_params(6, seed=9), [0, 2, 6], 2).data
 
         assert np.array_equal(run(), run())
 
@@ -100,14 +110,15 @@ class TestBackward:
         assert x.grad == pytest.approx(6.0, abs=0)
 
     def test_sum_of_softmax_has_zero_gradient(self):
-        # with every value row 1 (wv = 0, bv = 1) each output entry is the sum
-        # of one row of attention probabilities, 1 whatever x is
+        # with every value row 1 (wv = 0, bv = 1) each head output entry is the
+        # sum of one row of attention probabilities, 1 whatever x is, so only
+        # the residual's gradient reaches x
         x = Tensor(rand((5, 4), seed=4), requires_grad=True)
-        wq, bq, wk, bk = attention_params(4, seed=4)[:4]
-        out = T.segment_attention(x, wq, bq, wk, bk, constant(np.zeros((4, 4))),
-                                  constant(np.ones(4)), [0, 5], 2)
+        params = attention_params(4, seed=4)
+        params[6:8] = [constant(np.zeros((4, 4))), constant(np.ones(4))]
+        out = T.attention_sublayer(x, *params, [0, 5], 2)
         backward(out.sum())
-        assert np.max(np.abs(x.grad)) < 1e-15
+        assert np.max(np.abs(x.grad - 1.0)) < 1e-15
 
     def test_unused_leaf_gets_no_gradient(self):
         x = Tensor(rand(3, seed=5), requires_grad=True)
@@ -165,13 +176,14 @@ class TestFiniteDifference:
 
     def test_composite_three_layer(self):
         w1 = rand((4, 5), seed=21)
-        w2 = rand((5, 3), seed=22)
+        w2 = rand((5, 4), seed=22)
         x = constant(rand((2, 4), seed=23))
 
         def f(t):
-            h = T.ffn(x, t, constant(np.zeros(5)), constant(w2), constant(np.zeros(3)))
-            eye, zero = constant(np.eye(3)), constant(np.zeros(3))
-            h = T.segment_attention(h, eye, zero, eye, zero, eye, zero, [0, 2], 1)
+            eye, zero, one = constant(np.eye(4)), constant(np.zeros(4)), constant(np.ones(4))
+            h = T.ffn_sublayer(x, one, zero, t, constant(np.zeros(5)), constant(w2), zero)
+            h = T.attention_sublayer(h, one, zero, eye, zero, eye, zero, eye, zero, eye, zero,
+                                     [0, 2], 1)
             return T.mul(h, h).sum()
 
         assert finite_difference_check(f, constant(w1)) < 1e-5
@@ -214,22 +226,23 @@ WEIGHT_ROWS = constant(np.eye(4)[:3])
 
 
 def _attention_with(position):
-    """segment_attention (3 heads) with the [4 x 3] input as x (position 0) or
-    its first 3 rows as the q, k or v weight (positions 1 to 3). The biases,
-    and the weights of every input position, are checked in
-    ``FUSED_INPUTS``."""
+    """attention_sublayer (3 heads) with the [4 x 3] input as x (position 0)
+    or its first 3 rows as the q, k or v weight (positions 1 to 3). The layer
+    norm, the biases and the output projection, and the weights of every
+    input position, are checked in ``FUSED_INPUTS``."""
     def fn(t, aux):
         args = [constant(aux.data)] + attention_params(3, seed=1)
         if position == 0:
             args[0] = t
         else:
-            args[2 * position - 1] = T.matmul(WEIGHT_ROWS, t)
-        return T.mul(T.segment_attention(*args, SEGMENTS, num_heads=3), _fixed((4, 3), 2)).sum()
+            args[2 * position + 1] = T.matmul(WEIGHT_ROWS, t)
+        return T.mul(T.attention_sublayer(*args, SEGMENTS, num_heads=3), _fixed((4, 3), 2)).sum()
     return fn
 
 
-def _attention_inputs(x, wq, bq, wk, bk, wv, bv):
-    out = T.segment_attention(x, wq, bq, wk, bk, wv, bv, SEGMENTS, num_heads=3)
+def _attention_inputs(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo):
+    out = T.attention_sublayer(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, SEGMENTS,
+                               num_heads=3)
     # bk shifts a row's scores by a constant, so its exact gradient is 0 and its
     # finite differences are round-off: a linear term in bk gives every
     # coordinate a nonzero reference
@@ -245,23 +258,18 @@ def _col_log_softmax_weighted(t, aux):
     return total
 
 
-def _col_softmax_weighted(t, aux):
-    """Sum of the column-wise softmax of t weighted by aux, from
-    segment_attention: the 4 packed rows [t | aux] are one segment, split into
-    3 heads of width 2. Head j's query (sqrt 2, 0) scores row i by t_ij, and
-    its value of row i is (0, aux_ij), so head j of each of the 4 output rows
-    is (0, sum_i softmax_ij aux_ij)."""
-    rows = T.matmul(t, constant(np.eye(3, 6))) + constant(np.hstack([np.zeros((4, 3)), aux.data]))
-    wk, wv = np.zeros((6, 6)), np.zeros((6, 6))
-    wk[[0, 1, 2], [0, 2, 4]] = 1.0  # t_ij to the first key column of head j
-    wv[[3, 4, 5], [1, 3, 5]] = 1.0  # aux_ij to the second value column of head j
-    zero = constant(np.zeros(6))
-    mixed = T.segment_attention(rows, constant(np.zeros((6, 6))), constant([np.sqrt(2.0), 0.0] * 3),
-                                constant(wk), zero, constant(wv), zero, [0, 4], 3)
-    return mixed.sum() * (1.0 / 4.0)
+UNIT_LN = (constant(np.ones(3)), constant(np.zeros(3)))
+IDENTITY_FFN = (constant(np.eye(3)), constant(np.zeros(3))) * 2  # hidden layer relu(layer_norm(t))
+IDENTITY_ATTENTION = (constant(np.eye(3)), constant(np.zeros(3))) * 4
 
 
-IDENTITY_FFN = (constant(np.eye(3)), constant(np.zeros(3))) * 2  # ffn(t, ...) == relu(t)
+def _softmax_weighted(t, aux):
+    """Attention of the 4 rows of t as one segment and one head, with identity
+    projections of its unit layer norm h: t + softmax(h h^T / sqrt 3) h,
+    weighted by aux."""
+    out = T.attention_sublayer(t, *UNIT_LN, *IDENTITY_ATTENTION, [0, 4], 1)
+    return T.mul(out, aux).sum()
+
 
 # each entry: (aux shape, scalar-valued function of a [4 x 3] input and the aux);
 # relu, softmax, log_softmax and masked_mean are the forms those functions take
@@ -274,23 +282,23 @@ OPS = {
     "mul": ((4, 3), lambda t, aux: (t * aux * t).sum()),
     "matmul": ((3, 4), lambda t, aux: T.matmul(t, aux).sum()),
     "exp": ((4, 4), lambda t, aux: T.mul(T.gaussian_kernel(t, t, (0.5, 2.0, 8.0)), aux).sum()),
-    "relu": ((4, 3), lambda t, aux: T.ffn(t, *IDENTITY_FFN).sum()),
-    "softmax": ((4, 3), _col_softmax_weighted),
+    "relu": ((4, 3), lambda t, aux: T.ffn_sublayer(t, *UNIT_LN, *IDENTITY_FFN).sum()),
+    "softmax": ((4, 3), _softmax_weighted),
     "log_softmax": ((4, 3), _col_log_softmax_weighted),
-    "layer_norm": ((4, 3), lambda t, aux: T.mul(
-        T.layer_norm(t, constant(np.ones(3)), constant(np.zeros(3))), aux).sum()),
+    "layer_norm": ((4, 3), lambda t, aux: T.mul(T.layer_norm(t, *UNIT_LN), aux).sum()),
     "masked_mean": ((3,), lambda t, aux: T.mul(
         T.matmul(constant([[1 / 3, 0.0, 1 / 3, 1 / 3]]), t), aux).sum()),
     "pairwise_sq_dist": ((5, 3), lambda t, aux: T.gaussian_kernel(t, aux, (1.0,)).sum()),
     "linear": ((3, 5), lambda t, aux: T.mul(T.linear(t, aux, _fixed(5, 3)), _fixed((4, 5), 4)).sum()),
     "layer_norm_affine": ((2, 3), lambda t, aux: T.mul(
         T.layer_norm(t, constant(aux.data[0]), constant(aux.data[1])), _fixed((4, 3), 5)).sum()),
-    "ffn": ((3, 6), lambda t, aux: T.mul(
-        T.ffn(t, aux, _fixed(6, 6), _fixed((6, 3), 7), _fixed(3, 8)), _fixed((4, 3), 9)).sum()),
-    "segment_attention_x": ((4, 3), _attention_with(0)),
-    "segment_attention_q": ((4, 3), _attention_with(1)),
-    "segment_attention_k": ((4, 3), _attention_with(2)),
-    "segment_attention_v": ((4, 3), _attention_with(3)),
+    "ffn_sublayer": ((3, 6), lambda t, aux: T.mul(
+        T.ffn_sublayer(t, *UNIT_LN, aux, _fixed(6, 6), _fixed((6, 3), 7), _fixed(3, 8)),
+        _fixed((4, 3), 9)).sum()),
+    "attention_sublayer_x": ((4, 3), _attention_with(0)),
+    "attention_sublayer_q": ((4, 3), _attention_with(1)),
+    "attention_sublayer_k": ((4, 3), _attention_with(2)),
+    "attention_sublayer_v": ((4, 3), _attention_with(3)),
     "embedding": ((6, 3), lambda t, aux: T.mul(T.embedding(t, [3, 0, 3, 3, 1, 0]), aux).sum()),
     "segment_nll": ((2, 3), lambda t, aux: T.mul(
         T.segment_nll(t, [0, 2, 4], [[0, 1, 1], [3, 2, 3]]), aux).sum()),
@@ -313,9 +321,9 @@ FUSED_INPUTS = {
     "linear": ([(4, 3), (3, 5), (5,)], lambda x, w, b: T.mul(T.linear(x, w, b), _fixed((4, 5), 10)).sum()),
     "layer_norm": ([(4, 3), (3,), (3,)],
                    lambda x, g, b: T.mul(T.layer_norm(x, g, b), _fixed((4, 3), 11)).sum()),
-    "ffn": ([(4, 3), (3, 6), (6,), (6, 3), (3,)],
-            lambda x, w1, b1, w2, b2: T.mul(T.ffn(x, w1, b1, w2, b2), _fixed((4, 3), 12)).sum()),
-    "segment_attention": ([(4, 3)] + [(3, 3), (3,)] * 3, _attention_inputs),
+    "ffn_sublayer": ([(4, 3), (3,), (3,), (3, 6), (6,), (6, 3), (3,)],
+                     lambda *inputs: T.mul(T.ffn_sublayer(*inputs), _fixed((4, 3), 12)).sum()),
+    "attention_sublayer": ([(4, 3), (3,), (3,)] + [(3, 3), (3,)] * 4, _attention_inputs),
 }
 
 
@@ -334,46 +342,100 @@ def test_gradcheck_fused_op_parameters(op, position, seed):
 
 
 class TestFusedForward:
-    def test_segment_attention_keeps_segments_apart(self):
+    def test_attention_sublayer_keeps_segments_apart(self):
         x = rand((7, 4), seed=30)
         params = attention_params(4, seed=30)
-        packed = T.segment_attention(constant(x), *params, [0, 3, 7], 2).data
+        packed = T.attention_sublayer(constant(x), *params, [0, 3, 7], 2).data
         for lo, hi in ((0, 3), (3, 7)):
-            alone = T.segment_attention(constant(x[lo:hi]), *params, [0, hi - lo], 2).data
+            alone = T.attention_sublayer(constant(x[lo:hi]), *params, [0, hi - lo], 2).data
             assert np.max(np.abs(packed[lo:hi] - alone)) < 1e-15
 
     @staticmethod
-    def per_head_reference(x, params, num_heads):
-        """Attention of one segment in numpy, with a max-subtracted softmax,
-        and the largest score magnitude."""
-        wq, bq, wk, bk, wv, bv = (p.data for p in params)
-        q, k, v = x @ wq + bq, x @ wk + bk, x @ wv + bv
+    def projections(x, params, num_heads):
+        """Layer norm h of x and the q, k, v projections of h, split into
+        [heads x N x dh] head-major arrays with q scaled by 1/sqrt(dh)."""
+        gain, bias, wq, bq, wk, bk, wv, bv = (p.data for p in params[:8])
+        h = reference_layer_norm(x, gain, bias)
         dh = x.shape[1] // num_heads
-        out = np.empty_like(x)
+        q, k, v = ((h @ w + b).reshape(len(x), num_heads, dh).transpose(1, 0, 2)
+                   for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+        return q / np.sqrt(dh), k, v
+
+    @classmethod
+    def per_head_reference(cls, x, params, num_heads):
+        """The attention sublayer of one segment in numpy, with a
+        max-subtracted softmax per head, and the largest score magnitude."""
+        wo, bo = params[8].data, params[9].data
+        q, k, v = cls.projections(x, params, num_heads)
+        heads = []
         largest = 0.0
-        for h in range(num_heads):
-            cols = slice(dh * h, dh * (h + 1))
-            scores = q[:, cols] @ k[:, cols].T / np.sqrt(dh)
+        for qh, kh, vh in zip(q, k, v):
+            scores = qh @ kh.T
             largest = max(largest, np.max(np.abs(scores)))
             probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
-            out[:, cols] = probs / probs.sum(axis=-1, keepdims=True) @ v[:, cols]
-        return out, largest
+            heads.append(probs / probs.sum(axis=-1, keepdims=True) @ vh)
+        return x + np.hstack(heads) @ wo + bo, largest
 
-    def test_segment_attention_matches_per_head_softmax(self):
+    def test_attention_sublayer_matches_per_head_softmax(self):
         x = rand((5, 4), seed=33)
         params = attention_params(4, seed=33)
-        got = T.segment_attention(constant(x), *params, [0, 5], 2).data
+        got = T.attention_sublayer(constant(x), *params, [0, 5], 2).data
         want, _ = self.per_head_reference(x, params, 2)
         assert np.max(np.abs(got - want)) < 1e-14
 
-    def test_segment_attention_large_scores_take_the_stabilised_path(self):
+    def test_attention_sublayer_matches_per_head_softmax_per_segment(self):
+        x = rand((12, 6), seed=34)
+        params = attention_params(6, seed=34)
+        bounds = [0, 1, 5, 12]
+        got = T.attention_sublayer(constant(x), *params, bounds, 3).data
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            want, _ = self.per_head_reference(x[lo:hi], params, 3)
+            assert np.max(np.abs(got[lo:hi] - want)) < 1e-14
+
+    def test_attention_sublayer_large_scores_take_the_stabilised_path(self):
         # scores near 1e3 would overflow exp without the row-max subtraction
         x = rand((6, 4), seed=37)
         params = attention_params(4, seed=37, scale=12.0)
-        got = T.segment_attention(constant(x), *params, [0, 6], 2).data
+        got = T.attention_sublayer(constant(x), *params, [0, 6], 2).data
         want, largest = self.per_head_reference(x, params, 2)
         assert largest > 500.0
         assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("target,shifted", [(30.3, True), (29.7, False)])
+    def test_row_max_is_subtracted_only_above_the_bound(self, target, shifted):
+        # scaling the q and k projections by s scales the Cauchy-Schwarz bound
+        # max_i |q_i| * max_j |k_j| by s^2: put it just above or just below 30
+        x = rand((6, 4), seed=39)
+        params = attention_params(4, seed=39)
+
+        def bound(ps):
+            q, k, _ = self.projections(x, ps, 2)
+            return max(np.linalg.norm(qh, axis=1).max() * np.linalg.norm(kh, axis=1).max()
+                       for qh, kh in zip(q, k))
+
+        s = np.sqrt(target / bound(params))
+        params[2:6] = [constant(p.data * s) for p in params[2:6]]
+        assert abs(bound(params) - target) < 1e-9
+        q, k, _ = self.projections(x, params, 2)
+        assert T._needs_row_max(np.stack([q, k]), np.array([0])).tolist() == [shifted]
+        got = T.attention_sublayer(constant(x), *params, [0, 6], 2).data
+        want, _ = self.per_head_reference(x, params, 2)
+        assert np.max(np.abs(got - want)) < 1e-14
+
+    def test_row_max_is_decided_per_segment(self):
+        # the first segment's bound is 3 (|q|^2 = |k|^2 = 3), the second's 300:
+        # only the second keeps the exact max
+        qk = np.ones((2, 2, 5, 3))
+        qk[:, :, 2:] *= 10.0
+        assert T._needs_row_max(qk, np.array([0, 2])).tolist() == [False, True]
+
+    def test_ffn_sublayer_matches_reference(self):
+        x = rand((5, 4), seed=35)
+        gain, bias = 1.0 + rand(4, seed=41, scale=0.1), rand(4, seed=42, scale=0.1)
+        w1, b1, w2, b2 = rand((4, 7), seed=43), rand(7, seed=44), rand((7, 4), seed=45), rand(4, seed=46)
+        got = T.ffn_sublayer(*(constant(a) for a in (x, gain, bias, w1, b1, w2, b2))).data
+        hidden = np.maximum(reference_layer_norm(x, gain, bias) @ w1 + b1, 0.0)
+        assert np.max(np.abs(got - (x + hidden @ w2 + b2))) < 1e-14
 
     def test_segment_nll_matches_log_softmax(self):
         x = rand((9, 2), seed=36)
@@ -391,19 +453,33 @@ class TestFusedForward:
 
     def test_overflowing_projection_raises_before_the_scores(self):
         # the projection is checked as a separate op's output would be, so no
-        # inf - inf in the score matmul warns of an invalid value first
+        # inf - inf in the score matmul warns of an invalid value first; the
+        # layer norm of the constant rows is its bias, 1
         x = constant(np.ones((3, 2)))
-        params = [constant(np.full((2, 2), 1e308)), constant(np.zeros(2))] * 3
+        ln = [constant(np.ones(2))] * 2
+        params = ln + [constant(np.full((2, 2), 1e308)), constant(np.zeros(2))] * 4
         with np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(T.NonFiniteError):
-                T.segment_attention(x, *params, [0, 3], 1)
+                T.attention_sublayer(x, *params, [0, 3], 1)
 
     @pytest.mark.parametrize("offsets", [[0, 4], [0, 2, 2, 5], [1, 5], [0, 3], [[0, 5]]])
     def test_bad_offsets_rejected(self, offsets):
         x = constant(np.ones((5, 2)))
         with pytest.raises(T.ShapeError, match="offsets"):
-            T.segment_attention(x, *attention_params(2, seed=0), offsets, 1)
+            T.attention_sublayer(x, *attention_params(2, seed=0), offsets, 1)
+
+    @pytest.mark.parametrize("op,shapes", [
+        ("ffn_sublayer", [(4, 3), (3,), (3,), (3, 6), (6,), (6, 4), (3,)]),
+        ("ffn_sublayer", [(4, 3), (2,), (3,), (3, 6), (6,), (6, 3), (3,)]),
+        ("attention_sublayer", [(4, 3), (3,), (3,)] + [(3, 3), (3,)] * 3 + [(3, 2), (3,)]),
+        ("attention_sublayer", [(4, 3), (3,), (4,)] + [(3, 3), (3,)] * 4),
+    ])
+    def test_sublayer_shapes_checked(self, op, shapes):
+        inputs = [constant(np.ones(shape)) for shape in shapes]
+        extra = ([0, 4], 1) if op == "attention_sublayer" else ()
+        with pytest.raises(T.ShapeError):
+            getattr(T, op)(*inputs, *extra)
 
     def test_segment_nll_index_outside_its_segment_rejected(self):
         with pytest.raises(ValueError, match="outside"):

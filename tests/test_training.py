@@ -401,6 +401,47 @@ class TestConfig:
                                                       pairing_variant="domain-separated"))
 
 
+# every number field of the train config: its path in the config dict and a
+# valid value (a list for the list fields)
+NUMBER_FIELDS = {
+    ("learning_rate",): 1e-3,
+    ("grad_clip",): 1.0,
+    ("contrastive", "beta"): 0.001,
+    ("contrastive", "noise_sigma"): 0.01,
+    ("optimizer", "eps"): 1e-8,
+    ("optimizer", "betas"): [0.9, 0.999],
+    ("optimizer", "weight_decay"): 0.0,
+    ("contrastive", "kernel", "bandwidths"): [1.0, 4.0],
+    ("contrastive", "kernel", "median_multipliers"): [0.5, 1.0, 2.0],
+}
+
+
+def nested(path, value):
+    """The config dict that sets only the field at ``path`` to ``value``."""
+    for key in reversed(path):
+        value = {key: value}
+    return value
+
+
+@given(st.sampled_from(sorted(NUMBER_FIELDS)), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bool_in_a_number_field_is_a_config_error(path, flag, data):
+    # Python counts True as 1: accepted, it would train at a learning rate of 1.0
+    valid = NUMBER_FIELDS[path]
+    config_from_dict(nested(path, valid))
+    value = flag
+    if isinstance(valid, list):
+        value = list(valid)
+        value[data.draw(st.integers(0, len(valid) - 1))] = flag
+    with pytest.raises(ConfigError, match=path[-1]):
+        config_from_dict(nested(path, value))
+
+
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed: must be >= 0"):
+        config_from_dict({"seed": -1})
+
+
 BAD_OPTIMIZER = [
     ({"eps": float("nan")}, "optimizer.eps"),
     ({"eps": 0.0}, "optimizer.eps"),
