@@ -127,20 +127,18 @@ def cmd_generate(args) -> int:
     model = SpanModel.load(args.checkpoint) if "roundtrip" in filters else None
 
     gen = datagen.fit_toy_generator(contexts, order=args.order, seed=args.seed)
-    kept: list[datagen.GenCandidate] = []
-    raw: list[datagen.GenCandidate] = []
-    for idx, ctx in enumerate(contexts):
-        pool = datagen.generate_candidates(
-            gen, ctx, n=datagen.CANDIDATE_POOL_FACTOR * args.k,
-            seed=datagen.derive_seed(args.seed, idx),
-        )
-        raw.extend(pool)
-        selected = pool
-        if "lm" in filters:
-            selected = datagen.lm_filter(selected, args.k)
-        if model is not None:
-            selected = datagen.roundtrip_filter(selected, model, args.max_answer_len)
-        kept.extend(selected[:args.k])
+    pools = [datagen.generate_candidates(gen, ctx, n=datagen.CANDIDATE_POOL_FACTOR * args.k,
+                                         seed=datagen.derive_seed(args.seed, idx))
+             for idx, ctx in enumerate(contexts)]
+    raw = [c for pool in pools for c in pool]
+    if "lm" in filters:
+        pools = [datagen.lm_filter(pool, args.k) for pool in pools]
+    if model is not None:
+        # one roundtrip call over every context's pool packs them into full chunks
+        passed = {id(c) for c in datagen.roundtrip_filter(
+            [c for pool in pools for c in pool], model, args.max_answer_len)}
+        pools = [[c for c in pool if id(c) in passed] for pool in pools]
+    kept = [c for pool in pools for c in pool[:args.k]]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

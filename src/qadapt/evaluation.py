@@ -5,8 +5,9 @@ token features.
 Samples reach the model through ``model.tokenize_samples`` (``tokenize_sample``
 for the one sample ``predict_answer`` scores). ``predict_answers`` is the one
 decoder, for ``evaluate`` and the roundtrip filter alike: packed chunks
-(``encode_chunks``), span scores, ``predict_span`` on each sample's segment,
-then ``TokenizedSample.span_text``.
+(``map_chunks``, which reduces each chunk to its [N x 2] span scores, in the
+worker process for the second half of two or more chunks), ``predict_span``
+on each sample's segment here, then ``TokenizedSample.span_text``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 from . import tensor as T
 from .losses import KernelConfig, class_means, mmd_squared
 from .model import (
-    SpanModel, TokenizationError, encode_chunks, predict_span, tokenize_sample, tokenize_samples,
+    SpanLogits, SpanModel, TokenizationError, map_chunks, predict_span, tokenize_sample,
+    tokenize_samples,
 )
 from .datagen import DomainDataset
 
@@ -81,15 +83,26 @@ class EvalResult:
     records: list[SampleScore] = field(default_factory=list)
 
 
+def _span_scores(model: SpanModel, packed, features) -> np.ndarray:
+    return model.span_logits(features).scores.data
+
+
+def _answer_means(model: SpanModel, packed, features) -> np.ndarray:
+    return class_means(features, packed).answer_mean.data
+
+
+def _token_features(model: SpanModel, packed, features) -> np.ndarray:
+    return features.data
+
+
 def predict_answers(model: SpanModel, pairs: Sequence[tuple], max_answer_len: int) -> list[str]:
     """The model's best span of each ``(sample, TokenizedSample)`` pair (as
     ``tokenize_samples`` returns them), decoded back into the sample's context
     text, in order."""
     contexts = iter([sample.context for sample, _ in pairs])
     answers = []
-    for packed, features in encode_chunks(model, [ts for _, ts in pairs]):
-        with T.no_grad():
-            logits = model.span_logits(features)
+    for packed, scores in map_chunks(model, [ts for _, ts in pairs], _span_scores):
+        logits = SpanLogits(T.constant(scores))
         for i, ts in enumerate(packed.samples):
             span = predict_span(logits.segment(packed, i), ts.context_mask, max_answer_len)
             answers.append(ts.span_text(next(contexts), span))
@@ -133,15 +146,14 @@ def evaluate(model: SpanModel, dataset: DomainDataset, max_answer_len: int = 48)
 def answer_mean_features(model: SpanModel, dataset: DomainDataset) -> np.ndarray:
     """Answer-token mean feature per tokenizable sample under the frozen
     model, one row per sample in dataset order. Samples are encoded in packed
-    chunks (``encode_chunks``), and each chunk's [B x H] answer means come
+    chunks (``map_chunks``), and each chunk's [B x H] answer means come
     from one ``class_means`` call; a row matches the sample encoded alone up
     to round-off."""
     tokenized = [ts for _, ts in tokenize_samples(dataset.samples, dataset.domain_tag,
                                                   model.config.max_len)]
     if not tokenized:
         raise ValueError("no tokenizable samples to extract features from")
-    return np.concatenate([class_means(features, packed).answer_mean.data
-                           for packed, features in encode_chunks(model, tokenized)])
+    return np.concatenate([means for _, means in map_chunks(model, tokenized, _answer_means)])
 
 
 def domain_gap(
@@ -201,7 +213,7 @@ def token_feature_cloud(model: SpanModel, dataset: DomainDataset, max_samples: i
                                                   dataset.domain_tag, model.config.max_len)]
     if not tokenized:
         raise ValueError("no tokenizable samples for the feature cloud")
-    feats = np.concatenate([features.data for _, features in encode_chunks(model, tokenized)])
+    feats = np.concatenate([f for _, f in map_chunks(model, tokenized, _token_features)])
     answer = np.concatenate([ts.answer_mask for ts in tokenized])
     question = np.concatenate([ts.question_mask for ts in tokenized])
     labels = ["answer" if a else "question" if q else "other" for a, q in zip(answer, question)]

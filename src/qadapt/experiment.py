@@ -32,6 +32,7 @@ from .evaluation import answer_mean_features, evaluate
 from .losses import ContrastiveConfig, KernelConfig, mmd_squared, resolve_bandwidths
 from .model import EncoderConfig, SpanModel
 from .training import TrainConfig, train
+from .workers import split_map
 
 EXPERIMENT_SHIFT = DomainShiftSpec(
     vocab_words=30,
@@ -156,10 +157,16 @@ def run_seed(seed: int) -> SeedOutcome:
     )
 
 
+def _seed_outcome(_, seed: int) -> SeedOutcome:
+    return run_seed(seed)
+
+
 def run_adaptation_experiment(seeds=range(5), verbose: bool = False) -> ExperimentResult:
+    """``run_seed`` of every seed, in seed order. The seeds are independent:
+    the worker process runs the second half of them (``workers.split_map``),
+    and each outcome equals the one a sequential run gives, bit for bit."""
     result = ExperimentResult()
-    for seed in seeds:
-        outcome = run_seed(seed)
+    for outcome in split_map(_seed_outcome, None, list(seeds)):
         result.outcomes.append(outcome)
         if verbose:
             print(

@@ -7,7 +7,9 @@ transformer; the span head is a per-token linear projection producing one
 [N x 2] tensor of start and end scores. A batch is encoded as one
 ``PackedBatch``: its samples' tokens concatenated without padding, attention
 confined to each sample's segment. Forward-only passes over a sample set
-(``encode_chunks``) pack it in chunks.
+(``map_chunks``) pack it in chunks and reduce each chunk's features to a
+small result; with two or more chunks, the worker process of ``workers``
+encodes the second half.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import json
 import logging
 import struct
 from dataclasses import dataclass, asdict
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import tensor as T
+from . import workers
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -32,7 +35,7 @@ DEFAULT_VOCAB = 258
 
 CHECKPOINT_MAGIC = b"QADAPT\x01"
 
-# samples per packed forward-only encode (``encode_chunks``): of 8, 16, 32 and
+# samples per packed forward-only encode (``map_chunks``): of 8, 16, 32 and
 # 64, 32 was the fastest for answer-mean features and tied 64 on the roundtrip
 # filter (BENCH_pr8.json); peak memory grows with the chunk, and one pack of a
 # whole set is slower, since ``losses.class_means`` builds dense [B x N] weights
@@ -307,6 +310,10 @@ class SpanModel:
         return {name: Tensor(init(name, shape), requires_grad=True)
                 for name, shape in SpanModel.param_shapes(cfg).items()}
 
+    def __reduce__(self):
+        """A model pickles as its config and parameter arrays."""
+        return _model_from_arrays, (self.config, {n: t.data for n, t in self.params.items()})
+
     def parameters(self) -> dict[str, Tensor]:
         return self.params
 
@@ -426,16 +433,27 @@ class SpanModel:
         return cls(config, _params=params)
 
 
-def encode_chunks(model: SpanModel, samples: Sequence[TokenizedSample]
-                  ) -> Iterator[tuple[PackedBatch, Tensor]]:
-    """Forward-only features of ``samples``, in order: one ``PackedBatch`` of
-    up to ``INFER_CHUNK`` samples per ``encode`` call, each yielded with its
-    [N x H] features, which record no graph."""
-    for lo in range(0, len(samples), INFER_CHUNK):
-        packed = PackedBatch.pack(samples[lo:lo + INFER_CHUNK])
-        with T.no_grad():
-            features = model.encode(packed)
-        yield packed, features
+def _model_from_arrays(config: EncoderConfig, arrays: dict[str, np.ndarray]) -> SpanModel:
+    return SpanModel(config, _params={n: Tensor(a, requires_grad=True) for n, a in arrays.items()})
+
+
+def _encode_and_reduce(job: tuple, packed: PackedBatch):
+    model, reduce = job
+    with T.no_grad():
+        return reduce(model, packed, model.encode(packed))
+
+
+def map_chunks(model: SpanModel, samples: Sequence[TokenizedSample], reduce: Callable
+               ) -> Iterator[tuple[PackedBatch, object]]:
+    """Each ``PackedBatch`` of up to ``INFER_CHUNK`` of ``samples``, in order,
+    with ``reduce(model, packed, features)`` of its forward-only [N x H]
+    features (one ``encode`` call, no graph). With two or more chunks the
+    second half is encoded and reduced in the worker process
+    (``workers.split_map``), so ``reduce`` must be a module-level function
+    that pickle finds by name, and its result should be small."""
+    batches = [PackedBatch.pack(samples[lo:lo + INFER_CHUNK])
+               for lo in range(0, len(samples), INFER_CHUNK)]
+    return zip(batches, workers.split_map(_encode_and_reduce, (model, reduce), batches))
 
 
 def predict_span(logits: SpanLogits, context_mask, max_answer_len: int) -> tuple[int, int]:

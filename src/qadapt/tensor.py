@@ -262,7 +262,10 @@ def _layer_norm_rows(x: Array, gain: Array, bias: Array) -> tuple[Array, Array, 
     pass builds a squared copy of the input."""
     width = x.shape[1]
     xhat = x - (x @ np.full(width, 1.0 / width))[:, None]
-    rstd = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / width + LN_EPS)[:, None]
+    var = np.einsum("ij,ij->i", xhat, xhat) / width
+    if not var.max(initial=0.0) < np.inf:  # rstd would be 0, and the output the bias
+        raise NonFiniteError("layer norm: a row's variance overflows")
+    rstd = 1.0 / np.sqrt(var + LN_EPS)[:, None]
     xhat *= rstd
     out = xhat * gain
     out += bias

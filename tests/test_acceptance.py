@@ -25,7 +25,7 @@ from qadapt.datagen import (
     roundtrip_filter,
 )
 from qadapt.evaluation import em_f1, pca_project
-from qadapt.experiment import run_adaptation_experiment
+from qadapt.experiment import run_adaptation_experiment, run_seed
 from qadapt.losses import (
     ClassMeans,
     ContrastiveConfig,
@@ -203,6 +203,13 @@ def test_criterion_5_directional_adaptation(adaptation_result):
               and r.elapsed < 600.0)
     criterion(5, "contrastive arm lowers the source/target answer-feature gap "
                  "in >= 4/5 paired seeds without losing target EM", passed, detail)
+
+
+def test_experiment_seeds_equal_sequential_runs(adaptation_result):
+    # with two usable CPUs, seeds 2-4 ran in the worker process
+    outcomes = adaptation_result.outcomes
+    assert [o.seed for o in outcomes] == list(range(5))
+    assert run_seed(outcomes[-1].seed) == outcomes[-1]
 
 
 # -- shared CLI pipeline artifacts (criteria 6-8) ----------------------------------

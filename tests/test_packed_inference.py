@@ -1,4 +1,4 @@
-"""Packed forward-only inference (``model.encode_chunks``, and the decoder
+"""Packed forward-only inference (``model.map_chunks``, and the decoder
 ``evaluation.predict_answers`` built on it) against a per-sample reference
 that encodes each sample alone.
 

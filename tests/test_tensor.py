@@ -463,6 +463,23 @@ class TestFusedForward:
             with pytest.raises(T.NonFiniteError):
                 T.attention_sublayer(x, *params, [0, 3], 1)
 
+    @pytest.mark.parametrize("op", ["layer_norm", "attention_sublayer", "ffn_sublayer"])
+    def test_overflowing_row_variance_raises(self, op):
+        # the squared deviations overflow, so the variance is inf; unchecked,
+        # rstd is 0 and the layer norm returns its bias, [0.5, 0.5, 0.5]
+        x = constant([[1e200, -1e200, 0.0]])
+        ln = (constant(np.ones(3)), constant([0.5] * 3))
+        calls = {
+            "layer_norm": lambda: T.layer_norm(x, *ln),
+            "attention_sublayer": lambda: T.attention_sublayer(x, *ln, *IDENTITY_ATTENTION,
+                                                               [0, 1], 1),
+            "ffn_sublayer": lambda: T.ffn_sublayer(x, *ln, *IDENTITY_FFN),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(T.NonFiniteError, match="variance"):
+                calls[op]()
+
     @pytest.mark.parametrize("offsets", [[0, 4], [0, 2, 2, 5], [1, 5], [0, 3], [[0, 5]]])
     def test_bad_offsets_rejected(self, offsets):
         x = constant(np.ones((5, 2)))
