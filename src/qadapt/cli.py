@@ -21,7 +21,7 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from . import datagen, evaluation, training
+from . import datagen, evaluation, training, workers
 from .datagen import DatasetError, DomainShiftSpec
 from .model import CheckpointError, SpanModel, TokenizationError
 from .training import ConfigError, DivergenceError
@@ -53,7 +53,8 @@ def _sha256(path: Path) -> str:
 
 def write_manifest(out_dir: Path, subcommand: str, config: dict, inputs: dict,
                    outputs: list[Path], unchecksummed: tuple[str, ...] = ("report.json",)) -> Path:
-    """Record the run: resolved config, inputs, outputs with content checksums.
+    """Record the run: resolved config, inputs, outputs with content checksums,
+    and whether BLAS was pinned to one thread (``workers.BLAS_PINNED``).
     Files carrying wall-clock timing are listed without a checksum so reruns
     with the same seed stay byte-comparable."""
     artifacts = {}
@@ -61,6 +62,7 @@ def write_manifest(out_dir: Path, subcommand: str, config: dict, inputs: dict,
         rel = p.name
         artifacts[rel] = None if rel in unchecksummed else _sha256(p)
     manifest = {
+        "blas_pinned": workers.BLAS_PINNED,
         "subcommand": subcommand,
         "config": config,
         "inputs": {k: str(v) for k, v in inputs.items()},
@@ -75,11 +77,11 @@ def _run_root() -> Path:
     return Path(os.environ.get(RUN_ROOT_ENV, "runs"))
 
 
-def _fresh_out_dir(args, prefix: str) -> Path:
-    if args.out:
-        return Path(args.out)
+def _fresh_out_dir(out: str | None, prefix: str, seed: int) -> Path:
+    if out:
+        return Path(out)
     stamp = time.strftime("%Y%m%d-%H%M%S")
-    return _run_root() / f"{prefix}-{stamp}-seed{args.seed}"
+    return _run_root() / f"{prefix}-{stamp}-seed{seed}"
 
 
 # -- synth ----------------------------------------------------------------------
@@ -206,7 +208,7 @@ def cmd_train(args) -> int:
     config = _apply_overrides(config, args)
     source, synthetic, dev = _load_datasets(data)
 
-    out = _fresh_out_dir(args, "train")
+    out = _fresh_out_dir(args.out, "train", config.seed)
     model, report = training.train(config, source, synthetic, dev, run_dir=out)
     files = [out / n for n in ("config.json", "steps.jsonl", "metrics.json",
                                "checkpoint.bin", "report.json")]
@@ -272,7 +274,7 @@ def cmd_grid(args) -> int:
 
     result = training.grid_search(config, beta_grid, sigma_grid, args.criterion,
                                   source, synthetic, selection)
-    out = _fresh_out_dir(args, "grid")
+    out = _fresh_out_dir(args.out, "grid", config.seed)
     out.mkdir(parents=True, exist_ok=True)
     table = out / "grid.json"
     table.write_text(json.dumps({

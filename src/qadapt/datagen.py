@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -287,11 +288,22 @@ class DomainShiftSpec:
     question_window: int = 3
 
     def __post_init__(self):
+        lo, hi = self.context_words
+        for name, value in (("vocab_words", self.vocab_words), ("n_source", self.n_source),
+                            ("n_target_contexts", self.n_target_contexts),
+                            ("qa_per_target_context", self.qa_per_target_context),
+                            ("question_window", self.question_window),
+                            ("context_words", lo), ("context_words", hi)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, not {value!r}")
+        for name in ("source_answer_mean", "target_answer_mean", "vocab_shift"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, not {value!r}")
         if self.vocab_words < 2:
             raise ValueError("vocab_words must be >= 2")
         if self.n_source < 1 or self.n_target_contexts < 1 or self.qa_per_target_context < 1:
             raise ValueError("corpus sizes must be positive")
-        lo, hi = self.context_words
         if not 1 <= lo <= hi:
             raise ValueError(f"bad context word range {self.context_words}")
         if self.source_answer_mean < 1.0 or self.target_answer_mean < 1.0:

@@ -5,8 +5,8 @@ token features.
 Samples reach the model through ``model.tokenize_samples`` (``tokenize_sample``
 for the one sample ``predict_answer`` scores). ``predict_answers`` is the one
 decoder, for ``evaluate`` and the roundtrip filter alike: packed chunks
-(``map_chunks``, which reduces each chunk to its [N x 2] span scores, in the
-worker process for the second half of two or more chunks), ``predict_span``
+(``map_chunks``, which reduces each chunk to its [N x 2] span scores, in a
+forked child for the second half of two or more chunks), ``predict_span``
 on each sample's segment here, then ``TokenizedSample.span_text``.
 """
 
@@ -83,25 +83,15 @@ class EvalResult:
     records: list[SampleScore] = field(default_factory=list)
 
 
-def _span_scores(model: SpanModel, packed, features) -> np.ndarray:
-    return model.span_logits(features).scores.data
-
-
-def _answer_means(model: SpanModel, packed, features) -> np.ndarray:
-    return class_means(features, packed).answer_mean.data
-
-
-def _token_features(model: SpanModel, packed, features) -> np.ndarray:
-    return features.data
-
-
 def predict_answers(model: SpanModel, pairs: Sequence[tuple], max_answer_len: int) -> list[str]:
     """The model's best span of each ``(sample, TokenizedSample)`` pair (as
     ``tokenize_samples`` returns them), decoded back into the sample's context
     text, in order."""
     contexts = iter([sample.context for sample, _ in pairs])
     answers = []
-    for packed, scores in map_chunks(model, [ts for _, ts in pairs], _span_scores):
+    chunks = map_chunks(model, [ts for _, ts in pairs],
+                        lambda _, features: model.span_logits(features).scores.data)
+    for packed, scores in chunks:
         logits = SpanLogits(T.constant(scores))
         for i, ts in enumerate(packed.samples):
             span = predict_span(logits.segment(packed, i), ts.context_mask, max_answer_len)
@@ -153,7 +143,9 @@ def answer_mean_features(model: SpanModel, dataset: DomainDataset) -> np.ndarray
                                                   model.config.max_len)]
     if not tokenized:
         raise ValueError("no tokenizable samples to extract features from")
-    return np.concatenate([means for _, means in map_chunks(model, tokenized, _answer_means)])
+    chunks = map_chunks(model, tokenized,
+                        lambda packed, features: class_means(features, packed).answer_mean.data)
+    return np.concatenate([means for _, means in chunks])
 
 
 def domain_gap(
@@ -213,7 +205,7 @@ def token_feature_cloud(model: SpanModel, dataset: DomainDataset, max_samples: i
                                                   dataset.domain_tag, model.config.max_len)]
     if not tokenized:
         raise ValueError("no tokenizable samples for the feature cloud")
-    feats = np.concatenate([f for _, f in map_chunks(model, tokenized, _token_features)])
+    feats = np.concatenate([f for _, f in map_chunks(model, tokenized, lambda _, f: f.data)])
     answer = np.concatenate([ts.answer_mask for ts in tokenized])
     question = np.concatenate([ts.question_mask for ts in tokenized])
     labels = ["answer" if a else "question" if q else "other" for a, q in zip(answer, question)]

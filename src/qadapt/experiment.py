@@ -157,16 +157,12 @@ def run_seed(seed: int) -> SeedOutcome:
     )
 
 
-def _seed_outcome(_, seed: int) -> SeedOutcome:
-    return run_seed(seed)
-
-
 def run_adaptation_experiment(seeds=range(5), verbose: bool = False) -> ExperimentResult:
     """``run_seed`` of every seed, in seed order. The seeds are independent:
-    the worker process runs the second half of them (``workers.split_map``),
+    a forked child runs the second half of them (``workers.split_map``),
     and each outcome equals the one a sequential run gives, bit for bit."""
     result = ExperimentResult()
-    for outcome in split_map(_seed_outcome, None, list(seeds)):
+    for outcome in split_map(run_seed, seeds):
         result.outcomes.append(outcome)
         if verbose:
             print(

@@ -8,7 +8,7 @@ transformer; the span head is a per-token linear projection producing one
 ``PackedBatch``: its samples' tokens concatenated without padding, attention
 confined to each sample's segment. Forward-only passes over a sample set
 (``map_chunks``) pack it in chunks and reduce each chunk's features to a
-small result; with two or more chunks, the worker process of ``workers``
+small result; with two or more chunks, a child forked by ``workers``
 encodes the second half.
 """
 
@@ -310,10 +310,6 @@ class SpanModel:
         return {name: Tensor(init(name, shape), requires_grad=True)
                 for name, shape in SpanModel.param_shapes(cfg).items()}
 
-    def __reduce__(self):
-        """A model pickles as its config and parameter arrays."""
-        return _model_from_arrays, (self.config, {n: t.data for n, t in self.params.items()})
-
     def parameters(self) -> dict[str, Tensor]:
         return self.params
 
@@ -433,27 +429,20 @@ class SpanModel:
         return cls(config, _params=params)
 
 
-def _model_from_arrays(config: EncoderConfig, arrays: dict[str, np.ndarray]) -> SpanModel:
-    return SpanModel(config, _params={n: Tensor(a, requires_grad=True) for n, a in arrays.items()})
-
-
-def _encode_and_reduce(job: tuple, packed: PackedBatch):
-    model, reduce = job
-    with T.no_grad():
-        return reduce(model, packed, model.encode(packed))
-
-
 def map_chunks(model: SpanModel, samples: Sequence[TokenizedSample], reduce: Callable
                ) -> Iterator[tuple[PackedBatch, object]]:
     """Each ``PackedBatch`` of up to ``INFER_CHUNK`` of ``samples``, in order,
-    with ``reduce(model, packed, features)`` of its forward-only [N x H]
-    features (one ``encode`` call, no graph). With two or more chunks the
-    second half is encoded and reduced in the worker process
-    (``workers.split_map``), so ``reduce`` must be a module-level function
-    that pickle finds by name, and its result should be small."""
+    with ``reduce(packed, features)`` of its forward-only [N x H] features
+    (one ``encode`` call, no graph). With two or more chunks the second half
+    is encoded and reduced in a forked child (``workers.split_map``), so the
+    result of ``reduce`` should be small."""
     batches = [PackedBatch.pack(samples[lo:lo + INFER_CHUNK])
                for lo in range(0, len(samples), INFER_CHUNK)]
-    return zip(batches, workers.split_map(_encode_and_reduce, (model, reduce), batches))
+
+    def encode_and_reduce(packed: PackedBatch):
+        with T.no_grad():
+            return reduce(packed, model.encode(packed))
+    return zip(batches, workers.split_map(encode_and_reduce, batches))
 
 
 def predict_span(logits: SpanLogits, context_mask, max_answer_len: int) -> tuple[int, int]:

@@ -56,6 +56,9 @@ class DivergenceError(RuntimeError):
         self.last_finite_step = last_finite_step
         self.report = report
 
+    def __reduce__(self):  # rebuilt whole when raised in a forked child (workers.split_map)
+        return type(self), (str(self), self.last_finite_step, self.report)
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from qadapt import workers
 from qadapt.cli import main
 from qadapt.datagen import load_squad_json
 from qadapt.training import config_to_dict
@@ -70,6 +71,27 @@ class TestSynth:
         out = tmp_path / "never"
         assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("override", [
+        {"n_source": 1.5}, {"qa_per_target_context": 2.0}, {"vocab_words": 2.5},
+        {"n_source": True}, {"context_words": [5, 7.0]}, {"source_answer_mean": float("nan")},
+        {"target_answer_mean": float("inf")}, {"vocab_shift": "0.5"},
+    ])
+    def test_wrong_number_type_in_spec_exits_1(self, tmp_path, capsys, override):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SMALL_SPEC, **override}))
+        out = tmp_path / "never"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "invalid domain spec" in err
+        assert not out.exists()
+
+    def test_manifest_records_the_blas_pin(self, tmp_path, monkeypatch):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SMALL_SPEC))
+        monkeypatch.setattr(workers, "BLAS_PINNED", False)
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "manifest.json").read_text())["blas_pinned"] is False
 
     def test_same_seed_byte_identical(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -517,4 +539,5 @@ class TestUsage:
         assert main(["train", "--config", str(cfg_path)]) == 0
         runs = list((tmp_path / "custom-root").glob("train-*"))
         assert len(runs) == 1
+        assert runs[0].name.endswith("-seed1")  # the config's seed, with no --seed given
         assert (runs[0] / "checkpoint.bin").exists()
