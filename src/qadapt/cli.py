@@ -91,7 +91,7 @@ def cmd_synth(args) -> int:
     if args.spec:
         try:
             overrides = json.loads(Path(args.spec).read_text())
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as err:
             raise UsageError(f"cannot read domain spec {args.spec}: {err}") from err
     try:
         spec = DomainShiftSpec(**overrides)
@@ -164,7 +164,7 @@ def cmd_generate(args) -> int:
 def _load_train_spec(path: str):
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as err:
         raise UsageError(f"cannot read config {path}: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError(f"config: must be a JSON object, not {type(raw).__name__}")

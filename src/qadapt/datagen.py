@@ -288,6 +288,8 @@ class DomainShiftSpec:
     question_window: int = 3
 
     def __post_init__(self):
+        # a JSON spec gives a list; stored as a tuple, specs compare and hash by value
+        object.__setattr__(self, "context_words", tuple(self.context_words))
         lo, hi = self.context_words
         for name, value in (("vocab_words", self.vocab_words), ("n_source", self.n_source),
                             ("n_target_contexts", self.n_target_contexts),
@@ -415,7 +417,7 @@ def load_squad_json(path, domain_tag: str = SOURCE, provenance: str = "human") -
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as err:
         raise DatasetError(f"{path}: invalid UTF-8 JSON: {err}") from err
 
     def need(obj, key, where, kind=list):
@@ -514,7 +516,7 @@ def load_contexts(path) -> list[ContextOnly]:
             if not isinstance(rec, dict) or not isinstance(rec.get("context"), str):
                 raise TypeError("expected an object with a string 'context'")
             contexts.append(ContextOnly(context=rec["context"], domain_id=str(rec.get("id", lineno))))
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, RecursionError) as err:
             raise DatasetError(f"{path}:{lineno + 1}: bad context record: {err}") from err
     return contexts
 

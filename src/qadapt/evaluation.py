@@ -144,7 +144,7 @@ def answer_mean_features(model: SpanModel, dataset: DomainDataset) -> np.ndarray
     if not tokenized:
         raise ValueError("no tokenizable samples to extract features from")
     chunks = map_chunks(model, tokenized,
-                        lambda packed, features: class_means(features, packed).answer_mean.data)
+                        lambda packed, features: class_means(features, packed).answer_mean)
     return np.concatenate([means for _, means in chunks])
 
 

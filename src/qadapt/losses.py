@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .model import PackedBatch, SpanLogits, SOURCE, TARGET_SYNTHETIC
+from .model import PackedBatch, SpanLogits, TokenizedSample, SOURCE, TARGET_SYNTHETIC
 
 MEDIAN_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 MEDIAN_FALLBACK = 1.0
@@ -83,12 +84,22 @@ class ContrastiveConfig:
 @dataclass
 class ClassMeans:
     """Mean feature of the answer tokens and of the remaining question/context
-    tokens (specials excluded from both) of every sample of a packed batch:
-    [B x H] means, one row and one domain tag per sample."""
+    tokens (specials excluded from both) of every sample of a batch, stacked
+    as one [2B x H] tensor: the B answer means, then the B question/context
+    means, in sample order, with one domain tag per sample."""
 
-    answer_mean: Tensor
-    cq_mean: Tensor
+    stacked: Tensor
     domain_tag: tuple[str, ...]
+
+    @property
+    def answer_mean(self) -> np.ndarray:
+        """The [B x H] answer means, as an array."""
+        return self.stacked.data[:len(self.domain_tag)]
+
+    @property
+    def cq_mean(self) -> np.ndarray:
+        """The [B x H] question/context means, as an array."""
+        return self.stacked.data[len(self.domain_tag):]
 
 
 def resolve_bandwidths(points: np.ndarray, config: KernelConfig) -> tuple[float, ...]:
@@ -135,54 +146,41 @@ def mmd_squared(x, y, config: KernelConfig = KernelConfig()) -> float:
     return float(kxx + kyy - 2.0 * kxy)
 
 
-def _class_weights(batch: PackedBatch) -> tuple[np.ndarray, np.ndarray]:
-    """[B x N] averaging weights over the packed rows: row i of the first
-    matrix averages sample i's answer tokens, of the second its non-answer
-    question/context tokens."""
-    answer = np.zeros((len(batch), batch.offsets[-1]))
-    cq = np.zeros_like(answer)
+def _class_weights(batch: PackedBatch, total: int, first: int) -> np.ndarray:
+    """[2 total x N] averaging weights over the packed rows: row first + i
+    averages the answer tokens of sample i of the batch, row total + first + i
+    its non-answer question/context tokens, and every other row is 0."""
+    weights = np.zeros((2 * total, batch.offsets[-1]))
     for i, (ts, lo) in enumerate(zip(batch.samples, batch.offsets)):
         answer_mask = ts.answer_mask
         cq_mask = (ts.question_mask | ts.context_mask) & ~answer_mask
         if not cq_mask.any():
             raise MalformedSampleError("sample has no non-answer question/context tokens")
-        answer[i, lo:lo + len(ts)] = answer_mask / answer_mask.sum()
-        cq[i, lo:lo + len(ts)] = cq_mask / cq_mask.sum()
-    return answer, cq
+        weights[first + i, lo:lo + len(ts)] = answer_mask / answer_mask.sum()
+        weights[total + first + i, lo:lo + len(ts)] = cq_mask / cq_mask.sum()
+    return weights
 
 
-def class_means(features: Tensor, batch: PackedBatch) -> ClassMeans:
+def class_means(features: Tensor, batch: PackedBatch, whole: Sequence[TokenizedSample] = (),
+                first: int = 0) -> ClassMeans:
     """Mean features of the answer tokens and of the non-answer question/context
-    tokens of every segment of a packed batch ([N x H] features), one
-    weight-matrix product per class."""
-    answer_w, cq_w = _class_weights(batch)
-    return ClassMeans(T.matmul(T.constant(answer_w), features),
-                      T.matmul(T.constant(cq_w), features),
-                      tuple(ts.domain_tag for ts in batch.samples))
+    tokens of every segment of a packed batch ([N x H] features), as one
+    product with a constant weight matrix. Given ``whole``, a batch whose
+    samples from ``first`` on are the packed ones, the means take their rows
+    in ``whole``'s [2 |whole| x H] stack and carry its domain tags; the rows
+    of its other samples are 0."""
+    samples = tuple(whole) or batch.samples
+    weights = _class_weights(batch, len(samples), first)
+    return ClassMeans(T.matmul(T.constant(weights), features),
+                      tuple(ts.domain_tag for ts in samples))
 
 
-def contrastive_loss(means: ClassMeans, config: ContrastiveConfig) -> Tensor:
-    """Kernel sum over the stacked [B x H] class means of a batch: two
-    intra-class terms and one (negated) cross-class term, each normalized by
-    its pair count.
-
-    sign_variant "as-printed" scores intra-class terms positively (minimizing
-    spreads same-class means apart); "similarity-flipped" negates the intra
-    terms and adds the cross term, so minimizing pulls same-class means
-    together and pushes the classes apart. pairing_variant "domain-separated"
-    restricts the intra-class sums to symmetrized source/target pairs.
-    """
-    answer, cq, domain_tags = means.answer_mean, means.cq_mean, means.domain_tag
+def _pair_weights(domain_tags: Sequence[str], config: ContrastiveConfig) -> np.ndarray:
+    """The constant [2B x 2B] weights whose product with the kernel matrix of
+    the stacked class means sums to the loss: each intra-class block is
+    normalized by its pair count, the cross-class term is split evenly
+    between its two mirrored blocks, and the signs follow the variant."""
     n = len(domain_tags)
-    if answer.data.ndim != 2 or answer.shape[0] != n or cq.shape != answer.shape:
-        raise T.ShapeError(f"class means {answer.shape} / {cq.shape} for {n} tags")
-    if n == 0:
-        raise ValueError("contrastive_loss over an empty batch")
-    bw = resolve_bandwidths(np.vstack([answer.data, cq.data]), config.kernel)
-    k_aa = T.gaussian_kernel(answer, answer, bw)
-    k_cc = T.gaussian_kernel(cq, cq, bw)
-    k_ac = T.gaussian_kernel(answer, cq, bw)
-
     if config.pairing_variant == PAIRING_DOMAIN_SEPARATED:
         src = np.array([tag == SOURCE for tag in domain_tags])
         tgt = np.array([tag == TARGET_SYNTHETIC for tag in domain_tags])
@@ -191,16 +189,37 @@ def contrastive_loss(means: ClassMeans, config: ContrastiveConfig) -> Tensor:
         pairs = cross.sum()
         if pairs == 0:
             raise ValueError("domain-separated pairing needs both domains in the batch")
-        intra_a = (k_aa * T.constant(cross)).sum() * (1.0 / pairs)
-        intra_c = (k_cc * T.constant(cross)).sum() * (1.0 / pairs)
+        intra = cross * (1.0 / pairs)
     else:
-        intra_a = k_aa.sum() * (1.0 / n**2)
-        intra_c = k_cc.sum() * (1.0 / n**2)
-    inter = k_ac.sum() * (1.0 / n**2)
+        intra = np.full((n, n), 1.0 / n**2)
+    inter = np.full((n, n), -0.5 / n**2)
+    weights = np.block([[intra, inter], [inter, intra]])
+    return -weights if config.sign_variant == SIGN_SIMILARITY_FLIPPED else weights
 
-    if config.sign_variant == SIGN_SIMILARITY_FLIPPED:
-        return -intra_a - intra_c + inter
-    return intra_a + intra_c - inter
+
+def contrastive_loss(means: ClassMeans, config: ContrastiveConfig) -> Tensor:
+    """Kernel sum over the stacked [2B x H] class means of a batch: two
+    intra-class terms and one (negated) cross-class term, each normalized by
+    its pair count. One kernel matrix over the stacked means holds all three
+    terms' pairs, and one product with constant weights (``_pair_weights``)
+    sums them.
+
+    sign_variant "as-printed" scores intra-class terms positively (minimizing
+    spreads same-class means apart); "similarity-flipped" negates the intra
+    terms and adds the cross term, so minimizing pulls same-class means
+    together and pushes the classes apart. pairing_variant "domain-separated"
+    restricts the intra-class sums to symmetrized source/target pairs. The
+    median-heuristic bandwidths come from the pooled answer and
+    question/context means.
+    """
+    stacked, n = means.stacked, len(means.domain_tag)
+    if stacked.data.ndim != 2 or stacked.shape[0] != 2 * n:
+        raise T.ShapeError(f"stacked class means {stacked.shape} for {n} tags")
+    if n == 0:
+        raise ValueError("contrastive_loss over an empty batch")
+    weights = _pair_weights(means.domain_tag, config)
+    kernel = T.gaussian_kernel(stacked, stacked, resolve_bandwidths(stacked.data, config.kernel))
+    return (kernel * T.constant(weights)).sum()
 
 
 def span_cross_entropy(logits: SpanLogits, gold: PackedBatch) -> Tensor:

@@ -38,7 +38,7 @@ CHECKPOINT_MAGIC = b"QADAPT\x01"
 # samples per packed forward-only encode (``map_chunks``): of 8, 16, 32 and
 # 64, 32 was the fastest for answer-mean features and tied 64 on the roundtrip
 # filter (BENCH_pr8.json); peak memory grows with the chunk, and one pack of a
-# whole set is slower, since ``losses.class_means`` builds dense [B x N] weights
+# whole set is slower, since ``losses.class_means`` builds dense [2B x N] weights
 INFER_CHUNK = 32
 
 # per-layer parameters in the argument order of the two fused sublayer ops
@@ -398,9 +398,10 @@ class SpanModel:
         (hlen,) = unpack("<I")
         header = take(hlen)
         try:
-            # bad UTF-8 and bad JSON are ValueErrors; unknown keys, TypeErrors
+            # bad UTF-8 and bad JSON are ValueErrors; unknown keys, TypeErrors;
+            # JSON nested too deeply, a RecursionError
             config = EncoderConfig(**json.loads(header.decode("utf-8")))
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, RecursionError) as err:
             raise CheckpointError(f"{path}: bad config header: {err}") from err
         shapes = cls.param_shapes(config)
         if expected_config is not None and config != expected_config:

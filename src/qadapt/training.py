@@ -1,6 +1,19 @@
 """End-to-end training: mixed-domain batch sampling, adaptive gradient descent
 on the combined objective, hyperparameter grid search, and run reporting.
 
+Every step splits its batch into two contiguous halves of about equal token
+count (``_split_point``). Each half encodes and scores its own samples as one
+packed graph (``_half_step``); the halves exchange only their class-mean rows
+and cross-entropy shares, so that each builds the loss of the whole batch
+with the other's terms as constants, and each backpropagates its own graph.
+The two gradients are summed in a fixed order, first half plus second, then
+clipped and applied. A child forked once per ``train`` call
+(``workers.partner``) runs the second halves while this process runs the
+first; the parameters and the second half's gradient live in memory both
+share (``workers.shared_zeros``). Where no child can be forked, the same two
+half-steps run here in the same order, so the artifacts do not depend on
+where the second half ran.
+
 A run directory holds a resolved config snapshot, a one-record-per-step log
 of the losses and the pre-clip gradient norm, per-epoch evaluation metrics,
 and the final checkpoint. All artifacts are deterministic for a given seed;
@@ -20,9 +33,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import tensor as T
+from . import workers
 from .datagen import DomainDataset, derive_seed
 from .evaluation import evaluate
 from .losses import (
+    ClassMeans,
     ContrastiveConfig,
     MalformedSampleError,
     PAIRING_DOMAIN_SEPARATED,
@@ -159,14 +174,17 @@ class AdamW:
 
     The parameters live in one flat buffer: on construction each parameter's
     ``.data`` becomes a view of it, so a step is a handful of whole-buffer
-    numpy calls on a flat gradient in the same order (``flat_grad``)."""
+    numpy calls on a flat gradient in the same order (``flat_grad``). The
+    buffer is ``flat`` when given (``train`` passes shared memory, which a
+    forked child reads the updated parameters from)."""
 
-    def __init__(self, params: dict[str, T.Tensor], lr: float, config: OptimizerConfig):
+    def __init__(self, params: dict[str, T.Tensor], lr: float, config: OptimizerConfig,
+                 flat: np.ndarray | None = None):
         self.lr = lr
         self.config = config
         self.t = 0
         self.params = list(params.values())
-        self.flat = np.concatenate([p.data.ravel() for p in self.params])
+        self.flat = np.concatenate([p.data.ravel() for p in self.params], out=flat)
         offset = 0
         for p in self.params:
             p.data = self.flat[offset:offset + p.data.size].reshape(p.data.shape)
@@ -174,11 +192,12 @@ class AdamW:
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
 
-    def flat_grad(self) -> np.ndarray:
-        """The parameters' gradients as one vector in buffer order; a
-        parameter without a gradient contributes zeros."""
+    def flat_grad(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The parameters' gradients as one vector in buffer order (written
+        into ``out`` when given); a parameter without a gradient contributes
+        zeros."""
         return np.concatenate([p.grad.ravel() if p.grad is not None else np.zeros(p.data.size)
-                               for p in self.params])
+                               for p in self.params], out=out)
 
     def step(self, grad: np.ndarray) -> None:
         b1, b2 = self.config.betas
@@ -255,20 +274,56 @@ def mixed_batch_sampler(
             yield epoch, batch
 
 
-def _batch_losses(model: SpanModel, batch, config: TrainConfig, step: int):
-    """Cross-entropy and contrastive terms of one mixed batch, encoded as one
-    packed graph, and whether the contrastive term was skipped. Under
-    domain-separated pairing a single-domain batch has no cross-domain pair,
-    so its contrastive term is a constant 0."""
+def _split_point(batch: Sequence) -> int:
+    """Where a training batch is cut into two contiguous halves of about
+    equal token count, ``batch[:cut]`` and ``batch[cut:]``: the first cut
+    that minimizes the difference. A one-sample batch has an empty second
+    half."""
+    if len(batch) < 2:
+        return len(batch)
+    tokens = np.cumsum([len(ts) for ts in batch])
+    return 1 + int(np.argmin(np.abs(2 * tokens[:-1] - tokens[-1])))
+
+
+def _skips_contrastive(batch: Sequence, cc: ContrastiveConfig) -> bool:
+    """Under domain-separated pairing a single-domain batch has no
+    cross-domain pair, so its contrastive term is a constant 0."""
+    return (cc.pairing_variant == PAIRING_DOMAIN_SEPARATED
+            and len({ts.domain_tag for ts in batch}) < 2)
+
+
+def _half_step(model: SpanModel, batch: Sequence, lo: int, hi: int, config: TrainConfig,
+               step: int):
+    """The forward pass of the half ``batch[lo:hi]`` of a training step, as
+    one packed graph. Returns what the other half needs from it, and
+    ``losses(theirs)``, which takes the other half's.
+
+    A half hands over its share of the batch's mean cross-entropy and its
+    rows of the batch's class-mean stack (``None`` when the contrastive term
+    is skipped). ``losses`` adds the other half's as constants, so that both
+    halves build the same loss over the whole batch, and returns its
+    cross-entropy, contrastive term and total; ``theirs`` is None when the
+    other half is empty. The gradients of the two halves' totals sum to the
+    gradient of the loss of the whole batch."""
     cc = config.contrastive
-    packed = PackedBatch.pack(batch)
-    noise_seeds = [derive_seed(config.seed, 0x401535, step, i) for i in range(len(batch))]
-    features = model.encode(packed, noise_sigma=cc.noise_sigma, noise_seed=noise_seeds)
-    ce = span_cross_entropy(model.span_logits(features), packed)
-    if (cc.pairing_variant == PAIRING_DOMAIN_SEPARATED
-            and len({ts.domain_tag for ts in batch}) < 2):
-        return ce, T.constant(0.0), True
-    return ce, contrastive_loss(class_means(features, packed), cc), False
+    half = PackedBatch.pack(batch[lo:hi])
+    noise_seeds = [derive_seed(config.seed, 0x401535, step, i) for i in range(lo, hi)]
+    features = model.encode(half, noise_sigma=cc.noise_sigma, noise_seed=noise_seeds)
+    ce = span_cross_entropy(model.span_logits(features), half) * ((hi - lo) / len(batch))
+    means = None if _skips_contrastive(batch, cc) else class_means(features, half, batch, lo)
+
+    def losses(theirs) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
+        whole_ce, stacked = ce, None if means is None else means.stacked
+        if theirs is not None:
+            their_ce, their_means = theirs
+            whole_ce = ce + their_ce if lo == 0 else their_ce + ce
+            if stacked is not None:
+                stacked = stacked + T.constant(their_means)
+        con = (T.constant(0.0) if stacked is None
+               else contrastive_loss(ClassMeans(stacked, means.domain_tag), cc))
+        return whole_ce, con, total_loss(whole_ce, con, cc)
+
+    return (ce.item(), None if means is None else means.stacked.data), losses
 
 
 def train(
@@ -303,7 +358,12 @@ def train(
         })
     else:
         model = SpanModel(config.encoder)
-    optimizer = AdamW(model.params, config.learning_rate, config.optimizer)
+    pool = src_tok + syn_tok
+    pool_index = {id(ts): k for k, ts in enumerate(pool)}
+    # the parameters, then the second half's gradient, in memory a forked child shares
+    shared = workers.shared_zeros((2, sum(p.data.size for p in model.params.values())))
+    optimizer = AdamW(model.params, config.learning_rate, config.optimizer, flat=shared[0])
+    their_grad = shared[1]
     steps: list[StepRecord] = []
     epoch_metrics: list[dict] = []
     beta = config.contrastive.beta
@@ -330,38 +390,61 @@ def train(
             _write_config_and_steps(Path(run_dir), config, report.steps)
         return DivergenceError(message, step - 1, report)
 
+    def second_half(request):
+        """The second half of a step, wherever it runs; its gradient goes to
+        ``their_grad``."""
+        at, ids, cut = request
+        batch = [pool[k] for k in ids]
+        mine, losses = _half_step(model, batch, cut, len(batch), config, at)
+        *_, loss = losses((yield mine))
+        model.zero_grad()
+        T.backward(loss)
+        optimizer.flat_grad(out=their_grad)
+
     step = 0
     current_epoch = -1
     single_domain_batches = 0
-    for epoch, batch in mixed_batch_sampler(src_tok, syn_tok, config.batch_size,
-                                            policy, config.seed, epochs=config.epochs):
-        if epoch != current_epoch:
-            if current_epoch >= 0:
-                _maybe_evaluate(model, dev_sets, config, current_epoch, epoch_metrics)
-            current_epoch = epoch
-            last_epoch_first_step = step
-        try:
-            ce, con, skipped = _batch_losses(model, batch, config, step)
-            loss = total_loss(ce, con, config.contrastive)
-            l_ce, l_con, l_qa = ce.item(), con.item(), loss.item()
-            model.zero_grad()
-            T.backward(loss)
-        except T.NonFiniteError as err:
-            raise diverged(f"non-finite loss at step {step}: {err}") from err
-        # decomposition identity, recomputed independently of the graph
-        if abs(l_qa - (l_ce + beta * l_con)) > 1e-12:
-            raise RuntimeError(f"step {step}: loss_total {l_qa!r} != loss_ce {l_ce!r} "
-                               f"+ beta * loss_con {l_con!r}")
-        single_domain_batches += skipped
-        grad = optimizer.flat_grad()
-        grad_norm = clip_gradients(grad, config.grad_clip)
-        if not math.isfinite(grad_norm):
-            raise diverged(f"non-finite gradient norm at step {step}")
-        optimizer.step(grad)
-        steps.append(StepRecord(step=step, loss_ce=l_ce, loss_con=l_con, loss_total=l_qa,
-                                grad_norm=grad_norm))
-        step += 1
-    _maybe_evaluate(model, dev_sets, config, current_epoch, epoch_metrics)
+    with workers.partner(second_half) as partner:
+        for epoch, batch in mixed_batch_sampler(src_tok, syn_tok, config.batch_size,
+                                                policy, config.seed, epochs=config.epochs):
+            if epoch != current_epoch:
+                if current_epoch >= 0:
+                    _maybe_evaluate(model, dev_sets, config, current_epoch, epoch_metrics)
+                current_epoch = epoch
+                last_epoch_first_step = step
+            cut = _split_point(batch)
+            split = cut < len(batch)
+            try:
+                if split:
+                    partner.send((step, [pool_index[id(ts)] for ts in batch], cut))
+                mine, losses = _half_step(model, batch, 0, cut, config, step)
+                theirs = None
+                if split:
+                    theirs = partner.recv()
+                    partner.send(mine)
+                ce, con, loss = losses(theirs)
+                l_ce, l_con, l_qa = ce.item(), con.item(), loss.item()
+                model.zero_grad()
+                T.backward(loss)
+                grad = optimizer.flat_grad()
+                if split:
+                    partner.recv()
+                    grad += their_grad  # the halves' gradients summed in a fixed order
+            except T.NonFiniteError as err:
+                raise diverged(f"non-finite loss at step {step}: {err}") from err
+            # decomposition identity, recomputed independently of the graph
+            if abs(l_qa - (l_ce + beta * l_con)) > 1e-12:
+                raise RuntimeError(f"step {step}: loss_total {l_qa!r} != loss_ce {l_ce!r} "
+                                   f"+ beta * loss_con {l_con!r}")
+            single_domain_batches += _skips_contrastive(batch, config.contrastive)
+            grad_norm = clip_gradients(grad, config.grad_clip)
+            if not math.isfinite(grad_norm):
+                raise diverged(f"non-finite gradient norm at step {step}")
+            optimizer.step(grad)
+            steps.append(StepRecord(step=step, loss_ce=l_ce, loss_con=l_con, loss_total=l_qa,
+                                    grad_norm=grad_norm))
+            step += 1
+        _maybe_evaluate(model, dev_sets, config, current_epoch, epoch_metrics)
 
     report = build_report()
     if run_dir is not None:

@@ -1,6 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
+from qadapt import tensor as T
+from qadapt import workers
+from qadapt.losses import ClassMeans
 from qadapt.model import EncoderConfig, SpanModel, TokenizedSample
 
 
@@ -25,6 +30,16 @@ def make_sample(seed=0, length=12, vocab=32, domain_tag="source", answer=None):
     )
 
 
+def stack_means(answer_mean, cq_mean, domain_tag) -> ClassMeans:
+    """Class means from separate [B x H] answer and question/context means,
+    stacked by two products with constant selector matrices, so that
+    gradients reach both."""
+    n = answer_mean.shape[0]
+    select = np.eye(2 * n)
+    return ClassMeans(T.matmul(T.constant(select[:, :n]), answer_mean)
+                      + T.matmul(T.constant(select[:, n:]), cq_mean), tuple(domain_tag))
+
+
 @pytest.fixture(scope="session")
 def tiny_config():
     return EncoderConfig(vocab_size=32, hidden_dim=16, num_layers=1, num_heads=2,
@@ -34,3 +49,30 @@ def tiny_config():
 @pytest.fixture(scope="session")
 def tiny_model(tiny_config):
     return SpanModel(tiny_config)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count that ``workers`` sees."""
+    def set_count(n):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: n)
+    return set_count
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that ``os.fork`` returned to this process."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids

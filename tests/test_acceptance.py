@@ -27,17 +27,15 @@ from qadapt.datagen import (
 from qadapt.evaluation import em_f1, pca_project
 from qadapt.experiment import run_adaptation_experiment, run_seed
 from qadapt.losses import (
-    ClassMeans,
     ContrastiveConfig,
     KernelConfig,
     contrastive_loss,
     gaussian_kernel,
     mmd_squared,
-    total_loss,
 )
 from qadapt.model import EncoderConfig, SpanModel
-from qadapt.training import TrainConfig, _batch_losses
-from conftest import make_sample
+from qadapt.training import TrainConfig, _half_step
+from conftest import make_sample, stack_means
 from test_evaluation import EM_F1_CASES
 
 
@@ -59,9 +57,9 @@ VARIANTS = [
 
 
 def _combined_loss(model, batch, config):
-    """The trained objective: one packed batch at step 0."""
-    ce, con, _ = _batch_losses(model, batch, config, 0)
-    return total_loss(ce, con, config.contrastive)
+    """The trained objective: one packed batch at step 0, run as one half."""
+    _, losses = _half_step(model, batch, 0, len(batch), config, 0)
+    return losses(None)[2]
 
 
 def test_criterion_1_gradient_fidelity():
@@ -151,7 +149,7 @@ def test_criterion_3_contrastive_closed_forms():
     for _ in range(100):
         a = rng.standard_normal(5)
         c = rng.standard_normal(5)
-        means = ClassMeans(T.constant(a[None]), T.constant(c[None]), ("source",))
+        means = stack_means(T.constant(a[None]), T.constant(c[None]), ("source",))
         expected = 2.0 - gaussian_kernel(a, c, cfg.kernel)
         ok &= abs(contrastive_loss(means, cfg).item() - expected) <= 1e-12
 
@@ -162,8 +160,8 @@ def test_criterion_3_contrastive_closed_forms():
     for _ in range(100):
         a = [rng.standard_normal(4) for _ in range(2)]
         c = [rng.standard_normal(4) for _ in range(2)]
-        means = ClassMeans(T.constant(np.stack(a)), T.constant(np.stack(c)),
-                           ("source", "target_synthetic"))
+        means = stack_means(T.constant(np.stack(a)), T.constant(np.stack(c)),
+                            ("source", "target_synthetic"))
         brute = sum(
             (k(a[i], a[j]) + k(c[i], c[j]) - k(a[i], c[j])) / 4
             for i in range(2) for j in range(2)
@@ -206,7 +204,7 @@ def test_criterion_5_directional_adaptation(adaptation_result):
 
 
 def test_experiment_seeds_equal_sequential_runs(adaptation_result):
-    # with two usable CPUs, seeds 2-4 ran in the worker process
+    # with two usable CPUs, seeds 2-4 ran in a child forked for the call
     outcomes = adaptation_result.outcomes
     assert [o.seed for o in outcomes] == list(range(5))
     assert run_seed(outcomes[-1].seed) == outcomes[-1]

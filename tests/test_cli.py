@@ -326,6 +326,39 @@ class TestMalformedInputsExitWithoutTraceback:
                      "--out", str(tmp_path / "out")]) == 2
         assert len(self.one_line_error(capsys).strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("reader, code", [
+        ("spec", 1), ("config", 1), ("dataset", 2), ("contexts", 2), ("checkpoint", 2)])
+    def test_deeply_nested_json_exits_without_traceback(self, tmp_path, capsys, reader, code):
+        import struct
+        from qadapt.model import CHECKPOINT_MAGIC, SpanModel
+        deep = "[" * 100000
+        (tmp_path / "deep.json").write_text(deep)
+        ckpt = tmp_path / "model.bin"
+        SpanModel(EncoderConfig(hidden_dim=8, num_layers=1, num_heads=2, ff_dim=8,
+                                max_len=32)).save(ckpt)
+        (tmp_path / "deep.bin").write_bytes(
+            CHECKPOINT_MAGIC + struct.pack("<I", len(deep)) + deep.encode())
+        argv = {
+            "spec": ["synth", "--spec", "deep.json"],
+            "config": ["train", "--config", "deep.json"],
+            "dataset": ["eval", "--checkpoint", "model.bin", "--dataset", "deep.json"],
+            "contexts": ["generate", "--contexts", "deep.json"],
+            "checkpoint": ["eval", "--checkpoint", "deep.bin", "--dataset", "deep.json"],
+        }[reader]
+        argv = [str(tmp_path / a) if a.startswith(("deep", "model")) else a for a in argv]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "out")]) == code
+        self.one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["synth --spec", "train --config"])
+    def test_undecodable_spec_or_config_exits_1(self, tmp_path, capsys, command):
+        path = tmp_path / "input.json"
+        path.write_bytes(b"\xff\xfe")
+        capsys.readouterr()
+        assert main(command.split() + [str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "cannot read" in self.one_line_error(capsys)
+
     def test_train_on_top_level_list_config_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "list.json"
         cfg_path.write_text("[1, 2]")

@@ -255,6 +255,12 @@ class TestSyntheticDomains:
         with pytest.raises(ValueError):
             DomainShiftSpec(context_words=(5, 3))
 
+    def test_context_words_from_a_json_list_compare_and_hash_as_a_tuple(self):
+        spec = DomainShiftSpec(context_words=json.loads("[8, 12]"))
+        assert spec == DomainShiftSpec()
+        assert hash(spec) == hash(DomainShiftSpec())
+        assert spec.context_words == (8, 12)
+
     def test_gold_not_inside_context_corpus(self):
         spec = DomainShiftSpec(n_source=5, n_target_contexts=5)
         _, contexts, gold = make_synthetic_domains(spec, seed=8)

@@ -21,7 +21,7 @@ from qadapt.losses import (
     total_loss,
 )
 from qadapt.model import PackedBatch, SpanLogits, TokenizedSample, tokenize_sample
-from conftest import make_sample
+from conftest import make_sample, stack_means
 
 
 def unit_apart(d2, dim=4):
@@ -169,13 +169,13 @@ class TestClassMeans:
         single = PackedBatch.pack([make_sample(seed=21, answer=(s, s))])
         feats = tiny_model.encode(single)
         cm = class_means(feats, single)
-        assert np.array_equal(cm.answer_mean.data, feats.data[s:s + 1])
+        assert np.array_equal(cm.answer_mean, feats.data[s:s + 1])
 
     def test_constant_features_equalize_means(self):
         ts = make_sample(seed=22)
         feats = T.constant(np.ones((len(ts), 4)))
         cm = class_means(feats, PackedBatch.pack([ts]))
-        assert np.array_equal(cm.answer_mean.data, cm.cq_mean.data)
+        assert np.array_equal(cm.answer_mean, cm.cq_mean)
 
     def test_hand_summed_means(self):
         ts = make_sample(seed=23)
@@ -186,15 +186,15 @@ class TestClassMeans:
         cq_mask = (ts.question_mask | ts.context_mask) & ~ts.answer_mask
         cq = values[cq_mask].mean(axis=0)
         assert cm.answer_mean.shape == cm.cq_mean.shape == (1, 5)
-        assert np.max(np.abs(cm.answer_mean.data[0] - ans)) < 1e-12
-        assert np.max(np.abs(cm.cq_mean.data[0] - cq)) < 1e-12
+        assert np.max(np.abs(cm.answer_mean[0] - ans)) < 1e-12
+        assert np.max(np.abs(cm.cq_mean[0] - cq)) < 1e-12
 
     def test_specials_excluded(self):
         ts = make_sample(seed=24)
         values = np.zeros((len(ts), 3))
         values[list(ts.special_positions)] = 1e6
         cm = class_means(T.constant(values), PackedBatch.pack([ts]))
-        assert np.max(np.abs(cm.cq_mean.data)) == 0.0
+        assert np.max(np.abs(cm.cq_mean)) == 0.0
 
     def test_sample_without_non_answer_tokens_signalled(self):
         # a SQuAD record with an empty question whose answer is the whole context
@@ -212,8 +212,8 @@ def random_means(seed, n, dim=4, tags=None):
     rows = [(rng.standard_normal(dim), rng.standard_normal(dim)) for _ in range(n)]
     answer = np.array([a for a, _ in rows])
     cq = np.array([c for _, c in rows])
-    return ClassMeans(answer_mean=T.constant(answer), cq_mean=T.constant(cq),
-                      domain_tag=tuple(tags))
+    return stack_means(answer_mean=T.constant(answer), cq_mean=T.constant(cq),
+                       domain_tag=tuple(tags))
 
 
 class TestContrastiveLoss:
@@ -221,18 +221,18 @@ class TestContrastiveLoss:
 
     def test_single_sample_identical_means(self):
         v = T.constant(np.array([[0.3, -0.2, 1.0]]))
-        means = ClassMeans(answer_mean=v, cq_mean=v, domain_tag=("source",))
+        means = stack_means(answer_mean=v, cq_mean=v, domain_tag=("source",))
         assert abs(contrastive_loss(means, self.CFG).item() - 1.0) < 1e-12
 
     def test_single_sample_closed_form(self):
         means = random_means(31, 1)
-        k = gaussian_kernel(means.answer_mean.data[0], means.cq_mean.data[0], self.CFG.kernel)
+        k = gaussian_kernel(means.answer_mean[0], means.cq_mean[0], self.CFG.kernel)
         got = contrastive_loss(means, self.CFG).item()
         assert abs(got - (2.0 - k)) < 1e-12
 
     def test_two_sample_brute_force(self):
         batch = random_means(32, 2)
-        a, c = batch.answer_mean.data, batch.cq_mean.data
+        a, c = batch.answer_mean, batch.cq_mean
         bw = self.CFG.kernel.bandwidths
         expected = 0.0
         for i in range(2):
@@ -253,22 +253,22 @@ class TestContrastiveLoss:
         batch = random_means(34, 4)
         base = contrastive_loss(batch, self.CFG).item()
         order = [2, 0, 3, 1]
-        perm = ClassMeans(T.constant(batch.answer_mean.data[order]),
-                          T.constant(batch.cq_mean.data[order]),
-                          tuple(batch.domain_tag[i] for i in order))
+        perm = stack_means(T.constant(batch.answer_mean[order]),
+                           T.constant(batch.cq_mean[order]),
+                           tuple(batch.domain_tag[i] for i in order))
         assert abs(contrastive_loss(perm, self.CFG).item() - base) < 1e-12
 
     def test_empty_batch_rejected(self):
         empty = T.constant(np.zeros((0, 4)))
         with pytest.raises(ValueError, match="empty"):
-            contrastive_loss(ClassMeans(empty, empty, ()), self.CFG)
+            contrastive_loss(stack_means(empty, empty, ()), self.CFG)
 
     def test_domain_separated_intra_terms(self):
         tags = ["source", "target_synthetic", "source"]
         batch = random_means(35, 3, tags=tags)
         cfg = ContrastiveConfig(beta=0.01, noise_sigma=0.0, kernel=self.CFG.kernel,
                                 pairing_variant="domain-separated")
-        a, c = batch.answer_mean.data, batch.cq_mean.data
+        a, c = batch.answer_mean, batch.cq_mean
         bw = cfg.kernel.bandwidths
         cross = [(i, j) for i in range(3) for j in range(3)
                  if {tags[i], tags[j]} == {"source", "target_synthetic"}]
@@ -292,10 +292,56 @@ class TestContrastiveLoss:
         tags = ("source", "target_synthetic", "source")
 
         def f(t):
-            return contrastive_loss(ClassMeans(answer_mean=t, cq_mean=cq, domain_tag=tags),
-                                    self.CFG)
+            return contrastive_loss(
+                stack_means(answer_mean=t, cq_mean=cq, domain_tag=tags), self.CFG)
 
         assert T.finite_difference_check(f, T.constant(flat)) < 1e-5
+
+    VARIANTS = [(sign, pairing) for sign in ("as-printed", "similarity-flipped")
+                for pairing in ("mixed-batch", "domain-separated")]
+
+    @staticmethod
+    def three_kernel_loss(a, c, tags, cfg):
+        """The loss as three kernel matrices, three sums and the signs, the
+        form before the class means were stacked."""
+        bw = resolve_bandwidths(np.vstack([a, c]), cfg.kernel)
+        k_aa, k_cc, k_ac = (T.gaussian_kernel_values(x, y, bw)
+                            for x, y in ((a, a), (c, c), (a, c)))
+        n = len(tags)
+        if cfg.pairing_variant == "domain-separated":
+            src = np.array([t == "source" for t in tags])
+            cross = np.outer(src, ~src).astype(float)
+            cross = cross + cross.T
+            intra_a = (k_aa * cross).sum() / cross.sum()
+            intra_c = (k_cc * cross).sum() / cross.sum()
+        else:
+            intra_a, intra_c = k_aa.sum() / n**2, k_cc.sum() / n**2
+        inter = k_ac.sum() / n**2
+        if cfg.sign_variant == "similarity-flipped":
+            return -intra_a - intra_c + inter
+        return intra_a + intra_c - inter
+
+    @pytest.mark.parametrize("sign, pairing", VARIANTS)
+    def test_stacked_loss_matches_the_three_kernel_form(self, sign, pairing):
+        cfg = ContrastiveConfig(beta=0.01, noise_sigma=0.0, sign_variant=sign,
+                                pairing_variant=pairing)  # median-heuristic bandwidths
+        for seed in range(20):
+            n = 2 + seed % 5
+            batch = random_means(500 + seed, n, dim=6)
+            want = self.three_kernel_loss(batch.answer_mean, batch.cq_mean, batch.domain_tag, cfg)
+            assert abs(contrastive_loss(batch, cfg).item() - want) <= 1e-12
+
+    @pytest.mark.parametrize("sign, pairing", VARIANTS)
+    def test_stacked_loss_passes_the_oracle(self, sign, pairing):
+        cfg = ContrastiveConfig(beta=0.01, noise_sigma=0.0, kernel=self.CFG.kernel,
+                                sign_variant=sign, pairing_variant=pairing)
+        tags = ("source", "target_synthetic", "source", "target_synthetic")
+        stacked = np.random.default_rng(38).standard_normal((8, 4))
+
+        def f(t):
+            return contrastive_loss(ClassMeans(t, tags), cfg)
+
+        assert T.finite_difference_check(f, T.constant(stacked)) < 1e-5
 
     def test_descent_flipped_variant_contracts_classes(self):
         """Gradient descent on directly parameterized class-mean features with
@@ -323,7 +369,7 @@ class TestContrastiveLoss:
                 a = T.Tensor(a_val, requires_grad=True)
                 c = T.Tensor(c_val, requires_grad=True)
                 tags = ("source", "target_synthetic") * 2
-                T.backward(contrastive_loss(ClassMeans(a, c, tags), cfg))
+                T.backward(contrastive_loss(stack_means(a, c, tags), cfg))
                 a_val = a_val - 0.05 * a.grad
                 c_val = c_val - 0.05 * c.grad
             intra1, inter1 = stats(a_val, c_val)

@@ -97,7 +97,7 @@ class TestAnswerMeanFeatures:
         for s in source:
             _, packed, features, _ = alone(model, s.question, s.context, s.answer_start,
                                            s.answer_text)
-            rows.append(class_means(features, packed).answer_mean.data[0])
+            rows.append(class_means(features, packed).answer_mean[0])
         return np.stack(rows)
 
     @settings(max_examples=25, deadline=None)

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qadapt import tensor as T
+from qadapt import training as tr
+from qadapt import workers
 from qadapt.datagen import DomainDataset, DomainShiftSpec, derive_seed, make_synthetic_domains
 from qadapt.evaluation import evaluate
 from qadapt.experiment import build_experiment_data
 from qadapt.losses import (
-    ClassMeans, ContrastiveConfig, KernelConfig, MalformedSampleError, contrastive_loss, total_loss,
+    ContrastiveConfig, KernelConfig, MalformedSampleError, contrastive_loss, total_loss,
 )
 from qadapt.model import EncoderConfig, SpanModel, TokenizationError, tokenize_samples
 from qadapt.training import (
@@ -26,9 +28,10 @@ from qadapt.training import (
     grid_search,
     mixed_batch_sampler,
     train,
-    _batch_losses,
+    _half_step,
+    _split_point,
 )
-from conftest import make_sample
+from conftest import assert_no_child_left, make_sample, stack_means
 
 TINY_ENC = EncoderConfig(vocab_size=258, hidden_dim=16, num_layers=1, num_heads=2,
                          ff_dim=32, max_len=96, seed=1)
@@ -290,14 +293,14 @@ class TestTrain:
         import qadapt.training as tr
         source, synthetic = toy_data
         cfg = tiny_config(epochs=4, contrastive=ContrastiveConfig(beta=0.0, noise_sigma=0.0))
-        real = tr._batch_losses
+        real = tr._half_step
 
-        def poisoned(model, batch, config, step):
+        def poisoned(model, batch, lo, hi, config, step):
             if step == 3:
                 raise T.NonFiniteError("operation produced non-finite values")
-            return real(model, batch, config, step)
+            return real(model, batch, lo, hi, config, step)
 
-        monkeypatch.setattr(tr, "_batch_losses", poisoned)
+        monkeypatch.setattr(tr, "_half_step", poisoned)
         with pytest.raises(DivergenceError) as err:
             train(cfg, source, synthetic)
         assert err.value.last_finite_step == 2
@@ -341,8 +344,8 @@ class TestTrain:
                                                 cfg.encoder.max_len)]
         _, batch = next(mixed_batch_sampler(src, syn, cfg.batch_size, "mixed", cfg.seed))
         model = SpanModel(cfg.encoder)
-        ce, con, _ = _batch_losses(model, batch, cfg, 0)
-        T.backward(total_loss(ce, con, cfg.contrastive))
+        _, losses = _half_step(model, batch, 0, len(batch), cfg, 0)  # the batch as one graph
+        T.backward(losses(None)[2])
         grads = np.concatenate([p.grad.ravel() for p in model.params.values()])
         want = float(np.sqrt(np.sum(grads * grads)))
         assert want > cfg.grad_clip  # the logged norm is the one before clipping
@@ -598,8 +601,22 @@ def _reference_loss(model, batch, config, step):
         ce = nll if ce is None else ce + nll
         answer = a_row if answer is None else answer + a_row
         cq = c_row if cq is None else cq + c_row
-    means = ClassMeans(answer, cq, tuple(ts.domain_tag for ts in batch))
+    means = stack_means(answer, cq, tuple(ts.domain_tag for ts in batch))
     return total_loss((ce * (1.0 / n)).sum(), contrastive_loss(means, cc), cc)
+
+
+def split_step(model, batch, config, step):
+    """The loss of a training step over both halves of its batch, run here in
+    the trainer's order, and the sum of the halves' parameter gradients."""
+    cut = _split_point(batch)
+    mine, losses = _half_step(model, batch, 0, cut, config, step)
+    theirs, their_losses = _half_step(model, batch, cut, len(batch), config, step)
+    loss = losses(theirs)[2]
+    T.backward(loss)
+    grads = {name: t.grad for name, t in model.params.items()}
+    model.zero_grad()
+    T.backward(their_losses(mine)[2])
+    return loss.item(), {name: grads[name] + t.grad for name, t in model.params.items()}
 
 
 PARITY_ENC = EncoderConfig(vocab_size=32, hidden_dim=16, num_layers=2, num_heads=4, ff_dim=24,
@@ -610,7 +627,8 @@ PARITY_ENC = EncoderConfig(vocab_size=32, hidden_dim=16, num_layers=2, num_heads
 @pytest.mark.parametrize("pairing", ["mixed-batch", "domain-separated"])
 @pytest.mark.parametrize("sigma", [0.0, 0.05])
 def test_packed_batch_matches_per_sample_graphs(sign, pairing, sigma):
-    """Loss and every parameter gradient of the packed batch equal those of
+    """Loss and every parameter gradient of a training step, its packed batch
+    split into two halves whose gradients are summed, equal those of
     per-sample graphs within 1e-12 relative to the largest gradient entry
     (some gradients, such as the key biases', are exactly zero in exact
     arithmetic and round-off in both)."""
@@ -622,14 +640,12 @@ def test_packed_batch_matches_per_sample_graphs(sign, pairing, sigma):
     batch = [make_sample(seed=60 + i, length=n, vocab=32,
                          domain_tag="source" if i % 2 else "target_synthetic")
              for i, n in enumerate((9, 16, 6, 13, 11))]
-    grads = []
-    for build in (lambda m: total_loss(*_batch_losses(m, batch, config, 3)[:2], config.contrastive),
-                  lambda m: _reference_loss(m, batch, config, 3)):
-        model = SpanModel(PARITY_ENC)
-        loss = build(model)
-        T.backward(loss)
-        grads.append((loss.item(), {n: t.grad for n, t in model.params.items()}))
-    (packed_loss, packed), (ref_loss, ref) = grads
+    assert 0 < _split_point(batch) < len(batch)
+    packed_loss, packed = split_step(SpanModel(PARITY_ENC), batch, config, 3)
+    model = SpanModel(PARITY_ENC)
+    ref_loss = _reference_loss(model, batch, config, 3)
+    T.backward(ref_loss)
+    ref_loss, ref = ref_loss.item(), {n: t.grad for n, t in model.params.items()}
     assert abs(packed_loss - ref_loss) <= 1e-12 * abs(ref_loss)
     scale = max(np.max(np.abs(g)) for g in ref.values())
     for name, want in ref.items():
@@ -653,3 +669,97 @@ def test_domain_separated_single_domain_batches_skip_the_term(tmp_path):
     assert all(r.loss_con != 0.0 for r in report.steps[:30])
     saved = json.loads((tmp_path / "run" / "report.json").read_text())
     assert saved["single_domain_batches"] == 5
+
+
+# -- the second half of every step in a forked child --------------------------------
+
+def _artifacts(run_dir):
+    return [(run_dir / name).read_bytes() for name in ("checkpoint.bin", "steps.jsonl")]
+
+
+def test_artifacts_do_not_depend_on_where_the_second_half_ran(toy_data, tmp_path, cpus, forks,
+                                                              monkeypatch):
+    """The same bytes from the partner child, from one usable CPU, from
+    unpinned BLAS, from inside a ``split_map`` child and from beside one."""
+    source, synthetic = toy_data
+    cfg = tiny_config(epochs=2, contrastive=ContrastiveConfig(beta=0.01, noise_sigma=0.01))
+
+    def run(name):
+        train(cfg, source, synthetic, run_dir=tmp_path / name)
+        return name
+
+    cpus(2)
+    run("child")
+    assert len(forks) == 1
+    cpus(1)
+    run("one-cpu")
+    cpus(2)
+    with monkeypatch.context() as m:
+        m.setattr(workers, "BLAS_PINNED", False)
+        run("unpinned")
+    assert len(forks) == 1
+    assert list(workers.split_map(run, ["beside", "inside"])) == ["beside", "inside"]
+    assert len(forks) == 2  # the split_map child; neither training forked its own
+    want = _artifacts(tmp_path / "child")
+    for name in ("one-cpu", "unpinned", "beside", "inside"):
+        assert _artifacts(tmp_path / name) == want, name
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("n_cpus", [2, 1])
+@pytest.mark.parametrize("phase", ["forward", "backward"])
+def test_nonfinite_second_half_diverges_at_its_step(toy_data, tmp_path, monkeypatch, cpus, forks,
+                                                    n_cpus, phase):
+    source, synthetic = toy_data
+    cpus(n_cpus)
+    real = tr._half_step
+
+    def poisoned(model, batch, lo, hi, config, step):
+        if step != 3 or lo == 0:
+            return real(model, batch, lo, hi, config, step)
+        if phase == "forward":
+            raise T.NonFiniteError("second half forward")
+        mine, losses = real(model, batch, lo, hi, config, step)
+
+        def failing(theirs):
+            raise T.NonFiniteError("second half backward")
+        return mine, failing
+
+    monkeypatch.setattr(tr, "_half_step", poisoned)
+    with pytest.raises(DivergenceError, match=f"step 3: second half {phase}") as err:
+        train(tiny_config(epochs=2), source, synthetic, run_dir=tmp_path / "run")
+    assert err.value.last_finite_step == 2
+    assert len((tmp_path / "run" / "steps.jsonl").read_text().splitlines()) == 3
+    assert len(forks) == (n_cpus == 2)
+    assert_no_child_left()
+
+
+def test_abandoned_train_leaves_no_child(toy_data, monkeypatch, cpus, forks):
+    source, synthetic = toy_data
+    cpus(2)
+
+    def failing_evaluate(*args, **kwargs):
+        raise RuntimeError("dev evaluation failed")
+
+    monkeypatch.setattr(tr, "evaluate", failing_evaluate)
+    with pytest.raises(RuntimeError, match="dev evaluation failed"):
+        train(tiny_config(epochs=2, eval_cadence=1), source, synthetic, dev_sets={"dev": source})
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_single_sample_batch_runs_with_an_empty_second_half(toy_data, tmp_path, cpus):
+    source, _ = toy_data
+    assert _split_point([make_sample(seed=1)]) == 1
+    cfg = tiny_config(epochs=1, batch_size=len(source) - 1, mixing_policy="source-only")
+    for n_cpus in (2, 1):
+        cpus(n_cpus)
+        _, report = train(cfg, source, run_dir=tmp_path / str(n_cpus))
+        assert len(report.steps) == 2  # the second batch holds one sample
+    assert _artifacts(tmp_path / "2") == _artifacts(tmp_path / "1")
+
+
+def test_split_point_balances_tokens():
+    batch = [make_sample(seed=i, length=n) for i, n in enumerate((9, 16, 6, 13, 11))]
+    assert _split_point(batch) == 2  # 25 tokens against 30
+    assert _split_point(batch[:2]) == 1

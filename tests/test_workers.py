@@ -1,8 +1,9 @@
-"""The forked child of ``qadapt.workers.split_map``: results in input order
-and equal to the in-process path bit for bit, errors raised again with their
-type, in-process fallbacks (one usable CPU, nested calls, a call made while a
-child runs), and no child left once a call returns, is abandoned, or loses
-its child."""
+"""The forked children of ``qadapt.workers``: ``split_map`` results in input
+order and equal to the in-process path bit for bit, ``partner``
+conversations answered in order, errors raised again with their type,
+in-process fallbacks (one usable CPU, unpinned BLAS, nested calls, a call
+made while a child runs), and no child left once a call returns, is
+abandoned, or loses its child."""
 
 import os
 
@@ -15,6 +16,7 @@ from qadapt.datagen import DomainShiftSpec, make_synthetic_domains
 from qadapt.evaluation import answer_mean_features, predict_answers
 from qadapt.model import INFER_CHUNK, EncoderConfig, SpanModel, map_chunks, tokenize_samples
 from qadapt.training import DivergenceError
+from conftest import assert_no_child_left
 
 CONFIG = EncoderConfig(hidden_dim=16, num_layers=1, num_heads=2, ff_dim=32, max_len=96, seed=3)
 
@@ -28,33 +30,6 @@ class Unbuildable(Exception):
 
     def __init__(self, message, code):
         super().__init__(message)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the usable CPU count that ``workers`` sees."""
-    def set_count(n):
-        monkeypatch.setattr(workers, "usable_cpus", lambda: n)
-    return set_count
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids that ``os.fork`` returned to this process."""
-    pids, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +151,130 @@ def test_blas_is_pinned_when_numpy_uses_openblas():
         pytest.skip(f"numpy uses {blas}")
     assert workers.BLAS_PINNED is True
     assert workers.pin_blas_threads() is True
+
+
+def _summing(first):
+    """A conversation: answers its opening number with this process's pid,
+    then adds each later number to a running total until sent None, and
+    returns the total."""
+    total = first
+    number = yield os.getpid()
+    while number is not None:
+        total += number
+        number = yield total
+    return total
+
+
+def test_partner_conversations_run_in_the_child_in_order(cpus, forks):
+    cpus(2)
+    with workers.partner(_summing) as partner:
+        for first in (10, 20):
+            partner.send(first)
+            assert partner.recv() == forks[0]
+            for number, total in ((1, first + 1), (2, first + 3)):
+                partner.send(number)
+                assert partner.recv() == total
+            partner.send(None)
+            assert partner.recv() == first + 3
+        assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_in_process_partner_runs_when_its_answer_is_asked_for(cpus, forks):
+    cpus(1)
+    order = []
+
+    def serve(message):
+        order.append(("serve", message))
+        reply = yield message * 2
+        order.append(("serve", reply))
+        return reply + 1
+    with workers.partner(serve) as partner:
+        partner.send(3)
+        order.append(("caller", 3))
+        assert partner.recv() == 6
+        partner.send(7)
+        order.append(("caller", 7))
+        assert partner.recv() == 8
+    assert order == [("caller", 3), ("serve", 3), ("caller", 7), ("serve", 7)]
+    assert forks == []
+
+
+@pytest.mark.parametrize("n_cpus", [2, 1])
+def test_partner_error_is_raised_here_and_ends_only_its_conversation(cpus, forks, n_cpus):
+    cpus(n_cpus)
+
+    def serve(message):
+        reply = yield message
+        if reply == "diverge":
+            raise DivergenceError("loss is nan", last_finite_step=6)
+        return reply
+    with workers.partner(serve) as partner:
+        partner.send("open")
+        assert partner.recv() == "open"
+        partner.send("diverge")
+        with pytest.raises(DivergenceError, match="loss is nan") as err:
+            partner.recv()
+        assert err.value.last_finite_step == 6
+        partner.send("again")  # opens a new conversation
+        assert partner.recv() == "again"
+    assert len(forks) == (n_cpus == 2)
+    assert_no_child_left()
+
+
+def test_partner_child_that_exits_raises_and_is_reaped(cpus):
+    cpus(2)
+    here = os.getpid()
+
+    def serve(message):
+        if os.getpid() != here:
+            os._exit(3)
+        yield message
+    with pytest.raises(ChildProcessError, match="exited without replying"):
+        with workers.partner(serve) as partner:
+            partner.send(1)
+            partner.recv()
+    assert_no_child_left()
+
+
+def test_failed_block_kills_a_busy_partner(cpus, forks):
+    cpus(2)
+
+    def serve(message):
+        while True:  # busy until killed
+            message = message + 1
+        yield message
+    with pytest.raises(KeyError):
+        with workers.partner(serve) as partner:
+            partner.send(0)
+            raise KeyError("caller failed")
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_shared_zeros_carry_writes_both_ways(cpus):
+    """Each round's writes are seen by the other side after one message, as
+    the trainer's parameters and gradients are: a stale read breaks a sum."""
+    cpus(2)
+    shared = workers.shared_zeros((2, 3))
+
+    def serve(factor):
+        while True:  # one conversation for every round
+            shared[1] = shared[0] * factor
+            factor = yield None
+    with workers.partner(serve) as partner:
+        for i in range(200):
+            shared[0] = [i, i + 1.0, i + 2.0]
+            partner.send(2.0)
+            partner.recv()
+            assert shared[1].tolist() == [2.0 * i, 2.0 * i + 2.0, 2.0 * i + 4.0]
+
+
+def test_unpinned_blas_forks_nothing(cpus, forks, monkeypatch):
+    cpus(2)
+    monkeypatch.setattr(workers, "BLAS_PINNED", False)
+    assert {pid for _, pid in workers.split_map(_where, range(4))} == {os.getpid()}
+    with workers.partner(_summing) as partner:
+        partner.send(0)
+        assert partner.recv() == os.getpid()
+    assert forks == []
