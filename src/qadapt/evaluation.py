@@ -92,9 +92,10 @@ def predict_answers(model: SpanModel, pairs: Sequence[tuple], max_answer_len: in
     chunks = map_chunks(model, [ts for _, ts in pairs],
                         lambda _, features: model.span_logits(features).scores.data)
     for packed, scores in chunks:
-        logits = SpanLogits(T.constant(scores))
-        for i, ts in enumerate(packed.samples):
-            span = predict_span(logits.segment(packed, i), ts.context_mask, max_answer_len)
+        edges = packed.offsets.tolist()
+        for ts, lo, hi in zip(packed.samples, edges, edges[1:]):
+            span = predict_span(SpanLogits(T.constant(scores[lo:hi])), ts.context_mask,
+                                max_answer_len)
             answers.append(ts.span_text(next(contexts), span))
     return answers
 

@@ -14,6 +14,7 @@ encodes the second half.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import struct
@@ -35,10 +36,15 @@ DEFAULT_VOCAB = 258
 
 CHECKPOINT_MAGIC = b"QADAPT\x01"
 
-# samples per packed forward-only encode (``map_chunks``): of 8, 16, 32 and
-# 64, 32 was the fastest for answer-mean features and tied 64 on the roundtrip
-# filter (BENCH_pr8.json); peak memory grows with the chunk, and one pack of a
-# whole set is slower, since ``losses.class_means`` builds dense [2B x N] weights
+# samples per packed forward-only encode (``map_chunks``). Re-measured with
+# BLAS pinned to one thread and the second half of the chunks in a forked
+# child on a 2-core host (medians of 8 and 12 interleaved passes): 64 is
+# clearly slower (the roundtrip filter of 720 candidates 0.353 / 0.366 s),
+# while 16 and 32 are within the host's noise (0.268 / 0.292 s against
+# 0.280 / 0.296 s; the answer-mean features of two 120-sample sets 0.112 /
+# 0.111 s against 0.117 / 0.120 s), so 32 stays until paired benchmark runs
+# separate them. Peak memory grows with the chunk, and one pack of a whole
+# set is slower still, since ``losses.class_means`` builds dense [2B x N] weights
 INFER_CHUNK = 32
 
 # per-layer parameters in the argument order of the two fused sublayer ops
@@ -153,7 +159,7 @@ class PackedBatch:
         lengths = [len(ts) for ts in samples]
         return cls(
             samples=tuple(samples),
-            offsets=np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+            offsets=np.array([0, *itertools.accumulate(lengths)], dtype=np.int64),
             token_ids=np.concatenate([ts.token_ids for ts in samples]),
             positions=np.concatenate([np.arange(n) for n in lengths]),
         )
@@ -178,11 +184,6 @@ class SpanLogits:
     def end_scores(self) -> Tensor:
         """The end column, as a constant."""
         return T.constant(self.scores.data[:, 1])
-
-    def segment(self, batch: PackedBatch, i: int) -> "SpanLogits":
-        """Constant scores of segment i of the packed batch they come from."""
-        lo, hi = batch.offsets[i], batch.offsets[i + 1]
-        return SpanLogits(T.constant(self.scores.data[lo:hi]))
 
 
 def tokenize_sample(
@@ -318,7 +319,8 @@ class SpanModel:
             t.zero_grad()
 
     def _layer_params(self, layer: int, names: tuple[str, ...]) -> list[Tensor]:
-        return [self.params[f"layer{layer}.{name}"] for name in names]
+        prefix = f"layer{layer}."
+        return [self.params[prefix + name] for name in names]
 
     def encode(self, sample: TokenizedSample | PackedBatch, noise_sigma: float = 0.0,
                noise_seed: int | Sequence[int] = 0) -> Tensor:
@@ -329,12 +331,12 @@ class SpanModel:
         packed batch."""
         cfg = self.config
         packed = sample if isinstance(sample, PackedBatch) else PackedBatch.pack([sample])
-        longest = int(np.diff(packed.offsets).max())
+        longest = max(len(ts) for ts in packed.samples)
         if longest > cfg.max_len:
             raise TokenizationError(f"sequence length {longest} exceeds max length {cfg.max_len}")
-        if np.any(packed.token_ids >= cfg.vocab_size):
+        if packed.token_ids.max(initial=0) >= cfg.vocab_size:
             raise TokenizationError("token id outside the configured vocabulary")
-        x = T.embedding(self.params["tok_emb"], packed.token_ids)
+        noise = None
         if noise_sigma > 0.0:
             seeds = list(noise_seed) if isinstance(sample, PackedBatch) else [noise_seed]
             if len(seeds) != len(packed):
@@ -343,8 +345,8 @@ class SpanModel:
                 embedding_noise((len(ts), cfg.hidden_dim), noise_sigma, seed)
                 for ts, seed in zip(packed.samples, seeds)
             ])
-            x = x + T.constant(noise)
-        x = x + T.embedding(self.params["pos_emb"], packed.positions)
+        x = T.embed(self.params["tok_emb"], self.params["pos_emb"], packed.token_ids,
+                    packed.positions, noise)
         for i in range(cfg.num_layers):
             x = T.attention_sublayer(x, *self._layer_params(i, _ATTENTION_PARAMS), packed.offsets,
                                      cfg.num_heads)
@@ -452,17 +454,18 @@ def predict_span(logits: SpanLogits, context_mask, max_answer_len: int) -> tuple
     if max_answer_len < 1:
         raise ValueError("max_answer_len must be >= 1")
     mask = np.asarray(context_mask, dtype=bool)
-    starts = np.flatnonzero(mask)
+    starts = mask.nonzero()[0]
     if starts.size == 0:
         raise ValueError("empty context mask")
     length = mask.shape[0]
+    width = min(max_answer_len, length)
+    scores = logits.scores.data
+    # end scores, -inf outside the context and past the last token
+    ends = np.full(length + width - 1, -np.inf)
+    np.copyto(ends[:length], scores[:, 1], where=mask)
     # band[i, d] scores the span (starts[i], starts[i] + d); row-major argmax
     # order is the tie order: smallest start, then smallest end
-    ends = starts[:, None] + np.arange(min(max_answer_len, length))[None, :]
-    inside = ends < length
-    ends = np.where(inside, ends, length - 1)
-    valid = inside & mask[ends]
-    scores = logits.scores.data
-    band = np.where(valid, scores[starts, 0][:, None] + scores[ends, 1], -np.inf)
-    row, d = divmod(int(np.argmax(band)), band.shape[1])
+    band = ends[starts[:, None] + np.arange(width)]
+    band += scores[starts, 0][:, None]
+    row, d = divmod(int(band.argmax()), width)
     return int(starts[row]), int(starts[row] + d)

@@ -11,21 +11,23 @@ sequences are concatenated into one ``[N x H]`` array without padding, and
 ``offsets`` (``[B + 1]``, starting at 0 and ending at N) mark where each
 sequence (segment) begins. A single sequence is the one-segment case. The
 fused ops with hand-written VJPs that the encoder and its loss are built from
-are ``linear``, ``layer_norm`` (with gain and bias), one op for each pre-norm
-residual sublayer of a transformer layer, ``attention_sublayer`` (x plus the
-output projection of multi-head softmax attention within each segment over
-the layer norm of x) and ``ffn_sublayer`` (x plus a ReLU feed-forward block
-over the layer norm of x), ``segment_nll`` (negative log-softmax of each
-segment of each score column at one position, for the span head's [N x 2]
-start and end scores) and ``gaussian_kernel`` (multi-bandwidth Gaussian
-kernel matrix, for the contrastive loss; its numpy forward
-``gaussian_kernel_values`` serves constant point sets). Every squared
-distance, in the kernels and in the median-heuristic bandwidths, comes from
-``sq_dists`` in Gram form, |x|^2 + |y|^2 - 2 x.y clamped at 0, which needs
-[N x M] memory rather than an [N x M x H] difference tensor. Segment means
-are a ``matmul`` with a constant weight matrix. Besides these the engine holds
-only the arithmetic and ``embedding``: every op has a caller in the model or
-its losses.
+are ``embed`` (the encoder's input rows: token rows, optional constant noise
+and position rows, from two tables), ``linear``, ``layer_norm`` (with gain
+and bias), one op for each pre-norm residual sublayer of a transformer layer,
+``attention_sublayer`` (x plus the output projection of multi-head softmax
+attention within each segment over the layer norm of x; a segment whose
+scores all lie within +-``ROW_MAX_BOUND`` skips the softmax row-max
+subtraction) and ``ffn_sublayer`` (x plus a ReLU feed-forward block over the
+layer norm of x), ``segment_nll`` (negative log-softmax of each segment of
+each score column at one position, for the span head's [N x 2] start and end
+scores) and ``gaussian_kernel`` (multi-bandwidth Gaussian kernel matrix, for
+the contrastive loss; its numpy forward ``gaussian_kernel_values`` serves
+constant point sets). Every squared distance, in the kernels and in the
+median-heuristic bandwidths, comes from ``sq_dists`` in Gram form,
+|x|^2 + |y|^2 - 2 x.y clamped at 0, which needs [N x M] memory rather than
+an [N x M x H] difference tensor. Segment means are a ``matmul`` with a
+constant weight matrix. Besides these the engine holds only the arithmetic:
+every op has a caller in the model or its losses.
 
 Broadcasting is deliberately narrow: operand shapes must match exactly, or the
 smaller operand's shape must equal the trailing dimensions of the larger one
@@ -35,6 +37,7 @@ float64; every completed operation is checked for NaN/Inf.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
@@ -56,17 +59,12 @@ class NonFiniteError(FloatingPointError):
     """An operation produced NaN or Inf."""
 
 
-def _as_f64(values) -> Array:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_consumed")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.data = _as_f64(values)
-        if not np.all(np.isfinite(self.data)):
+        self.data = np.asarray(values, dtype=np.float64)
+        if not np.isfinite(self.data).all():
             raise NonFiniteError("tensor constructed from non-finite values")
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
@@ -155,7 +153,7 @@ def no_grad() -> Iterator[None]:
 def _node(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """Wrap an op result; record the graph node only when a parent needs grad
     and recording is enabled."""
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError("operation produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -255,17 +253,28 @@ LN_EPS = 1e-5  # layer-norm variance floor
 ROW_MAX_BOUND = 30.0
 
 
+@functools.cache
+def _mean_weights(width: int) -> Array:
+    """The read-only [H] vector 1/H: a product with it takes row means."""
+    weights = np.full(width, 1.0 / width)
+    weights.flags.writeable = False
+    return weights
+
+
 def _layer_norm_rows(x: Array, gain: Array, bias: Array) -> tuple[Array, Array, Array]:
     """Layer norm of the rows of x [N x H]: the output, the normalised rows
     and the [N x 1] reciprocal standard deviations its VJP needs. Row means
-    are products with a constant 1/H vector and variances row dots, so no
+    are products with the constant 1/H vector and variances row dots, so no
     pass builds a squared copy of the input."""
     width = x.shape[1]
-    xhat = x - (x @ np.full(width, 1.0 / width))[:, None]
-    var = np.einsum("ij,ij->i", xhat, xhat) / width
+    xhat = x - (x @ _mean_weights(width))[:, None]
+    var = np.einsum("ij,ij->i", xhat, xhat)
+    var *= 1.0 / width
     if not var.max(initial=0.0) < np.inf:  # rstd would be 0, and the output the bias
         raise NonFiniteError("layer norm: a row's variance overflows")
-    rstd = 1.0 / np.sqrt(var + LN_EPS)[:, None]
+    var += LN_EPS
+    rstd = np.sqrt(var, out=var)[:, None]
+    np.divide(1.0, rstd, out=rstd)
     xhat *= rstd
     out = xhat * gain
     out += bias
@@ -277,16 +286,17 @@ def _layer_norm_vjp(g: Array, gain: Array, xhat: Array, rstd: Array) -> tuple[Ar
     gradient g."""
     width = xhat.shape[1]
     gx = g * gain
-    gxh = np.einsum("ij,ij->i", gx, xhat)[:, None] / width
-    gx -= (gx @ np.full(width, 1.0 / width))[:, None]
+    gxh = np.einsum("ij,ij->i", gx, xhat)[:, None]
+    gxh *= 1.0 / width
+    gx -= (gx @ _mean_weights(width))[:, None]
     gx -= xhat * gxh
     gx *= rstd
     return gx, np.einsum("ij,ij->j", g, xhat), _col_sums(g)
 
 
 def _check_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> int:
-    width = x.shape[-1]
-    if x.data.ndim != 2 or gain.shape != (width,) or bias.shape != (width,):
+    width = x.data.shape[-1]
+    if x.data.ndim != 2 or gain.data.shape != (width,) or bias.data.shape != (width,):
         raise ShapeError(f"layer_norm input {x.shape} / gain {gain.shape} / bias {bias.shape}")
     return width
 
@@ -326,7 +336,6 @@ def ffn_sublayer(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, 
     h, xhat, rstd = _layer_norm_rows(x.data, gain.data, bias.data)
     hidden = h @ w1.data
     hidden += b1.data
-    mask = hidden > 0.0
     np.maximum(hidden, 0.0, out=hidden)
     out = hidden @ w2.data
     out += b2.data
@@ -334,7 +343,7 @@ def ffn_sublayer(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, 
 
     def vjp(g: Array):
         gh = g @ w2.data.T
-        gh *= mask
+        gh *= hidden > 0.0  # the ReLU's mask
         gx, ggain, gbias = _layer_norm_vjp(gh @ w1.data.T, gain.data, xhat, rstd)
         gx += g
         return gx, ggain, gbias, h.T @ gh, _col_sums(gh), hidden.T @ g, _col_sums(g)
@@ -342,23 +351,26 @@ def ffn_sublayer(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, 
     return _node(out, (x, gain, bias, w1, b1, w2, b2), vjp)
 
 
-def _segment_bounds(offsets, rows: int) -> Array:
+def _segment_edges(offsets, rows: int) -> list[int]:
+    """The segment offsets as a list, checked to rise strictly from 0 to rows."""
     bounds = np.asarray(offsets, dtype=np.int64)
-    if (bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0 or bounds[-1] != rows
-            or (bounds[1:] <= bounds[:-1]).any()):
-        raise ShapeError(f"offsets must rise strictly from 0 to {rows}, got {bounds.tolist()}")
-    return bounds
+    edges = bounds.tolist()
+    if (bounds.ndim != 1 or len(edges) < 2 or edges[0] != 0 or edges[-1] != rows
+            or any(lo >= hi for lo, hi in zip(edges, edges[1:]))):
+        raise ShapeError(f"offsets must rise strictly from 0 to {rows}, got {edges}")
+    return edges
 
 
-def _needs_row_max(qk: Array, starts: Array) -> Array:
-    """Per segment, whether its softmax must subtract the row max: [B]
-    booleans for head-major queries and keys stacked as [2 x heads x N x dh]
-    and segment starts [B]. By Cauchy-Schwarz every score q_i.k_j of a
-    segment lies within max_i |q_i| * max_j |k_j| of 0, per head; a segment
-    skips the subtraction when that bound is at most ROW_MAX_BOUND on every
-    head."""
-    peaks = np.maximum.reduceat(np.einsum("shnd,shnd->shn", qk, qk), starts, axis=2)
-    return (peaks[0] * peaks[1]).max(axis=0) > ROW_MAX_BOUND ** 2
+def _exp_scores(e: Array) -> Array:
+    """Softmax numerators of one segment's [heads x L x L] scores, in place:
+    exp(e), or exp(e - row max) unless every score lies within
+    +-ROW_MAX_BOUND. The decision (two whole-block reductions) costs less
+    than the per-row max and subtraction it skips: against always
+    subtracting, it answered a question 9.6 % faster over ten benchmark
+    pairs on a 2-core host (BENCH_pr14.json)."""
+    if not (e.max() <= ROW_MAX_BOUND and e.min() >= -ROW_MAX_BOUND):
+        e -= e.max(axis=-1, keepdims=True)
+    return np.exp(e, out=e)
 
 
 def attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tensor,
@@ -373,19 +385,18 @@ def attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Te
     matmuls save), and each segment gets one [heads x L x L] softmax; rows
     never attend across segments. The softmax is left unnormalised: each
     head's output rows are divided by the row sums instead, and a segment
-    whose scores are bounded (``_needs_row_max``) skips the row-max
+    whose scores all lie within +-ROW_MAX_BOUND skips the row-max
     subtraction."""
     width = _check_layer_norm(x, gain, bias)
     weights, biases = (wq, wk, wv, wo), (bq, bk, bv, bo)
-    if (any(w.shape != (width, width) for w in weights)
-            or any(b.shape != (width,) for b in biases)):
+    if (any(w.data.shape != (width, width) for w in weights)
+            or any(b.data.shape != (width,) for b in biases)):
         raise ShapeError(f"attention expects [N x H] input with [H x H] weights and [H] biases, "
                          f"got {x.shape}, {[w.shape for w in weights]}, {[b.shape for b in biases]}")
-    rows = x.shape[0]
+    rows = x.data.shape[0]
     if num_heads < 1 or width % num_heads:
         raise ShapeError(f"width {width} does not split into {num_heads} heads")
-    bounds = _segment_bounds(offsets, rows)
-    edges = bounds.tolist()
+    edges = _segment_edges(offsets, rows)
     segments = list(zip(edges[:-1], edges[1:]))
     dh = width // num_heads
     scale = 1.0 / math.sqrt(dh)
@@ -396,19 +407,15 @@ def attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Te
     if not np.isfinite(qkv).all():  # stop before the score matmuls turn inf into NaN
         raise NonFiniteError("operation produced non-finite values")
     qkv[:, :width] *= scale
-    qkvh = qkv.reshape(rows, 3, num_heads, dh).transpose(1, 2, 0, 3)
-    qh, kh, vh = qkvh
-    shift = _needs_row_max(qkvh[:2], bounds[:-1])
+    qh, kh, vh = qkv.reshape(rows, 3, num_heads, dh).transpose(1, 2, 0, 3)
     ones = np.ones(max(hi - lo for lo, hi in segments))
     heads = np.empty((rows, width))  # the head mix, before the output projection
     mix = heads.reshape(rows, num_heads, dh).transpose(1, 0, 2)
     sums = np.empty((num_heads, rows, 1))  # softmax denominators, per head and row
     exps = []  # unnormalised softmax numerators, per segment
-    for (lo, hi), shifted in zip(segments, shift.tolist()):
+    for lo, hi in segments:
         e = qh[:, lo:hi] @ kh[:, lo:hi].transpose(0, 2, 1)
-        if shifted:
-            e -= e.max(axis=-1, keepdims=True)
-        np.exp(e, out=e)
+        _exp_scores(e)
         np.matmul(e, ones[:hi - lo, None], out=sums[:, lo:hi])
         np.matmul(e, vh[:, lo:hi], out=mix[:, lo:hi])
         exps.append(e)
@@ -451,7 +458,7 @@ def segment_nll(scores: Tensor, offsets, index) -> Tensor:
     ``index`` holds absolute rows."""
     if scores.data.ndim != 2:
         raise ShapeError(f"segment_nll expects [N x K] scores, got {scores.shape}")
-    bounds = _segment_bounds(offsets, scores.shape[0])
+    bounds = np.array(_segment_edges(offsets, scores.shape[0]))
     starts, lengths = bounds[:-1], np.diff(bounds)
     idx = np.asarray(index, dtype=np.int64)
     if (idx.shape != (starts.size, scores.shape[1]) or np.any(idx < starts[:, None])
@@ -474,27 +481,45 @@ def segment_nll(scores: Tensor, offsets, index) -> Tensor:
 
 # -- structural ops -----------------------------------------------------------
 
-def embedding(table: Tensor, ids) -> Tensor:
-    """Row lookup: table [V x H] indexed by an integer id sequence."""
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"embedding ids must be 1-D, got shape {idx.shape}")
-    if table.data.ndim != 2:
-        raise ShapeError(f"embedding table must be 2-D, got {table.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ValueError(f"id out of range [0, {table.shape[0]}): {idx.min()}..{idx.max()}")
-    out = table.data[idx]
+def _scatter_rows(g: Array, ids: Array, rows: int) -> Array:
+    """[rows x H] table gradient of a row lookup ``table[ids]``: row r is the
+    sum of the rows of g whose id is r, in order of occurrence (a stable sort
+    groups them)."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    firsts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+    gt = np.zeros((rows, g.shape[1]))
+    gt[sorted_ids[firsts]] = np.add.reduceat(g[order], firsts, axis=0)
+    return gt
+
+
+def embed(tokens: Tensor, positions: Tensor, token_ids, position_ids,
+          noise: Array | None = None) -> Tensor:
+    """The encoder's input rows as one node: tokens[token_ids], plus an
+    optional constant [N x H] noise, plus positions[position_ids], for
+    [V x H] and [P x H] tables and two integer id sequences of length N."""
+    tok = np.asarray(token_ids, dtype=np.int64)
+    pos = np.asarray(position_ids, dtype=np.int64)
+    if tok.ndim != 1 or pos.shape != tok.shape:
+        raise ShapeError(f"embed ids must be two 1-D sequences of one length, "
+                         f"got shapes {tok.shape} and {pos.shape}")
+    if tokens.data.ndim != 2 or positions.data.ndim != 2 or tokens.shape[1] != positions.shape[1]:
+        raise ShapeError(f"embed tables must be [V x H] and [P x H], "
+                         f"got {tokens.shape} and {positions.shape}")
+    for table, idx in ((tokens, tok), (positions, pos)):
+        if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+            raise ValueError(f"id out of range [0, {table.shape[0]}): {idx.min()}..{idx.max()}")
+    out = tokens.data[tok]
+    if noise is not None:
+        if noise.shape != out.shape:
+            raise ShapeError(f"embed noise {noise.shape} does not match the rows {out.shape}")
+        out += noise
+    out += positions.data[pos]
 
     def vjp(g: Array):
-        # rows of equal id summed in order of occurrence: a stable sort groups them
-        order = np.argsort(idx, kind="stable")
-        sorted_ids = idx[order]
-        firsts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
-        gt = np.zeros_like(table.data)
-        gt[sorted_ids[firsts]] = np.add.reduceat(g[order], firsts, axis=0)
-        return (gt,)
+        return _scatter_rows(g, tok, tokens.shape[0]), _scatter_rows(g, pos, positions.shape[0])
 
-    return _node(out, (table,), vjp)
+    return _node(out, (tokens, positions), vjp)
 
 
 def sq_dists(x: Array, y: Array) -> Array:

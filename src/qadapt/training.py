@@ -214,7 +214,8 @@ class AdamW:
         np.sqrt(denom, out=denom)
         denom += self.config.eps
         update /= denom
-        update += self.config.weight_decay * self.flat
+        if self.config.weight_decay:  # off by default: skip two passes over the buffer
+            update += self.config.weight_decay * self.flat
         update *= lr
         self.flat -= update
 

@@ -240,9 +240,9 @@ def _attention_with(position):
     return fn
 
 
-def _attention_inputs(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo):
+def _attention_inputs(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, num_heads=3):
     out = T.attention_sublayer(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, SEGMENTS,
-                               num_heads=3)
+                               num_heads=num_heads)
     # bk shifts a row's scores by a constant, so its exact gradient is 0 and its
     # finite differences are round-off: a linear term in bk gives every
     # coordinate a nonzero reference
@@ -269,6 +269,17 @@ def _softmax_weighted(t, aux):
     weighted by aux."""
     out = T.attention_sublayer(t, *UNIT_LN, *IDENTITY_ATTENTION, [0, 4], 1)
     return T.mul(out, aux).sum()
+
+
+# token ids into a [4 x 3] table (id 2 absent, 0 and 3 repeated) and position
+# ids into a [5 x 3] table (id 3 absent, 0 and 1 repeated)
+EMBED_TOKENS, EMBED_POSITIONS = [3, 0, 3, 3, 1, 0], [0, 1, 2, 0, 1, 4]
+EMBED_NOISE = rand((6, 3), seed=15, scale=0.1)
+
+
+def _embed_weighted(tokens, positions, noise=None):
+    out = T.embed(tokens, positions, EMBED_TOKENS, EMBED_POSITIONS, noise)
+    return T.mul(out, _fixed((6, 3), 14)).sum()
 
 
 # each entry: (aux shape, scalar-valued function of a [4 x 3] input and the aux);
@@ -299,7 +310,8 @@ OPS = {
     "attention_sublayer_q": ((4, 3), _attention_with(1)),
     "attention_sublayer_k": ((4, 3), _attention_with(2)),
     "attention_sublayer_v": ((4, 3), _attention_with(3)),
-    "embedding": ((6, 3), lambda t, aux: T.mul(T.embedding(t, [3, 0, 3, 3, 1, 0]), aux).sum()),
+    "embed": ((5, 3), _embed_weighted),
+    "embed_noise": ((5, 3), lambda t, aux: _embed_weighted(t, aux, EMBED_NOISE)),
     "segment_nll": ((2, 3), lambda t, aux: T.mul(
         T.segment_nll(t, [0, 2, 4], [[0, 1, 1], [3, 2, 3]]), aux).sum()),
 }
@@ -308,7 +320,7 @@ OPS = {
 @pytest.mark.parametrize("op", sorted(OPS))
 @pytest.mark.parametrize("seed", range(7))
 def test_gradcheck_per_op(op, seed):
-    # spread: 21 ops x 7 seeds, plus 2 model-level checks
+    # spread: 22 ops x 7 seeds, plus 2 model-level checks
     aux_shape, fn = OPS[op]
     x = constant(rand((4, 3), seed=100 + seed))
     aux = constant(rand(aux_shape, seed=200 + seed))
@@ -324,6 +336,13 @@ FUSED_INPUTS = {
     "ffn_sublayer": ([(4, 3), (3,), (3,), (3, 6), (6,), (6, 3), (3,)],
                      lambda *inputs: T.mul(T.ffn_sublayer(*inputs), _fixed((4, 3), 12)).sum()),
     "attention_sublayer": ([(4, 3), (3,), (3,)] + [(3, 3), (3,)] * 4, _attention_inputs),
+    # one head of width 3: the 1/sqrt(dh) score scale is 1/sqrt(3), not 1
+    "attention_sublayer_one_head": ([(4, 3), (3,), (3,)] + [(3, 3), (3,)] * 4,
+                                    lambda *inputs: _attention_inputs(*inputs, num_heads=1)),
+    # the position table; the token table is the input of the registry entries
+    "embed": ([(4, 3), (5, 3)], _embed_weighted),
+    "embed_noise": ([(4, 3), (5, 3)], lambda tokens, positions: _embed_weighted(
+        tokens, positions, EMBED_NOISE)),
 }
 
 
@@ -401,33 +420,79 @@ class TestFusedForward:
         assert largest > 500.0
         assert np.max(np.abs(got - want)) < 1e-12
 
+    @pytest.mark.parametrize("scores,shifted", [
+        ([29.9, -29.9], False), ([30.0, -30.0], False), ([30.1, 0.0], True), ([0.0, -30.1], True),
+    ])
+    def test_exp_scores_shift_exactly_outside_the_bound(self, scores, shifted):
+        e = np.array(scores).reshape(1, 1, 2)
+        want = np.exp(e - e.max()) if shifted else np.exp(e)
+        assert np.array_equal(T._exp_scores(e.copy()), want)
+
+    @staticmethod
+    def spy_shifts(monkeypatch):
+        """Per ``_exp_scores`` call, in order: whether the row max was
+        subtracted (then every row's largest numerator is exactly exp(0) = 1)."""
+        calls = []
+        original = T._exp_scores
+
+        def spy(e):
+            out = original(e)
+            calls.append(bool((out.max(axis=-1) == 1.0).all()))
+            return out
+
+        monkeypatch.setattr(T, "_exp_scores", spy)
+        return calls
+
     @pytest.mark.parametrize("target,shifted", [(30.3, True), (29.7, False)])
-    def test_row_max_is_subtracted_only_above_the_bound(self, target, shifted):
-        # scaling the q and k projections by s scales the Cauchy-Schwarz bound
-        # max_i |q_i| * max_j |k_j| by s^2: put it just above or just below 30
+    def test_row_max_is_subtracted_only_above_the_bound(self, target, shifted, monkeypatch):
+        # scaling the q and k projections by s scales every score by s^2: put
+        # the largest score magnitude just above or just below 30
         x = rand((6, 4), seed=39)
         params = attention_params(4, seed=39)
 
-        def bound(ps):
+        def largest(ps):
             q, k, _ = self.projections(x, ps, 2)
-            return max(np.linalg.norm(qh, axis=1).max() * np.linalg.norm(kh, axis=1).max()
-                       for qh, kh in zip(q, k))
+            return max(np.abs(qh @ kh.T).max() for qh, kh in zip(q, k))
 
-        s = np.sqrt(target / bound(params))
+        s = np.sqrt(target / largest(params))
         params[2:6] = [constant(p.data * s) for p in params[2:6]]
-        assert abs(bound(params) - target) < 1e-9
-        q, k, _ = self.projections(x, params, 2)
-        assert T._needs_row_max(np.stack([q, k]), np.array([0])).tolist() == [shifted]
+        assert abs(largest(params) - target) < 1e-9
+        calls = self.spy_shifts(monkeypatch)
         got = T.attention_sublayer(constant(x), *params, [0, 6], 2).data
+        assert calls == [shifted]
         want, _ = self.per_head_reference(x, params, 2)
         assert np.max(np.abs(got - want)) < 1e-14
 
-    def test_row_max_is_decided_per_segment(self):
-        # the first segment's bound is 3 (|q|^2 = |k|^2 = 3), the second's 300:
-        # only the second keeps the exact max
-        qk = np.ones((2, 2, 5, 3))
-        qk[:, :, 2:] *= 10.0
-        assert T._needs_row_max(qk, np.array([0, 2])).tolist() == [False, True]
+    def test_row_max_is_decided_per_segment_from_its_scores(self, monkeypatch):
+        # with the q and k projections scaled so that the largest score
+        # magnitude of segment [0, 5) is 29, that of [5, 11) is above 30, so
+        # only the second takes the row max; the first segment's Cauchy-Schwarz
+        # bound, max_i |q_i| * max_j |k_j| per head, exceeds 30, so a bound from
+        # the norms would have shifted it as well
+        x = rand((11, 4), seed=63)
+        params = attention_params(4, seed=63)
+        segments = ((0, 5), (5, 11))
+
+        def per_segment(ps):
+            q, k, _ = self.projections(x, ps, 2)
+            largest = [max(np.abs(qh[lo:hi] @ kh[lo:hi].T).max() for qh, kh in zip(q, k))
+                       for lo, hi in segments]
+            norms = [max(np.linalg.norm(qh[lo:hi], axis=1).max()
+                         * np.linalg.norm(kh[lo:hi], axis=1).max() for qh, kh in zip(q, k))
+                     for lo, hi in segments]
+            return largest, norms
+
+        (low, _), _ = per_segment(params)
+        s = np.sqrt(29.0 / low)
+        params[2:6] = [constant(p.data * s) for p in params[2:6]]
+        (low, high), (cauchy_schwarz, _) = per_segment(params)
+        assert low < 30.0 < high and cauchy_schwarz > 30.0
+        calls = self.spy_shifts(monkeypatch)
+        got = T.attention_sublayer(constant(x), *params, [0, 5, 11], 2).data
+        assert calls == [False, True]
+        for lo, hi in segments:
+            want, _ = self.per_head_reference(x[lo:hi], params, 2)
+            assert np.max(np.abs(got[lo:hi] - want)) < 1e-14
 
     def test_ffn_sublayer_matches_reference(self):
         x = rand((5, 4), seed=35)
@@ -498,6 +563,17 @@ class TestFusedForward:
         with pytest.raises(T.ShapeError):
             getattr(T, op)(*inputs, *extra)
 
+    @pytest.mark.parametrize("tokens,positions,noise,error", [
+        ([0, 1, 2], [0, 1], None, T.ShapeError),
+        ([0, 4, 2], [0, 1, 2], None, ValueError),
+        ([0, -1, 2], [0, 1, 2], None, ValueError),
+        ([0, 1, 2], [0, 1, 5], None, ValueError),
+        ([0, 1, 2], [0, 1, 2], np.zeros((3, 2)), T.ShapeError),
+    ])
+    def test_embed_ids_and_noise_checked(self, tokens, positions, noise, error):
+        with pytest.raises(error):
+            T.embed(constant(np.ones((4, 3))), constant(np.ones((5, 3))), tokens, positions, noise)
+
     def test_segment_nll_index_outside_its_segment_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             T.segment_nll(constant(np.zeros((6, 2))), [0, 3, 6], [[1, 4], [2, 5]])
@@ -534,25 +610,30 @@ def test_softmax_sums_property(seed):
 @settings(max_examples=20, deadline=None)
 def test_embedding_gradient_scatters(seed):
     rng = np.random.default_rng(seed)
-    ids = rng.integers(0, 6, size=8)
-    table = Tensor(rand((6, 3), seed=seed), requires_grad=True)
-    backward(T.embedding(table, ids).sum())
-    expected = np.zeros((6, 3))
-    for i in ids:
-        expected[i] += 1.0
-    assert np.array_equal(table.grad, expected)
+    ids, positions = rng.integers(0, 6, size=8), rng.integers(0, 5, size=8)
+    tokens = Tensor(rand((6, 3), seed=seed), requires_grad=True)
+    table = Tensor(rand((5, 3), seed=seed + 1), requires_grad=True)
+    backward(T.embed(tokens, table, ids, positions).sum())
+    for grad, used, rows in ((tokens.grad, ids, 6), (table.grad, positions, 5)):
+        expected = np.zeros((rows, 3))
+        for i in used:
+            expected[i] += 1.0
+        assert np.array_equal(grad, expected)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=7), max_size=20), st.integers(0, 10_000))
 @settings(max_examples=50, deadline=None)
 def test_embedding_gradient_matches_add_at(ids, seed):
     table = Tensor(rand((8, 3), seed=seed), requires_grad=True)
+    positions = Tensor(rand((20, 3), seed=seed + 2), requires_grad=True)
     weight = rand((len(ids), 3), seed=seed + 1)
-    backward(T.mul(T.embedding(table, ids), constant(weight)).sum())
+    backward(T.mul(T.embed(table, positions, ids, range(len(ids))), constant(weight)).sum())
     expected = np.zeros((8, 3))
     np.add.at(expected, np.asarray(ids, dtype=np.int64), weight)
     # equal up to the order in which repeated ids are summed
     assert np.max(np.abs(table.grad - expected)) <= 1e-12
+    assert np.array_equal(positions.grad[:len(ids)], weight)
+    assert not positions.grad[len(ids):].any()
 
 
 ENGINE_ENTRY_POINTS = {"finite_difference_check", "backward", "no_grad", "constant"}

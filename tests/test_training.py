@@ -207,7 +207,7 @@ class TestOptimizer:
     @pytest.mark.parametrize("warmup_steps", [0, 2])
     def test_flat_steps_match_the_per_parameter_formula(self, weight_decay, warmup_steps):
         rng = np.random.default_rng(7)
-        shapes = {"w": (3, 4), "b": (4,), "unused": (2,)}
+        shapes = {"w": (3, 4), "b": (4,), "unused": (2,), "zero": (3,)}
         start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
         params = {name: T.Tensor(a.copy(), requires_grad=True) for name, a in start.items()}
         config = OptimizerConfig(weight_decay=weight_decay, warmup_steps=warmup_steps)
@@ -217,7 +217,8 @@ class TestOptimizer:
         v = {name: np.zeros(shape) for name, shape in shapes.items()}
         b1, b2 = config.betas
         for t in range(1, 4):
-            grads = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4), "unused": None}
+            grads = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4), "unused": None,
+                     "zero": np.zeros(3)}  # exact-zero gradients: a zero update without decay
             for name, p in params.items():
                 p.grad = grads[name]
             opt.step(opt.flat_grad())
@@ -650,6 +651,39 @@ def test_packed_batch_matches_per_sample_graphs(sign, pairing, sigma):
     scale = max(np.max(np.abs(g)) for g in ref.values())
     for name, want in ref.items():
         assert np.max(np.abs(packed[name] - want)) <= 1e-12 * scale, name
+
+
+def graph_nodes(root) -> int:
+    """Recorded autodiff nodes (tensors with parents) reachable from root."""
+    seen, stack = set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t._parents:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+def test_split_half_step_records_18_nodes():
+    """One half of a split training step of a two-layer encoder, with
+    embedding noise and the contrastive term on, is a graph of 18 nodes:
+    embed, two sublayers per layer, the final layer norm, the span head, the
+    cross-entropy and its share, the class means, the other half's terms
+    added as constants, the kernel and the loss around it. The count does not
+    depend on where the other half runs."""
+    config = tiny_config(
+        seed=5, batch_size=5, encoder=PARITY_ENC,
+        contrastive=ContrastiveConfig(beta=0.1, noise_sigma=0.05,
+                                      kernel=KernelConfig(bandwidths=(0.5, 2.0))))
+    batch = [make_sample(seed=60 + i, length=n, vocab=32,
+                         domain_tag="source" if i % 2 else "target_synthetic")
+             for i, n in enumerate((9, 16, 6, 13, 11))]
+    cut = _split_point(batch)
+    model = SpanModel(PARITY_ENC)
+    mine, losses = _half_step(model, batch, 0, cut, config, 3)
+    theirs, their_losses = _half_step(model, batch, cut, len(batch), config, 3)
+    assert graph_nodes(losses(theirs)[2]) == 18
+    assert graph_nodes(their_losses(mine)[2]) == 18
 
 
 def test_domain_separated_single_domain_batches_skip_the_term(tmp_path):
