@@ -412,7 +412,8 @@ def main(argv=None) -> int:
     except DivergenceError as err:
         print(f"diverged: {err} (last finite step {err.last_finite_step})", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (DatasetError, CheckpointError, TokenizationError, ValueError, OSError) as err:
+    except (DatasetError, CheckpointError, TokenizationError, ValueError, OSError,
+            MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

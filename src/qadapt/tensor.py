@@ -29,10 +29,10 @@ an [N x M x H] difference tensor. Segment means are a ``matmul`` with a
 constant weight matrix. Besides these the engine holds only the arithmetic:
 every op has a caller in the model or its losses.
 
-Broadcasting is deliberately narrow: operand shapes must match exactly, or the
-smaller operand's shape must equal the trailing dimensions of the larger one
-(a row vector against a matrix, a scalar against anything). Everything is
-float64; every completed operation is checked for NaN/Inf.
+There is no broadcasting: ``add`` and ``mul`` take operands of equal shape,
+as every caller passes (scalar loss terms, the stacked class means, a kernel
+matrix and its weights). Everything is float64; every completed operation is
+checked for NaN/Inf.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ Array = np.ndarray
 
 
 class ShapeError(ValueError):
-    """Operand shapes do not conform under the supported broadcasting rules."""
+    """Operand shapes do not conform to what an op takes."""
 
 
 class GraphError(RuntimeError):
@@ -93,31 +93,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _coerce(other))
 
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
     def __mul__(self, other):
         return mul(self, _coerce(other))
 
     def __rmul__(self, other):
         return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return mul(self, constant(1.0 / float(other)))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -170,24 +150,6 @@ def _node(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
     return out
 
 
-# -- broadcasting helpers -----------------------------------------------------
-
-def _check_broadcast(sa: tuple[int, ...], sb: tuple[int, ...]) -> None:
-    if sa == sb:
-        return
-    small, big = (sa, sb) if len(sa) < len(sb) else (sb, sa)
-    if big[len(big) - len(small):] == small:
-        return
-    raise ShapeError(f"shapes do not conform: {sa} vs {sb}")
-
-
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum a gradient over the leading axes that were broadcast."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    return grad
-
-
 def _col_sums(a: Array) -> Array:
     """Column sums of a 2-D array as one matrix-vector product, which is
     several times faster than ``a.sum(axis=0)`` on row-major data."""
@@ -196,38 +158,19 @@ def _col_sums(a: Array) -> Array:
 
 # -- arithmetic ---------------------------------------------------------------
 
+def _check_same_shape(a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"operand shapes differ: {a.shape} vs {b.shape}")
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
-    out = a.data + b.data
-
-    def vjp(g: Array):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _node(out, (a, b), vjp)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
-    out = a.data - b.data
-
-    def vjp(g: Array):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _node(out, (a, b), vjp)
+    _check_same_shape(a, b)
+    return _node(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
-    out = a.data * b.data
-
-    def vjp(g: Array):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _node(out, (a, b), vjp)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _node(-a.data, (a,), lambda g: (-g,))
+    _check_same_shape(a, b)
+    return _node(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

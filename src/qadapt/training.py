@@ -317,7 +317,7 @@ def _half_step(model: SpanModel, batch: Sequence, lo: int, hi: int, config: Trai
         whole_ce, stacked = ce, None if means is None else means.stacked
         if theirs is not None:
             their_ce, their_means = theirs
-            whole_ce = ce + their_ce if lo == 0 else their_ce + ce
+            whole_ce = ce + their_ce
             if stacked is not None:
                 stacked = stacked + T.constant(their_means)
         con = (T.constant(0.0) if stacked is None

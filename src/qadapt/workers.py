@@ -6,24 +6,26 @@ second BLAS thread rounds some products differently, so artifacts would
 depend on ``OPENBLAS_NUM_THREADS``, and it would compete with a child
 process for the second core.
 
-Two primitives put work on the second core. Both fork their child through
-``_forked``, which reaps it before the call returns and SIGKILLs it first
-when the call fails or is abandoned here. A child holds what it needs
-through the fork, so its callable may be any callable, and an exception
-raised in it is raised again here with its type.
+One primitive puts work on the second core. ``partner(serve)`` forks one
+child for a block of work and holds conversations with it over two pipes
+of framed pickles (``Partner``); the child answers each message with an
+in-process ``Partner`` of its own. The child is reaped before the block
+ends, and SIGKILLed first when the block fails or is abandoned. A child
+holds what it needs through the fork, so ``serve`` may be any callable,
+and an exception raised in it is raised again here with its type. Larger
+state, such as parameters and gradients, goes in ``shared_zeros`` arrays
+made before the fork, which both processes read and write.
 
-- ``split_map(fn, items)`` yields ``fn(item)`` for every item, in order.
-  Its child computes the second half of the items while this process
-  computes the first; the results come back as one pickle over a pipe.
-- ``partner(serve)`` keeps one child for a block of work and holds
-  conversations with it over two pipes (``Partner``). Larger state, such as
-  parameters and gradients, goes in ``shared_zeros`` arrays made before the
-  fork, which both processes read and write.
+``split_map(fn, items)`` yields ``fn(item)`` for every item, in order, as
+a one-message conversation: the child computes the second half of the
+items while this process computes the first, and answers with their
+results.
 
 Forking pays only with two usable CPUs and pinned BLAS: two processes with
 unpinned BLAS oversubscribe the cores. Inside a child, while a child runs,
-or without these, both primitives run their work in-process, in the same
-order of computation, so that results never depend on where they ran.
+or without these, ``partner`` gives the in-process ``Partner``, which runs
+the same work in the same order of computation, so that results never
+depend on where they ran.
 """
 
 from __future__ import annotations
@@ -97,111 +99,38 @@ def _reply(compute: Callable[[], object]) -> bytes:
             return pickle.dumps((False, ChildProcessError(f"{type(exc).__name__}: {exc}")))
 
 
-def _result(reply: tuple):
-    """The result an unpickled ``_reply`` carries, or its exception raised."""
-    ok, value = reply
-    if not ok:
-        raise value
-    return value
-
-
-@contextmanager
-def _forked(body: Callable[[], None], theirs: Sequence[int], mine: Sequence[int]) -> Iterator[int]:
-    """Fork a child that runs ``body()`` and exits, and yield its pid.
-    ``theirs`` are the child's pipe ends and ``mine`` this process's; each
-    side closes the other's. The child is reaped when the block ends, and
-    SIGKILLed first unless the block ran to its end."""
-    global _child_running
-    pid = os.fork()
-    if pid == 0:
-        _child_running = True  # calls made in the child run in-process
-        status = 1
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles Ctrl-C
-            for fd in mine:
-                os.close(fd)
-            body()
-            status = 0
-        finally:
-            os._exit(status)
-    for fd in theirs:
-        os.close(fd)
-    _child_running = True
-    finished = False
-    try:
-        yield pid
-        finished = True
-    finally:
-        if not finished:  # failed or abandoned here; the child may still be busy
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        _child_running = False
-
-
-def split_map(fn: Callable, items: Sequence) -> Iterator:
-    """``fn(item)`` for each item, in order; the second half of the items
-    runs in a child forked for this call while this process computes the
-    first."""
-    items = list(items)
-    half = len(items) // 2
-    if not half or not can_fork():
-        yield from map(fn, items)
-        return
-    reply_r, reply_w = os.pipe()
-
-    def body():
-        with os.fdopen(reply_w, "wb") as out:
-            out.write(_reply(lambda: [fn(item) for item in items[half:]]))
-
-    with _forked(body, theirs=[reply_w], mine=[reply_r]) as pid:
-        with os.fdopen(reply_r, "rb") as replies:
-            for item in items[:half]:
-                yield fn(item)
-            reply = replies.read()
-    if not reply:
-        raise ChildProcessError(f"child process {pid} exited without replying")
-    yield from _result(pickle.loads(reply))
-
-
-class _Conversations:
-    """Answers messages with ``serve``, a generator function. A message that
-    arrives while no conversation runs starts one, ``serve(message)``; later
-    messages are sent into it. Each answer is the value it yields next, or
-    the value it returns, which ends the conversation, as an exception does."""
-
-    def __init__(self, serve: Callable[[object], Generator]):
-        self.serve = serve
-        self.current: Generator | None = None
-
-    def answer(self, message):
-        try:
-            if self.current is None:
-                self.current = self.serve(message)
-                return next(self.current)
-            return self.current.send(message)
-        except StopIteration as stop:
-            self.current = None
-            return stop.value
-        except BaseException:
-            self.current = None
-            raise
-
-
 class Partner:
     """The calling side of ``partner``: every message ``send`` passes is
-    answered by one ``recv``, in order. This one runs ``serve`` in-process
-    when its answer is asked for, so the work of both sides runs in the
-    order the caller interleaves ``send``, its own work and ``recv``."""
+    answered by one ``recv``, in order. A message that arrives while no
+    conversation runs starts one, ``serve(message)``; later messages are
+    sent into it. Each answer is the value it yields next, or the value it
+    returns, which ends the conversation, as an exception does.
+
+    This one runs ``serve`` in-process when its answer is asked for, so the
+    work of both sides runs in the order the caller interleaves ``send``,
+    its own work and ``recv``. A forked child answers with one too."""
 
     def __init__(self, serve: Callable[[object], Generator]):
-        self._conversations = _Conversations(serve)
+        self._serve = serve
+        self._current: Generator | None = None
         self._unanswered: collections.deque = collections.deque()
 
     def send(self, message) -> None:
         self._unanswered.append(message)
 
     def recv(self):
-        return self._conversations.answer(self._unanswered.popleft())
+        message = self._unanswered.popleft()
+        try:
+            if self._current is None:
+                self._current = self._serve(message)
+                return next(self._current)
+            return self._current.send(message)
+        except StopIteration as stop:
+            self._current = None
+            return stop.value
+        except BaseException:
+            self._current = None
+            raise
 
 
 class _ForkedPartner(Partner):
@@ -217,43 +146,82 @@ class _ForkedPartner(Partner):
 
     def recv(self):
         try:
-            reply = pickle.load(self._replies)
+            ok, value = pickle.load(self._replies)
         except EOFError:
             raise ChildProcessError(f"child process {self._pid} exited without replying") from None
-        return _result(reply)
-
-
-def _answer_requests(serve: Callable[[object], Generator], requests, replies) -> None:
-    """The body of a partner child: answer each request until the caller
-    closes the request pipe."""
-    conversations = _Conversations(serve)
-    while True:
-        try:
-            message = pickle.load(requests)
-        except EOFError:
-            return
-        replies.write(_reply(lambda: conversations.answer(message)))
-        replies.flush()
+        if not ok:
+            raise value
+        return value
 
 
 @contextmanager
 def partner(serve: Callable[[object], Generator]) -> Iterator[Partner]:
-    """A ``Partner`` that holds conversations with ``serve`` for the block;
-    when forking pays (``can_fork``), ``serve`` runs in a child forked for
-    the block, otherwise in-process."""
+    """A ``Partner`` that holds conversations with ``serve`` for the block.
+    When forking pays (``can_fork``), ``serve`` runs in a child forked for
+    the block, which answers each request until the block closes the
+    request pipe; the child is reaped when the block ends, and SIGKILLed
+    first unless the block ran to its end. Otherwise ``serve`` runs
+    in-process."""
+    global _child_running
     if not can_fork():
         yield Partner(serve)
         return
     request_r, request_w = os.pipe()
     reply_r, reply_w = os.pipe()
-
-    def body():
-        with os.fdopen(request_r, "rb") as requests, os.fdopen(reply_w, "wb") as replies:
-            _answer_requests(serve, requests, replies)
-
-    with _forked(body, theirs=[request_r, reply_w], mine=[request_w, reply_r]) as pid:
+    pid = os.fork()
+    if pid == 0:
+        _child_running = True  # calls made in the child run in-process
+        status = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles Ctrl-C
+            os.close(request_w)
+            os.close(reply_r)
+            answering = Partner(serve)
+            with os.fdopen(request_r, "rb") as requests, os.fdopen(reply_w, "wb") as replies:
+                while True:
+                    try:
+                        answering.send(pickle.load(requests))
+                    except EOFError:
+                        break
+                    replies.write(_reply(answering.recv))
+                    replies.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(request_r)
+    os.close(reply_w)
+    _child_running = True
+    finished = False
+    try:
         with os.fdopen(request_w, "wb") as requests, os.fdopen(reply_r, "rb") as replies:
             yield _ForkedPartner(pid, requests, replies)
+        finished = True
+    finally:
+        if not finished:  # failed or abandoned here; the child may still be busy
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        _child_running = False
+
+
+def split_map(fn: Callable, items: Sequence) -> Iterator:
+    """``fn(item)`` for each item, in order: one ``partner`` conversation,
+    whose one answer is the second half of the results, computed while this
+    process computes the first half."""
+    items = list(items)
+    half = len(items) // 2
+    if not half:
+        yield from map(fn, items)
+        return
+
+    def second_half(start):
+        yield [fn(item) for item in items[start:]]
+
+    with partner(second_half) as other:
+        other.send(half)
+        for item in items[:half]:
+            yield fn(item)
+        rest = other.recv()
+    yield from rest
 
 
 BLAS_PINNED = pin_blas_threads()

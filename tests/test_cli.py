@@ -469,6 +469,22 @@ def test_train_rejects_bad_optimizer_section(synth_dir, tmp_path, capsys, optimi
     assert not out.exists()
 
 
+def test_train_with_an_unallocatable_encoder_exits_2(synth_dir, tmp_path, capsys):
+    """An encoder too large to allocate is a runtime error, exit 2 with one
+    line. Its 10^16 position rows of 16 float64 need 1.28e18 bytes, more than
+    any 64-bit address space in use (2^57 bytes), so the allocation fails
+    without touching memory."""
+    d = train_config_dict(synth_dir / "source.json")
+    d["encoder"]["max_len"] = 10**16
+    cfg_path = tmp_path / "t.json"
+    cfg_path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("field, value", [
     ("epochs", 1.5), ("batch_size", 8.5), ("seed", 1.5), ("max_answer_len", 2.5),
     ("eval_cadence", 0.5), ("epochs", True),

@@ -17,11 +17,16 @@ def rand(shape, seed, scale=1.0):
     return rng.standard_normal(shape) * scale
 
 
-def col_log_softmax(t, i):
-    """Row i of the column-wise log-softmax of a 2-D tensor, from segment_nll
-    with all rows one segment: a [1 x cols] tensor."""
+def col_nll(t, i):
+    """Row i of the column-wise negative log-softmax of a 2-D tensor: one
+    segment_nll with all rows one segment, a [1 x cols] tensor."""
     rows, cols = t.shape
-    return -T.segment_nll(t, [0, rows], [[i] * cols])
+    return T.segment_nll(t, [0, rows], [[i] * cols])
+
+
+def col_log_softmax(x, i):
+    """Row i of the column-wise log-softmax of a 2-D array: a [1 x cols] array."""
+    return -col_nll(constant(x), i).data
 
 
 def attention_params(width, seed, scale=1.0):
@@ -44,7 +49,7 @@ def reference_layer_norm(x, gain, bias):
 def row_softmax_sums(x):
     """Per-row sums of the softmax of a 2-D array: the column-wise softmax of
     its transpose, one segment_nll per column of x."""
-    return sum(np.exp(col_log_softmax(constant(x.T), j).data[0]) for j in range(x.shape[1]))
+    return sum(np.exp(col_log_softmax(x.T, j)[0]) for j in range(x.shape[1]))
 
 
 class TestForward:
@@ -60,7 +65,7 @@ class TestForward:
         x = rand((4, 6), seed=2, scale=2.0)
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         want = np.log(e / e.sum(axis=-1, keepdims=True))
-        got = np.stack([col_log_softmax(constant(x.T), j).data[0] for j in range(6)], axis=1)
+        got = np.stack([col_log_softmax(x.T, j)[0] for j in range(6)], axis=1)
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_masked_mean_single_row_identity(self):
@@ -83,15 +88,19 @@ class TestForward:
         with pytest.raises(T.ShapeError):
             T.matmul(constant(np.ones((2, 3))), constant(np.ones((4, 2))))
 
-    def test_row_vector_broadcast(self):
-        x = constant(np.ones((4, 3)))
-        b = constant(np.array([1.0, 2.0, 3.0]))
-        out = T.add(x, b)
-        assert np.array_equal(out.data, np.ones((4, 3)) + np.array([1.0, 2.0, 3.0]))
-
     def test_inner_broadcast_rejected(self):
         with pytest.raises(T.ShapeError):
             T.mul(constant(np.ones((4, 1))), constant(np.ones((4, 3))))
+
+    @pytest.mark.parametrize("op", [T.add, T.mul])
+    def test_scalar_against_a_vector_rejected(self, op):
+        # no broadcasting, not even of a scalar
+        scalar, vector = constant(2.0), Tensor(np.ones(3), requires_grad=True)
+        for a, b in ((scalar, vector), (vector, scalar)):
+            with pytest.raises(T.ShapeError, match=r"\(3,\)"):
+                op(a, b)
+        with pytest.raises(T.ShapeError):
+            vector * 2.0
 
     def test_determinism_bitwise(self):
         x = rand((6, 6), seed=9)
@@ -103,6 +112,42 @@ class TestForward:
         assert np.array_equal(run(), run())
 
 
+U = np.finfo(np.float64).eps / 2  # the unit roundoff
+
+
+def softmax_gradient_rounding_bound(x, params, num_heads):
+    """A first-order bound on |x.grad - 1| for the gradient of the sum of
+    attention_sublayer(x, *params) over one segment when every value row is 1.
+
+    The softmax VJP's row term go_n.v_m - go_n.mix_n is then exactly 0: with
+    L rows and dh columns per head, both dots are sums of dh products and mix
+    is 1 within 2L ulps, so the computed term is at most 2 (dh + L) u
+    sum_d |go_n,d| (u the unit roundoff), with go = g wo^T / sums and g all
+    ones. That error, times the probabilities, takes the path of the q and k
+    gradients to x; every factor is taken in absolute value on the way. The
+    residual's gradient, 1, is added last and rounds once more."""
+    gain = params[0].data
+    wqk = np.concatenate([params[2].data, params[4].data], axis=1)
+    rows, width = x.shape
+    dh = width // num_heads
+    q, k, _ = TestFusedForward.projections(x, params, num_heads)
+    scores = q @ k.transpose(0, 2, 1)
+    probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    go = np.abs(params[8].data.sum(axis=1)).reshape(num_heads, dh).sum(axis=1)
+    gs = (2 * (dh + rows) * U * go)[:, None, None] * probs
+    gq = gs @ np.abs(k) / np.sqrt(dh)
+    gk = gs.transpose(0, 2, 1) @ np.abs(q)
+    gqk = np.hstack([a.transpose(1, 0, 2).reshape(rows, width) for a in (gq, gk)])
+    gh = np.abs(gain) * (gqk @ np.abs(wqk).T)
+    centred = x - x.mean(axis=1, keepdims=True)
+    rstd = 1.0 / np.sqrt((centred ** 2).mean(axis=1, keepdims=True) + T.LN_EPS)
+    xhat = np.abs(centred * rstd)
+    gx = rstd * (gh + gh.mean(axis=1, keepdims=True)
+                 + xhat * (gh * xhat).mean(axis=1, keepdims=True))
+    return gx + 2 * U
+
+
 class TestBackward:
     def test_square_gradient(self):
         x = Tensor(3.0, requires_grad=True)
@@ -112,13 +157,16 @@ class TestBackward:
     def test_sum_of_softmax_has_zero_gradient(self):
         # with every value row 1 (wv = 0, bv = 1) each head output entry is the
         # sum of one row of attention probabilities, 1 whatever x is, so only
-        # the residual's gradient reaches x
-        x = Tensor(rand((5, 4), seed=4), requires_grad=True)
-        params = attention_params(4, seed=4)
-        params[6:8] = [constant(np.zeros((4, 4))), constant(np.ones(4))]
-        out = T.attention_sublayer(x, *params, [0, 5], 2)
-        backward(out.sum())
-        assert np.max(np.abs(x.grad - 1.0)) < 1e-15
+        # the residual's gradient reaches x, up to the rounding that
+        # softmax_gradient_rounding_bound bounds
+        for seed in range(300):
+            x = Tensor(rand((5, 4), seed=seed), requires_grad=True)
+            params = attention_params(4, seed=seed)
+            params[6:8] = [constant(np.zeros((4, 4))), constant(np.ones(4))]
+            out = T.attention_sublayer(x, *params, [0, 5], 2)
+            backward(out.sum())
+            bound = softmax_gradient_rounding_bound(x.data, params, 2)
+            assert np.all(np.abs(x.grad - 1.0) <= bound), f"seed {seed}"
 
     def test_unused_leaf_gets_no_gradient(self):
         x = Tensor(rand(3, seed=5), requires_grad=True)
@@ -130,7 +178,7 @@ class TestBackward:
     def test_cancelled_leaf_gets_exact_zero(self):
         x = Tensor(rand(3, seed=7), requires_grad=True)
         y = Tensor(rand(3, seed=8), requires_grad=True)
-        backward((x + 0.0 * y).sum())
+        backward((x + constant(np.zeros(3)) * y).sum())
         assert np.array_equal(y.grad, np.zeros(3))
 
     def test_non_scalar_loss_rejected(self):
@@ -253,7 +301,7 @@ def _col_log_softmax_weighted(t, aux):
     """Sum of the column-wise log-softmax of t weighted by aux, from segment_nll."""
     total = None
     for i in range(4):
-        term = T.mul(col_log_softmax(t, i), constant(aux.data[i])).sum()
+        term = T.mul(col_nll(t, i), constant(-aux.data[i:i + 1])).sum()
         total = term if total is None else total + term
     return total
 
@@ -289,15 +337,15 @@ def _embed_weighted(tokens, positions, noise=None):
 # the intra-class terms) and with x != y
 OPS = {
     "add": ((4, 3), lambda t, aux: (t + aux).sum()),
-    "sub": ((4, 3), lambda t, aux: (aux - t).mean()),
     "mul": ((4, 3), lambda t, aux: (t * aux * t).sum()),
+    "mean": ((4, 3), lambda t, aux: (t * aux).mean()),
     "matmul": ((3, 4), lambda t, aux: T.matmul(t, aux).sum()),
     "exp": ((4, 4), lambda t, aux: T.mul(T.gaussian_kernel(t, t, (0.5, 2.0, 8.0)), aux).sum()),
     "relu": ((4, 3), lambda t, aux: T.ffn_sublayer(t, *UNIT_LN, *IDENTITY_FFN).sum()),
     "softmax": ((4, 3), _softmax_weighted),
     "log_softmax": ((4, 3), _col_log_softmax_weighted),
     "layer_norm": ((4, 3), lambda t, aux: T.mul(T.layer_norm(t, *UNIT_LN), aux).sum()),
-    "masked_mean": ((3,), lambda t, aux: T.mul(
+    "masked_mean": ((1, 3), lambda t, aux: T.mul(
         T.matmul(constant([[1 / 3, 0.0, 1 / 3, 1 / 3]]), t), aux).sum()),
     "pairwise_sq_dist": ((5, 3), lambda t, aux: T.gaussian_kernel(t, aux, (1.0,)).sum()),
     "linear": ((3, 5), lambda t, aux: T.mul(T.linear(t, aux, _fixed(5, 3)), _fixed((4, 5), 4)).sum()),
@@ -583,10 +631,10 @@ class TestNoGrad:
     def test_records_nothing_and_restores(self):
         x = Tensor(rand(3, seed=40), requires_grad=True)
         with T.no_grad():
-            y = -x * x
+            y = T.mul(x, x)
             assert not y.requires_grad and y._parents == ()
-        z = -x
-        assert z.requires_grad and z._parents == (x,)
+        z = T.mul(x, x)
+        assert z.requires_grad and z._parents == (x, x)
 
     def test_nested_and_restored_after_error(self):
         x = Tensor(rand(3, seed=41), requires_grad=True)
@@ -594,9 +642,9 @@ class TestNoGrad:
             with T.no_grad():
                 with T.no_grad():
                     pass
-                assert not (-x).requires_grad
+                assert not T.mul(x, x).requires_grad
                 raise RuntimeError("boom")
-        assert (-x).requires_grad
+        assert T.mul(x, x).requires_grad
 
 
 @given(st.integers(min_value=0, max_value=10_000))
