@@ -14,17 +14,20 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 from . import datagen, evaluation, training, workers
 from .datagen import DatasetError, DomainShiftSpec
-from .model import CheckpointError, SpanModel, TokenizationError
-from .training import ConfigError, DivergenceError
+from .model import (
+    COUNT, NON_NEGATIVE, PATH, SEED, CheckpointError, ConfigError, Rule, SpanModel,
+    TokenizationError, check_fields, config_from_json, config_to_json, mapping, optional,
+)
+from .training import DivergenceError
 
 log = logging.getLogger("qadapt")
 
@@ -55,6 +58,7 @@ def write_manifest(out_dir: Path, subcommand: str, config: dict, inputs: dict,
                    outputs: list[Path], unchecksummed: tuple[str, ...] = ("report.json",)) -> Path:
     """Record the run: resolved config, inputs, outputs with content checksums,
     and whether BLAS was pinned to one thread (``workers.BLAS_PINNED``).
+    Inputs not given (None, or no dev sets) are left out.
     Files carrying wall-clock timing are listed without a checksum so reruns
     with the same seed stay byte-comparable."""
     artifacts = {}
@@ -65,7 +69,7 @@ def write_manifest(out_dir: Path, subcommand: str, config: dict, inputs: dict,
         "blas_pinned": workers.BLAS_PINNED,
         "subcommand": subcommand,
         "config": config,
-        "inputs": {k: str(v) for k, v in inputs.items()},
+        "inputs": {k: str(v) for k, v in inputs.items() if v not in (None, {})},
         "artifacts": artifacts,
     }
     path = out_dir / "manifest.json"
@@ -94,9 +98,9 @@ def cmd_synth(args) -> int:
         except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as err:
             raise UsageError(f"cannot read domain spec {args.spec}: {err}") from err
     try:
-        spec = DomainShiftSpec(**overrides)
-    except (TypeError, ValueError) as err:
-        raise UsageError(f"invalid domain spec: {err}") from err
+        spec = config_from_json(DomainShiftSpec, overrides)
+    except ConfigError as err:
+        raise UsageError(f"invalid domain spec:\n{err}") from err
 
     source, contexts, gold = datagen.make_synthetic_domains(spec, seed=args.seed)
 
@@ -106,7 +110,7 @@ def cmd_synth(args) -> int:
     datagen.write_dataset(files[0], source, title="source")
     datagen.write_contexts(files[1], contexts)
     datagen.write_dataset(files[2], gold, title="target-gold")
-    files.append(write_manifest(out, "synth", {"seed": args.seed, "spec": asdict(spec)},
+    files.append(write_manifest(out, "synth", {"seed": args.seed, "spec": config_to_json(spec)},
                                 {"spec": args.spec or "<defaults>"}, files))
     print(f"synth: {len(source)} source pairs, {len(contexts)} target contexts, "
           f"{len(gold)} gold pairs -> {out}")
@@ -161,24 +165,37 @@ def cmd_generate(args) -> int:
 
 # -- train -----------------------------------------------------------------------
 
-def _load_train_spec(path: str):
+@dataclass(frozen=True)
+class DataConfig:
+    """The ``data`` section of a train config: the dataset files."""
+
+    source: str
+    synthetic: str | None = None
+    dev: dict = field(default_factory=dict)  # name -> dev dataset file
+
+    def __post_init__(self):
+        check_fields(self, source=PATH, synthetic=optional(PATH), dev=mapping(PATH))
+
+
+def _load_train_spec(path: str) -> tuple[training.TrainConfig, DataConfig]:
+    """The train config in ``path`` and its ``data`` section, with the
+    problems of both named in one ``ConfigError``."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as err:
         raise UsageError(f"cannot read config {path}: {err}") from err
     if not isinstance(raw, dict):
-        raise ConfigError(f"config: must be a JSON object, not {type(raw).__name__}")
-    data = raw.pop("data", None)
-    if not isinstance(data, dict) or "source" not in data:
-        raise ConfigError("data: must be an object naming at least a 'source' dataset")
-    for key in ("source", "synthetic"):
-        if key in data and not isinstance(data[key], str):
-            raise ConfigError(f"data.{key}: must be a file path string")
-    dev = data.get("dev", {})
-    if not isinstance(dev, dict) or not all(isinstance(p, str) for p in dev.values()):
-        raise ConfigError("data.dev: must be an object of name -> file path strings")
-    config = training.config_from_dict(raw)
-    return config, data
+        raise ConfigError(f"config: must be a JSON object, got {type(raw).__name__}")
+    data = raw.pop("data", {})
+    problems, read = [], []
+    for cls, section, prefix in ((training.TrainConfig, raw, ""), (DataConfig, data, "data")):
+        try:
+            read.append(config_from_json(cls, section, prefix))
+        except ConfigError as err:
+            problems.append(str(err))
+    if problems:
+        raise ConfigError("\n".join(problems))
+    return tuple(read)
 
 
 def _apply_overrides(config, args):
@@ -192,14 +209,14 @@ def _apply_overrides(config, args):
     return replace(config, contrastive=contrastive)
 
 
-def _load_datasets(data: dict):
-    source = datagen.load_squad_json(data["source"], domain_tag="source", provenance="human")
+def _load_datasets(data: DataConfig):
+    source = datagen.load_squad_json(data.source, domain_tag="source", provenance="human")
     synthetic = None
-    if data.get("synthetic"):
-        synthetic = datagen.load_squad_json(data["synthetic"], domain_tag="target_synthetic",
+    if data.synthetic:
+        synthetic = datagen.load_squad_json(data.synthetic, domain_tag="target_synthetic",
                                             provenance="synthetic")
     dev = {name: datagen.load_squad_json(p, domain_tag="source", provenance="human")
-           for name, p in data.get("dev", {}).items()}
+           for name, p in data.dev.items()}
     return source, synthetic, dev
 
 
@@ -212,7 +229,7 @@ def cmd_train(args) -> int:
     model, report = training.train(config, source, synthetic, dev, run_dir=out)
     files = [out / n for n in ("config.json", "steps.jsonl", "metrics.json",
                                "checkpoint.bin", "report.json")]
-    write_manifest(out, "train", training.config_to_dict(config), data, files)
+    write_manifest(out, "train", config_to_json(config), vars(data), files)
     last = report.steps[-1]
     print(f"train: {len(report.steps)} steps, final loss {last.loss_total:.4f} -> {out}")
     return EXIT_OK
@@ -220,32 +237,23 @@ def cmd_train(args) -> int:
 
 # -- grid -----------------------------------------------------------------------
 
-def _finite_nonnegative(text: str) -> float:
-    """A contrastive weight or noise scale from the command line."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan  # not a number at all: rejected below with the same message
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    return value
-
-
-def _int_at_least(low: int):
-    """Parser of an integer flag that must be at least ``low``."""
-    def parse(text: str) -> int:
+def _flag(rule: Rule, parse: Callable[[str], object]):
+    """Parser of a number flag: ``parse`` reads the text, and the value must
+    pass ``rule``, one of the rules that config fields are checked by."""
+    def parse_flag(text: str):
         try:
-            value = int(text)
+            value = parse(text)
         except ValueError:
-            value = low - 1  # not an integer at all: rejected below with the same message
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+            value = text  # not a number at all: the rule rejects it with the same message
+        if not rule.accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {rule.text}, got {text!r}")
         return value
-    return parse
+    return parse_flag
 
 
-_positive_int = _int_at_least(1)  # a count or a length
-_seed = _int_at_least(0)  # numpy seeds must be non-negative
+_finite_nonnegative = _flag(NON_NEGATIVE, float)  # a contrastive weight or noise scale
+_positive_int = _flag(COUNT, int)  # a count or a length
+_seed = _flag(SEED, int)
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
@@ -282,8 +290,8 @@ def cmd_grid(args) -> int:
         "best": {"beta": result.best_beta, "sigma": result.best_sigma},
         "cells": result.rows,
     }, indent=1) + "\n")
-    write_manifest(out, "grid", training.config_to_dict(config),
-                   {**data, "selection": args.dataset or "<dev>"}, [table])
+    write_manifest(out, "grid", config_to_json(config),
+                   {**vars(data), "selection": args.dataset or "<dev>"}, [table])
     print(f"grid: best beta={result.best_beta} sigma={result.best_sigma} -> {table}")
     return EXIT_OK
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -23,7 +22,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import SOURCE, TARGET_SYNTHETIC, SpanModel, tokenize_samples
+from .model import (
+    COUNT, SOURCE, TARGET_SYNTHETIC, ConfigError, SpanModel, check_fields, integer, items, real,
+    tokenize_samples,
+)
 # unused; perfbench/tracing.py patches both names here
 from .model import predict_span, tokenize_sample  # noqa: F401
 
@@ -288,32 +290,13 @@ class DomainShiftSpec:
     question_window: int = 3
 
     def __post_init__(self):
-        # a JSON spec gives a list; stored as a tuple, specs compare and hash by value
-        object.__setattr__(self, "context_words", tuple(self.context_words))
-        lo, hi = self.context_words
-        for name, value in (("vocab_words", self.vocab_words), ("n_source", self.n_source),
-                            ("n_target_contexts", self.n_target_contexts),
-                            ("qa_per_target_context", self.qa_per_target_context),
-                            ("question_window", self.question_window),
-                            ("context_words", lo), ("context_words", hi)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, not {value!r}")
-        for name in ("source_answer_mean", "target_answer_mean", "vocab_shift"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, not {value!r}")
-        if self.vocab_words < 2:
-            raise ValueError("vocab_words must be >= 2")
-        if self.n_source < 1 or self.n_target_contexts < 1 or self.qa_per_target_context < 1:
-            raise ValueError("corpus sizes must be positive")
-        if not 1 <= lo <= hi:
-            raise ValueError(f"bad context word range {self.context_words}")
-        if self.source_answer_mean < 1.0 or self.target_answer_mean < 1.0:
-            raise ValueError("answer-length means must be >= 1 word")
-        if not 0.0 <= self.vocab_shift <= 1.0:
-            raise ValueError("vocab_shift must lie in [0, 1]")
-        if self.question_window < 0:
-            raise ValueError("question_window must be >= 0")
+        check_fields(self, vocab_words=integer(2), n_source=COUNT, n_target_contexts=COUNT,
+                     qa_per_target_context=COUNT, context_words=items(COUNT, length=2),
+                     source_answer_mean=real(1), target_answer_mean=real(1),
+                     vocab_shift=real(0, 1, high_open=False), question_window=integer(0))
+        if self.context_words[0] > self.context_words[1]:
+            raise ConfigError(f"context_words: the low end exceeds the high end, "
+                              f"got {self.context_words!r}")
 
 
 _SYLLABLES = ("ba", "re", "mi", "to", "lu", "ka", "si", "no", "ve", "du",
@@ -344,25 +327,24 @@ def _domain_weights(count: int, shift: float) -> tuple[np.ndarray, np.ndarray]:
     return source, target
 
 
-def _sample_answer_len(rng: np.random.Generator, mean: float, n_words: int) -> int:
-    return min(1 + int(rng.poisson(mean - 1.0)), n_words)
-
-
-def _make_qa(rng, words_list, weights, spec, answer_mean, sample_id):
+def _context(rng, words_list, weights, spec) -> list[str]:
+    """The words of one context: a length drawn from the spec's range, then
+    that many words under the domain's weights."""
     lo, hi = spec.context_words
-    n_words = int(rng.integers(lo, hi + 1))
-    words = list(rng.choice(words_list, size=n_words, p=weights))
-    context = " ".join(words)
-    length = _sample_answer_len(rng, answer_mean, n_words)
-    start = int(rng.integers(0, n_words - length + 1))
-    char_start = sum(len(w) + 1 for w in words[:start])
-    answer_text = " ".join(words[start:start + length])
-    question = _cloze_question(words, start, length, spec.question_window)
+    return list(rng.choice(words_list, size=int(rng.integers(lo, hi + 1)), p=weights))
+
+
+def _draw_qa(rng, words, spec, answer_mean, sample_id) -> RawQASample:
+    """One QA pair on the context ``words``: an answer length (one plus a
+    Poisson draw, at most the context) and start, and the cloze question
+    around the answer."""
+    length = min(1 + int(rng.poisson(answer_mean - 1.0)), len(words))
+    start = int(rng.integers(0, len(words) - length + 1))
     return RawQASample(
-        question=question,
-        context=context,
-        answer_text=answer_text,
-        answer_start=char_start,
+        question=_cloze_question(words, start, length, spec.question_window),
+        context=" ".join(words),
+        answer_text=" ".join(words[start:start + length]),
+        answer_start=sum(len(w) + 1 for w in words[:start]),
         sample_id=sample_id,
     )
 
@@ -377,7 +359,8 @@ def make_synthetic_domains(
 
     rng_s = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     source_samples = [
-        _make_qa(rng_s, words_list, w_source, spec, spec.source_answer_mean, f"src-{i:04d}")
+        _draw_qa(rng_s, _context(rng_s, words_list, w_source, spec), spec,
+                 spec.source_answer_mean, f"src-{i:04d}")
         for i in range(spec.n_source)
     ]
     source = DomainDataset(samples=source_samples, domain_tag=SOURCE, provenance="human")
@@ -386,23 +369,10 @@ def make_synthetic_domains(
     contexts: list[ContextOnly] = []
     gold: list[RawQASample] = []
     for i in range(spec.n_target_contexts):
-        first = _make_qa(rng_t, words_list, w_target, spec, spec.target_answer_mean, f"tgt-{i:04d}-0")
-        contexts.append(ContextOnly(context=first.context, domain_id=f"tgt-{i:04d}"))
-        gold.append(first)
-        words = first.context.split(" ")
-        for j in range(1, spec.qa_per_target_context):
-            length = _sample_answer_len(rng_t, spec.target_answer_mean, len(words))
-            start = int(rng_t.integers(0, len(words) - length + 1))
-            char_start = sum(len(w) + 1 for w in words[:start])
-            gold.append(
-                RawQASample(
-                    question=_cloze_question(words, start, length, spec.question_window),
-                    context=first.context,
-                    answer_text=" ".join(words[start:start + length]),
-                    answer_start=char_start,
-                    sample_id=f"tgt-{i:04d}-{j}",
-                )
-            )
+        words = _context(rng_t, words_list, w_target, spec)
+        contexts.append(ContextOnly(context=" ".join(words), domain_id=f"tgt-{i:04d}"))
+        gold.extend(_draw_qa(rng_t, words, spec, spec.target_answer_mean, f"tgt-{i:04d}-{j}")
+                    for j in range(spec.qa_per_target_context))
     target_gold = DomainDataset(samples=gold, domain_tag=TARGET_SYNTHETIC, provenance="human")
     return source, contexts, target_gold
 

@@ -12,8 +12,6 @@ memory, where the direct difference form needs [N x M x H].
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,7 +19,10 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .model import PackedBatch, SpanLogits, TokenizedSample, SOURCE, TARGET_SYNTHETIC
+from .model import (
+    NON_NEGATIVE, POSITIVE, SOURCE, TARGET_SYNTHETIC, PackedBatch, SpanLogits, TokenizedSample,
+    check_fields, items, one_of, optional,
+)
 
 MEDIAN_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 MEDIAN_FALLBACK = 1.0
@@ -36,12 +37,6 @@ class MalformedSampleError(ValueError):
     """A sample reached the loss with an unusable token-class layout."""
 
 
-def finite_real(value) -> bool:
-    """Whether a config number is a finite real: not a bool (which Python
-    counts as an int), a string, NaN or an infinity."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class KernelConfig:
     """Explicit bandwidths, or median-heuristic resolution when None."""
@@ -50,15 +45,7 @@ class KernelConfig:
     median_multipliers: tuple[float, ...] = MEDIAN_MULTIPLIERS
 
     def __post_init__(self):
-        if self.bandwidths is not None:
-            if len(self.bandwidths) == 0:
-                raise ValueError("bandwidth list must be non-empty")
-            if not all(finite_real(g) and g > 0 for g in self.bandwidths):
-                raise ValueError(f"bandwidths must be positive and finite, got {self.bandwidths!r}")
-        if len(self.median_multipliers) == 0 or not all(
-                finite_real(m) and m > 0 for m in self.median_multipliers):
-            raise ValueError(f"median_multipliers must be positive, finite and non-empty, "
-                             f"got {self.median_multipliers!r}")
+        check_fields(self, bandwidths=optional(items(POSITIVE)), median_multipliers=items(POSITIVE))
 
 
 @dataclass(frozen=True)
@@ -70,15 +57,9 @@ class ContrastiveConfig:
     pairing_variant: str = PAIRING_MIXED
 
     def __post_init__(self):
-        # NaN fails every comparison, so each number is also checked to be finite
-        if not (finite_real(self.beta) and self.beta >= 0):
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
-        if not (finite_real(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
-        if self.sign_variant not in (SIGN_AS_PRINTED, SIGN_SIMILARITY_FLIPPED):
-            raise ValueError(f"unknown sign_variant {self.sign_variant!r}")
-        if self.pairing_variant not in (PAIRING_MIXED, PAIRING_DOMAIN_SEPARATED):
-            raise ValueError(f"unknown pairing_variant {self.pairing_variant!r}")
+        check_fields(self, beta=NON_NEGATIVE, noise_sigma=NON_NEGATIVE,
+                     sign_variant=one_of(SIGN_AS_PRINTED, SIGN_SIMILARITY_FLIPPED),
+                     pairing_variant=one_of(PAIRING_MIXED, PAIRING_DOMAIN_SEPARATED))
 
 
 @dataclass
@@ -95,11 +76,6 @@ class ClassMeans:
     def answer_mean(self) -> np.ndarray:
         """The [B x H] answer means, as an array."""
         return self.stacked.data[:len(self.domain_tag)]
-
-    @property
-    def cq_mean(self) -> np.ndarray:
-        """The [B x H] question/context means, as an array."""
-        return self.stacked.data[len(self.domain_tag):]
 
 
 def resolve_bandwidths(points: np.ndarray, config: KernelConfig) -> tuple[float, ...]:

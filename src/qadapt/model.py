@@ -17,8 +17,11 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
+import numbers
+import reprlib
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -65,6 +68,136 @@ class CheckpointError(ValueError):
     """Checkpoint file is malformed or does not match the runtime config."""
 
 
+class ConfigError(ValueError):
+    """Invalid configuration. The message names one problem per line, each
+    by the field's dotted path (``optimizer.eps: must be ...``)."""
+
+
+# -- config rules ------------------------------------------------------------------
+# Every config is a frozen dataclass whose ``__post_init__`` declares a rule
+# per field (``check_fields``) and then checks what relates two fields. JSON
+# configs are read by ``config_from_json`` and written by ``config_to_json``.
+
+@dataclass(frozen=True)
+class Rule:
+    """What a config value must be: ``accepts`` tells, ``text`` says."""
+
+    text: str
+    accepts: Callable[[object], bool]
+
+
+def integer(low: int) -> Rule:
+    """An int, never a bool, of at least ``low``."""
+    return Rule(f"an integer >= {low}",
+                lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low)
+
+
+def _finite_real(value) -> bool:
+    """Whether a value is a real number, never a bool, that a float holds
+    finitely: an int too large for a float is not one."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
+def real(low: float, high: float = math.inf, *, low_open: bool = False,
+         high_open: bool = True) -> Rule:
+    """A finite real number from ``low`` to ``high``; the bounds are
+    included unless open."""
+    bounds = (f"{'>' if low_open else '>='} {low:g}" if high == math.inf else
+              f"in {'(' if low_open else '['}{low:g}, {high:g}{')' if high_open else ']'}")
+    return Rule(f"a finite number {bounds}", lambda v: _finite_real(v) and (
+        low < v if low_open else low <= v) and (v < high if high_open else v <= high))
+
+
+def one_of(*values: str) -> Rule:
+    return Rule("one of " + ", ".join(map(repr, values)),
+                lambda v: isinstance(v, str) and v in values)
+
+
+def items(rule: Rule, length: int | None = None) -> Rule:
+    """A list (or tuple) of ``length`` values, or of at least one, each
+    accepted by ``rule``."""
+    count = f"of {length} items" if length else "of one or more items"
+    return Rule(f"a list {count}, each {rule.text}", lambda v: (
+        isinstance(v, (list, tuple)) and (len(v) == length if length else len(v) > 0)
+        and all(map(rule.accepts, v))))
+
+
+def optional(rule: Rule) -> Rule:
+    return Rule(f"null or {rule.text}", lambda v: v is None or rule.accepts(v))
+
+
+def mapping(rule: Rule) -> Rule:
+    """A JSON object whose every value ``rule`` accepts."""
+    return Rule(f"an object of name -> {rule.text}",
+                lambda v: isinstance(v, dict) and all(map(rule.accepts, v.values())))
+
+
+COUNT = integer(1)  # a size, a length or a number of steps
+SEED = integer(0)  # numpy seeds must be non-negative
+POSITIVE = real(0, low_open=True)
+NON_NEGATIVE = real(0)
+PATH = Rule("a file path string", lambda v: isinstance(v, str))
+
+
+def check_fields(config, **rules: Rule) -> None:
+    """Raise ``ConfigError`` naming every field of ``config`` that its rule
+    rejects. An accepted list is stored as a tuple, so that configs read
+    from JSON compare and hash by value."""
+    problems = []
+    for name, rule in rules.items():
+        value = getattr(config, name)
+        if not rule.accepts(value):
+            problems.append(f"{name}: must be {rule.text}, got {reprlib.repr(value)}")
+        elif isinstance(value, list):
+            object.__setattr__(config, name, tuple(value))
+    if problems:
+        raise ConfigError("\n".join(problems))
+
+
+def config_from_json(cls, data, path: str = ""):
+    """The config ``cls`` read from a decoded JSON object: its keys are
+    fields of ``cls``, absent fields keep their defaults (a field without
+    one must be given), and a field whose default is a config is read from
+    a nested object the same way. Every problem is named in one
+    ``ConfigError``, by its dotted path below ``path``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path or 'config'}: must be a JSON object, "
+                          f"got {type(data).__name__}")
+    prefix = f"{path}." if path else ""
+    nested = {f.name: f.default_factory for f in fields(cls) if is_dataclass(f.default_factory)}
+    known = {f.name for f in fields(cls)}
+    problems, values = [], {}
+    for key, value in data.items():
+        if key not in known:
+            problems.append(f"{prefix}{key}: unknown field")
+            continue
+        try:  # a nested config that fails keeps its default, so its parent is checked too
+            values[key] = (config_from_json(nested[key], value, prefix + key) if key in nested
+                           else value)
+        except ConfigError as err:
+            problems.append(str(err))
+    missing = [f"{prefix}{f.name}: missing field" for f in fields(cls) if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    problems += missing
+    try:
+        config = None if missing else cls(**values)
+    except ConfigError as err:
+        problems.extend(prefix + line for line in str(err).splitlines())
+    if problems:
+        raise ConfigError("\n".join(problems))
+    return config
+
+
+def config_to_json(config) -> dict:
+    """A config as JSON values: nested configs as objects, tuples as lists."""
+    return {f.name: config_to_json(v) if is_dataclass(v) else list(v) if isinstance(v, tuple)
+            else v for f in fields(config) for v in [getattr(config, f.name)]}
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     vocab_size: int = DEFAULT_VOCAB
@@ -76,18 +209,11 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("vocab_size", "hidden_dim", "num_layers", "num_heads", "ff_dim", "max_len",
-                     "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"EncoderConfig.{name} must be an integer, got {value!r}")
-        for name in ("vocab_size", "hidden_dim", "num_layers", "num_heads", "ff_dim", "max_len"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"EncoderConfig.{name} must be positive")
+        check_fields(self, vocab_size=COUNT, hidden_dim=COUNT, num_layers=COUNT, num_heads=COUNT,
+                     ff_dim=COUNT, max_len=COUNT, seed=SEED)
         if self.hidden_dim % self.num_heads != 0:
-            raise ValueError(
-                f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
-            )
+            raise ConfigError(f"hidden_dim: {self.hidden_dim} is not divisible by num_heads "
+                              f"{self.num_heads}")
 
 
 @dataclass
@@ -110,11 +236,6 @@ class TokenizedSample:
     @property
     def context_token_start(self) -> int:
         return self.question_len + 2
-
-    @property
-    def special_positions(self) -> tuple[int, int, int]:
-        """The start marker and the two separators."""
-        return 0, self.question_len + 1, len(self) - 1
 
     def _mask(self, lo: int, hi: int) -> np.ndarray:
         mask = np.zeros(len(self), dtype=bool)
@@ -359,7 +480,7 @@ class SpanModel:
     # -- checkpoint container --------------------------------------------------
 
     def save(self, path) -> None:
-        header = json.dumps(asdict(self.config), sort_keys=True).encode("utf-8")
+        header = json.dumps(config_to_json(self.config), sort_keys=True).encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", len(header)))
@@ -400,11 +521,12 @@ class SpanModel:
         (hlen,) = unpack("<I")
         header = take(hlen)
         try:
-            # bad UTF-8 and bad JSON are ValueErrors; unknown keys, TypeErrors;
-            # JSON nested too deeply, a RecursionError
-            config = EncoderConfig(**json.loads(header.decode("utf-8")))
-        except (TypeError, ValueError, RecursionError) as err:
-            raise CheckpointError(f"{path}: bad config header: {err}") from err
+            # bad UTF-8, bad JSON and a bad config are ValueErrors; JSON nested
+            # too deeply, a RecursionError
+            config = config_from_json(EncoderConfig, json.loads(header.decode("utf-8")))
+        except (ValueError, RecursionError) as err:
+            problems = "; ".join(str(err).splitlines())
+            raise CheckpointError(f"{path}: bad config header: {problems}") from err
         shapes = cls.param_shapes(config)
         if expected_config is not None and config != expected_config:
             raise CheckpointError(

@@ -26,7 +26,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -41,15 +41,15 @@ from .losses import (
     ContrastiveConfig,
     MalformedSampleError,
     PAIRING_DOMAIN_SEPARATED,
-    finite_real,
     class_means,
     contrastive_loss,
     span_cross_entropy,
     total_loss,
 )
 from .model import (
-    SOURCE, TARGET_SYNTHETIC, EncoderConfig, PackedBatch, SpanModel, TokenizationError,
-    tokenize_samples,
+    COUNT, NON_NEGATIVE, POSITIVE, SEED, SOURCE, TARGET_SYNTHETIC, ConfigError, EncoderConfig,
+    PackedBatch, SpanModel, TokenizationError, check_fields, config_to_json,
+    integer, items, one_of, real, tokenize_samples,
 )
 from .model import tokenize_sample  # noqa: F401  unused; perfbench/tracing.py patches it here
 
@@ -57,10 +57,6 @@ log = logging.getLogger(__name__)
 
 MIX_MIXED = "mixed"
 MIX_SOURCE_ONLY = "source-only"
-
-
-class ConfigError(ValueError):
-    """Invalid training configuration; message lists one problem per line."""
 
 
 class DivergenceError(RuntimeError):
@@ -83,19 +79,8 @@ class OptimizerConfig:
     warmup_steps: int = 0  # none by default
 
     def __post_init__(self):
-        # NaN fails every comparison, so each number is also checked to be finite
-        if not (finite_real(self.eps) and self.eps > 0):
-            raise ValueError(f"optimizer.eps must be finite and > 0, got {self.eps!r}")
-        if len(self.betas) != 2 or not all(finite_real(b) and 0 <= b < 1 for b in self.betas):
-            raise ValueError(f"optimizer.betas must be two finite numbers in [0, 1), "
-                             f"got {self.betas!r}")
-        if not (finite_real(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"optimizer.weight_decay must be finite and >= 0, "
-                             f"got {self.weight_decay!r}")
-        if (not isinstance(self.warmup_steps, int) or isinstance(self.warmup_steps, bool)
-                or self.warmup_steps < 0):
-            raise ValueError(f"optimizer.warmup_steps must be an integer >= 0, "
-                             f"got {self.warmup_steps!r}")
+        check_fields(self, betas=items(real(0, 1), length=2), eps=POSITIVE,
+                     weight_decay=NON_NEGATIVE, warmup_steps=integer(0))
 
 
 @dataclass(frozen=True)
@@ -112,41 +97,14 @@ class TrainConfig:
     grad_clip: float = 1.0
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
-    def validate(self) -> list[str]:
-        problems = []
-        for name in ("epochs", "batch_size", "seed", "max_answer_len", "eval_cadence"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                problems.append(f"{name}: must be an integer, got {value!r}")
-        if problems:  # the range checks below assume integers
-            return problems
-        if not (finite_real(self.learning_rate) and self.learning_rate > 0):
-            problems.append(f"learning_rate: must be finite and > 0, got {self.learning_rate!r}")
-        if self.epochs < 1:
-            problems.append("epochs: must be >= 1")
-        if self.batch_size < 1:
-            problems.append("batch_size: must be >= 1")
-        if self.seed < 0:
-            problems.append("seed: must be >= 0")
-        if self.mixing_policy not in (MIX_MIXED, MIX_SOURCE_ONLY):
-            problems.append(f"mixing_policy: unknown policy {self.mixing_policy!r}")
-        if self.mixing_policy == MIX_MIXED and self.batch_size < 2:
-            problems.append("batch_size: must be >= 2 under the mixed 1:1 policy")
-        if (self.contrastive.pairing_variant == PAIRING_DOMAIN_SEPARATED
-                and self.batch_size < 2):
-            problems.append("batch_size: must be >= 2 with domain-separated pairing")
-        if self.max_answer_len < 1:
-            problems.append("max_answer_len: must be >= 1")
-        if self.eval_cadence < 0:
-            problems.append("eval_cadence: must be >= 0")
-        if not (finite_real(self.grad_clip) and self.grad_clip > 0):
-            problems.append(f"grad_clip: must be finite and > 0, got {self.grad_clip!r}")
-        return problems
-
     def __post_init__(self):
-        problems = self.validate()
-        if problems:
-            raise ConfigError("\n".join(problems))
+        check_fields(self, learning_rate=POSITIVE, epochs=COUNT, batch_size=COUNT,
+                     mixing_policy=one_of(MIX_MIXED, MIX_SOURCE_ONLY), seed=SEED,
+                     max_answer_len=COUNT, eval_cadence=integer(0), grad_clip=POSITIVE)
+        if self.batch_size < 2 and self.mixing_policy == MIX_MIXED:
+            raise ConfigError("batch_size: must be >= 2 under the mixed 1:1 policy")
+        if self.batch_size < 2 and self.contrastive.pairing_variant == PAIRING_DOMAIN_SEPARATED:
+            raise ConfigError("batch_size: must be >= 2 with domain-separated pairing")
 
 
 @dataclass
@@ -378,7 +336,7 @@ def train(
             epoch_metrics=epoch_metrics,
             wall_clock_s=time.perf_counter() - started,
             seed=config.seed,
-            resolved_config=config_to_dict(config),
+            resolved_config=config_to_json(config),
             final_epoch_mean_loss=float(np.mean(tail)) if tail else float("nan"),
             single_domain_batches=single_domain_batches,
         )
@@ -463,56 +421,10 @@ def _maybe_evaluate(model, dev_sets, config, epoch, epoch_metrics):
         )
 
 
-# -- config (de)serialization ----------------------------------------------------
-
-def config_to_dict(config: TrainConfig) -> dict:
-    d = asdict(config)
-    d["optimizer"]["betas"] = list(config.optimizer.betas)
-    kernel = d["contrastive"]["kernel"]
-    if kernel["bandwidths"] is not None:
-        kernel["bandwidths"] = list(kernel["bandwidths"])
-    kernel["median_multipliers"] = list(kernel["median_multipliers"])
-    return d
-
-
-def config_from_dict(d: dict) -> TrainConfig:
-    from .losses import KernelConfig
-
-    d = dict(d)
-    problems = []
-    known = {f for f in TrainConfig.__dataclass_fields__}
-    for key in d:
-        if key not in known:
-            problems.append(f"{key}: unknown field")
-    if problems:
-        raise ConfigError("\n".join(problems))
-    try:
-        if "optimizer" in d:
-            opt = dict(d["optimizer"])
-            if "betas" in opt:
-                opt["betas"] = tuple(opt["betas"])
-            d["optimizer"] = OptimizerConfig(**opt)
-        if "contrastive" in d:
-            con = dict(d["contrastive"])
-            if "kernel" in con:
-                ker = dict(con["kernel"])
-                if ker.get("bandwidths") is not None:
-                    ker["bandwidths"] = tuple(ker["bandwidths"])
-                if "median_multipliers" in ker:
-                    ker["median_multipliers"] = tuple(ker["median_multipliers"])
-                con["kernel"] = KernelConfig(**ker)
-            d["contrastive"] = ContrastiveConfig(**con)
-        if "encoder" in d:
-            d["encoder"] = EncoderConfig(**d["encoder"])
-        return TrainConfig(**d)
-    except (TypeError, ValueError) as err:  # ValueError: a section's own checks
-        raise ConfigError(str(err)) from err
-
-
 def _write_config_and_steps(run_dir: Path, config: TrainConfig, steps: list[StepRecord]) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").write_text(
-        json.dumps(config_to_dict(config), indent=1, sort_keys=True) + "\n")
+        json.dumps(config_to_json(config), indent=1, sort_keys=True) + "\n")
     with open(run_dir / "steps.jsonl", "w") as fh:
         for r in steps:
             fh.write(json.dumps({"step": r.step, "loss_ce": r.loss_ce, "loss_con": r.loss_con,

@@ -23,9 +23,9 @@ results.
 
 Forking pays only with two usable CPUs and pinned BLAS: two processes with
 unpinned BLAS oversubscribe the cores. Inside a child, while a child runs,
-or without these, ``partner`` gives the in-process ``Partner``, which runs
-the same work in the same order of computation, so that results never
-depend on where they ran.
+without these, or when ``os.fork`` fails, ``partner`` gives the in-process
+``Partner``, which runs the same work in the same order of computation, so
+that results never depend on where they ran.
 """
 
 from __future__ import annotations
@@ -160,15 +160,23 @@ def partner(serve: Callable[[object], Generator]) -> Iterator[Partner]:
     When forking pays (``can_fork``), ``serve`` runs in a child forked for
     the block, which answers each request until the block closes the
     request pipe; the child is reaped when the block ends, and SIGKILLed
-    first unless the block ran to its end. Otherwise ``serve`` runs
-    in-process."""
+    first unless the block ran to its end. Otherwise, or when the fork
+    fails, ``serve`` runs in-process."""
     global _child_running
     if not can_fork():
         yield Partner(serve)
         return
     request_r, request_w = os.pipe()
     reply_r, reply_w = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had (EAGAIN, ENOMEM): the same work, here
+        for fd in (request_r, request_w, reply_r, reply_w):
+            os.close(fd)
+        pid = None
+    if pid is None:
+        yield Partner(serve)
+        return
     if pid == 0:
         _child_running = True  # calls made in the child run in-process
         status = 1

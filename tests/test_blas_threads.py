@@ -13,8 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from qadapt import datagen, training
+from qadapt import datagen
 from qadapt.experiment import CONTRASTIVE_BETA, _phase_config, build_experiment_data
+from qadapt.model import config_to_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -27,7 +28,7 @@ def test_train_artifacts_identical_under_one_and_two_blas_threads(tmp_path):
     source, synthetic, _ = build_experiment_data(1)
     datagen.write_dataset(tmp_path / "source.json", source, title="source")
     datagen.write_dataset(tmp_path / "synthetic.json", synthetic)
-    config = training.config_to_dict(_phase_config(1, CONTRASTIVE_BETA, 1))
+    config = config_to_json(_phase_config(1, CONTRASTIVE_BETA, 1))
     config["data"] = {"source": str(tmp_path / "source.json"),
                       "synthetic": str(tmp_path / "synthetic.json")}
     (tmp_path / "train.json").write_text(json.dumps(config))

@@ -7,9 +7,8 @@ import pytest
 from qadapt import workers
 from qadapt.cli import main
 from qadapt.datagen import load_squad_json
-from qadapt.training import config_to_dict
 from qadapt.losses import ContrastiveConfig, KernelConfig
-from qadapt.model import EncoderConfig
+from qadapt.model import EncoderConfig, config_to_json
 from qadapt.training import TrainConfig
 
 
@@ -36,7 +35,7 @@ def train_config_dict(source, synthetic=None, dev=None, **overrides):
         encoder=EncoderConfig(vocab_size=258, hidden_dim=16, num_layers=1,
                               num_heads=2, ff_dim=32, max_len=96, seed=2),
     )
-    d = config_to_dict(cfg)
+    d = config_to_json(cfg)
     d.update(overrides)
     d["data"] = {"source": str(source)}
     if synthetic:
@@ -465,7 +464,7 @@ def test_train_rejects_bad_optimizer_section(synth_dir, tmp_path, capsys, optimi
     err = capsys.readouterr().err
     assert "Traceback" not in err
     problems = err.strip().splitlines()[1:]  # below the "config error:" header
-    assert len(problems) == 1 and f"optimizer.{field} must be" in problems[0]
+    assert len(problems) == 1 and problems[0].startswith(f"optimizer.{field}: must be")
     assert not out.exists()
 
 
@@ -485,11 +484,11 @@ def test_train_with_an_unallocatable_encoder_exits_2(synth_dir, tmp_path, capsys
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("field, value", [
-    ("epochs", 1.5), ("batch_size", 8.5), ("seed", 1.5), ("max_answer_len", 2.5),
-    ("eval_cadence", 0.5), ("epochs", True),
+@pytest.mark.parametrize("field, value, low", [
+    ("epochs", 1.5, 1), ("batch_size", 8.5, 1), ("seed", 1.5, 0), ("max_answer_len", 2.5, 1),
+    ("eval_cadence", 0.5, 0), ("epochs", True, 1),
 ])
-def test_train_rejects_non_integer_field(synth_dir, tmp_path, capsys, field, value):
+def test_train_rejects_non_integer_field(synth_dir, tmp_path, capsys, field, value, low):
     cfg_path = tmp_path / "t.json"
     cfg_path.write_text(json.dumps(train_config_dict(synth_dir / "source.json",
                                                      **{field: value})))
@@ -498,7 +497,7 @@ def test_train_rejects_non_integer_field(synth_dir, tmp_path, capsys, field, val
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.strip().splitlines()[1:] == [f"{field}: must be an integer, got {value!r}"]
+    assert err.strip().splitlines()[1:] == [f"{field}: must be an integer >= {low}, got {value!r}"]
     assert not out.exists()
 
 
@@ -550,7 +549,7 @@ class TestNegativeSeedExit1:
         capsys.readouterr()
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "Traceback" not in err and "seed: must be >= 0" in err
+        assert "Traceback" not in err and "seed: must be an integer >= 0" in err
         assert not out.exists()
 
 

@@ -24,6 +24,12 @@ from qadapt.model import PackedBatch, SpanLogits, TokenizedSample, tokenize_samp
 from conftest import make_sample, stack_means
 
 
+def cq_means(means):
+    """The [B x H] question/context means of a class-mean stack, as an array:
+    the rows after the B answer means."""
+    return means.stacked.data[len(means.domain_tag):]
+
+
 def unit_apart(d2, dim=4):
     """Two vectors with squared distance exactly d2."""
     x = np.zeros(dim)
@@ -57,7 +63,7 @@ class TestGaussianKernel:
         assert abs(expected - 0.5733401121214237) < 1e-15
 
     def test_nonpositive_bandwidth_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="bandwidths: must be .* > 0"):
             KernelConfig(bandwidths=(1.0, -2.0))
         with pytest.raises(ValueError):
             KernelConfig(bandwidths=())
@@ -175,7 +181,7 @@ class TestClassMeans:
         ts = make_sample(seed=22)
         feats = T.constant(np.ones((len(ts), 4)))
         cm = class_means(feats, PackedBatch.pack([ts]))
-        assert np.array_equal(cm.answer_mean, cm.cq_mean)
+        assert np.array_equal(cm.answer_mean, cq_means(cm))
 
     def test_hand_summed_means(self):
         ts = make_sample(seed=23)
@@ -185,16 +191,16 @@ class TestClassMeans:
         ans = values[ts.answer_mask].mean(axis=0)
         cq_mask = (ts.question_mask | ts.context_mask) & ~ts.answer_mask
         cq = values[cq_mask].mean(axis=0)
-        assert cm.answer_mean.shape == cm.cq_mean.shape == (1, 5)
+        assert cm.answer_mean.shape == cq_means(cm).shape == (1, 5)
         assert np.max(np.abs(cm.answer_mean[0] - ans)) < 1e-12
-        assert np.max(np.abs(cm.cq_mean[0] - cq)) < 1e-12
+        assert np.max(np.abs(cq_means(cm)[0] - cq)) < 1e-12
 
     def test_specials_excluded(self):
         ts = make_sample(seed=24)
         values = np.zeros((len(ts), 3))
-        values[list(ts.special_positions)] = 1e6
+        values[[0, ts.question_len + 1, len(ts) - 1]] = 1e6  # start marker, separators
         cm = class_means(T.constant(values), PackedBatch.pack([ts]))
-        assert np.max(np.abs(cm.cq_mean)) == 0.0
+        assert np.max(np.abs(cq_means(cm))) == 0.0
 
     def test_sample_without_non_answer_tokens_signalled(self):
         # a SQuAD record with an empty question whose answer is the whole context
@@ -226,13 +232,13 @@ class TestContrastiveLoss:
 
     def test_single_sample_closed_form(self):
         means = random_means(31, 1)
-        k = gaussian_kernel(means.answer_mean[0], means.cq_mean[0], self.CFG.kernel)
+        k = gaussian_kernel(means.answer_mean[0], cq_means(means)[0], self.CFG.kernel)
         got = contrastive_loss(means, self.CFG).item()
         assert abs(got - (2.0 - k)) < 1e-12
 
     def test_two_sample_brute_force(self):
         batch = random_means(32, 2)
-        a, c = batch.answer_mean, batch.cq_mean
+        a, c = batch.answer_mean, cq_means(batch)
         bw = self.CFG.kernel.bandwidths
         expected = 0.0
         for i in range(2):
@@ -254,7 +260,7 @@ class TestContrastiveLoss:
         base = contrastive_loss(batch, self.CFG).item()
         order = [2, 0, 3, 1]
         perm = stack_means(T.constant(batch.answer_mean[order]),
-                           T.constant(batch.cq_mean[order]),
+                           T.constant(cq_means(batch)[order]),
                            tuple(batch.domain_tag[i] for i in order))
         assert abs(contrastive_loss(perm, self.CFG).item() - base) < 1e-12
 
@@ -268,7 +274,7 @@ class TestContrastiveLoss:
         batch = random_means(35, 3, tags=tags)
         cfg = ContrastiveConfig(beta=0.01, noise_sigma=0.0, kernel=self.CFG.kernel,
                                 pairing_variant="domain-separated")
-        a, c = batch.answer_mean, batch.cq_mean
+        a, c = batch.answer_mean, cq_means(batch)
         bw = cfg.kernel.bandwidths
         cross = [(i, j) for i in range(3) for j in range(3)
                  if {tags[i], tags[j]} == {"source", "target_synthetic"}]
@@ -328,7 +334,7 @@ class TestContrastiveLoss:
         for seed in range(20):
             n = 2 + seed % 5
             batch = random_means(500 + seed, n, dim=6)
-            want = self.three_kernel_loss(batch.answer_mean, batch.cq_mean, batch.domain_tag, cfg)
+            want = self.three_kernel_loss(batch.answer_mean, cq_means(batch), batch.domain_tag, cfg)
             assert abs(contrastive_loss(batch, cfg).item() - want) <= 1e-12
 
     @pytest.mark.parametrize("sign, pairing", VARIANTS)

@@ -63,7 +63,7 @@ class TestTokenizer:
     def test_invariant_masks_disjoint_and_cover(self):
         ts = make_sample(seed=3)
         special = np.zeros(len(ts), dtype=bool)
-        special[list(ts.special_positions)] = True
+        special[[0, ts.question_len + 1, len(ts) - 1]] = True  # start marker, separators
         assert not np.any(ts.question_mask & ts.context_mask)
         assert np.array_equal(ts.question_mask | ts.context_mask, ~special)
 
@@ -130,7 +130,7 @@ class TestTokenizeSamples:
         assert ts.span_text(context, ts.answer_span) == answer
 
         special = np.zeros(len(ts), dtype=bool)
-        special[list(ts.special_positions)] = True
+        special[[0, ts.question_len + 1, len(ts) - 1]] = True  # start marker, separators
         q, c, a = ts.question_mask, ts.context_mask, ts.answer_mask
         assert not np.any(q & c) and not np.any((q | c) & special)
         assert np.array_equal(q | c, ~special)

@@ -1,6 +1,8 @@
 import ast
+import importlib
 import warnings
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -684,30 +686,110 @@ def test_embedding_gradient_matches_add_at(ids, seed):
     assert not positions.grad[len(ids):].any()
 
 
-ENGINE_ENTRY_POINTS = {"finite_difference_check", "backward", "no_grad", "constant"}
+PACKAGE = Path(T.__file__).parent
+CALLERS = ([path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+           + sorted((PACKAGE.parent.parent / "scripts").glob("*.py"))
+           + sorted((PACKAGE.parent.parent / "perfbench").glob("*.py")))
+
+
+def _public_defs(module: ModuleType) -> tuple[dict[str, object], set[str]]:
+    """The public functions of a module, by ``<module>.<name>``, and the
+    names of the public methods and properties of its public classes."""
+    functions, methods = {}, set()
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            methods |= {f"{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+        elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            short = module.__name__.removeprefix("qadapt.")
+            functions[f"{short}.{node.name}"] = getattr(module, node.name)
+    return functions, methods
+
+
+def _references(path: Path, source: str) -> tuple[set[int], set[str]]:
+    """What ``source`` (the text of ``path``) refers to: the ids of the
+    package objects it names qualified (``<module alias>.f``, ``from
+    <module> import f``, or a bare ``f`` in the package module that holds
+    it), and the attribute names it reads anywhere (``x.f``)."""
+    here = importlib.import_module(f"qadapt.{path.stem}") if path.parent == PACKAGE else None
+    bound: dict[str, object] = {}  # a name bound by an import of the package
+    objects: list[object] = []
+    attributes: set[str] = set()
+
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            return bound[node.id] if node.id in bound else getattr(here, node.id, None)
+        if isinstance(node, ast.Attribute):
+            base = resolve(node.value)
+            if isinstance(base, ModuleType) and base.__name__.split(".")[0] == "qadapt":
+                return getattr(base, node.attr, None)
+        return None
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = "qadapt" + (f".{node.module}" if node.module else "") if node.level \
+                else node.module or ""
+            if module.split(".")[0] == "qadapt":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = getattr(
+                        importlib.import_module(module), alias.name, None)
+                    objects.append(bound[alias.asname or alias.name])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "qadapt":
+                    name = alias.asname or "qadapt"
+                    bound[name] = importlib.import_module(alias.name if alias.asname else "qadapt")
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            objects.append(resolve(node))
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    return {id(obj) for obj in objects}, attributes
+
+
+def _unreferenced(replaced: dict[str, str] | None = None) -> list[str]:
+    """The public functions, methods and properties of the package that have
+    no caller, with the callers' texts as on disk except those ``replaced``
+    (file name -> text). A function counts as exported only if
+    ``qadapt.__all__`` names that very object."""
+    import qadapt
+    functions, methods = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            module_functions, module_methods = _public_defs(
+                importlib.import_module(f"qadapt.{path.stem}"))
+            functions.update(module_functions)
+            methods |= module_methods
+    referenced, attributes = {id(getattr(qadapt, name)) for name in qadapt.__all__}, set()
+    for path in CALLERS:
+        ids, names = _references(path, (replaced or {}).get(path.name) or path.read_text())
+        referenced |= ids
+        attributes |= names
+    return sorted([name for name, obj in functions.items() if id(obj) not in referenced]
+                  + [name for name in methods if name.split(".")[1] not in attributes])
 
 
 def test_every_public_op_has_a_caller():
-    """Every public function of qadapt.tensor, other than the engine entry
-    points and the gradient oracle, is called by a Tensor method or by another
-    module of the package (as ``T.<op>`` or imported from ``.tensor``)."""
-    package = Path(T.__file__).parent
-    tree = ast.parse((package / "tensor.py").read_text())
-    public = {node.name for node in tree.body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    tensor_class = next(node for node in tree.body
-                        if isinstance(node, ast.ClassDef) and node.name == "Tensor")
-    called = {node.id for node in ast.walk(tensor_class) if isinstance(node, ast.Name)}
-    for path in package.glob("*.py"):
-        if path.name in ("tensor.py", "__init__.py"):  # a re-export is not a call
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id == "T"):
-                called.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and node.module == "tensor":
-                called.update(alias.name for alias in node.names)
-    assert sorted(public - ENGINE_ENTRY_POINTS - called) == []
+    """Every public function, method and property of every module of qadapt
+    is referenced somewhere other than its definition, in the package, in
+    ``scripts/`` or in ``perfbench/``, or is the very object that
+    ``qadapt.__all__`` exports under its name. A function counts as
+    referenced only by a qualified name: ``<module alias>.f``, ``from
+    <module> import f`` or a bare ``f`` in its own module; a method or
+    property by any ``x.name``. A re-export in ``__init__`` is not a
+    reference, and tests do not count: code only they read is dead."""
+    assert _unreferenced() == []
+
+
+@pytest.mark.parametrize("caller, call, dead", [
+    # np.matmul in tensor.py does not stand in for the one T.matmul caller
+    ("losses.py", "T.matmul(", "tensor.matmul"),
+    # nor does __all__ exporting losses.gaussian_kernel for tensor.gaussian_kernel
+    ("losses.py", "T.gaussian_kernel(", "tensor.gaussian_kernel"),
+])
+def test_caller_guard_sees_a_dead_function(caller, call, dead):
+    source = (PACKAGE / caller).read_text()
+    assert call in source
+    assert _unreferenced({caller: source.replace(call, "_gone(")}) == [dead]
 
 
 @st.composite

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 from collections import Counter
 
 import numpy as np
@@ -15,7 +17,10 @@ from qadapt.experiment import build_experiment_data
 from qadapt.losses import (
     ContrastiveConfig, KernelConfig, MalformedSampleError, contrastive_loss, total_loss,
 )
-from qadapt.model import EncoderConfig, SpanModel, TokenizationError, tokenize_samples
+from qadapt.model import (
+    EncoderConfig, SpanModel, TokenizationError, config_from_json, config_to_json,
+    tokenize_samples,
+)
 from qadapt.training import (
     AdamW,
     ConfigError,
@@ -23,8 +28,6 @@ from qadapt.training import (
     OptimizerConfig,
     TrainConfig,
     clip_gradients,
-    config_from_dict,
-    config_to_dict,
     grid_search,
     mixed_batch_sampler,
     train,
@@ -388,15 +391,15 @@ class TestConfig:
 
     def test_round_trip_dict(self):
         cfg = tiny_config()
-        again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+        again = config_from_json(TrainConfig, json.loads(json.dumps(config_to_json(cfg))))
         assert again == cfg
 
     def test_unknown_field_rejected(self):
-        d = config_to_dict(tiny_config())
+        d = config_to_json(tiny_config())
         d["learning_rat"] = 1.0
         del d["learning_rate"]
         with pytest.raises(ConfigError, match="learning_rat"):
-            config_from_dict(d)
+            config_from_json(TrainConfig, d)
 
     def test_domain_separated_needs_batch_of_two(self):
         with pytest.raises(ConfigError, match="domain-separated"):
@@ -432,18 +435,18 @@ def nested(path, value):
 def test_bool_in_a_number_field_is_a_config_error(path, flag, data):
     # Python counts True as 1: accepted, it would train at a learning rate of 1.0
     valid = NUMBER_FIELDS[path]
-    config_from_dict(nested(path, valid))
+    config_from_json(TrainConfig, nested(path, valid))
     value = flag
     if isinstance(valid, list):
         value = list(valid)
         value[data.draw(st.integers(0, len(valid) - 1))] = flag
     with pytest.raises(ConfigError, match=path[-1]):
-        config_from_dict(nested(path, value))
+        config_from_json(TrainConfig, nested(path, value))
 
 
 def test_negative_seed_is_a_config_error():
-    with pytest.raises(ConfigError, match="seed: must be >= 0"):
-        config_from_dict({"seed": -1})
+    with pytest.raises(ConfigError, match="seed: must be an integer >= 0"):
+        config_from_json(TrainConfig, {"seed": -1})
 
 
 BAD_OPTIMIZER = [
@@ -466,15 +469,15 @@ class TestOptimizerConfig:
     @pytest.mark.parametrize("section, field", BAD_OPTIMIZER)
     def test_violation_is_a_config_error(self, section, field):
         with pytest.raises(ConfigError, match=field):
-            config_from_dict({"optimizer": section})
+            config_from_json(TrainConfig, {"optimizer": section})
 
     def test_all_violations_at_once_rejected(self):
         with pytest.raises(ConfigError, match="optimizer"):
-            config_from_dict({"optimizer": {"eps": float("nan"), "betas": [1.5, -2],
+            config_from_json(TrainConfig, {"optimizer": {"eps": float("nan"), "betas": [1.5, -2],
                                             "weight_decay": -3, "warmup_steps": -1}})
 
     def test_edges_accepted(self):
-        opt = config_from_dict({"optimizer": {"eps": 1e-300, "betas": [0.0, 0.0],
+        opt = config_from_json(TrainConfig, {"optimizer": {"eps": 1e-300, "betas": [0.0, 0.0],
                                               "weight_decay": 0.0, "warmup_steps": 0}}).optimizer
         assert opt == OptimizerConfig(betas=(0.0, 0.0), eps=1e-300)
 
@@ -779,6 +782,37 @@ def test_abandoned_train_leaves_no_child(toy_data, monkeypatch, cpus, forks):
     with pytest.raises(RuntimeError, match="dev evaluation failed"):
         train(tiny_config(epochs=2, eval_cadence=1), source, synthetic, dev_sets={"dev": source})
     assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_failed_fork_runs_the_block_here_and_closes_its_pipes(toy_data, tmp_path, cpus,
+                                                             monkeypatch):
+    """When ``os.fork`` raises (EAGAIN from a stand-in: no process limit is
+    approached), ``partner`` closes the pipes it opened and runs the block
+    with the in-process ``Partner``: ``split_map`` and ``train`` give the
+    in-process results and leave no file descriptor open."""
+    source, synthetic = toy_data
+    cfg = tiny_config(epochs=1)
+    cpus(1)
+    train(cfg, source, synthetic, run_dir=tmp_path / "one-cpu")
+    attempts = []
+
+    def failing_fork():
+        attempts.append(errno.EAGAIN)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    cpus(2)
+    monkeypatch.setattr(workers, "BLAS_PINNED", True)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    here = os.getpid()
+    assert list(workers.split_map(lambda item: (item, os.getpid()), range(5))) == [
+        (item, here) for item in range(5)]
+    train(cfg, source, synthetic, run_dir=tmp_path / "no-fork")
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert len(attempts) == 2
+    assert _artifacts(tmp_path / "no-fork") == _artifacts(tmp_path / "one-cpu")
     assert_no_child_left()
 
 
