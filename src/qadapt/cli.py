@@ -210,13 +210,11 @@ def _apply_overrides(config, args):
 
 
 def _load_datasets(data: DataConfig):
-    source = datagen.load_squad_json(data.source, domain_tag="source", provenance="human")
+    source = datagen.load_squad_json(data.source, domain_tag="source")
     synthetic = None
     if data.synthetic:
-        synthetic = datagen.load_squad_json(data.synthetic, domain_tag="target_synthetic",
-                                            provenance="synthetic")
-    dev = {name: datagen.load_squad_json(p, domain_tag="source", provenance="human")
-           for name, p in data.dev.items()}
+        synthetic = datagen.load_squad_json(data.synthetic, domain_tag="target_synthetic")
+    dev = {name: datagen.load_squad_json(p, domain_tag="source") for name, p in data.dev.items()}
     return source, synthetic, dev
 
 
@@ -274,7 +272,7 @@ def cmd_grid(args) -> int:
     sigma_grid = _parse_grid(args.sigma, "--sigma")
     source, synthetic, dev = _load_datasets(data)
     if args.dataset:
-        selection = datagen.load_squad_json(args.dataset, domain_tag="source", provenance="human")
+        selection = datagen.load_squad_json(args.dataset, domain_tag="source")
     elif dev:
         selection = next(iter(dev.values()))
     else:
@@ -300,7 +298,7 @@ def cmd_grid(args) -> int:
 
 def cmd_eval(args) -> int:
     model = SpanModel.load(args.checkpoint)
-    dataset = datagen.load_squad_json(args.dataset, domain_tag="source", provenance="human")
+    dataset = datagen.load_squad_json(args.dataset, domain_tag="source")
     result = evaluation.evaluate(model, dataset, args.max_answer_len)
 
     out = Path(args.out) if args.out else None
@@ -326,7 +324,7 @@ def cmd_eval(args) -> int:
 
 def cmd_pca(args) -> int:
     model = SpanModel.load(args.checkpoint)
-    dataset = datagen.load_squad_json(args.dataset, domain_tag="source", provenance="human")
+    dataset = datagen.load_squad_json(args.dataset, domain_tag="source")
     feats, labels, ids = evaluation.token_feature_cloud(model, dataset, max_samples=args.max_samples)
     proj = evaluation.pca_project(feats, labels, ids)
 

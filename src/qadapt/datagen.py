@@ -92,7 +92,6 @@ class GenCandidate:
 class DomainDataset:
     samples: list[RawQASample]
     domain_tag: str  # "source" | "target_synthetic"
-    provenance: str  # "human" | "synthetic"
     rejected: int = 0
 
     def __len__(self) -> int:
@@ -269,7 +268,7 @@ def candidates_to_dataset(candidates: Sequence[GenCandidate], domain_tag: str = 
         )
         for i, c in enumerate(candidates)
     ]
-    return DomainDataset(samples=samples, domain_tag=domain_tag, provenance="synthetic")
+    return DomainDataset(samples=samples, domain_tag=domain_tag)
 
 
 # -- shifted two-domain corpus --------------------------------------------------
@@ -363,7 +362,7 @@ def make_synthetic_domains(
                  spec.source_answer_mean, f"src-{i:04d}")
         for i in range(spec.n_source)
     ]
-    source = DomainDataset(samples=source_samples, domain_tag=SOURCE, provenance="human")
+    source = DomainDataset(samples=source_samples, domain_tag=SOURCE)
 
     rng_t = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     contexts: list[ContextOnly] = []
@@ -373,13 +372,13 @@ def make_synthetic_domains(
         contexts.append(ContextOnly(context=" ".join(words), domain_id=f"tgt-{i:04d}"))
         gold.extend(_draw_qa(rng_t, words, spec, spec.target_answer_mean, f"tgt-{i:04d}-{j}")
                     for j in range(spec.qa_per_target_context))
-    target_gold = DomainDataset(samples=gold, domain_tag=TARGET_SYNTHETIC, provenance="human")
+    target_gold = DomainDataset(samples=gold, domain_tag=TARGET_SYNTHETIC)
     return source, contexts, target_gold
 
 
 # -- SQuAD-format IO -------------------------------------------------------------
 
-def load_squad_json(path, domain_tag: str = SOURCE, provenance: str = "human") -> DomainDataset:
+def load_squad_json(path, domain_tag: str = SOURCE) -> DomainDataset:
     """Read a SQuAD v1.1 layout file. Bytes that are not UTF-8 JSON, and
     missing or wrong-typed fields, raise DatasetError with a path into the
     document; answer/offset mismatches reject the sample and are counted on
@@ -427,7 +426,7 @@ def load_squad_json(path, domain_tag: str = SOURCE, provenance: str = "human") -
                     rejected += 1
     if rejected:
         log.warning("%s: rejected %d sample(s) with answer/offset mismatches", path, rejected)
-    return DomainDataset(samples=samples, domain_tag=domain_tag, provenance=provenance, rejected=rejected)
+    return DomainDataset(samples=samples, domain_tag=domain_tag, rejected=rejected)
 
 
 def write_dataset(path, dataset: DomainDataset, title: str = "synthetic") -> None:

@@ -206,8 +206,6 @@ def span_cross_entropy(logits: SpanLogits, gold: PackedBatch) -> Tensor:
     return T.segment_nll(logits.scores, gold.offsets, spans).mean()
 
 
-def total_loss(ce, con, config: ContrastiveConfig) -> Tensor:
+def total_loss(ce: Tensor, con: Tensor, config: ContrastiveConfig) -> Tensor:
     """Combined objective: cross-entropy plus beta times the contrastive term."""
-    ce_t = ce if isinstance(ce, Tensor) else T.constant(ce)
-    con_t = con if isinstance(con, Tensor) else T.constant(con)
-    return ce_t + config.beta * con_t
+    return ce + config.beta * con

@@ -65,7 +65,7 @@ class TokenizationError(ValueError):
 
 
 class CheckpointError(ValueError):
-    """Checkpoint file is malformed or does not match the runtime config."""
+    """Checkpoint file is malformed."""
 
 
 class ConfigError(ValueError):
@@ -382,15 +382,30 @@ def _seeded_rng(*entropy: int) -> np.random.Generator:
 
 
 class SpanModel:
-    """Byte-level transformer encoder plus answer-span classification head."""
+    """Byte-level transformer encoder plus answer-span classification head.
 
-    def __init__(self, config: EncoderConfig, _params: dict[str, Tensor] | None = None):
+    The parameters live in one float64 vector, ``flat``: every parameter
+    Tensor is a view of it, in ``param_shapes`` order, whether the model is
+    fresh, loaded or trained. Given ``flat`` (shared memory, say), its values
+    are the parameters; otherwise they are initialised."""
+
+    def __init__(self, config: EncoderConfig, flat: np.ndarray | None = None):
+        shapes = self.param_shapes(config)
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if flat is not None and (flat.dtype != np.float64 or flat.shape != (sum(sizes),)):
+            raise ValueError(f"parameter vector of {flat.dtype} {flat.shape}, "
+                             f"not float64 ({sum(sizes)},)")
         self.config = config
-        self.params = _params if _params is not None else self._init_params(config)
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        views = np.split(self.flat, list(itertools.accumulate(sizes))[:-1])
+        self.params = {name: Tensor(view.reshape(shape), requires_grad=True)
+                       for (name, shape), view in zip(shapes.items(), views)}
+        if flat is None:
+            self._init_params()
 
     @staticmethod
     def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
-        """Name and shape of every parameter, in initialisation order."""
+        """Name and shape of every parameter, in ``flat`` order."""
         h, f = cfg.hidden_dim, cfg.ff_dim
         shapes = {
             "tok_emb": (cfg.vocab_size, h),
@@ -415,22 +430,19 @@ class SpanModel:
             shapes[pre + "ff.b2"] = (h,)
         return shapes
 
-    @staticmethod
-    def _init_params(cfg: EncoderConfig) -> dict[str, Tensor]:
+    def _init_params(self) -> None:
         """Embeddings uniform in +-0.1, weight matrices Glorot-uniform, gains
-        one, biases zero; one seeded stream drawn in ``param_shapes`` order."""
-        rng = _seeded_rng(cfg.seed, 0xC0FFEE)
-
-        def init(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        one, biases zero; one seeded stream drawn in ``flat`` order."""
+        rng = _seeded_rng(self.config.seed, 0xC0FFEE)
+        for name, p in self.params.items():
+            shape = p.data.shape
             if name in ("tok_emb", "pos_emb"):
-                return rng.uniform(-0.1, 0.1, size=shape)
-            if len(shape) == 2:
+                p.data[...] = rng.uniform(-0.1, 0.1, size=shape)
+            elif len(shape) == 2:
                 scale = np.sqrt(6.0 / (shape[0] + shape[1]))
-                return rng.uniform(-scale, scale, size=shape)
-            return np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
-
-        return {name: Tensor(init(name, shape), requires_grad=True)
-                for name, shape in SpanModel.param_shapes(cfg).items()}
+                p.data[...] = rng.uniform(-scale, scale, size=shape)
+            elif name.endswith(".gain"):
+                p.data[...] = 1.0
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -438,6 +450,13 @@ class SpanModel:
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.zero_grad()
+
+    def flat_grad(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The parameters' gradients as one vector in ``flat`` order (written
+        into ``out`` when given); a parameter without a gradient contributes
+        zeros."""
+        return np.concatenate([p.grad.ravel() if p.grad is not None else np.zeros(p.data.size)
+                               for p in self.params.values()], out=out)
 
     def _layer_params(self, layer: int, names: tuple[str, ...]) -> list[Tensor]:
         prefix = f"layer{layer}."
@@ -497,7 +516,7 @@ class SpanModel:
                 fh.write(data.astype("<f8").tobytes())
 
     @classmethod
-    def load(cls, path, expected_config: EncoderConfig | None = None) -> "SpanModel":
+    def load(cls, path) -> "SpanModel":
         """Read a checkpoint written by ``save``. Any malformed content (bad
         magic, short reads, a bad header, unknown config keys, parameters of
         the wrong name or shape, non-finite values) raises CheckpointError."""
@@ -528,12 +547,8 @@ class SpanModel:
             problems = "; ".join(str(err).splitlines())
             raise CheckpointError(f"{path}: bad config header: {problems}") from err
         shapes = cls.param_shapes(config)
-        if expected_config is not None and config != expected_config:
-            raise CheckpointError(
-                f"checkpoint config {config} does not match runtime config {expected_config}"
-            )
         (n_params,) = unpack("<I")
-        params: dict[str, Tensor] = {}
+        records: dict[str, np.ndarray] = {}
         for _ in range(n_params):
             (nlen,) = unpack("<H")
             try:
@@ -542,16 +557,15 @@ class SpanModel:
                 raise CheckpointError(f"{path}: bad parameter name: {err}") from err
             (ndim,) = unpack("<B")
             shape = unpack("<" + "I" * ndim)
-            if shapes.get(name) != shape or name in params:
+            if shapes.get(name) != shape or name in records:
                 raise CheckpointError(f"{path}: unexpected parameter {name!r} of shape {shape}")
-            values = np.frombuffer(take(8 * int(np.prod(shape))), dtype="<f8")
-            try:
-                params[name] = Tensor(values.reshape(shape).copy(), requires_grad=True)
-            except T.NonFiniteError as err:
-                raise CheckpointError(f"{path}: parameter {name} holds non-finite values") from err
-        if set(params) != set(shapes) or pos != len(buf):
+            records[name] = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+            if not np.isfinite(records[name]).all():
+                raise CheckpointError(f"{path}: parameter {name} holds non-finite values")
+        if set(records) != set(shapes) or pos != len(buf):
             raise CheckpointError(f"{path}: parameters do not match the architecture")
-        return cls(config, _params=params)
+        return cls(config, flat=np.concatenate([records[name] for name in shapes],
+                                                dtype=np.float64))
 
 
 def map_chunks(model: SpanModel, samples: Sequence[TokenizedSample], reduce: Callable

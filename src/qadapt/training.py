@@ -128,34 +128,18 @@ class TrainReport:
 
 
 class AdamW:
-    """Decoupled-weight-decay adaptive optimizer with bias correction.
+    """Decoupled-weight-decay adaptive optimizer with bias correction, over
+    one parameter vector (``SpanModel.flat``) updated in place: a step is a
+    handful of whole-vector numpy calls on a gradient in the same order
+    (``SpanModel.flat_grad``)."""
 
-    The parameters live in one flat buffer: on construction each parameter's
-    ``.data`` becomes a view of it, so a step is a handful of whole-buffer
-    numpy calls on a flat gradient in the same order (``flat_grad``). The
-    buffer is ``flat`` when given (``train`` passes shared memory, which a
-    forked child reads the updated parameters from)."""
-
-    def __init__(self, params: dict[str, T.Tensor], lr: float, config: OptimizerConfig,
-                 flat: np.ndarray | None = None):
+    def __init__(self, flat: np.ndarray, lr: float, config: OptimizerConfig):
         self.lr = lr
         self.config = config
         self.t = 0
-        self.params = list(params.values())
-        self.flat = np.concatenate([p.data.ravel() for p in self.params], out=flat)
-        offset = 0
-        for p in self.params:
-            p.data = self.flat[offset:offset + p.data.size].reshape(p.data.shape)
-            offset += p.data.size
-        self.m = np.zeros_like(self.flat)
-        self.v = np.zeros_like(self.flat)
-
-    def flat_grad(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The parameters' gradients as one vector in buffer order (written
-        into ``out`` when given); a parameter without a gradient contributes
-        zeros."""
-        return np.concatenate([p.grad.ravel() if p.grad is not None else np.zeros(p.data.size)
-                               for p in self.params], out=out)
+        self.flat = flat
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
 
     def step(self, grad: np.ndarray) -> None:
         b1, b2 = self.config.betas
@@ -308,20 +292,16 @@ def train(
         raise ConfigError("source dataset has no tokenizable samples")
     policy = config.mixing_policy if syn_tok else MIX_SOURCE_ONLY
 
-    if initial_model is not None:
-        if initial_model.config != config.encoder:
-            raise ConfigError("initial model config does not match encoder config")
-        model = SpanModel(config.encoder, _params={
-            name: T.Tensor(p.data.copy(), requires_grad=True)
-            for name, p in initial_model.params.items()
-        })
-    else:
-        model = SpanModel(config.encoder)
+    if initial_model is not None and initial_model.config != config.encoder:
+        raise ConfigError("initial model config does not match encoder config")
     pool = src_tok + syn_tok
     pool_index = {id(ts): k for k, ts in enumerate(pool)}
     # the parameters, then the second half's gradient, in memory a forked child shares
-    shared = workers.shared_zeros((2, sum(p.data.size for p in model.params.values())))
-    optimizer = AdamW(model.params, config.learning_rate, config.optimizer, flat=shared[0])
+    start = (initial_model or SpanModel(config.encoder)).flat
+    shared = workers.shared_zeros((2, start.size))
+    shared[0] = start
+    model = SpanModel(config.encoder, flat=shared[0])
+    optimizer = AdamW(model.flat, config.learning_rate, config.optimizer)
     their_grad = shared[1]
     steps: list[StepRecord] = []
     epoch_metrics: list[dict] = []
@@ -358,7 +338,7 @@ def train(
         *_, loss = losses((yield mine))
         model.zero_grad()
         T.backward(loss)
-        optimizer.flat_grad(out=their_grad)
+        model.flat_grad(out=their_grad)
 
     step = 0
     current_epoch = -1
@@ -385,7 +365,7 @@ def train(
                 l_ce, l_con, l_qa = ce.item(), con.item(), loss.item()
                 model.zero_grad()
                 T.backward(loss)
-                grad = optimizer.flat_grad()
+                grad = model.flat_grad()
                 if split:
                     partner.recv()
                     grad += their_grad  # the halves' gradients summed in a fixed order

@@ -51,6 +51,21 @@ def tiny_model(tiny_config):
     return SpanModel(tiny_config)
 
 
+def assert_flat_layout(model: SpanModel) -> None:
+    """Every parameter of ``model`` is a view of ``model.flat``, in
+    ``param_shapes`` order, back to back."""
+    shapes = SpanModel.param_shapes(model.config)
+    assert list(model.params) == list(shapes)
+    base = model.flat.__array_interface__["data"][0]
+    offset = 0
+    for name, p in model.params.items():
+        assert p.data.shape == shapes[name], name
+        assert np.shares_memory(p.data, model.flat), name
+        assert p.data.__array_interface__["data"][0] == base + 8 * offset, name
+        offset += p.data.size
+    assert offset == model.flat.size
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

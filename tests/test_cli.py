@@ -448,26 +448,6 @@ class TestNonFiniteOrNegativeNumbersExit1:
         self.assert_usage_error(capsys, ["train", "--config", str(cfg_path)], tmp_path / "run")
 
 
-@pytest.mark.parametrize("optimizer, field", [
-    ({"eps": float("nan")}, "eps"),
-    ({"betas": [1.5, -2]}, "betas"),
-    ({"weight_decay": -3}, "weight_decay"),
-    ({"warmup_steps": -1}, "warmup_steps"),
-])
-def test_train_rejects_bad_optimizer_section(synth_dir, tmp_path, capsys, optimizer, field):
-    cfg_path = tmp_path / "t.json"
-    cfg_path.write_text(json.dumps(train_config_dict(synth_dir / "source.json",
-                                                     optimizer=optimizer)))
-    capsys.readouterr()
-    out = tmp_path / "run"
-    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    problems = err.strip().splitlines()[1:]  # below the "config error:" header
-    assert len(problems) == 1 and problems[0].startswith(f"optimizer.{field}: must be")
-    assert not out.exists()
-
-
 def test_train_with_an_unallocatable_encoder_exits_2(synth_dir, tmp_path, capsys):
     """An encoder too large to allocate is a runtime error, exit 2 with one
     line. Its 10^16 position rows of 16 float64 need 1.28e18 bytes, more than

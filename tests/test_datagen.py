@@ -337,7 +337,7 @@ class TestSquadIO:
         source, _, _ = make_synthetic_domains(spec, seed=9)
         p = tmp_path / "rt.json"
         write_dataset(p, source)
-        loaded = load_squad_json(p, domain_tag=source.domain_tag, provenance=source.provenance)
+        loaded = load_squad_json(p, domain_tag=source.domain_tag)
         assert loaded.samples == source.samples
 
     def test_context_file_round_trip(self, tmp_path):
@@ -365,7 +365,7 @@ FUZZ_DATASET = DomainDataset(
         RawQASample("___ at dawn", FUZZ_CONTEXT, "東京", FUZZ_CONTEXT.index("東京"), "q1"),
         RawQASample("where", "ba re mi to", "mi to", 6, "q2"),
     ],
-    domain_tag="source", provenance="human",
+    domain_tag="source",
 )
 FUZZ_CONTEXTS = [ContextOnly(FUZZ_CONTEXT, "a"), ContextOnly("ba re mi", "b")]
 JSON_VALUES = st.recursive(
@@ -481,5 +481,4 @@ class TestReaderFuzz:
 def test_candidates_to_dataset_preserves_fields():
     cands = make_cands([0.7, 0.3])
     ds = candidates_to_dataset(cands)
-    assert ds.provenance == "synthetic"
     assert [s.answer_text for s in ds.samples] == [c.answer_text for c in cands]

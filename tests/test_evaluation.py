@@ -86,7 +86,7 @@ def oracle_dataset(n=10, seed=0):
         text = words[start]
         char = sum(len(w) + 1 for w in words[:start])
         samples.append(RawQASample(f"which ___ {i}", ctx, text, char, sample_id=f"s{i}"))
-    return DomainDataset(samples=samples, domain_tag="source", provenance="human")
+    return DomainDataset(samples=samples, domain_tag="source")
 
 
 class TestEvaluate:
@@ -98,7 +98,7 @@ class TestEvaluate:
         assert result.em == 100.0 and result.f1 == 100.0
 
     def test_empty_dataset_is_an_error(self):
-        ds = DomainDataset(samples=[], domain_tag="source", provenance="human")
+        ds = DomainDataset(samples=[], domain_tag="source")
         with pytest.raises(ValueError, match="empty"):
             evaluate(SpanModel(EncoderConfig()), ds)
 
@@ -122,7 +122,7 @@ class TestEvaluate:
         ds = oracle_dataset(n=6, seed=2)
         monkeypatch.setattr(ev, "predict_answer", lambda model, s, k: s.answer_text[:2])
         a = ev.evaluate(object(), ds)
-        shuffled = DomainDataset(samples=list(reversed(ds.samples)), domain_tag="source", provenance="human")
+        shuffled = DomainDataset(samples=list(reversed(ds.samples)), domain_tag="source")
         b = ev.evaluate(object(), shuffled)
         assert a.em == b.em and a.f1 == b.f1
 
@@ -131,7 +131,7 @@ class TestEvaluate:
         long_ctx = " ".join(["word"] * 30)
         ds = DomainDataset(
             samples=[RawQASample("q ___", long_ctx, "word", 0, sample_id="long")],
-            domain_tag="source", provenance="human",
+            domain_tag="source",
         )
         result = evaluate(model, ds)
         assert result.em == 0.0 and result.records[0].note != ""
@@ -157,8 +157,8 @@ class TestDomainGap:
         from qadapt.evaluation import answer_mean_features
         import math
         cfg = KernelConfig(bandwidths=(0.5, 2.0))
-        small_s = DomainDataset(samples=source.samples[:5], domain_tag="source", provenance="human")
-        small_t = DomainDataset(samples=gold.samples[:5], domain_tag="target_synthetic", provenance="human")
+        small_s = DomainDataset(samples=source.samples[:5], domain_tag="source")
+        small_t = DomainDataset(samples=gold.samples[:5], domain_tag="target_synthetic")
         X = answer_mean_features(model, small_s)
         Y = answer_mean_features(model, small_t)
 

@@ -428,10 +428,12 @@ class TestSpanCrossEntropy:
 class TestTotalLoss:
     def test_zero_beta_is_plain_ce(self):
         cfg = ContrastiveConfig(beta=0.0, noise_sigma=0.0)
-        assert total_loss(1.25, 99.0, cfg).item() == 1.25
+        assert total_loss(T.constant(1.25), T.constant(99.0), cfg).item() == 1.25
 
     def test_small_beta_weightings(self):
-        got = total_loss(1.0, 2.0, ContrastiveConfig(beta=0.001, noise_sigma=0.01)).item()
+        got = total_loss(T.constant(1.0), T.constant(2.0),
+                         ContrastiveConfig(beta=0.001, noise_sigma=0.01)).item()
         assert abs(got - 1.002) < 1e-12
-        got = total_loss(0.5, -0.3, ContrastiveConfig(beta=0.01, noise_sigma=0.01)).item()
+        got = total_loss(T.constant(0.5), T.constant(-0.3),
+                         ContrastiveConfig(beta=0.01, noise_sigma=0.01)).item()
         assert abs(got - 0.497) < 1e-12

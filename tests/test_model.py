@@ -20,7 +20,7 @@ from qadapt.model import (
 )
 from qadapt.datagen import GenCandidate, RawQASample
 from qadapt.losses import span_cross_entropy
-from conftest import make_sample
+from conftest import assert_flat_layout, make_sample
 
 
 class TestTokenizer:
@@ -141,6 +141,39 @@ class TestTokenizeSamples:
         assert bytes(ts.token_ids[q].astype(np.uint8)) == question.encode("utf-8")
 
 
+class TestParameters:
+    def test_fresh_parameters_are_views_of_the_flat_vector(self, tiny_model):
+        assert_flat_layout(tiny_model)
+
+    def test_init_draws_one_stream_in_param_shapes_order(self, tiny_config):
+        rng = np.random.default_rng(np.random.SeedSequence([tiny_config.seed, 0xC0FFEE]))
+        model = SpanModel(tiny_config)
+        for name, shape in SpanModel.param_shapes(tiny_config).items():
+            if name in ("tok_emb", "pos_emb"):
+                want = rng.uniform(-0.1, 0.1, size=shape)
+            elif len(shape) == 2:
+                scale = np.sqrt(6.0 / (shape[0] + shape[1]))
+                want = rng.uniform(-scale, scale, size=shape)
+            else:
+                want = np.full(shape, 1.0 if name.endswith(".gain") else 0.0)
+            assert np.array_equal(model.params[name].data, want), name
+
+    def test_a_given_vector_holds_the_parameters(self, tiny_config, tiny_model):
+        flat = tiny_model.flat * 2.0
+        model = SpanModel(tiny_config, flat=flat)
+        assert model.flat is flat
+        assert_flat_layout(model)
+        flat[:] = 0.0
+        assert not model.params["tok_emb"].data.any()
+
+    @pytest.mark.parametrize("wrong", [lambda n: np.zeros(n - 1), lambda n: np.zeros((1, n)),
+                                       lambda n: np.zeros(n, dtype=np.float32)])
+    def test_a_vector_of_the_wrong_length_or_type_is_rejected(self, tiny_config, tiny_model,
+                                                              wrong):
+        with pytest.raises(ValueError, match="parameter vector"):
+            SpanModel(tiny_config, flat=wrong(tiny_model.flat.size))
+
+
 class TestEncode:
     def test_zero_noise_matches_noiseless(self, tiny_model):
         ts = make_sample(seed=1)
@@ -222,8 +255,8 @@ def softmax(scores):
 class TestSpanHead:
     def test_zero_head_gives_uniform_distributions(self, tiny_config):
         model = SpanModel(tiny_config)
-        model.params["span.w"] = T.Tensor(np.zeros((tiny_config.hidden_dim, 2)), requires_grad=True)
-        model.params["span.b"] = T.Tensor(np.zeros(2), requires_grad=True)
+        model.params["span.w"].data[...] = 0.0
+        model.params["span.b"].data[...] = 0.0
         ts = make_sample(seed=7)
         logits = model.span_logits(model.encode(ts))
         probs = softmax(logits.start_scores)
@@ -325,16 +358,8 @@ class TestCheckpoint:
         tiny_model.save(path)
         loaded = SpanModel.load(path)
         assert loaded.config == tiny_model.config
-        for name, t in tiny_model.params.items():
-            assert np.array_equal(loaded.params[name].data, t.data)
-
-    def test_config_mismatch_rejected(self, tiny_model, tmp_path):
-        path = tmp_path / "model.ckpt"
-        tiny_model.save(path)
-        other = EncoderConfig(vocab_size=32, hidden_dim=16, num_layers=2, num_heads=2,
-                              ff_dim=32, max_len=16, seed=7)
-        with pytest.raises(CheckpointError, match="config"):
-            SpanModel.load(path, expected_config=other)
+        assert_flat_layout(loaded)
+        assert np.array_equal(loaded.flat, tiny_model.flat)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
