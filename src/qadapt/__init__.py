@@ -21,7 +21,6 @@ from .losses import (
     KernelConfig,
     class_means,
     contrastive_loss,
-    gaussian_kernel,
     mmd_squared,
     span_cross_entropy,
     total_loss,
@@ -50,7 +49,7 @@ __all__ = [
     "EncoderConfig", "SpanLogits", "SpanModel", "TokenizedSample",
     "predict_span", "tokenize_sample",
     "ClassMeans", "ContrastiveConfig", "KernelConfig", "class_means",
-    "contrastive_loss", "gaussian_kernel", "mmd_squared", "span_cross_entropy",
+    "contrastive_loss", "mmd_squared", "span_cross_entropy",
     "total_loss",
     "ContextOnly", "DomainDataset", "DomainShiftSpec", "GenCandidate",
     "RawQASample", "fit_toy_generator", "generate_candidates", "lm_filter",

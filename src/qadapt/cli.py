@@ -326,7 +326,7 @@ def cmd_pca(args) -> int:
     model = SpanModel.load(args.checkpoint)
     dataset = datagen.load_squad_json(args.dataset, domain_tag="source")
     feats, labels, ids = evaluation.token_feature_cloud(model, dataset, max_samples=args.max_samples)
-    proj = evaluation.pca_project(feats, labels, ids)
+    proj = evaluation.pca_project(feats)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -336,11 +336,11 @@ def cmd_pca(args) -> int:
         fh.write(f"# explained_variance_ratio\t{proj.explained_variance_ratio[0]:.6f}"
                  f"\t{proj.explained_variance_ratio[1]:.6f}\n")
         fh.write("x\ty\tlabel\tsample_id\n")
-        for (x, y), label, sid in zip(proj.coords, proj.labels, proj.sample_ids):
+        for (x, y), label, sid in zip(proj.coords, labels, ids):
             fh.write(f"{float(x)!r}\t{float(y)!r}\t{label}\t{sid}\n")
     write_manifest(out, "pca", {"max_samples": args.max_samples},
                    {"checkpoint": args.checkpoint, "dataset": args.dataset}, [dump])
-    print(f"pca: {len(proj.labels)} tokens, variance ratios "
+    print(f"pca: {len(labels)} tokens, variance ratios "
           f"{proj.explained_variance_ratio[0]:.3f}/{proj.explained_variance_ratio[1]:.3f} -> {dump}")
     return EXIT_OK
 

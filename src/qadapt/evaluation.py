@@ -162,13 +162,10 @@ def domain_gap(
 @dataclass
 class ProjectedPoints:
     coords: np.ndarray  # [N x 2]
-    labels: list[str]  # per point: answer | question | other
     explained_variance_ratio: tuple[float, float]
-    sample_ids: list[str] = field(default_factory=list)
 
 
-def pca_project(features: np.ndarray, labels: list[str] | None = None,
-                sample_ids: list[str] | None = None) -> ProjectedPoints:
+def pca_project(features: np.ndarray) -> ProjectedPoints:
     """Project mean-centered rows onto the top-2 principal directions. Sign
     convention: the first nonzero loading of each component is positive."""
     data = np.asarray(features, dtype=np.float64)
@@ -189,14 +186,7 @@ def pca_project(features: np.ndarray, labels: list[str] | None = None,
         if nz.size and row[nz[0]] < 0:
             row *= -1.0
     ratios = (float(s[0] ** 2 / total), float(s[1] ** 2 / total) if s.size > 1 else 0.0)
-    coords = centered @ components.T
-    n = data.shape[0]
-    return ProjectedPoints(
-        coords=coords,
-        labels=list(labels) if labels is not None else ["other"] * n,
-        explained_variance_ratio=ratios,
-        sample_ids=list(sample_ids) if sample_ids is not None else [""] * n,
-    )
+    return ProjectedPoints(coords=centered @ components.T, explained_variance_ratio=ratios)
 
 
 def token_feature_cloud(model: SpanModel, dataset: DomainDataset, max_samples: int = 8):

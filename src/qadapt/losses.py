@@ -5,9 +5,12 @@ The kernel is a Gaussian averaged over multiple bandwidths. Bandwidths are
 either given explicitly or resolved per call by the median heuristic (median
 pairwise squared distance of the pooled points, times a multiplier set); the
 resolved values are treated as constants, so no gradient flows through the
-median. The heuristic and the kernel take their squared distances from
-``tensor.sq_dists``, in Gram form |x|^2 + |y|^2 - 2 x.y clamped at 0: [N x M]
-memory, where the direct difference form needs [N x M x H].
+median. The contrastive term and the kernel distance are both one
+``tensor.kernel_sum``: a weighted sum of the kernel matrix of one stacked
+point set, the class means of a batch or the two sets being compared, and
+they differ only in their constant pair weights. The heuristic and the
+kernel take their squared distances from ``tensor.sq_dists``, in Gram form:
+[N x N] memory, where the direct difference form needs [N x N x H].
 """
 
 from __future__ import annotations
@@ -87,26 +90,18 @@ def resolve_bandwidths(points: np.ndarray, config: KernelConfig) -> tuple[float,
     if n < 2:
         med = MEDIAN_FALLBACK
     else:
-        d2 = T.sq_dists(pts, pts)
+        d2 = T.sq_dists(pts)
         med = float(np.median(d2[np.triu_indices(n, k=1)]))
         if not np.isfinite(med) or med <= 0.0:
             med = MEDIAN_FALLBACK
     return tuple(m * med for m in config.median_multipliers)
 
 
-def gaussian_kernel(x, y, config: KernelConfig = KernelConfig()) -> float:
-    """Multi-bandwidth Gaussian kernel value for two vectors, in (0, 1]."""
-    xv = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    yv = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if xv.shape != yv.shape:
-        raise T.ShapeError(f"kernel operands differ in dimension: {xv.shape} vs {yv.shape}")
-    bw = resolve_bandwidths(np.vstack([xv, yv]), config)
-    return float(T.gaussian_kernel_values(xv, yv, bw)[0, 0])
-
-
 def mmd_squared(x, y, config: KernelConfig = KernelConfig()) -> float:
     """Biased V-statistic estimate of the squared kernel distance between the
-    empirical distributions of two vector sets."""
+    empirical distributions of two vector sets: the kernel sum over the
+    stacked [x; y] whose pair weights are the products of +1/n for each of
+    the n rows of x and -1/m for each of the m rows of y."""
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
     if xv.ndim != 2 or yv.ndim != 2:
@@ -115,11 +110,10 @@ def mmd_squared(x, y, config: KernelConfig = KernelConfig()) -> float:
         raise ValueError("mmd_squared requires non-empty sets")
     if xv.shape[1] != yv.shape[1]:
         raise T.ShapeError(f"set dimensions differ: {xv.shape[1]} vs {yv.shape[1]}")
-    bw = resolve_bandwidths(np.vstack([xv, yv]), config)
-    kxx = T.gaussian_kernel_values(xv, xv, bw).mean()
-    kyy = T.gaussian_kernel_values(yv, yv, bw).mean()
-    kxy = T.gaussian_kernel_values(xv, yv, bw).mean()
-    return float(kxx + kyy - 2.0 * kxy)
+    points = np.vstack([xv, yv])
+    side = np.concatenate([np.full(len(xv), 1.0 / len(xv)), np.full(len(yv), -1.0 / len(yv))])
+    return T.kernel_sum(T.constant(points), np.outer(side, side),
+                        resolve_bandwidths(points, config)).item()
 
 
 def _class_weights(batch: PackedBatch, total: int, first: int) -> np.ndarray:
@@ -147,15 +141,15 @@ def class_means(features: Tensor, batch: PackedBatch, whole: Sequence[TokenizedS
     of its other samples are 0."""
     samples = tuple(whole) or batch.samples
     weights = _class_weights(batch, len(samples), first)
-    return ClassMeans(T.matmul(T.constant(weights), features),
+    return ClassMeans(T.matmul(weights, features),
                       tuple(ts.domain_tag for ts in samples))
 
 
 def _pair_weights(domain_tags: Sequence[str], config: ContrastiveConfig) -> np.ndarray:
-    """The constant [2B x 2B] weights whose product with the kernel matrix of
-    the stacked class means sums to the loss: each intra-class block is
-    normalized by its pair count, the cross-class term is split evenly
-    between its two mirrored blocks, and the signs follow the variant."""
+    """The constant [2B x 2B] pair weights of the kernel sum over the stacked
+    class means that is the loss: each intra-class block is normalized by
+    its pair count, the cross-class term is split evenly between its two
+    mirrored blocks, and the signs follow the variant."""
     n = len(domain_tags)
     if config.pairing_variant == PAIRING_DOMAIN_SEPARATED:
         src = np.array([tag == SOURCE for tag in domain_tags])
@@ -176,9 +170,8 @@ def _pair_weights(domain_tags: Sequence[str], config: ContrastiveConfig) -> np.n
 def contrastive_loss(means: ClassMeans, config: ContrastiveConfig) -> Tensor:
     """Kernel sum over the stacked [2B x H] class means of a batch: two
     intra-class terms and one (negated) cross-class term, each normalized by
-    its pair count. One kernel matrix over the stacked means holds all three
-    terms' pairs, and one product with constant weights (``_pair_weights``)
-    sums them.
+    its pair count. One ``kernel_sum`` over the stacked means, with the
+    constant weights of ``_pair_weights``, sums all three terms' pairs.
 
     sign_variant "as-printed" scores intra-class terms positively (minimizing
     spreads same-class means apart); "similarity-flipped" negates the intra
@@ -193,9 +186,8 @@ def contrastive_loss(means: ClassMeans, config: ContrastiveConfig) -> Tensor:
         raise T.ShapeError(f"stacked class means {stacked.shape} for {n} tags")
     if n == 0:
         raise ValueError("contrastive_loss over an empty batch")
-    weights = _pair_weights(means.domain_tag, config)
-    kernel = T.gaussian_kernel(stacked, stacked, resolve_bandwidths(stacked.data, config.kernel))
-    return (kernel * T.constant(weights)).sum()
+    return T.kernel_sum(stacked, _pair_weights(means.domain_tag, config),
+                        resolve_bandwidths(stacked.data, config.kernel))
 
 
 def span_cross_entropy(logits: SpanLogits, gold: PackedBatch) -> Tensor:

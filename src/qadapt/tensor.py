@@ -20,19 +20,19 @@ scores all lie within +-``ROW_MAX_BOUND`` skips the softmax row-max
 subtraction) and ``ffn_sublayer`` (x plus a ReLU feed-forward block over the
 layer norm of x), ``segment_nll`` (negative log-softmax of each segment of
 each score column at one position, for the span head's [N x 2] start and end
-scores) and ``gaussian_kernel`` (multi-bandwidth Gaussian kernel matrix, for
-the contrastive loss; its numpy forward ``gaussian_kernel_values`` serves
-constant point sets). Every squared distance, in the kernels and in the
-median-heuristic bandwidths, comes from ``sq_dists`` in Gram form,
-|x|^2 + |y|^2 - 2 x.y clamped at 0, which needs [N x M] memory rather than
-an [N x M x H] difference tensor. Segment means are a ``matmul`` with a
-constant weight matrix. Besides these the engine holds only the arithmetic:
-every op has a caller in the model or its losses.
+scores) and ``kernel_sum`` (the weighted sum of a multi-bandwidth Gaussian
+kernel matrix over one point set, for the contrastive loss and the kernel
+distance). Every squared distance, in the kernel and in the median-heuristic
+bandwidths, comes from ``sq_dists`` in Gram form, |x_i|^2 + |x_j|^2 -
+2 x_i.x_j clamped at 0: [N x N] memory, not an [N x N x H] difference
+tensor. Segment means are a ``matmul`` of a constant weight array with a
+tensor. Constant weights, there and in ``kernel_sum``, stay plain arrays and
+record nothing. Besides these the engine holds only the arithmetic: every op
+has a caller in the model or its losses.
 
 There is no broadcasting: ``add`` and ``mul`` take operands of equal shape,
-as every caller passes (scalar loss terms, the stacked class means, a kernel
-matrix and its weights). Everything is float64; every completed operation is
-checked for NaN/Inf.
+as every caller passes (scalar loss terms and the stacked class means).
+Everything is float64; every completed operation is checked for NaN/Inf.
 """
 
 from __future__ import annotations
@@ -83,9 +83,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def sum(self) -> "Tensor":
-        return sum_(self)
 
     def mean(self) -> "Tensor":
         return mean_(self)
@@ -173,17 +170,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
+def matmul(a: Array, b: Tensor) -> Tensor:
+    """Product of a constant [M x N] array and a tensor [N x H]; the constant
+    gets no gradient."""
+    if a.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-
-    def vjp(g: Array):
-        return g @ b.data.T, a.data.T @ g
-
-    return _node(out, (a, b), vjp)
+    return _node(a @ b.data, (b,), lambda g: (a.T @ g,))
 
 
 # -- fused blocks -------------------------------------------------------------
@@ -465,57 +459,46 @@ def embed(tokens: Tensor, positions: Tensor, token_ids, position_ids,
     return _node(out, (tokens, positions), vjp)
 
 
-def sq_dists(x: Array, y: Array) -> Array:
-    """[N x M] squared distances ||x_i - y_j||^2 between the rows of x [N x H]
-    and y [M x H], in Gram form: |x_i|^2 + |y_j|^2 - 2 x_i.y_j, from the row
-    norms and one ``x @ y.T`` product, so no [N x M x H] difference tensor is
-    built. Round-off can take a distance of (nearly) equal rows a few ulps
-    below 0, so the result is clamped at 0. With y the same array as x the
-    norms are read off the product's diagonal: every self-distance is then
-    exactly 0, and the matrix is symmetric."""
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
-        raise ShapeError(f"squared distances expect [N x H] and [M x H], got {x.shape}, {y.shape}")
-    gram = x @ y.T
-    if y is x:
-        xx = yy = np.diagonal(gram)
-    else:
-        xx, yy = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
-    d2 = np.add.outer(xx, yy)
+def sq_dists(x: Array) -> Array:
+    """[N x N] squared distances ||x_i - x_j||^2 between the rows of x [N x H],
+    in Gram form: |x_i|^2 + |x_j|^2 - 2 x_i.x_j, with the norms read off the
+    diagonal of one ``x @ x.T`` product, so no [N x N x H] difference tensor
+    is built. Every self-distance is exactly 0 and the matrix is symmetric;
+    round-off can take a distance of (nearly) equal rows a few ulps below 0,
+    so the result is clamped at 0."""
+    if x.ndim != 2:
+        raise ShapeError(f"squared distances expect [N x H] points, got {x.shape}")
+    gram = x @ x.T
+    norms = np.diagonal(gram)
+    d2 = np.add.outer(norms, norms)
     d2 -= 2.0 * gram
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _kernel_terms(x: Array, y: Array, bandwidths: Sequence[float]) -> list[Array]:
-    """exp(-||x_i - y_j||^2 / gamma) for each bandwidth gamma."""
-    d2 = sq_dists(x, y)
-    return [np.exp(d2 * (-1.0 / gamma)) for gamma in bandwidths]
-
-
-def gaussian_kernel_values(x: Array, y: Array, bandwidths: Sequence[float]) -> Array:
-    """Plain numpy forward of ``gaussian_kernel``, for constant point sets."""
-    return sum(_kernel_terms(x, y, bandwidths)) * (1.0 / len(bandwidths))
-
-
-def gaussian_kernel(x: Tensor, y: Tensor, bandwidths: Sequence[float]) -> Tensor:
-    """Kernel matrix between the rows of x [N x H] and y [M x H]: the average
-    over bandwidths of exp(-||x_i - y_j||^2 / gamma). x and y may be the same
-    tensor."""
-    terms = _kernel_terms(x.data, y.data, bandwidths)
-    out = sum(terms) * (1.0 / len(bandwidths))
+def kernel_sum(x: Tensor, weights: Array, bandwidths: Sequence[float]) -> Tensor:
+    """The scalar sum over i, j of weights_ij k(x_i, x_j) for the rows of
+    x [N x H] and constant [N x N] weights, where k is the Gaussian kernel
+    averaged over the bandwidths: the mean over gamma of
+    exp(-||x_i - x_j||^2 / gamma). The VJP recomputes the kernel's slope
+    from the squared distances, so a recorded node holds one [N x N] array
+    rather than one per bandwidth."""
+    if x.data.ndim != 2 or weights.shape != (x.shape[0],) * 2:
+        raise ShapeError(f"kernel_sum expects [N x H] points and [N x N] weights, "
+                         f"got {x.shape} and {weights.shape}")
+    d2 = sq_dists(x.data)
+    kernel = sum(np.exp(d2 * (-1.0 / gamma)) for gamma in bandwidths) * (1.0 / len(bandwidths))
+    out = (kernel * weights).sum().reshape(())
 
     def vjp(g: Array):
-        slope = sum(t * (-1.0 / gamma) for t, gamma in zip(terms, bandwidths))
-        # gd_ij is twice the gradient reaching ||x_i - y_j||^2
-        gd = g * slope * (2.0 / len(bandwidths))
-        return (gd.sum(axis=1)[:, None] * x.data - gd @ y.data,
-                gd.sum(axis=0)[:, None] * y.data - gd.T @ x.data)
+        slope = sum(np.exp(d2 * (-1.0 / gamma)) * (-1.0 / gamma) for gamma in bandwidths)
+        # gd_ij is twice the gradient reaching ||x_i - x_j||^2; x_i takes it as
+        # the first point of the pair (row sums) and as the second (column sums)
+        gd = float(g) * weights * slope * (2.0 / len(bandwidths))
+        first = gd.sum(axis=1)[:, None] * x.data - gd @ x.data
+        second = gd.sum(axis=0)[:, None] * x.data - gd.T @ x.data
+        return (first + second,)
 
-    return _node(out, (x, y), vjp)
-
-
-def sum_(a: Tensor) -> Tensor:
-    out = a.data.sum().reshape(())
-    return _node(out, (a,), lambda g: (np.full(a.shape, float(g)),))
+    return _node(out, (x,), vjp)
 
 
 def mean_(a: Tensor) -> Tensor:

@@ -122,7 +122,6 @@ class TrainReport:
     epoch_metrics: list[dict]
     wall_clock_s: float
     seed: int
-    resolved_config: dict
     final_epoch_mean_loss: float
     single_domain_batches: int = 0  # domain-separated pairing: batches with no contrastive term
 
@@ -316,7 +315,6 @@ def train(
             epoch_metrics=epoch_metrics,
             wall_clock_s=time.perf_counter() - started,
             seed=config.seed,
-            resolved_config=config_to_json(config),
             final_epoch_mean_loss=float(np.mean(tail)) if tail else float("nan"),
             single_domain_batches=single_domain_batches,
         )

@@ -128,9 +128,10 @@ def put(config: dict, path: str, value) -> dict:
     return config
 
 
-def exits_1_naming(capsys, tmp_path, command, config, path):
+def exits_1_naming(capsys, tmp_path, command, config, path) -> list[str]:
     """Run ``command`` on ``config`` and check that it exits 1 with a
-    message line that starts with ``path``, and made no output."""
+    message line that starts with ``path``, and made no output. Returns the
+    problem lines, below the message's header."""
     flag = {"train": "--config", "synth": "--spec"}[command]
     (tmp_path / "config.json").write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -140,6 +141,7 @@ def exits_1_naming(capsys, tmp_path, command, config, path):
     assert "Traceback" not in err
     assert any(line.startswith(f"{path}: ") for line in err.splitlines()), err
     assert not out.exists()
+    return err.splitlines()[1:]
 
 
 TRAIN_BASE = dict(config_to_json(TrainConfig()), data={"source": "missing.json"})
@@ -184,6 +186,29 @@ def test_unknown_domain_spec_key_exits_1(capsys, tmp_path):
 ])
 def test_train_config_cases_exit_1(capsys, tmp_path, path, value):
     exits_1_naming(capsys, tmp_path, "train", put(TRAIN_BASE, path, value), path)
+
+
+PROBLEM_LINES = [
+    ("epochs", 1.5, "an integer >= 1, got 1.5"),
+    ("epochs", True, "an integer >= 1, got True"),
+    ("batch_size", 8.5, "an integer >= 1, got 8.5"),
+    ("seed", 1.5, "an integer >= 0, got 1.5"),
+    ("max_answer_len", 2.5, "an integer >= 1, got 2.5"),
+    ("eval_cadence", 0.5, "an integer >= 0, got 0.5"),
+    ("contrastive.beta", -1.0, "a finite number >= 0, got -1.0"),
+    ("grad_clip", math.inf, "a finite number > 0, got inf"),
+    ("contrastive.kernel.bandwidths", [1.0, math.nan],
+     "null or a list of one or more items, each a finite number > 0, got [1.0, nan]"),
+]
+
+
+@pytest.mark.parametrize("path, value, problem", PROBLEM_LINES,
+                         ids=[f"{path}={value!r}" for path, value, _ in PROBLEM_LINES])
+def test_train_config_problem_line(capsys, tmp_path, path, value, problem):
+    """The whole message below the header is one line: the field's path,
+    what it must be (a real number must be finite) and the value given."""
+    lines = exits_1_naming(capsys, tmp_path, "train", put(TRAIN_BASE, path, value), path)
+    assert lines == [f"{path}: must be {problem}"]
 
 
 # wrong-typed paths in ``data`` are cases of

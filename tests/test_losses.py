@@ -14,7 +14,6 @@ from qadapt.losses import (
     MalformedSampleError,
     class_means,
     contrastive_loss,
-    gaussian_kernel,
     mmd_squared,
     resolve_bandwidths,
     span_cross_entropy,
@@ -43,21 +42,28 @@ def brute_kernel(x, y, bandwidths):
     return sum(math.exp(-d2 / g) for g in bandwidths) / len(bandwidths)
 
 
+def pair_kernel(x, y, bandwidths):
+    """k(x, y) of two vectors: the kernel sum over the stacked [x; y] with
+    weight 1 on the pair (x, y) and 0 elsewhere."""
+    return T.kernel_sum(T.constant(np.vstack([x, y])), np.array([[0.0, 1.0], [0.0, 0.0]]),
+                        bandwidths).item()
+
+
 class TestGaussianKernel:
     def test_zero_distance_is_one(self):
         x = np.random.default_rng(0).standard_normal(6)
         for bw in [(1.0,), (0.5, 2.0, 8.0)]:
-            assert gaussian_kernel(x, x, KernelConfig(bandwidths=bw)) == 1.0
+            assert pair_kernel(x, x, bw) == 1.0
 
     def test_unit_distance_single_bandwidth(self):
         x, y = unit_apart(1.0)
-        got = gaussian_kernel(x, y, KernelConfig(bandwidths=(1.0,)))
+        got = pair_kernel(x, y, (1.0,))
         assert abs(got - math.exp(-1.0)) < 1e-12
 
     def test_unit_distance_two_bandwidths(self):
         # hand average: (exp(-1) + exp(-1/4)) / 2
         x, y = unit_apart(1.0)
-        got = gaussian_kernel(x, y, KernelConfig(bandwidths=(1.0, 4.0)))
+        got = pair_kernel(x, y, (1.0, 4.0))
         expected = (math.exp(-1.0) + math.exp(-0.25)) / 2.0
         assert abs(got - expected) < 1e-12
         assert abs(expected - 0.5733401121214237) < 1e-15
@@ -70,16 +76,15 @@ class TestGaussianKernel:
 
     def test_symmetry_bitwise(self):
         rng = np.random.default_rng(3)
-        cfg = KernelConfig(bandwidths=(0.7, 3.1))
+        bw = (0.7, 3.1)
         for _ in range(20):
             x, y = rng.standard_normal(5), rng.standard_normal(5)
-            assert gaussian_kernel(x, y, cfg) == gaussian_kernel(y, x, cfg)
+            assert pair_kernel(x, y, bw) == pair_kernel(y, x, bw)
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(4)
-        cfg = KernelConfig(bandwidths=(0.5, 1.5))
         for _ in range(50):
-            v = gaussian_kernel(rng.standard_normal(4), rng.standard_normal(4), cfg)
+            v = pair_kernel(rng.standard_normal(4), rng.standard_normal(4), (0.5, 1.5))
             assert 0.0 < v <= 1.0
 
 
@@ -127,6 +132,14 @@ class TestMMD:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             mmd_squared(np.zeros((0, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        x = np.ones((3, 2))
+        x[1, 0] = bad
+        for cfg in (KernelConfig(), KernelConfig(bandwidths=(1.0,))):
+            with pytest.raises(T.NonFiniteError):
+                mmd_squared(x, np.zeros((2, 2)), cfg)
 
     @given(st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=50, deadline=None)
@@ -232,7 +245,7 @@ class TestContrastiveLoss:
 
     def test_single_sample_closed_form(self):
         means = random_means(31, 1)
-        k = gaussian_kernel(means.answer_mean[0], cq_means(means)[0], self.CFG.kernel)
+        k = brute_kernel(means.answer_mean[0], cq_means(means)[0], self.CFG.kernel.bandwidths)
         got = contrastive_loss(means, self.CFG).item()
         assert abs(got - (2.0 - k)) < 1e-12
 
@@ -308,10 +321,10 @@ class TestContrastiveLoss:
 
     @staticmethod
     def three_kernel_loss(a, c, tags, cfg):
-        """The loss as three kernel matrices, three sums and the signs, the
-        form before the class means were stacked."""
+        """The loss as three brute-force kernel matrices, three sums and the
+        signs, the form before the class means were stacked."""
         bw = resolve_bandwidths(np.vstack([a, c]), cfg.kernel)
-        k_aa, k_cc, k_ac = (T.gaussian_kernel_values(x, y, bw)
+        k_aa, k_cc, k_ac = (np.array([[brute_kernel(p, q, bw) for q in y] for p in x])
                             for x, y in ((a, a), (c, c), (a, c)))
         n = len(tags)
         if cfg.pairing_variant == "domain-separated":

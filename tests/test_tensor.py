@@ -48,6 +48,15 @@ def reference_layer_norm(x, gain, bias):
     return (x - mu) / np.sqrt(var + T.LN_EPS) * gain + bias
 
 
+def summed(t):
+    """The sum of the entries of t as a graph node: the mean of t times its
+    entry count n. The gradient reaching every entry is fl(fl(1/n) * n),
+    exactly 1 for the n used here (it is not for n = 49)."""
+    n = t.data.size
+    assert 1.0 / n * n == 1.0
+    return T.mul(t, constant(np.full(t.shape, float(n)))).mean()
+
+
 def row_softmax_sums(x):
     """Per-row sums of the softmax of a 2-D array: the column-wise softmax of
     its transpose, one segment_nll per column of x."""
@@ -74,13 +83,14 @@ class TestForward:
         # the class-mean form: a constant one-hot weight row picks one row exactly
         x = rand((5, 3), seed=3)
         weight = np.array([[0.0, 0.0, 1.0, 0.0, 0.0]])
-        out = T.matmul(constant(weight), constant(x))
+        out = T.matmul(weight, constant(x))
         assert np.array_equal(out.data, x[2:3])
 
     def test_pairwise_sq_dist_hand_value(self):
-        # the kernel's squared distance is 3^2 + 4^2 = 25, so bandwidth 25 gives exp(-1)
-        k = T.gaussian_kernel_values(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]), (25.0,))
-        assert k[0, 0] == np.exp(-1.0)
+        # the kernel's squared distance is 3^2 + 4^2 = 25, so bandwidth 25 gives
+        # exp(-1), and the weights pick that one pair
+        points, weights = constant([[0.0, 0.0], [3.0, 4.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert T.kernel_sum(points, weights, (25.0,)).item() == np.exp(-1.0)
 
     def test_shape_mismatch_reports_dimensions(self):
         with pytest.raises(T.ShapeError, match=r"\(2, 3\)"):
@@ -88,7 +98,7 @@ class TestForward:
 
     def test_matmul_inner_dim_check(self):
         with pytest.raises(T.ShapeError):
-            T.matmul(constant(np.ones((2, 3))), constant(np.ones((4, 2))))
+            T.matmul(np.ones((2, 3)), constant(np.ones((4, 2))))
 
     def test_inner_broadcast_rejected(self):
         with pytest.raises(T.ShapeError):
@@ -108,7 +118,7 @@ class TestForward:
         x = rand((6, 6), seed=9)
 
         def run():
-            h = T.matmul(constant(x), constant(x))
+            h = T.matmul(x, constant(x))
             return T.attention_sublayer(h, *attention_params(6, seed=9), [0, 2, 6], 2).data
 
         assert np.array_equal(run(), run())
@@ -166,21 +176,21 @@ class TestBackward:
             params = attention_params(4, seed=seed)
             params[6:8] = [constant(np.zeros((4, 4))), constant(np.ones(4))]
             out = T.attention_sublayer(x, *params, [0, 5], 2)
-            backward(out.sum())
+            backward(summed(out))
             bound = softmax_gradient_rounding_bound(x.data, params, 2)
             assert np.all(np.abs(x.grad - 1.0) <= bound), f"seed {seed}"
 
     def test_unused_leaf_gets_no_gradient(self):
         x = Tensor(rand(3, seed=5), requires_grad=True)
         y = Tensor(rand(3, seed=6), requires_grad=True)
-        backward(x.sum())
-        assert np.array_equal(x.grad, np.ones(3))
+        backward(x.mean())
+        assert np.array_equal(x.grad, np.full(3, 1 / 3))
         assert y.grad is None
 
     def test_cancelled_leaf_gets_exact_zero(self):
         x = Tensor(rand(3, seed=7), requires_grad=True)
         y = Tensor(rand(3, seed=8), requires_grad=True)
-        backward((x + constant(np.zeros(3)) * y).sum())
+        backward((x + constant(np.zeros(3)) * y).mean())
         assert np.array_equal(y.grad, np.zeros(3))
 
     def test_non_scalar_loss_rejected(self):
@@ -190,7 +200,7 @@ class TestBackward:
 
     def test_graph_consumed_once(self):
         x = Tensor(rand(3, seed=11), requires_grad=True)
-        loss = (x * x).sum()
+        loss = (x * x).mean()
         backward(loss)
         with pytest.raises(T.GraphError, match="consumed"):
             backward(loss)
@@ -198,7 +208,7 @@ class TestBackward:
     def test_shared_subgraph_consumed(self):
         x = Tensor(rand(3, seed=12), requires_grad=True)
         h = x * x
-        l1 = h.sum()
+        l1 = h.mean()
         l2 = h.mean()
         backward(l1)
         with pytest.raises(T.GraphError, match="consumed"):
@@ -206,22 +216,22 @@ class TestBackward:
 
     def test_gradient_accumulates_across_backwards(self):
         x = Tensor(rand(3, seed=13), requires_grad=True)
-        backward(x.sum())
-        backward(x.sum())
-        assert np.array_equal(x.grad, 2.0 * np.ones(3))
+        backward(x.mean())
+        backward(x.mean())
+        assert np.array_equal(x.grad, np.full(3, 2 / 3))
 
     def test_diamond_graph_accumulates(self):
-        # loss = sum(x*x + x*x) -> grad 4x
+        # loss = mean(x*x + x*x) over 2 entries -> grad 2x
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         h = x * x
-        backward((h + h).sum())
-        assert np.allclose(x.grad, 4.0 * x.data, atol=0)
+        backward((h + h).mean())
+        assert np.allclose(x.grad, 2.0 * x.data, atol=0)
 
 
 class TestFiniteDifference:
     def test_linear_function_exact(self):
         x = constant(rand(7, seed=20))
-        err = finite_difference_check(lambda t: t.sum(), x)
+        err = finite_difference_check(lambda t: t.mean(), x)
         assert err < 1e-10
 
     def test_composite_three_layer(self):
@@ -234,15 +244,18 @@ class TestFiniteDifference:
             h = T.ffn_sublayer(x, one, zero, t, constant(np.zeros(5)), constant(w2), zero)
             h = T.attention_sublayer(h, one, zero, eye, zero, eye, zero, eye, zero, eye, zero,
                                      [0, 2], 1)
-            return T.mul(h, h).sum()
+            return T.mul(h, h).mean()
 
         assert finite_difference_check(f, constant(w1)) < 1e-5
 
     def test_gaussian_kernel_term(self):
+        # the squared kernel distance between the rows of t and a constant y,
+        # with the weights of mmd_squared: +1/2 for t's rows, -1/3 for y's
         y = constant(rand((3, 4), seed=24))
+        side = np.array([1 / 2] * 2 + [-1 / 3] * 3)
 
         def f(t):
-            return T.gaussian_kernel(t, y, (1.0,)).sum()
+            return stacked_kernel_sum(t, y, np.outer(side, side), (0.5, 2.0))
 
         assert finite_difference_check(f, constant(rand((2, 4), seed=25))) < 1e-5
 
@@ -252,7 +265,7 @@ class TestFiniteDifference:
             return T._node(2.0 * t.data, (t,), lambda g: (3.0 * g,))
 
         x = constant(rand(4, seed=26))
-        err = finite_difference_check(lambda t: bad_double(t).sum(), x)
+        err = finite_difference_check(lambda t: bad_double(t).mean(), x)
         assert err > 1e-2
 
     def test_nonfinite_reports_coordinate(self):
@@ -261,10 +274,29 @@ class TestFiniteDifference:
         x = constant(np.array([1.0, 1.79769313486]))
 
         def f(t):
-            return T.mul(t, constant([1.0, 1e308])).sum()
+            return T.mul(t, constant([1.0, 1e308])).mean()
 
         with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="coordinate 1"):
             finite_difference_check(f, x, step=1e-5)
+
+
+def stacked_kernel_sum(t, y, weights, bandwidths):
+    """kernel_sum over the stacked [t; y] of a tensor t [N x H] and a
+    constant y [M x H]."""
+    n, m = t.shape[0], y.shape[0]
+    select = np.eye(n + m)
+    stacked = T.matmul(select[:, :n], t) + constant(select[:, n:] @ y.data)
+    return T.kernel_sum(stacked, weights, bandwidths)
+
+
+def cross_kernel(t, y):
+    """sum over i, j of k(t_i, y_j) with one bandwidth of 1: the kernel sum
+    over the stacked [t; y] with weight 1 on the t-y block only, the form of
+    the cross terms of ``mmd_squared``."""
+    n = t.shape[0]
+    weights = np.zeros((n + y.shape[0],) * 2)
+    weights[:n, n:] = 1.0
+    return stacked_kernel_sum(t, y, weights, (1.0,))
 
 
 def _fixed(shape, seed):
@@ -272,7 +304,7 @@ def _fixed(shape, seed):
 
 
 SEGMENTS = [0, 1, 4]  # two segments of different lengths over 4 packed rows
-WEIGHT_ROWS = constant(np.eye(4)[:3])
+WEIGHT_ROWS = np.eye(4)[:3]
 
 
 def _attention_with(position):
@@ -286,7 +318,7 @@ def _attention_with(position):
             args[0] = t
         else:
             args[2 * position + 1] = T.matmul(WEIGHT_ROWS, t)
-        return T.mul(T.attention_sublayer(*args, SEGMENTS, num_heads=3), _fixed((4, 3), 2)).sum()
+        return T.mul(T.attention_sublayer(*args, SEGMENTS, num_heads=3), _fixed((4, 3), 2)).mean()
     return fn
 
 
@@ -296,14 +328,14 @@ def _attention_inputs(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, num_heads=3
     # bk shifts a row's scores by a constant, so its exact gradient is 0 and its
     # finite differences are round-off: a linear term in bk gives every
     # coordinate a nonzero reference
-    return T.mul(out, _fixed((4, 3), 13)).sum() + T.mul(bk, _fixed(3, 6)).sum()
+    return T.mul(out, _fixed((4, 3), 13)).mean() + T.mul(bk, _fixed(3, 6)).mean()
 
 
 def _col_log_softmax_weighted(t, aux):
     """Sum of the column-wise log-softmax of t weighted by aux, from segment_nll."""
     total = None
     for i in range(4):
-        term = T.mul(col_nll(t, i), constant(-aux.data[i:i + 1])).sum()
+        term = T.mul(col_nll(t, i), constant(-aux.data[i:i + 1])).mean()
         total = term if total is None else total + term
     return total
 
@@ -318,7 +350,7 @@ def _softmax_weighted(t, aux):
     projections of its unit layer norm h: t + softmax(h h^T / sqrt 3) h,
     weighted by aux."""
     out = T.attention_sublayer(t, *UNIT_LN, *IDENTITY_ATTENTION, [0, 4], 1)
-    return T.mul(out, aux).sum()
+    return T.mul(out, aux).mean()
 
 
 # token ids into a [4 x 3] table (id 2 absent, 0 and 3 repeated) and position
@@ -329,33 +361,35 @@ EMBED_NOISE = rand((6, 3), seed=15, scale=0.1)
 
 def _embed_weighted(tokens, positions, noise=None):
     out = T.embed(tokens, positions, EMBED_TOKENS, EMBED_POSITIONS, noise)
-    return T.mul(out, _fixed((6, 3), 14)).sum()
+    return T.mul(out, _fixed((6, 3), 14)).mean()
 
 
 # each entry: (aux shape, scalar-valued function of a [4 x 3] input and the aux);
 # relu, softmax, log_softmax and masked_mean are the forms those functions take
-# inside the fused ops and the class means, and exp and pairwise_sq_dist the
-# forms they take inside gaussian_kernel: with x the same tensor as y (as in
-# the intra-class terms) and with x != y
+# inside the fused ops and the class means, matmul the product of a dense
+# constant with a tensor, exp the kernel sum over one point set with random
+# weights (not symmetric, so each point's gradient as the first and as the
+# second of a pair is checked), and pairwise_sq_dist its cross block between
+# two sets
 OPS = {
-    "add": ((4, 3), lambda t, aux: (t + aux).sum()),
-    "mul": ((4, 3), lambda t, aux: (t * aux * t).sum()),
+    "add": ((4, 3), lambda t, aux: (t + aux).mean()),
+    "mul": ((4, 3), lambda t, aux: (t * aux * t).mean()),
     "mean": ((4, 3), lambda t, aux: (t * aux).mean()),
-    "matmul": ((3, 4), lambda t, aux: T.matmul(t, aux).sum()),
-    "exp": ((4, 4), lambda t, aux: T.mul(T.gaussian_kernel(t, t, (0.5, 2.0, 8.0)), aux).sum()),
-    "relu": ((4, 3), lambda t, aux: T.ffn_sublayer(t, *UNIT_LN, *IDENTITY_FFN).sum()),
+    "matmul": ((3, 4), lambda t, aux: T.mul(T.matmul(aux.data, t), _fixed((3, 3), 1)).mean()),
+    "exp": ((4, 4), lambda t, aux: T.kernel_sum(t, aux.data, (0.5, 2.0, 8.0))),
+    "relu": ((4, 3), lambda t, aux: T.ffn_sublayer(t, *UNIT_LN, *IDENTITY_FFN).mean()),
     "softmax": ((4, 3), _softmax_weighted),
     "log_softmax": ((4, 3), _col_log_softmax_weighted),
-    "layer_norm": ((4, 3), lambda t, aux: T.mul(T.layer_norm(t, *UNIT_LN), aux).sum()),
+    "layer_norm": ((4, 3), lambda t, aux: T.mul(T.layer_norm(t, *UNIT_LN), aux).mean()),
     "masked_mean": ((1, 3), lambda t, aux: T.mul(
-        T.matmul(constant([[1 / 3, 0.0, 1 / 3, 1 / 3]]), t), aux).sum()),
-    "pairwise_sq_dist": ((5, 3), lambda t, aux: T.gaussian_kernel(t, aux, (1.0,)).sum()),
-    "linear": ((3, 5), lambda t, aux: T.mul(T.linear(t, aux, _fixed(5, 3)), _fixed((4, 5), 4)).sum()),
+        T.matmul(np.array([[1 / 3, 0.0, 1 / 3, 1 / 3]]), t), aux).mean()),
+    "pairwise_sq_dist": ((5, 3), cross_kernel),
+    "linear": ((3, 5), lambda t, aux: T.mul(T.linear(t, aux, _fixed(5, 3)), _fixed((4, 5), 4)).mean()),
     "layer_norm_affine": ((2, 3), lambda t, aux: T.mul(
-        T.layer_norm(t, constant(aux.data[0]), constant(aux.data[1])), _fixed((4, 3), 5)).sum()),
+        T.layer_norm(t, constant(aux.data[0]), constant(aux.data[1])), _fixed((4, 3), 5)).mean()),
     "ffn_sublayer": ((3, 6), lambda t, aux: T.mul(
         T.ffn_sublayer(t, *UNIT_LN, aux, _fixed(6, 6), _fixed((6, 3), 7), _fixed(3, 8)),
-        _fixed((4, 3), 9)).sum()),
+        _fixed((4, 3), 9)).mean()),
     "attention_sublayer_x": ((4, 3), _attention_with(0)),
     "attention_sublayer_q": ((4, 3), _attention_with(1)),
     "attention_sublayer_k": ((4, 3), _attention_with(2)),
@@ -363,14 +397,14 @@ OPS = {
     "embed": ((5, 3), _embed_weighted),
     "embed_noise": ((5, 3), lambda t, aux: _embed_weighted(t, aux, EMBED_NOISE)),
     "segment_nll": ((2, 3), lambda t, aux: T.mul(
-        T.segment_nll(t, [0, 2, 4], [[0, 1, 1], [3, 2, 3]]), aux).sum()),
+        T.segment_nll(t, [0, 2, 4], [[0, 1, 1], [3, 2, 3]]), aux).mean()),
 }
 
 
 @pytest.mark.parametrize("op", sorted(OPS))
 @pytest.mark.parametrize("seed", range(7))
 def test_gradcheck_per_op(op, seed):
-    # spread: 22 ops x 7 seeds, plus 2 model-level checks
+    # spread: 22 ops x 7 seeds
     aux_shape, fn = OPS[op]
     x = constant(rand((4, 3), seed=100 + seed))
     aux = constant(rand(aux_shape, seed=200 + seed))
@@ -380,11 +414,11 @@ def test_gradcheck_per_op(op, seed):
 
 # fused ops' parameter inputs: (op, [input shapes], scalar function of the inputs)
 FUSED_INPUTS = {
-    "linear": ([(4, 3), (3, 5), (5,)], lambda x, w, b: T.mul(T.linear(x, w, b), _fixed((4, 5), 10)).sum()),
+    "linear": ([(4, 3), (3, 5), (5,)], lambda x, w, b: T.mul(T.linear(x, w, b), _fixed((4, 5), 10)).mean()),
     "layer_norm": ([(4, 3), (3,), (3,)],
-                   lambda x, g, b: T.mul(T.layer_norm(x, g, b), _fixed((4, 3), 11)).sum()),
+                   lambda x, g, b: T.mul(T.layer_norm(x, g, b), _fixed((4, 3), 11)).mean()),
     "ffn_sublayer": ([(4, 3), (3,), (3,), (3, 6), (6,), (6, 3), (3,)],
-                     lambda *inputs: T.mul(T.ffn_sublayer(*inputs), _fixed((4, 3), 12)).sum()),
+                     lambda *inputs: T.mul(T.ffn_sublayer(*inputs), _fixed((4, 3), 12)).mean()),
     "attention_sublayer": ([(4, 3), (3,), (3,)] + [(3, 3), (3,)] * 4, _attention_inputs),
     # one head of width 3: the 1/sqrt(dh) score scale is 1/sqrt(3), not 1
     "attention_sublayer_one_head": ([(4, 3), (3,), (3,)] + [(3, 3), (3,)] * 4,
@@ -663,7 +697,7 @@ def test_embedding_gradient_scatters(seed):
     ids, positions = rng.integers(0, 6, size=8), rng.integers(0, 5, size=8)
     tokens = Tensor(rand((6, 3), seed=seed), requires_grad=True)
     table = Tensor(rand((5, 3), seed=seed + 1), requires_grad=True)
-    backward(T.embed(tokens, table, ids, positions).sum())
+    backward(summed(T.embed(tokens, table, ids, positions)))
     for grad, used, rows in ((tokens.grad, ids, 6), (table.grad, positions, 5)):
         expected = np.zeros((rows, 3))
         for i in used:
@@ -677,12 +711,17 @@ def test_embedding_gradient_matches_add_at(ids, seed):
     table = Tensor(rand((8, 3), seed=seed), requires_grad=True)
     positions = Tensor(rand((20, 3), seed=seed + 2), requires_grad=True)
     weight = rand((len(ids), 3), seed=seed + 1)
-    backward(T.mul(T.embed(table, positions, ids, range(len(ids))), constant(weight)).sum())
+    out = T.mul(T.embed(table, positions, ids, range(len(ids))), constant(weight))
+    # the mean of the column sums of out (0 for no ids): each entry of out
+    # gets a gradient of exactly fl(1/3), so each row of the embedding gets
+    # its weight times that
+    backward(T.matmul(np.ones((1, len(ids))), out).mean())
+    rows = weight * (1 / 3)
     expected = np.zeros((8, 3))
-    np.add.at(expected, np.asarray(ids, dtype=np.int64), weight)
+    np.add.at(expected, np.asarray(ids, dtype=np.int64), rows)
     # equal up to the order in which repeated ids are summed
     assert np.max(np.abs(table.grad - expected)) <= 1e-12
-    assert np.array_equal(positions.grad[:len(ids)], weight)
+    assert np.array_equal(positions.grad[:len(ids)], rows)
     assert not positions.grad[len(ids):].any()
 
 
@@ -783,8 +822,8 @@ def test_every_public_op_has_a_caller():
 @pytest.mark.parametrize("caller, call, dead", [
     # np.matmul in tensor.py does not stand in for the one T.matmul caller
     ("losses.py", "T.matmul(", "tensor.matmul"),
-    # nor does __all__ exporting losses.gaussian_kernel for tensor.gaussian_kernel
-    ("losses.py", "T.gaussian_kernel(", "tensor.gaussian_kernel"),
+    # the contrastive loss and the kernel distance are the two callers
+    ("losses.py", "T.kernel_sum(", "tensor.kernel_sum"),
 ])
 def test_caller_guard_sees_a_dead_function(caller, call, dead):
     source = (PACKAGE / caller).read_text()
@@ -793,31 +832,32 @@ def test_caller_guard_sees_a_dead_function(caller, call, dead):
 
 
 @st.composite
-def point_set_pair(draw):
-    """Two finite [N x H] and [M x H] point sets of a common width."""
-    width = draw(st.integers(1, 6))
+def point_set(draw):
+    """A finite [N x H] point set."""
     values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-    x = draw(hnp.arrays(np.float64, (draw(st.integers(1, 7)), width), elements=values))
-    y = draw(hnp.arrays(np.float64, (draw(st.integers(1, 7)), width), elements=values))
-    return x, y
+    return draw(hnp.arrays(np.float64, (draw(st.integers(1, 14)), draw(st.integers(1, 6))),
+                           elements=values))
 
 
-@given(point_set_pair())
+@given(point_set())
 @settings(max_examples=200, deadline=None)
-def test_sq_dists_matches_direct_difference_form(pair):
-    x, y = pair
-    for a, b in ((x, y), (x, x)):
-        got = T.sq_dists(a, b)
-        direct = ((a[:, None] - b[None]) ** 2).sum(-1)
-        scale = (a * a).sum(1)[:, None] + (b * b).sum(1)[None, :] + 1.0
-        assert got.shape == direct.shape
-        assert np.all(got >= 0.0)
-        assert np.all(np.abs(got - direct) <= 1e-12 * scale)
-    same = T.sq_dists(x, x)
-    assert np.array_equal(same, same.T)
-    assert np.all(np.diagonal(same) == 0.0)
+def test_sq_dists_matches_direct_difference_form(x):
+    got = T.sq_dists(x)
+    direct = ((x[:, None] - x[None]) ** 2).sum(-1)
+    norms = (x * x).sum(1)
+    assert got.shape == direct.shape
+    assert np.all(got >= 0.0)
+    assert np.all(np.abs(got - direct) <= 1e-12 * (norms[:, None] + norms[None, :] + 1.0))
+    assert np.array_equal(got, got.T)
+    assert np.all(np.diagonal(got) == 0.0)
 
 
-def test_sq_dists_rejects_mismatched_widths():
-    with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
-        T.sq_dists(np.zeros((2, 3)), np.zeros((4, 2)))
+@pytest.mark.parametrize("points, weights", [
+    (np.zeros((3, 2)), np.zeros((3, 2))),
+    (np.zeros((3, 2)), np.zeros((2, 2))),
+    (np.zeros((3, 2)), np.zeros(9)),
+    (np.zeros(3), np.zeros((3, 3))),
+])
+def test_kernel_sum_rejects_weights_not_n_by_n(points, weights):
+    with pytest.raises(T.ShapeError, match="kernel_sum"):
+        T.kernel_sum(constant(points), weights, (1.0,))

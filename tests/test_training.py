@@ -468,7 +468,7 @@ class TestGridSearch:
             calls.append((config.contrastive.beta, config.contrastive.noise_sigma))
             return SpanModel(config.encoder), tr.TrainReport(
                 steps=[], epoch_metrics=[], wall_clock_s=0.0, seed=config.seed,
-                resolved_config={}, final_epoch_mean_loss=1.0)
+                final_epoch_mean_loss=1.0)
 
         class FakeResult:
             em, f1, n = 10.0, 20.0, 1
@@ -492,7 +492,7 @@ class TestGridSearch:
                 raise DivergenceError("boom", 0)
             return SpanModel(config.encoder), tr.TrainReport(
                 steps=[], epoch_metrics=[], wall_clock_s=0.0, seed=config.seed,
-                resolved_config={}, final_epoch_mean_loss=0.5)
+                final_epoch_mean_loss=0.5)
 
         class FakeResult:
             em, f1, n = 10.0, 20.0, 1
@@ -565,15 +565,15 @@ def _reference_loss(model, batch, config, step):
         logits = model.span_logits(feats)
         start, end = ts.answer_span
         nll = T.segment_nll(logits.scores, [0, len(ts)], [[start, end]]).mean()
-        place = T.constant(np.eye(n)[:, i:i + 1])
+        place = np.eye(n)[:, i:i + 1]
         cq_mask = (ts.question_mask | ts.context_mask) & ~ts.answer_mask
-        a_row, c_row = (T.matmul(place, T.matmul(T.constant(m[None] / m.sum()), feats))
+        a_row, c_row = (T.matmul(place, T.matmul(m[None] / m.sum(), feats))
                         for m in (ts.answer_mask, cq_mask))
         ce = nll if ce is None else ce + nll
         answer = a_row if answer is None else answer + a_row
         cq = c_row if cq is None else cq + c_row
     means = stack_means(answer, cq, tuple(ts.domain_tag for ts in batch))
-    return total_loss((ce * (1.0 / n)).sum(), contrastive_loss(means, cc), cc)
+    return total_loss(ce * (1.0 / n), contrastive_loss(means, cc), cc)
 
 
 def split_step(model, batch, config, step):
@@ -634,13 +634,15 @@ def graph_nodes(root) -> int:
     return len(seen)
 
 
-def test_split_half_step_records_18_nodes():
+def test_split_half_step_records_16_nodes():
     """One half of a split training step of a two-layer encoder, with
-    embedding noise and the contrastive term on, is a graph of 18 nodes:
-    embed, two sublayers per layer, the final layer norm, the span head, the
-    cross-entropy and its share, the class means, the other half's terms
-    added as constants, the kernel and the loss around it. The count does not
-    depend on where the other half runs."""
+    embedding noise and the contrastive term on, is a graph of 16 nodes:
+    embed; the attention and FFN sublayers of each of the two layers (4);
+    the final layer norm; the span head; the segment NLL, its mean and its
+    share of the batch (3); the class means; the other half's class means
+    and cross-entropy share added as constants (2); the kernel sum; and
+    beta times it added to the cross-entropy (2). The count does not depend
+    on where the other half runs."""
     config = tiny_config(
         seed=5, batch_size=5, encoder=PARITY_ENC,
         contrastive=ContrastiveConfig(beta=0.1, noise_sigma=0.05,
@@ -652,8 +654,8 @@ def test_split_half_step_records_18_nodes():
     model = SpanModel(PARITY_ENC)
     mine, losses = _half_step(model, batch, 0, cut, config, 3)
     theirs, their_losses = _half_step(model, batch, cut, len(batch), config, 3)
-    assert graph_nodes(losses(theirs)[2]) == 18
-    assert graph_nodes(their_losses(mine)[2]) == 18
+    assert graph_nodes(losses(theirs)[2]) == 16
+    assert graph_nodes(their_losses(mine)[2]) == 16
 
 
 def test_domain_separated_single_domain_batches_skip_the_term(tmp_path):
