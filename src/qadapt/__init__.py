@@ -23,7 +23,6 @@ from .losses import (
     contrastive_loss,
     mmd_squared,
     span_cross_entropy,
-    total_loss,
 )
 from .datagen import (
     ContextOnly,
@@ -50,7 +49,6 @@ __all__ = [
     "predict_span", "tokenize_sample",
     "ClassMeans", "ContrastiveConfig", "KernelConfig", "class_means",
     "contrastive_loss", "mmd_squared", "span_cross_entropy",
-    "total_loss",
     "ContextOnly", "DomainDataset", "DomainShiftSpec", "GenCandidate",
     "RawQASample", "fit_toy_generator", "generate_candidates", "lm_filter",
     "load_squad_json", "make_synthetic_domains", "roundtrip_filter", "write_dataset",

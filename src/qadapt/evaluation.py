@@ -178,14 +178,12 @@ def pca_project(features: np.ndarray) -> ProjectedPoints:
     total = float((s**2).sum())
     if total <= 0.0:
         raise ValueError("zero-variance data cannot be projected")
-    components = vt[:2].copy()
-    if components.shape[0] < 2:  # rank-deficient input with a single row dim
-        components = np.vstack([components, np.zeros_like(components[0])])
+    components = vt[:2].copy()  # at least 2 x 2 input: vt has at least 2 rows
     for row in components:
         nz = np.flatnonzero(np.abs(row) > 1e-12)
         if nz.size and row[nz[0]] < 0:
             row *= -1.0
-    ratios = (float(s[0] ** 2 / total), float(s[1] ** 2 / total) if s.size > 1 else 0.0)
+    ratios = (float(s[0] ** 2 / total), float(s[1] ** 2 / total))
     return ProjectedPoints(coords=centered @ components.T, explained_variance_ratio=ratios)
 
 

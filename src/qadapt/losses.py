@@ -1,5 +1,7 @@
 """Training objectives: span cross-entropy, kernel two-sample distance, and
-the contrastive class-separation term combined into one loss.
+the contrastive class-separation term. The trainer combines the
+cross-entropy and beta times the contrastive term in one
+``tensor.weighted_sum`` (``training._half_step``).
 
 The kernel is a Gaussian averaged over multiple bandwidths. Bandwidths are
 either given explicitly or resolved per call by the median heuristic (median
@@ -196,8 +198,3 @@ def span_cross_entropy(logits: SpanLogits, gold: PackedBatch) -> Tensor:
     packed batch the logits were computed from."""
     spans = np.array([ts.answer_span for ts in gold.samples]) + gold.offsets[:-1, None]
     return T.segment_nll(logits.scores, gold.offsets, spans).mean()
-
-
-def total_loss(ce: Tensor, con: Tensor, config: ContrastiveConfig) -> Tensor:
-    """Combined objective: cross-entropy plus beta times the contrastive term."""
-    return ce + config.beta * con

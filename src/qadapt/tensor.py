@@ -26,12 +26,12 @@ distance). Every squared distance, in the kernel and in the median-heuristic
 bandwidths, comes from ``sq_dists`` in Gram form, |x_i|^2 + |x_j|^2 -
 2 x_i.x_j clamped at 0: [N x N] memory, not an [N x N x H] difference
 tensor. Segment means are a ``matmul`` of a constant weight array with a
-tensor. Constant weights, there and in ``kernel_sum``, stay plain arrays and
-record nothing. Besides these the engine holds only the arithmetic: every op
-has a caller in the model or its losses.
+tensor, and a training step's loss and class-mean stack are each one
+``weighted_sum`` of tensors of one shape, whose weights and offset are
+floats or arrays of that shape; there is no other broadcasting. Constants,
+there and in ``kernel_sum``, stay plain floats and arrays and record
+nothing. Every op has a caller in the model or its losses.
 
-There is no broadcasting: ``add`` and ``mul`` take operands of equal shape,
-as every caller passes (scalar loss terms and the stacked class means).
 Everything is float64; every completed operation is checked for NaN/Inf.
 """
 
@@ -87,15 +87,6 @@ class Tensor:
     def mean(self) -> "Tensor":
         return mean_(self)
 
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -103,12 +94,6 @@ class Tensor:
 
 def constant(values) -> Tensor:
     return Tensor(values, requires_grad=False)
-
-
-def _coerce(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return constant(value)
 
 
 _grad_enabled = True
@@ -155,19 +140,25 @@ def _col_sums(a: Array) -> Array:
 
 # -- arithmetic ---------------------------------------------------------------
 
-def _check_same_shape(a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"operand shapes differ: {a.shape} vs {b.shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b)
-    return _node(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b)
-    return _node(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+def weighted_sum(terms: Sequence[Tensor], weights: Sequence, offset=0.0) -> Tensor:
+    """offset + w_0 t_0 + w_1 t_1 + ..., elementwise and left to right from
+    the offset, for one or more tensors t_i of one shape. Each weight, and
+    the offset, is a constant: a float or an array of the terms' shape. Term
+    i gets the gradient w_i g."""
+    if not terms or len(weights) != len(terms):
+        raise ShapeError(f"weighted_sum takes terms and one weight per term, got "
+                         f"{len(terms)} terms and {len(weights)} weights")
+    shape = terms[0].shape
+    if any(t.shape != shape for t in terms):
+        raise ShapeError(f"weighted_sum terms differ in shape: {[t.shape for t in terms]}")
+    for c in (offset, *weights):
+        if np.ndim(c) and np.shape(c) != shape:
+            raise ShapeError(f"weighted_sum constant of shape {np.shape(c)} for terms of "
+                             f"shape {shape}")
+    out = np.full(shape, offset, dtype=np.float64)
+    for w, t in zip(weights, terms):
+        out += w * t.data
+    return _node(out, tuple(terms), lambda g: tuple(w * g for w in weights))
 
 
 def matmul(a: Array, b: Tensor) -> Tensor:

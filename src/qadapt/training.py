@@ -1,13 +1,15 @@
 """End-to-end training: mixed-domain batch sampling, adaptive gradient descent
-on the combined objective, hyperparameter grid search, and run reporting.
+on the combined objective (the span cross-entropy plus beta times the
+contrastive term), hyperparameter grid search, and run reporting.
 
 Every step splits its batch into two contiguous halves of about equal token
 count (``_split_point``). Each half encodes and scores its own samples as one
 packed graph (``_half_step``); the halves exchange only their class-mean rows
 and cross-entropy shares, so that each builds the loss of the whole batch
-with the other's terms as constants, and each backpropagates its own graph.
-The two gradients are summed in a fixed order, first half plus second, then
-clipped and applied. A child forked once per ``train`` call
+with the other's terms as the constant offsets of ``tensor.weighted_sum``
+(a float and an array, not graph nodes), and each backpropagates its own
+graph. The two gradients are summed in a fixed order, first half plus
+second, then clipped and applied. A child forked once per ``train`` call
 (``workers.partner``) runs the second halves while this process runs the
 first; the parameters and the second half's gradient live in memory both
 share (``workers.shared_zeros``). Where no child can be forked, the same two
@@ -44,7 +46,6 @@ from .losses import (
     class_means,
     contrastive_loss,
     span_cross_entropy,
-    total_loss,
 )
 from .model import (
     COUNT, NON_NEGATIVE, POSITIVE, SEED, SOURCE, TARGET_SYNTHETIC, ConfigError, EncoderConfig,
@@ -242,30 +243,30 @@ def _half_step(model: SpanModel, batch: Sequence, lo: int, hi: int, config: Trai
 
     A half hands over its share of the batch's mean cross-entropy and its
     rows of the batch's class-mean stack (``None`` when the contrastive term
-    is skipped). ``losses`` adds the other half's as constants, so that both
-    halves build the same loss over the whole batch, and returns its
-    cross-entropy, contrastive term and total; ``theirs`` is None when the
-    other half is empty. The gradients of the two halves' totals sum to the
-    gradient of the loss of the whole batch."""
+    is skipped). ``losses`` takes the other half's as constant offsets of
+    ``weighted_sum``, so that both halves build the same loss over the whole
+    batch, and returns the batch's cross-entropy and contrastive term as
+    floats, and the loss node; ``theirs`` is None when the other half is
+    empty. The gradients of the two halves' losses sum to the gradient of
+    the loss of the whole batch."""
     cc = config.contrastive
     half = PackedBatch.pack(batch[lo:hi])
     noise_seeds = [derive_seed(config.seed, 0x401535, step, i) for i in range(lo, hi)]
     features = model.encode(half, noise_sigma=cc.noise_sigma, noise_seed=noise_seeds)
-    ce = span_cross_entropy(model.span_logits(features), half) * ((hi - lo) / len(batch))
+    ce = span_cross_entropy(model.span_logits(features), half)
+    share = (hi - lo) / len(batch)
+    my_ce = ce.item() * share
     means = None if _skips_contrastive(batch, cc) else class_means(features, half, batch, lo)
 
-    def losses(theirs) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
-        whole_ce, stacked = ce, None if means is None else means.stacked
-        if theirs is not None:
-            their_ce, their_means = theirs
-            whole_ce = ce + their_ce
-            if stacked is not None:
-                stacked = stacked + T.constant(their_means)
-        con = (T.constant(0.0) if stacked is None
-               else contrastive_loss(ClassMeans(stacked, means.domain_tag), cc))
-        return whole_ce, con, total_loss(whole_ce, con, cc)
+    def losses(theirs) -> tuple[float, float, T.Tensor]:
+        their_ce, their_means = (0.0, 0.0) if theirs is None else theirs
+        if means is None:
+            return my_ce + their_ce, 0.0, T.weighted_sum([ce], [share], their_ce)
+        stacked = T.weighted_sum([means.stacked], [1.0], their_means)
+        con = contrastive_loss(ClassMeans(stacked, means.domain_tag), cc)
+        return my_ce + their_ce, con.item(), T.weighted_sum([ce, con], [share, cc.beta], their_ce)
 
-    return (ce.item(), None if means is None else means.stacked.data), losses
+    return (my_ce, None if means is None else means.stacked.data), losses
 
 
 def train(
@@ -359,8 +360,8 @@ def train(
                 if split:
                     theirs = partner.recv()
                     partner.send(mine)
-                ce, con, loss = losses(theirs)
-                l_ce, l_con, l_qa = ce.item(), con.item(), loss.item()
+                l_ce, l_con, loss = losses(theirs)
+                l_qa = loss.item()
                 model.zero_grad()
                 T.backward(loss)
                 grad = model.flat_grad()
@@ -369,7 +370,7 @@ def train(
                     grad += their_grad  # the halves' gradients summed in a fixed order
             except T.NonFiniteError as err:
                 raise diverged(f"non-finite loss at step {step}: {err}") from err
-            # decomposition identity, recomputed independently of the graph
+            # the graph's total against the float sum of its logged terms
             if abs(l_qa - (l_ce + beta * l_con)) > 1e-12:
                 raise RuntimeError(f"step {step}: loss_total {l_qa!r} != loss_ce {l_ce!r} "
                                    f"+ beta * loss_con {l_con!r}")

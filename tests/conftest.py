@@ -32,12 +32,13 @@ def make_sample(seed=0, length=12, vocab=32, domain_tag="source", answer=None):
 
 def stack_means(answer_mean, cq_mean, domain_tag) -> ClassMeans:
     """Class means from separate [B x H] answer and question/context means,
-    stacked by two products of constant selector arrays with them, so that
-    gradients reach both."""
+    stacked as the sum of two products of constant selector arrays with them,
+    so that gradients reach both."""
     n = answer_mean.shape[0]
     select = np.eye(2 * n)
-    return ClassMeans(T.matmul(select[:, :n], answer_mean)
-                      + T.matmul(select[:, n:], cq_mean), tuple(domain_tag))
+    return ClassMeans(T.weighted_sum([T.matmul(select[:, :n], answer_mean),
+                                      T.matmul(select[:, n:], cq_mean)], [1.0, 1.0]),
+                      tuple(domain_tag))
 
 
 @pytest.fixture(scope="session")

@@ -405,8 +405,9 @@ class TestMalformedInputsExitWithoutTraceback:
 
 
 class TestNonFiniteOrNegativeNumbersExit1:
-    """A NaN, infinite or negative weight, noise scale, bandwidth, learning
-    rate or clip is a usage error: exit 1, one message, no run directory."""
+    """A NaN, infinite or negative ``--beta`` or ``--sigma`` is a usage
+    error: exit 1, one message, no run directory. The same values in a
+    config file are cases of tests/test_config.py."""
 
     @staticmethod
     def assert_usage_error(capsys, argv, out):
@@ -432,20 +433,6 @@ class TestNonFiniteOrNegativeNumbersExit1:
         cfg_path.write_text(json.dumps(train_config_dict(synth_dir / "source.json")))
         self.assert_usage_error(capsys, ["train", "--config", str(cfg_path)] + flags,
                                 tmp_path / "run")
-
-    @pytest.mark.parametrize("section", [
-        {"contrastive": {"beta": float("nan")}},
-        {"contrastive": {"beta": -1.0}},
-        {"contrastive": {"noise_sigma": float("inf")}},
-        {"contrastive": {"kernel": {"bandwidths": [1.0, float("nan")]}}},
-        {"contrastive": {"kernel": {"median_multipliers": [float("inf")]}}},
-        {"learning_rate": float("nan")},
-        {"grad_clip": float("inf")},
-    ])
-    def test_train_config_rejected(self, synth_dir, tmp_path, capsys, section):
-        cfg_path = tmp_path / "t.json"
-        cfg_path.write_text(json.dumps(train_config_dict(synth_dir / "source.json", **section)))
-        self.assert_usage_error(capsys, ["train", "--config", str(cfg_path)], tmp_path / "run")
 
 
 def test_train_with_an_unallocatable_encoder_exits_2(synth_dir, tmp_path, capsys):

@@ -17,9 +17,9 @@ from qadapt.losses import (
     mmd_squared,
     resolve_bandwidths,
     span_cross_entropy,
-    total_loss,
 )
 from qadapt.model import PackedBatch, SpanLogits, TokenizedSample, tokenize_sample
+from qadapt.training import TrainConfig, _half_step, _split_point
 from conftest import make_sample, stack_means
 
 
@@ -439,14 +439,27 @@ class TestSpanCrossEntropy:
 
 
 class TestTotalLoss:
-    def test_zero_beta_is_plain_ce(self):
-        cfg = ContrastiveConfig(beta=0.0, noise_sigma=0.0)
-        assert total_loss(T.constant(1.25), T.constant(99.0), cfg).item() == 1.25
+    """The loss of a training step, as each half of its split batch builds
+    it, against the cross-entropy and contrastive term it logs."""
 
-    def test_small_beta_weightings(self):
-        got = total_loss(T.constant(1.0), T.constant(2.0),
-                         ContrastiveConfig(beta=0.001, noise_sigma=0.01)).item()
-        assert abs(got - 1.002) < 1e-12
-        got = total_loss(T.constant(0.5), T.constant(-0.3),
-                         ContrastiveConfig(beta=0.01, noise_sigma=0.01)).item()
-        assert abs(got - 0.497) < 1e-12
+    @staticmethod
+    def split_losses(model, beta):
+        config = TrainConfig(batch_size=4, encoder=model.config, contrastive=ContrastiveConfig(
+            beta=beta, noise_sigma=0.01, kernel=KernelConfig(bandwidths=(1.0, 4.0))))
+        batch = [make_sample(seed=70 + i, length=n, vocab=32,
+                             domain_tag="source" if i % 2 else "target_synthetic")
+                 for i, n in enumerate((9, 14, 7, 12))]
+        cut = _split_point(batch)
+        mine, losses = _half_step(model, batch, 0, cut, config, 0)
+        theirs, their_losses = _half_step(model, batch, cut, len(batch), config, 0)
+        return losses(theirs), their_losses(mine)
+
+    def test_zero_beta_is_plain_ce(self, tiny_model):
+        for l_ce, l_con, loss in self.split_losses(tiny_model, 0.0):
+            assert l_con != 0.0
+            assert loss.item() == l_ce
+
+    def test_small_beta_weightings(self, tiny_model):
+        for beta in (0.001, 0.01, 0.1):
+            for l_ce, l_con, loss in self.split_losses(tiny_model, beta):
+                assert loss.item() == l_ce + beta * l_con

@@ -49,12 +49,12 @@ def reference_layer_norm(x, gain, bias):
 
 
 def summed(t):
-    """The sum of the entries of t as a graph node: the mean of t times its
-    entry count n. The gradient reaching every entry is fl(fl(1/n) * n),
+    """The sum of the entries of t as a graph node: the mean of t weighted by
+    its entry count n. The gradient reaching every entry is fl(n * fl(1/n)),
     exactly 1 for the n used here (it is not for n = 49)."""
     n = t.data.size
     assert 1.0 / n * n == 1.0
-    return T.mul(t, constant(np.full(t.shape, float(n)))).mean()
+    return T.weighted_sum([t], [float(n)]).mean()
 
 
 def row_softmax_sums(x):
@@ -94,7 +94,7 @@ class TestForward:
 
     def test_shape_mismatch_reports_dimensions(self):
         with pytest.raises(T.ShapeError, match=r"\(2, 3\)"):
-            T.add(constant(np.ones((2, 3))), constant(np.ones((3, 2))))
+            T.weighted_sum([constant(np.ones((2, 3))), constant(np.ones((3, 2)))], [1.0, 1.0])
 
     def test_matmul_inner_dim_check(self):
         with pytest.raises(T.ShapeError):
@@ -102,17 +102,32 @@ class TestForward:
 
     def test_inner_broadcast_rejected(self):
         with pytest.raises(T.ShapeError):
-            T.mul(constant(np.ones((4, 1))), constant(np.ones((4, 3))))
+            T.weighted_sum([constant(np.ones((4, 3)))], [np.ones((4, 1))])
 
-    @pytest.mark.parametrize("op", [T.add, T.mul])
+    @pytest.mark.parametrize("op", ["add", "mul"])
     def test_scalar_against_a_vector_rejected(self, op):
-        # no broadcasting, not even of a scalar
+        # no broadcasting, not even of a scalar: a scalar term added to a
+        # vector term or offset, or multiplied by a vector weight
         scalar, vector = constant(2.0), Tensor(np.ones(3), requires_grad=True)
-        for a, b in ((scalar, vector), (vector, scalar)):
+        calls = {"add": [([scalar, vector], [1.0, 1.0], 0.0), ([vector, scalar], [1.0, 1.0], 0.0),
+                         ([scalar], [1.0], np.ones(3))],
+                 "mul": [([scalar], [np.ones(3)], 0.0)]}[op]
+        for terms, weights, offset in calls:
             with pytest.raises(T.ShapeError, match=r"\(3,\)"):
-                op(a, b)
-        with pytest.raises(T.ShapeError):
+                T.weighted_sum(terms, weights, offset)
+        with pytest.raises(TypeError):  # Tensor has no arithmetic operators
             vector * 2.0
+
+    @pytest.mark.parametrize("terms, weights, offset", [
+        ([], [], 0.0),
+        ([np.ones(3)], [], 0.0),
+        ([np.ones(3)], [1.0, 1.0], 0.0),
+        ([np.ones(3), np.ones(3)], [1.0], 0.0),
+    ])
+    def test_weighted_sum_rejects(self, terms, weights, offset):
+        # no terms, or a wrong number of weights
+        with pytest.raises(T.ShapeError, match="weighted_sum"):
+            T.weighted_sum([constant(t) for t in terms], weights, offset)
 
     def test_determinism_bitwise(self):
         x = rand((6, 6), seed=9)
@@ -161,10 +176,10 @@ def softmax_gradient_rounding_bound(x, params, num_heads):
 
 
 class TestBackward:
-    def test_square_gradient(self):
+    def test_repeated_term_gradients_add(self):
         x = Tensor(3.0, requires_grad=True)
-        backward(T.mul(x, x))
-        assert x.grad == pytest.approx(6.0, abs=0)
+        backward(T.weighted_sum([x, x], [2.0, 4.0]))
+        assert x.grad == 6.0
 
     def test_sum_of_softmax_has_zero_gradient(self):
         # with every value row 1 (wv = 0, bv = 1) each head output entry is the
@@ -190,24 +205,24 @@ class TestBackward:
     def test_cancelled_leaf_gets_exact_zero(self):
         x = Tensor(rand(3, seed=7), requires_grad=True)
         y = Tensor(rand(3, seed=8), requires_grad=True)
-        backward((x + constant(np.zeros(3)) * y).mean())
+        backward(T.weighted_sum([x, y], [1.0, np.zeros(3)]).mean())
         assert np.array_equal(y.grad, np.zeros(3))
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(rand(3, seed=10), requires_grad=True)
         with pytest.raises(T.GraphError, match="scalar"):
-            backward(x + x)
+            backward(T.weighted_sum([x, x], [1.0, 1.0]))
 
     def test_graph_consumed_once(self):
         x = Tensor(rand(3, seed=11), requires_grad=True)
-        loss = (x * x).mean()
+        loss = T.weighted_sum([x], [2.0]).mean()
         backward(loss)
         with pytest.raises(T.GraphError, match="consumed"):
             backward(loss)
 
     def test_shared_subgraph_consumed(self):
         x = Tensor(rand(3, seed=12), requires_grad=True)
-        h = x * x
+        h = T.weighted_sum([x], [2.0])
         l1 = h.mean()
         l2 = h.mean()
         backward(l1)
@@ -221,11 +236,11 @@ class TestBackward:
         assert np.array_equal(x.grad, np.full(3, 2 / 3))
 
     def test_diamond_graph_accumulates(self):
-        # loss = mean(x*x + x*x) over 2 entries -> grad 2x
+        # loss = mean(3x + 3x) over 2 entries -> grad 3
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        h = x * x
-        backward((h + h).mean())
-        assert np.allclose(x.grad, 2.0 * x.data, atol=0)
+        h = T.weighted_sum([x], [3.0])
+        backward(T.weighted_sum([h, h], [1.0, 1.0]).mean())
+        assert np.array_equal(x.grad, [3.0, 3.0])
 
 
 class TestFiniteDifference:
@@ -244,7 +259,8 @@ class TestFiniteDifference:
             h = T.ffn_sublayer(x, one, zero, t, constant(np.zeros(5)), constant(w2), zero)
             h = T.attention_sublayer(h, one, zero, eye, zero, eye, zero, eye, zero, eye, zero,
                                      [0, 2], 1)
-            return T.mul(h, h).mean()
+            # a weighted contraction: the mean of a layer norm is about 0 for any input
+            return T.weighted_sum([h], [rand((2, 4), seed=27)]).mean()
 
         assert finite_difference_check(f, constant(w1)) < 1e-5
 
@@ -274,7 +290,7 @@ class TestFiniteDifference:
         x = constant(np.array([1.0, 1.79769313486]))
 
         def f(t):
-            return T.mul(t, constant([1.0, 1e308])).mean()
+            return T.weighted_sum([t], [np.array([1.0, 1e308])]).mean()
 
         with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="coordinate 1"):
             finite_difference_check(f, x, step=1e-5)
@@ -285,7 +301,7 @@ def stacked_kernel_sum(t, y, weights, bandwidths):
     constant y [M x H]."""
     n, m = t.shape[0], y.shape[0]
     select = np.eye(n + m)
-    stacked = T.matmul(select[:, :n], t) + constant(select[:, n:] @ y.data)
+    stacked = T.weighted_sum([T.matmul(select[:, :n], t)], [1.0], select[:, n:] @ y.data)
     return T.kernel_sum(stacked, weights, bandwidths)
 
 
@@ -303,6 +319,11 @@ def _fixed(shape, seed):
     return constant(rand(shape, seed=300 + seed))
 
 
+def _contracted(out, seed):
+    """The mean of out weighted by a fixed random cotangent of its shape."""
+    return T.weighted_sum([out], [_fixed(out.shape, seed).data]).mean()
+
+
 SEGMENTS = [0, 1, 4]  # two segments of different lengths over 4 packed rows
 WEIGHT_ROWS = np.eye(4)[:3]
 
@@ -318,7 +339,7 @@ def _attention_with(position):
             args[0] = t
         else:
             args[2 * position + 1] = T.matmul(WEIGHT_ROWS, t)
-        return T.mul(T.attention_sublayer(*args, SEGMENTS, num_heads=3), _fixed((4, 3), 2)).mean()
+        return _contracted(T.attention_sublayer(*args, SEGMENTS, num_heads=3), 2)
     return fn
 
 
@@ -328,16 +349,13 @@ def _attention_inputs(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, num_heads=3
     # bk shifts a row's scores by a constant, so its exact gradient is 0 and its
     # finite differences are round-off: a linear term in bk gives every
     # coordinate a nonzero reference
-    return T.mul(out, _fixed((4, 3), 13)).mean() + T.mul(bk, _fixed(3, 6)).mean()
+    return T.weighted_sum([_contracted(out, 13), _contracted(bk, 6)], [1.0, 1.0])
 
 
 def _col_log_softmax_weighted(t, aux):
     """Sum of the column-wise log-softmax of t weighted by aux, from segment_nll."""
-    total = None
-    for i in range(4):
-        term = T.mul(col_nll(t, i), constant(-aux.data[i:i + 1])).mean()
-        total = term if total is None else total + term
-    return total
+    terms = [T.weighted_sum([col_nll(t, i)], [-aux.data[i:i + 1]]).mean() for i in range(4)]
+    return T.weighted_sum(terms, [1.0] * 4)
 
 
 UNIT_LN = (constant(np.ones(3)), constant(np.zeros(3)))
@@ -350,7 +368,7 @@ def _softmax_weighted(t, aux):
     projections of its unit layer norm h: t + softmax(h h^T / sqrt 3) h,
     weighted by aux."""
     out = T.attention_sublayer(t, *UNIT_LN, *IDENTITY_ATTENTION, [0, 4], 1)
-    return T.mul(out, aux).mean()
+    return T.weighted_sum([out], [aux.data]).mean()
 
 
 # token ids into a [4 x 3] table (id 2 absent, 0 and 3 repeated) and position
@@ -361,43 +379,46 @@ EMBED_NOISE = rand((6, 3), seed=15, scale=0.1)
 
 def _embed_weighted(tokens, positions, noise=None):
     out = T.embed(tokens, positions, EMBED_TOKENS, EMBED_POSITIONS, noise)
-    return T.mul(out, _fixed((6, 3), 14)).mean()
+    return _contracted(out, 14)
 
 
 # each entry: (aux shape, scalar-valued function of a [4 x 3] input and the aux);
-# relu, softmax, log_softmax and masked_mean are the forms those functions take
+# add and mul are the two forms of weighted_sum: a sum of two terms with a
+# float and an array weight from an array offset, and the product with a
+# constant array that ends most entries here; relu, softmax, log_softmax and masked_mean are the forms those functions take
 # inside the fused ops and the class means, matmul the product of a dense
 # constant with a tensor, exp the kernel sum over one point set with random
 # weights (not symmetric, so each point's gradient as the first and as the
 # second of a pair is checked), and pairwise_sq_dist its cross block between
 # two sets
 OPS = {
-    "add": ((4, 3), lambda t, aux: (t + aux).mean()),
-    "mul": ((4, 3), lambda t, aux: (t * aux * t).mean()),
-    "mean": ((4, 3), lambda t, aux: (t * aux).mean()),
-    "matmul": ((3, 4), lambda t, aux: T.mul(T.matmul(aux.data, t), _fixed((3, 3), 1)).mean()),
+    "add": ((4, 3), lambda t, aux: T.weighted_sum(
+        [t, T.layer_norm(t, *UNIT_LN)], [-1.5, aux.data], aux.data).mean()),
+    "mul": ((4, 3), lambda t, aux: T.weighted_sum([t], [aux.data]).mean()),
+    "mean": ((4, 3), lambda t, aux: t.mean()),
+    "matmul": ((3, 4), lambda t, aux: _contracted(T.matmul(aux.data, t), 1)),
     "exp": ((4, 4), lambda t, aux: T.kernel_sum(t, aux.data, (0.5, 2.0, 8.0))),
     "relu": ((4, 3), lambda t, aux: T.ffn_sublayer(t, *UNIT_LN, *IDENTITY_FFN).mean()),
     "softmax": ((4, 3), _softmax_weighted),
     "log_softmax": ((4, 3), _col_log_softmax_weighted),
-    "layer_norm": ((4, 3), lambda t, aux: T.mul(T.layer_norm(t, *UNIT_LN), aux).mean()),
-    "masked_mean": ((1, 3), lambda t, aux: T.mul(
-        T.matmul(np.array([[1 / 3, 0.0, 1 / 3, 1 / 3]]), t), aux).mean()),
+    "layer_norm": ((4, 3), lambda t, aux: T.weighted_sum([T.layer_norm(t, *UNIT_LN)],
+                                                        [aux.data]).mean()),
+    "masked_mean": ((1, 3), lambda t, aux: T.weighted_sum(
+        [T.matmul(np.array([[1 / 3, 0.0, 1 / 3, 1 / 3]]), t)], [aux.data]).mean()),
     "pairwise_sq_dist": ((5, 3), cross_kernel),
-    "linear": ((3, 5), lambda t, aux: T.mul(T.linear(t, aux, _fixed(5, 3)), _fixed((4, 5), 4)).mean()),
-    "layer_norm_affine": ((2, 3), lambda t, aux: T.mul(
-        T.layer_norm(t, constant(aux.data[0]), constant(aux.data[1])), _fixed((4, 3), 5)).mean()),
-    "ffn_sublayer": ((3, 6), lambda t, aux: T.mul(
-        T.ffn_sublayer(t, *UNIT_LN, aux, _fixed(6, 6), _fixed((6, 3), 7), _fixed(3, 8)),
-        _fixed((4, 3), 9)).mean()),
+    "linear": ((3, 5), lambda t, aux: _contracted(T.linear(t, aux, _fixed(5, 3)), 4)),
+    "layer_norm_affine": ((2, 3), lambda t, aux: _contracted(
+        T.layer_norm(t, constant(aux.data[0]), constant(aux.data[1])), 5)),
+    "ffn_sublayer": ((3, 6), lambda t, aux: _contracted(
+        T.ffn_sublayer(t, *UNIT_LN, aux, _fixed(6, 6), _fixed((6, 3), 7), _fixed(3, 8)), 9)),
     "attention_sublayer_x": ((4, 3), _attention_with(0)),
     "attention_sublayer_q": ((4, 3), _attention_with(1)),
     "attention_sublayer_k": ((4, 3), _attention_with(2)),
     "attention_sublayer_v": ((4, 3), _attention_with(3)),
     "embed": ((5, 3), _embed_weighted),
     "embed_noise": ((5, 3), lambda t, aux: _embed_weighted(t, aux, EMBED_NOISE)),
-    "segment_nll": ((2, 3), lambda t, aux: T.mul(
-        T.segment_nll(t, [0, 2, 4], [[0, 1, 1], [3, 2, 3]]), aux).mean()),
+    "segment_nll": ((2, 3), lambda t, aux: T.weighted_sum(
+        [T.segment_nll(t, [0, 2, 4], [[0, 1, 1], [3, 2, 3]])], [aux.data]).mean()),
 }
 
 
@@ -414,11 +435,10 @@ def test_gradcheck_per_op(op, seed):
 
 # fused ops' parameter inputs: (op, [input shapes], scalar function of the inputs)
 FUSED_INPUTS = {
-    "linear": ([(4, 3), (3, 5), (5,)], lambda x, w, b: T.mul(T.linear(x, w, b), _fixed((4, 5), 10)).mean()),
-    "layer_norm": ([(4, 3), (3,), (3,)],
-                   lambda x, g, b: T.mul(T.layer_norm(x, g, b), _fixed((4, 3), 11)).mean()),
+    "linear": ([(4, 3), (3, 5), (5,)], lambda x, w, b: _contracted(T.linear(x, w, b), 10)),
+    "layer_norm": ([(4, 3), (3,), (3,)], lambda x, g, b: _contracted(T.layer_norm(x, g, b), 11)),
     "ffn_sublayer": ([(4, 3), (3,), (3,), (3, 6), (6,), (6, 3), (3,)],
-                     lambda *inputs: T.mul(T.ffn_sublayer(*inputs), _fixed((4, 3), 12)).mean()),
+                     lambda *inputs: _contracted(T.ffn_sublayer(*inputs), 12)),
     "attention_sublayer": ([(4, 3), (3,), (3,)] + [(3, 3), (3,)] * 4, _attention_inputs),
     # one head of width 3: the 1/sqrt(dh) score scale is 1/sqrt(3), not 1
     "attention_sublayer_one_head": ([(4, 3), (3,), (3,)] + [(3, 3), (3,)] * 4,
@@ -667,9 +687,9 @@ class TestNoGrad:
     def test_records_nothing_and_restores(self):
         x = Tensor(rand(3, seed=40), requires_grad=True)
         with T.no_grad():
-            y = T.mul(x, x)
+            y = T.weighted_sum([x, x], [1.0, 2.0])
             assert not y.requires_grad and y._parents == ()
-        z = T.mul(x, x)
+        z = T.weighted_sum([x, x], [1.0, 2.0])
         assert z.requires_grad and z._parents == (x, x)
 
     def test_nested_and_restored_after_error(self):
@@ -678,9 +698,9 @@ class TestNoGrad:
             with T.no_grad():
                 with T.no_grad():
                     pass
-                assert not T.mul(x, x).requires_grad
+                assert not T.weighted_sum([x, x], [1.0, 2.0]).requires_grad
                 raise RuntimeError("boom")
-        assert T.mul(x, x).requires_grad
+        assert T.weighted_sum([x, x], [1.0, 2.0]).requires_grad
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -711,7 +731,7 @@ def test_embedding_gradient_matches_add_at(ids, seed):
     table = Tensor(rand((8, 3), seed=seed), requires_grad=True)
     positions = Tensor(rand((20, 3), seed=seed + 2), requires_grad=True)
     weight = rand((len(ids), 3), seed=seed + 1)
-    out = T.mul(T.embed(table, positions, ids, range(len(ids))), constant(weight))
+    out = T.weighted_sum([T.embed(table, positions, ids, range(len(ids)))], [weight])
     # the mean of the column sums of out (0 for no ids): each entry of out
     # gets a gradient of exactly fl(1/3), so each row of the embedding gets
     # its weight times that
@@ -824,6 +844,8 @@ def test_every_public_op_has_a_caller():
     ("losses.py", "T.matmul(", "tensor.matmul"),
     # the contrastive loss and the kernel distance are the two callers
     ("losses.py", "T.kernel_sum(", "tensor.kernel_sum"),
+    # the loss and the whole-batch class-mean stack of a half-step
+    ("training.py", "T.weighted_sum(", "tensor.weighted_sum"),
 ])
 def test_caller_guard_sees_a_dead_function(caller, call, dead):
     source = (PACKAGE / caller).read_text()
