@@ -29,7 +29,6 @@ TRAIN_CONFIG = {
         "noise_sigma": 0.01,
         "kernel": {"bandwidths": None, "median_multipliers": [0.25, 0.5, 1.0, 2.0, 4.0]},
         "sign_variant": "similarity-flipped",
-        "pairing_variant": "mixed-batch",
     },
     "encoder": {"vocab_size": 258, "hidden_dim": 48, "num_layers": 2, "num_heads": 4,
                 "ff_dim": 96, "max_len": 128, "seed": 0},

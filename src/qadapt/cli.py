@@ -5,7 +5,8 @@ projection diagnostics.
 Every subcommand validates its inputs before creating any output, writes all
 artifacts under the chosen output directory, and finishes with a manifest
 listing the artifacts and their checksums. Exit codes: 0 success, 1 usage or
-config problem, 2 runtime failure, 3 numerical divergence.
+config problem, 2 runtime failure (a non-finite forward pass outside a
+training step included), 3 numerical divergence of a training step.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .model import (
     COUNT, NON_NEGATIVE, PATH, SEED, CheckpointError, ConfigError, Rule, SpanModel,
     TokenizationError, check_fields, config_from_json, config_to_json, mapping, optional,
 )
+from .tensor import NonFiniteError
 from .training import DivergenceError
 
 log = logging.getLogger("qadapt")
@@ -418,8 +420,8 @@ def main(argv=None) -> int:
     except DivergenceError as err:
         print(f"diverged: {err} (last finite step {err.last_finite_step})", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (DatasetError, CheckpointError, TokenizationError, ValueError, OSError,
-            MemoryError) as err:
+    except (DatasetError, CheckpointError, TokenizationError, NonFiniteError, ValueError,
+            OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

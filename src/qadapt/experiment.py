@@ -7,10 +7,10 @@ term, then fork for a short adaptation phase with identical seeds. Near the
 warm-start plateau the task gradient is small, so the arms' difference is
 dominated by the contrastive term rather than by chaotic trajectory
 divergence, which makes the paired comparison meaningful at tiny weights.
-The fork uses the similarity-flipped sign so that minimizing the loss pulls
-same-class means together and pushes the classes apart; the domain gap is
-measured with a kernel whose bandwidths are fixed per seed from the baseline
-arm, so both arms are compared in the same units.
+The contrastive term pulls same-class means together and pushes the classes
+apart (``losses.contrastive_loss``); the domain gap is measured with a
+kernel whose bandwidths are fixed per seed from the baseline arm, so both
+arms are compared in the same units.
 """
 
 from __future__ import annotations
@@ -108,9 +108,7 @@ def _phase_config(seed: int, beta: float, epochs: int) -> TrainConfig:
         max_answer_len=MAX_ANSWER_LEN,
         eval_cadence=0,
         grad_clip=1.0,
-        contrastive=ContrastiveConfig(
-            beta=beta, noise_sigma=NOISE_SIGMA, sign_variant="similarity-flipped"
-        ),
+        contrastive=ContrastiveConfig(beta=beta, noise_sigma=NOISE_SIGMA),
         encoder=EXPERIMENT_ENCODER,
     )
 
@@ -160,7 +158,9 @@ def run_seed(seed: int) -> SeedOutcome:
 def run_adaptation_experiment(seeds=range(5), verbose: bool = False) -> ExperimentResult:
     """``run_seed`` of every seed, in seed order. The seeds are independent:
     a forked child runs the second half of them (``workers.split_map``),
-    and each outcome equals the one a sequential run gives, bit for bit."""
+    and an odd last seed runs here after it, with its training steps split
+    across the two cores. Each outcome equals the one a sequential run
+    gives, bit for bit."""
     result = ExperimentResult()
     for outcome in split_map(run_seed, seeds):
         result.outcomes.append(outcome)

@@ -25,17 +25,14 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .model import (
-    NON_NEGATIVE, POSITIVE, SOURCE, TARGET_SYNTHETIC, PackedBatch, SpanLogits, TokenizedSample,
+    NON_NEGATIVE, POSITIVE, PackedBatch, SpanLogits, TokenizedSample,
     check_fields, items, one_of, optional,
 )
 
 MEDIAN_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 MEDIAN_FALLBACK = 1.0
 
-SIGN_AS_PRINTED = "as-printed"
 SIGN_SIMILARITY_FLIPPED = "similarity-flipped"
-PAIRING_MIXED = "mixed-batch"
-PAIRING_DOMAIN_SEPARATED = "domain-separated"
 
 
 class MalformedSampleError(ValueError):
@@ -58,13 +55,11 @@ class ContrastiveConfig:
     beta: float = 0.001
     noise_sigma: float = 0.01
     kernel: KernelConfig = field(default_factory=KernelConfig)
-    sign_variant: str = SIGN_AS_PRINTED
-    pairing_variant: str = PAIRING_MIXED
+    sign_variant: str = SIGN_SIMILARITY_FLIPPED  # the one sign; configs that name it still load
 
     def __post_init__(self):
         check_fields(self, beta=NON_NEGATIVE, noise_sigma=NON_NEGATIVE,
-                     sign_variant=one_of(SIGN_AS_PRINTED, SIGN_SIMILARITY_FLIPPED),
-                     pairing_variant=one_of(PAIRING_MIXED, PAIRING_DOMAIN_SEPARATED))
+                     sign_variant=one_of(SIGN_SIMILARITY_FLIPPED))
 
 
 @dataclass
@@ -147,49 +142,35 @@ def class_means(features: Tensor, batch: PackedBatch, whole: Sequence[TokenizedS
                       tuple(ts.domain_tag for ts in samples))
 
 
-def _pair_weights(domain_tags: Sequence[str], config: ContrastiveConfig) -> np.ndarray:
-    """The constant [2B x 2B] pair weights of the kernel sum over the stacked
-    class means that is the loss: each intra-class block is normalized by
-    its pair count, the cross-class term is split evenly between its two
-    mirrored blocks, and the signs follow the variant."""
-    n = len(domain_tags)
-    if config.pairing_variant == PAIRING_DOMAIN_SEPARATED:
-        src = np.array([tag == SOURCE for tag in domain_tags])
-        tgt = np.array([tag == TARGET_SYNTHETIC for tag in domain_tags])
-        cross = np.outer(src, tgt).astype(np.float64)
-        cross = cross + cross.T
-        pairs = cross.sum()
-        if pairs == 0:
-            raise ValueError("domain-separated pairing needs both domains in the batch")
-        intra = cross * (1.0 / pairs)
-    else:
-        intra = np.full((n, n), 1.0 / n**2)
-    inter = np.full((n, n), -0.5 / n**2)
-    weights = np.block([[intra, inter], [inter, intra]])
-    return -weights if config.sign_variant == SIGN_SIMILARITY_FLIPPED else weights
+def _pair_weights(n: int) -> np.ndarray:
+    """The constant [2n x 2n] pair weights of the kernel sum over the stacked
+    class means of a batch of n samples that is the loss: -1/n^2 for each
+    pair within the answer means and within the question/context means, and
+    the cross-class weight +1/n^2 split evenly between its two mirrored
+    blocks."""
+    intra = np.full((n, n), -1.0 / n**2)
+    inter = np.full((n, n), 0.5 / n**2)
+    return np.block([[intra, inter], [inter, intra]])
 
 
 def contrastive_loss(means: ClassMeans, config: ContrastiveConfig) -> Tensor:
-    """Kernel sum over the stacked [2B x H] class means of a batch: two
-    intra-class terms and one (negated) cross-class term, each normalized by
-    its pair count. One ``kernel_sum`` over the stacked means, with the
-    constant weights of ``_pair_weights``, sums all three terms' pairs.
+    """Kernel sum over the stacked [2B x H] class means of a batch, source
+    and synthetic samples pooled: the cross-class term (answer means against
+    question/context means) minus the two intra-class terms, each averaged
+    over its B^2 pairs, as one ``kernel_sum`` with the constant weights of
+    ``_pair_weights``. Minimizing it pulls same-class means together and
+    pushes the two classes apart. The median-heuristic bandwidths come from
+    the pooled answer and question/context means.
 
-    sign_variant "as-printed" scores intra-class terms positively (minimizing
-    spreads same-class means apart); "similarity-flipped" negates the intra
-    terms and adds the cross term, so minimizing pulls same-class means
-    together and pushes the classes apart. pairing_variant "domain-separated"
-    restricts the intra-class sums to symmetrized source/target pairs. The
-    median-heuristic bandwidths come from the pooled answer and
-    question/context means.
+    The paper prints the opposite sign (intra-class terms positive), which
+    minimized spreads same-class means apart; see the README.
     """
     stacked, n = means.stacked, len(means.domain_tag)
     if stacked.data.ndim != 2 or stacked.shape[0] != 2 * n:
         raise T.ShapeError(f"stacked class means {stacked.shape} for {n} tags")
     if n == 0:
         raise ValueError("contrastive_loss over an empty batch")
-    return T.kernel_sum(stacked, _pair_weights(means.domain_tag, config),
-                        resolve_bandwidths(stacked.data, config.kernel))
+    return T.kernel_sum(stacked, _pair_weights(n), resolve_bandwidths(stacked.data, config.kernel))
 
 
 def span_cross_entropy(logits: SpanLogits, gold: PackedBatch) -> Tensor:

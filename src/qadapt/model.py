@@ -572,9 +572,9 @@ def map_chunks(model: SpanModel, samples: Sequence[TokenizedSample], reduce: Cal
                ) -> Iterator[tuple[PackedBatch, object]]:
     """Each ``PackedBatch`` of up to ``INFER_CHUNK`` of ``samples``, in order,
     with ``reduce(packed, features)`` of its forward-only [N x H] features
-    (one ``encode`` call, no graph). With two or more chunks the second half
-    is encoded and reduced in a forked child (``workers.split_map``), so the
-    result of ``reduce`` should be small."""
+    (one ``encode`` call, no graph). With two or more chunks a forked child
+    encodes and reduces the second half of them, an odd last one aside
+    (``workers.split_map``), so the result of ``reduce`` should be small."""
     batches = [PackedBatch.pack(samples[lo:lo + INFER_CHUNK])
                for lo in range(0, len(samples), INFER_CHUNK)]
 

@@ -42,7 +42,6 @@ from .losses import (
     ClassMeans,
     ContrastiveConfig,
     MalformedSampleError,
-    PAIRING_DOMAIN_SEPARATED,
     class_means,
     contrastive_loss,
     span_cross_entropy,
@@ -104,8 +103,6 @@ class TrainConfig:
                      max_answer_len=COUNT, eval_cadence=integer(0), grad_clip=POSITIVE)
         if self.batch_size < 2 and self.mixing_policy == MIX_MIXED:
             raise ConfigError("batch_size: must be >= 2 under the mixed 1:1 policy")
-        if self.batch_size < 2 and self.contrastive.pairing_variant == PAIRING_DOMAIN_SEPARATED:
-            raise ConfigError("batch_size: must be >= 2 with domain-separated pairing")
 
 
 @dataclass
@@ -124,7 +121,6 @@ class TrainReport:
     wall_clock_s: float
     seed: int
     final_epoch_mean_loss: float
-    single_domain_batches: int = 0  # domain-separated pairing: batches with no contrastive term
 
 
 class AdamW:
@@ -228,13 +224,6 @@ def _split_point(batch: Sequence) -> int:
     return 1 + int(np.argmin(np.abs(2 * tokens[:-1] - tokens[-1])))
 
 
-def _skips_contrastive(batch: Sequence, cc: ContrastiveConfig) -> bool:
-    """Under domain-separated pairing a single-domain batch has no
-    cross-domain pair, so its contrastive term is a constant 0."""
-    return (cc.pairing_variant == PAIRING_DOMAIN_SEPARATED
-            and len({ts.domain_tag for ts in batch}) < 2)
-
-
 def _half_step(model: SpanModel, batch: Sequence, lo: int, hi: int, config: TrainConfig,
                step: int):
     """The forward pass of the half ``batch[lo:hi]`` of a training step, as
@@ -242,13 +231,12 @@ def _half_step(model: SpanModel, batch: Sequence, lo: int, hi: int, config: Trai
     ``losses(theirs)``, which takes the other half's.
 
     A half hands over its share of the batch's mean cross-entropy and its
-    rows of the batch's class-mean stack (``None`` when the contrastive term
-    is skipped). ``losses`` takes the other half's as constant offsets of
-    ``weighted_sum``, so that both halves build the same loss over the whole
-    batch, and returns the batch's cross-entropy and contrastive term as
-    floats, and the loss node; ``theirs`` is None when the other half is
-    empty. The gradients of the two halves' losses sum to the gradient of
-    the loss of the whole batch."""
+    rows of the batch's class-mean stack. ``losses`` takes the other half's
+    as constant offsets of ``weighted_sum``, so that both halves build the
+    same loss over the whole batch, and returns the batch's cross-entropy
+    and contrastive term as floats, and the loss node; ``theirs`` is None
+    when the other half is empty. The gradients of the two halves' losses
+    sum to the gradient of the loss of the whole batch."""
     cc = config.contrastive
     half = PackedBatch.pack(batch[lo:hi])
     noise_seeds = [derive_seed(config.seed, 0x401535, step, i) for i in range(lo, hi)]
@@ -256,17 +244,15 @@ def _half_step(model: SpanModel, batch: Sequence, lo: int, hi: int, config: Trai
     ce = span_cross_entropy(model.span_logits(features), half)
     share = (hi - lo) / len(batch)
     my_ce = ce.item() * share
-    means = None if _skips_contrastive(batch, cc) else class_means(features, half, batch, lo)
+    means = class_means(features, half, batch, lo)
 
     def losses(theirs) -> tuple[float, float, T.Tensor]:
         their_ce, their_means = (0.0, 0.0) if theirs is None else theirs
-        if means is None:
-            return my_ce + their_ce, 0.0, T.weighted_sum([ce], [share], their_ce)
         stacked = T.weighted_sum([means.stacked], [1.0], their_means)
         con = contrastive_loss(ClassMeans(stacked, means.domain_tag), cc)
         return my_ce + their_ce, con.item(), T.weighted_sum([ce, con], [share, cc.beta], their_ce)
 
-    return (my_ce, None if means is None else means.stacked.data), losses
+    return (my_ce, means.stacked.data), losses
 
 
 def train(
@@ -317,7 +303,6 @@ def train(
             wall_clock_s=time.perf_counter() - started,
             seed=config.seed,
             final_epoch_mean_loss=float(np.mean(tail)) if tail else float("nan"),
-            single_domain_batches=single_domain_batches,
         )
 
     def diverged(message: str) -> DivergenceError:
@@ -341,7 +326,6 @@ def train(
 
     step = 0
     current_epoch = -1
-    single_domain_batches = 0
     with workers.partner(second_half) as partner:
         for epoch, batch in mixed_batch_sampler(src_tok, syn_tok, config.batch_size,
                                                 policy, config.seed, epochs=config.epochs):
@@ -374,7 +358,6 @@ def train(
             if abs(l_qa - (l_ce + beta * l_con)) > 1e-12:
                 raise RuntimeError(f"step {step}: loss_total {l_qa!r} != loss_ce {l_ce!r} "
                                    f"+ beta * loss_con {l_con!r}")
-            single_domain_batches += _skips_contrastive(batch, config.contrastive)
             grad_norm = clip_gradients(grad, config.grad_clip)
             if not math.isfinite(grad_norm):
                 raise diverged(f"non-finite gradient norm at step {step}")
@@ -423,7 +406,6 @@ def write_run_dir(run_dir: Path, model: SpanModel, config: TrainConfig, report: 
         "wall_clock_s": report.wall_clock_s,
         "final_epoch_mean_loss": report.final_epoch_mean_loss,
         "n_steps": len(report.steps),
-        "single_domain_batches": report.single_domain_batches,
     }, indent=1) + "\n")
 
 

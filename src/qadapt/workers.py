@@ -17,9 +17,10 @@ state, such as parameters and gradients, goes in ``shared_zeros`` arrays
 made before the fork, which both processes read and write.
 
 ``split_map(fn, items)`` yields ``fn(item)`` for every item, in order, as
-a one-message conversation: the child computes the second half of the
-items while this process computes the first, and answers with their
-results.
+a one-message conversation: of 2h or 2h + 1 items, the child computes items
+h to 2h - 1 while this process computes the first h, and answers with
+their results. An odd last item runs here after the child is reaped, so
+that it may fork a child of its own.
 
 Forking pays only with two usable CPUs and pinned BLAS: two processes with
 unpinned BLAS oversubscribe the cores. Inside a child, while a child runs,
@@ -213,23 +214,23 @@ def partner(serve: Callable[[object], Generator]) -> Iterator[Partner]:
 
 def split_map(fn: Callable, items: Sequence) -> Iterator:
     """``fn(item)`` for each item, in order: one ``partner`` conversation,
-    whose one answer is the second half of the results, computed while this
-    process computes the first half."""
+    whose one answer is the results of ``items[half:2 * half]``, computed
+    while this process computes the first half; an odd last item runs here
+    once the child is reaped."""
     items = list(items)
     half = len(items) // 2
-    if not half:
-        yield from map(fn, items)
-        return
 
     def second_half(start):
-        yield [fn(item) for item in items[start:]]
+        yield [fn(item) for item in items[start:2 * start]]
 
-    with partner(second_half) as other:
-        other.send(half)
-        for item in items[:half]:
-            yield fn(item)
-        rest = other.recv()
-    yield from rest
+    if half:
+        with partner(second_half) as other:
+            other.send(half)
+            for item in items[:half]:
+                yield fn(item)
+            rest = other.recv()
+        yield from rest
+    yield from map(fn, items[2 * half:])
 
 
 BLAS_PINNED = pin_blas_threads()

@@ -8,7 +8,7 @@ from qadapt import workers
 from qadapt.cli import main
 from qadapt.datagen import load_squad_json
 from qadapt.losses import ContrastiveConfig, KernelConfig
-from qadapt.model import EncoderConfig, config_to_json
+from qadapt.model import EncoderConfig, SpanModel, config_to_json
 from qadapt.training import TrainConfig
 
 
@@ -404,6 +404,33 @@ class TestMalformedInputsExitWithoutTraceback:
         assert "UTF-8" in scored["bad"]["note"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["eval", "pca", "generate"])
+def test_overflowing_forward_pass_is_one_line_runtime_error(synth_dir, tmp_path, capsys,
+                                                            command):
+    """A checkpoint whose feed-forward weights are finite but huge (1e200)
+    loads, and its first forward pass overflows: exit 2 with one line, as
+    for any runtime failure, not a traceback; only a training step's
+    divergence exits 3."""
+    model = SpanModel(EncoderConfig(hidden_dim=16, num_layers=1, num_heads=2, ff_dim=32,
+                                    max_len=96, seed=2))
+    for name in ("layer0.ff.w1", "layer0.ff.w2"):
+        model.params[name].data[:] = 1e200
+    ckpt = tmp_path / "huge.bin"
+    model.save(ckpt)
+    gold = str(synth_dir / "target_gold.json")
+    argv = {"eval": ["--dataset", gold],
+            "pca": ["--dataset", gold],
+            "generate": ["--contexts", str(synth_dir / "target_contexts.jsonl"),
+                         "--filters", "roundtrip"]}[command]
+    capsys.readouterr()
+    code = main([command, "--checkpoint", str(ckpt), *argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
+
+
 class TestNonFiniteOrNegativeNumbersExit1:
     """A NaN, infinite or negative ``--beta`` or ``--sigma`` is a usage
     error: exit 1, one message, no run directory. The same values in a
@@ -449,29 +476,6 @@ def test_train_with_an_unallocatable_encoder_exits_2(synth_dir, tmp_path, capsys
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
-
-
-@pytest.mark.parametrize("path, value", [
-    (("learning_rate",), True), (("grad_clip",), True), (("contrastive", "beta"), True),
-    (("contrastive", "noise_sigma"), False), (("optimizer", "eps"), True),
-    (("optimizer", "betas"), [False, 0.999]), (("optimizer", "weight_decay"), False),
-    (("contrastive", "kernel", "bandwidths"), [1.0, True]),
-    (("contrastive", "kernel", "median_multipliers"), [True]),
-])
-def test_train_rejects_bool_in_number_field(synth_dir, tmp_path, capsys, path, value):
-    d = train_config_dict(synth_dir / "source.json")
-    section = d
-    for key in path[:-1]:
-        section = section[key]
-    section[path[-1]] = value
-    cfg_path = tmp_path / "t.json"
-    cfg_path.write_text(json.dumps(d))
-    capsys.readouterr()
-    out = tmp_path / "run"
-    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and path[-1] in err
-    assert not out.exists()
 
 
 class TestNegativeSeedExit1:

@@ -4,9 +4,11 @@ with the field's dotted path at the head of a message line, before any
 output is made. The invalid kinds are a wrong type, a bool, NaN or an
 infinity, a value out of range, and an unknown key."""
 
+import importlib.util
 import json
 import math
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -81,8 +83,7 @@ TRAIN_FIELDS = {
     "contrastive.kernel": SECTION,
     "contrastive.kernel.bandwidths": items(real(0, low_open=True), [1.0, 4.0], optional=True),
     "contrastive.kernel.median_multipliers": items(real(0, low_open=True), [0.5, 2.0]),
-    "contrastive.sign_variant": one_of("as-printed", "similarity-flipped"),
-    "contrastive.pairing_variant": one_of("mixed-batch", "domain-separated"),
+    "contrastive.sign_variant": one_of("similarity-flipped"),
     "max_answer_len": integer(1),
     "eval_cadence": integer(0),
     "grad_clip": real(0, low_open=True),
@@ -115,6 +116,16 @@ def field_paths(config: dict, prefix: str = ""):
 def test_the_tables_name_every_field():
     assert set(TRAIN_FIELDS) == set(field_paths(config_to_json(TrainConfig())))
     assert set(SPEC_FIELDS) == set(field_paths(config_to_json(DomainShiftSpec())))
+
+
+def test_the_demo_train_config_names_every_key():
+    """CI's demo step promises that its train config writes out every config
+    key; ``run`` adds only the ``data`` section."""
+    path = Path(__file__).parent.parent / "scripts" / "run_demo.py"
+    spec = importlib.util.spec_from_file_location("run_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    assert set(field_paths(demo.TRAIN_CONFIG)) == set(field_paths(config_to_json(TrainConfig())))
 
 
 def put(config: dict, path: str, value) -> dict:
@@ -199,6 +210,8 @@ PROBLEM_LINES = [
     ("grad_clip", math.inf, "a finite number > 0, got inf"),
     ("contrastive.kernel.bandwidths", [1.0, math.nan],
      "null or a list of one or more items, each a finite number > 0, got [1.0, nan]"),
+    # the sign the paper prints, which the one contrastive objective flips
+    ("contrastive.sign_variant", "as-printed", "one of 'similarity-flipped', got 'as-printed'"),
 ]
 
 
@@ -209,6 +222,15 @@ def test_train_config_problem_line(capsys, tmp_path, path, value, problem):
     what it must be (a real number must be finite) and the value given."""
     lines = exits_1_naming(capsys, tmp_path, "train", put(TRAIN_BASE, path, value), path)
     assert lines == [f"{path}: must be {problem}"]
+
+
+@pytest.mark.parametrize("value", ["mixed-batch", "domain-separated"])
+def test_removed_pairing_variant_is_an_unknown_field(capsys, tmp_path, value):
+    """The contrastive loss pools the whole batch; the key that chose
+    between that and domain-separated pairs is gone."""
+    path = "contrastive.pairing_variant"
+    lines = exits_1_naming(capsys, tmp_path, "train", put(TRAIN_BASE, path, value), path)
+    assert lines == [f"{path}: unknown field"]
 
 
 # wrong-typed paths in ``data`` are cases of

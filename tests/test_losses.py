@@ -241,13 +241,13 @@ class TestContrastiveLoss:
     def test_single_sample_identical_means(self):
         v = T.constant(np.array([[0.3, -0.2, 1.0]]))
         means = stack_means(answer_mean=v, cq_mean=v, domain_tag=("source",))
-        assert abs(contrastive_loss(means, self.CFG).item() - 1.0) < 1e-12
+        assert abs(contrastive_loss(means, self.CFG).item() + 1.0) < 1e-12
 
     def test_single_sample_closed_form(self):
         means = random_means(31, 1)
         k = brute_kernel(means.answer_mean[0], cq_means(means)[0], self.CFG.kernel.bandwidths)
         got = contrastive_loss(means, self.CFG).item()
-        assert abs(got - (2.0 - k)) < 1e-12
+        assert abs(got - (k - 2.0)) < 1e-12
 
     def test_two_sample_brute_force(self):
         batch = random_means(32, 2)
@@ -256,17 +256,10 @@ class TestContrastiveLoss:
         expected = 0.0
         for i in range(2):
             for j in range(2):
-                expected += brute_kernel(a[i], a[j], bw) / 4
-                expected += brute_kernel(c[i], c[j], bw) / 4
-                expected -= brute_kernel(a[i], c[j], bw) / 4
+                expected -= brute_kernel(a[i], a[j], bw) / 4
+                expected -= brute_kernel(c[i], c[j], bw) / 4
+                expected += brute_kernel(a[i], c[j], bw) / 4
         assert abs(contrastive_loss(batch, self.CFG).item() - expected) < 1e-12
-
-    def test_flipped_is_negation_of_as_printed(self):
-        batch = random_means(33, 3)
-        flipped = ContrastiveConfig(beta=0.01, noise_sigma=0.0, kernel=self.CFG.kernel,
-                                    sign_variant="similarity-flipped")
-        assert abs(contrastive_loss(batch, self.CFG).item()
-                   + contrastive_loss(batch, flipped).item()) < 1e-15
 
     def test_permutation_invariance(self):
         batch = random_means(34, 4)
@@ -282,27 +275,6 @@ class TestContrastiveLoss:
         with pytest.raises(ValueError, match="empty"):
             contrastive_loss(stack_means(empty, empty, ()), self.CFG)
 
-    def test_domain_separated_intra_terms(self):
-        tags = ["source", "target_synthetic", "source"]
-        batch = random_means(35, 3, tags=tags)
-        cfg = ContrastiveConfig(beta=0.01, noise_sigma=0.0, kernel=self.CFG.kernel,
-                                pairing_variant="domain-separated")
-        a, c = batch.answer_mean, cq_means(batch)
-        bw = cfg.kernel.bandwidths
-        cross = [(i, j) for i in range(3) for j in range(3)
-                 if {tags[i], tags[j]} == {"source", "target_synthetic"}]
-        intra_a = sum(brute_kernel(a[i], a[j], bw) for i, j in cross) / len(cross)
-        intra_c = sum(brute_kernel(c[i], c[j], bw) for i, j in cross) / len(cross)
-        inter = sum(brute_kernel(a[i], c[j], bw) for i in range(3) for j in range(3)) / 9
-        assert abs(contrastive_loss(batch, cfg).item() - (intra_a + intra_c - inter)) < 1e-12
-
-    def test_domain_separated_needs_both_domains(self):
-        batch = random_means(36, 3, tags=["source"] * 3)
-        cfg = ContrastiveConfig(beta=0.01, noise_sigma=0.0, kernel=self.CFG.kernel,
-                                pairing_variant="domain-separated")
-        with pytest.raises(ValueError, match="both domains"):
-            contrastive_loss(batch, cfg)
-
     def test_gradient_through_loss(self):
         # finite differences wrt the stacked answer means
         rng = np.random.default_rng(37)
@@ -316,44 +288,32 @@ class TestContrastiveLoss:
 
         assert T.finite_difference_check(f, T.constant(flat)) < 1e-5
 
-    VARIANTS = [(sign, pairing) for sign in ("as-printed", "similarity-flipped")
-                for pairing in ("mixed-batch", "domain-separated")]
-
     @staticmethod
-    def three_kernel_loss(a, c, tags, cfg):
-        """The loss as three brute-force kernel matrices, three sums and the
-        signs, the form before the class means were stacked."""
-        bw = resolve_bandwidths(np.vstack([a, c]), cfg.kernel)
+    def three_kernel_loss(a, c, kernel):
+        """The loss as three brute-force kernel matrices and three sums, the
+        form before the class means were stacked."""
+        bw = resolve_bandwidths(np.vstack([a, c]), kernel)
         k_aa, k_cc, k_ac = (np.array([[brute_kernel(p, q, bw) for q in y] for p in x])
                             for x, y in ((a, a), (c, c), (a, c)))
-        n = len(tags)
-        if cfg.pairing_variant == "domain-separated":
-            src = np.array([t == "source" for t in tags])
-            cross = np.outer(src, ~src).astype(float)
-            cross = cross + cross.T
-            intra_a = (k_aa * cross).sum() / cross.sum()
-            intra_c = (k_cc * cross).sum() / cross.sum()
-        else:
-            intra_a, intra_c = k_aa.sum() / n**2, k_cc.sum() / n**2
-        inter = k_ac.sum() / n**2
-        if cfg.sign_variant == "similarity-flipped":
-            return -intra_a - intra_c + inter
-        return intra_a + intra_c - inter
+        n = len(a)
+        return k_ac.sum() / n**2 - k_aa.sum() / n**2 - k_cc.sum() / n**2
 
-    @pytest.mark.parametrize("sign, pairing", VARIANTS)
-    def test_stacked_loss_matches_the_three_kernel_form(self, sign, pairing):
-        cfg = ContrastiveConfig(beta=0.01, noise_sigma=0.0, sign_variant=sign,
-                                pairing_variant=pairing)  # median-heuristic bandwidths
+    # The loss has one sign (similarity-flipped) and one pairing (mixed-batch);
+    # the id names that form.
+    @pytest.mark.parametrize("cfg", [pytest.param(
+        ContrastiveConfig(beta=0.01, noise_sigma=0.0),  # median-heuristic bandwidths
+        id="similarity-flipped-mixed-batch")])
+    def test_stacked_loss_matches_the_three_kernel_form(self, cfg):
         for seed in range(20):
             n = 2 + seed % 5
             batch = random_means(500 + seed, n, dim=6)
-            want = self.three_kernel_loss(batch.answer_mean, cq_means(batch), batch.domain_tag, cfg)
+            want = self.three_kernel_loss(batch.answer_mean, cq_means(batch), cfg.kernel)
             assert abs(contrastive_loss(batch, cfg).item() - want) <= 1e-12
 
-    @pytest.mark.parametrize("sign, pairing", VARIANTS)
-    def test_stacked_loss_passes_the_oracle(self, sign, pairing):
-        cfg = ContrastiveConfig(beta=0.01, noise_sigma=0.0, kernel=self.CFG.kernel,
-                                sign_variant=sign, pairing_variant=pairing)
+    @pytest.mark.parametrize("cfg", [pytest.param(
+        ContrastiveConfig(beta=0.01, noise_sigma=0.0, kernel=KernelConfig(bandwidths=(1.0, 3.0))),
+        id="similarity-flipped-mixed-batch")])
+    def test_stacked_loss_passes_the_oracle(self, cfg):
         tags = ("source", "target_synthetic", "source", "target_synthetic")
         stacked = np.random.default_rng(38).standard_normal((8, 4))
 
@@ -362,13 +322,38 @@ class TestContrastiveLoss:
 
         assert T.finite_difference_check(f, T.constant(stacked)) < 1e-5
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), width=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           bandwidths=st.none() | st.lists(st.floats(1.0, 8.0), min_size=1, max_size=3))
+    def test_stacked_loss_matches_three_kernels_and_passes_the_oracle(self, n, width, seed,
+                                                                       bandwidths):
+        """The one kernel sum over the stacked means equals the three-kernel
+        form, under the median heuristic (``bandwidths`` None) or given
+        bandwidths, and its gradient passes the finite-difference oracle at
+        the bandwidths it resolved. No two points lie more than a squared
+        distance of 4 apart, whatever the width, so no drawn bandwidth leaves
+        every kernel value of a point too small to difference."""
+        kernel = KernelConfig(bandwidths=None if bandwidths is None else tuple(bandwidths))
+        rng = np.random.default_rng(seed)
+        stacked = rng.uniform(-1.0, 1.0, (2 * n, width)) / math.sqrt(width)
+        tags = tuple("source" if i % 2 == 0 else "target_synthetic" for i in range(n))
+        cfg = ContrastiveConfig(beta=0.01, noise_sigma=0.0, kernel=kernel)
+        got = contrastive_loss(ClassMeans(T.constant(stacked), tags), cfg).item()
+        assert abs(got - self.three_kernel_loss(stacked[:n], stacked[n:], kernel)) <= 1e-12
+        fixed = ContrastiveConfig(beta=0.01, noise_sigma=0.0, kernel=KernelConfig(
+            bandwidths=resolve_bandwidths(stacked, kernel)))
+
+        def f(t):
+            return contrastive_loss(ClassMeans(t, tags), fixed)
+
+        assert T.finite_difference_check(f, T.constant(stacked)) < 1e-5
+
     def test_descent_flipped_variant_contracts_classes(self):
-        """Gradient descent on directly parameterized class-mean features with
-        the similarity-flipped variant: intra-class pairwise distances shrink,
-        answer-vs-cq mean distance grows, on >= 95 of 100 seeds."""
+        """Gradient descent on directly parameterized class-mean features:
+        intra-class pairwise distances shrink, answer-vs-cq mean distance
+        grows, on >= 95 of 100 seeds."""
         kernel = KernelConfig(bandwidths=(0.5, 1.0, 2.0))
-        cfg = ContrastiveConfig(beta=1.0, noise_sigma=0.0, kernel=kernel,
-                                sign_variant="similarity-flipped")
+        cfg = ContrastiveConfig(beta=1.0, noise_sigma=0.0, kernel=kernel)
         wins = 0
         for seed in range(100):
             rng = np.random.default_rng(1000 + seed)

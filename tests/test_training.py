@@ -115,18 +115,21 @@ class TestSampler:
             list(mixed_batch_sampler([1, 2], [], 2, "mixed", seed=0))
 
 
+# the policy, the source and synthetic sizes (the synthetic set unused under
+# source-only), the batch size, the seed and the epochs
 SAMPLER_CASES = st.tuples(
-    st.sampled_from(["mixed", "source-only"]), st.integers(1, 30), st.integers(0, 30),
-    st.integers(1, 9), st.integers(0, 2**32 - 1), st.integers(1, 3),
-).filter(lambda c: c[0] == "source-only" or (c[2] >= 1 and c[3] >= 2))
+    st.sampled_from(["mixed", "source-only"]), st.integers(1, 40), st.integers(1, 40),
+    st.integers(2, 16), st.integers(0, 2**32 - 1), st.integers(1, 3),
+)
 
 
 @settings(max_examples=200, deadline=None)
 @given(SAMPLER_CASES)
 def test_sampler_invariants(case):
-    """Each epoch visits every item once, in full batches but the last; under
-    the mixed policy every batch splits 1:1 (rounded toward source) while both
-    sides last; the same seed gives the same batches."""
+    """Each epoch visits every item exactly once, in full batches but the
+    last; under the mixed policy a batch drawn while each side still has its
+    full share left holds ceil(b/2) source and floor(b/2) synthetic items;
+    the same seed gives the same batches."""
     policy, n_src, n_syn, batch_size, seed, epochs = case
     src = [("s", i) for i in range(n_src)]
     syn = [("t", i) for i in range(n_syn)]
@@ -147,24 +150,6 @@ def test_sampler_invariants(case):
             if left["s"] >= (batch_size + 1) // 2 and left["t"] >= batch_size // 2:
                 assert kinds == Counter(s=(batch_size + 1) // 2, t=batch_size // 2)
             left.subtract(kinds)
-
-
-def test_single_domain_batch_count_matches_the_sampler(toy_data):
-    """``single_domain_batches`` is the number of batches the sampler yields
-    with only one domain in them."""
-    source, synthetic = toy_data
-    synthetic = DomainDataset(samples=synthetic.samples[:5], domain_tag="target_synthetic")
-    cfg = tiny_config(epochs=2, batch_size=4, contrastive=ContrastiveConfig(
-        beta=0.001, noise_sigma=0.0, pairing_variant="domain-separated",
-        kernel=KernelConfig(bandwidths=(1.0, 4.0))))
-    tags = [tag for ds, tag in ((source, "s"), (synthetic, "t"))
-            for _ in tokenize_samples(ds.samples, ds.domain_tag, cfg.encoder.max_len)]
-    batches = mixed_batch_sampler([t for t in tags if t == "s"], [t for t in tags if t == "t"],
-                                  cfg.batch_size, "mixed", cfg.seed, epochs=cfg.epochs)
-    expected = sum(len(set(b)) == 1 for _, b in batches)
-    _, report = train(cfg, source, synthetic)
-    assert expected > 0
-    assert report.single_domain_batches == expected
 
 
 class TestOptimizer:
@@ -404,40 +389,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="learning_rat"):
             config_from_json(TrainConfig, d)
 
-    def test_domain_separated_needs_batch_of_two(self):
-        with pytest.raises(ConfigError, match="domain-separated"):
-            tiny_config(batch_size=1, mixing_policy="source-only",
-                        contrastive=ContrastiveConfig(beta=0.001, noise_sigma=0.0,
-                                                      pairing_variant="domain-separated"))
-
-
 def test_negative_seed_is_a_config_error():
     with pytest.raises(ConfigError, match="seed: must be an integer >= 0"):
         config_from_json(TrainConfig, {"seed": -1})
 
 
-BAD_OPTIMIZER = [
-    ({"eps": float("nan")}, "optimizer.eps"),
-    ({"eps": 0.0}, "optimizer.eps"),
-    ({"eps": float("inf")}, "optimizer.eps"),
-    ({"betas": [1.5, -2]}, "optimizer.betas"),
-    ({"betas": [0.9, 1.0]}, "optimizer.betas"),
-    ({"betas": [float("nan"), 0.999]}, "optimizer.betas"),
-    ({"betas": [0.9]}, "optimizer.betas"),
-    ({"weight_decay": -3}, "optimizer.weight_decay"),
-    ({"weight_decay": float("inf")}, "optimizer.weight_decay"),
-    ({"warmup_steps": -1}, "optimizer.warmup_steps"),
-    ({"warmup_steps": 2.5}, "optimizer.warmup_steps"),
-    ({"warmup_steps": True}, "optimizer.warmup_steps"),
-]
-
-
 class TestOptimizerConfig:
-    @pytest.mark.parametrize("section, field", BAD_OPTIMIZER)
-    def test_violation_is_a_config_error(self, section, field):
-        with pytest.raises(ConfigError, match=field):
-            config_from_json(TrainConfig, {"optimizer": section})
-
     def test_edges_accepted(self):
         opt = config_from_json(TrainConfig, {"optimizer": {"eps": 1e-300, "betas": [0.0, 0.0],
                                               "weight_decay": 0.0, "warmup_steps": 0}}).optimizer
@@ -591,10 +548,8 @@ PARITY_ENC = EncoderConfig(vocab_size=32, hidden_dim=16, num_layers=2, num_heads
                            max_len=16, seed=11)
 
 
-@pytest.mark.parametrize("sign", ["as-printed", "similarity-flipped"])
-@pytest.mark.parametrize("pairing", ["mixed-batch", "domain-separated"])
 @pytest.mark.parametrize("sigma", [0.0, 0.05])
-def test_packed_batch_matches_per_sample_graphs(sign, pairing, sigma):
+def test_packed_batch_matches_per_sample_graphs(sigma):
     """Loss and every parameter gradient of a training step, its packed batch
     split into two halves whose gradients are summed, equal those of
     per-sample graphs within 1e-12 relative to the largest gradient entry
@@ -602,8 +557,7 @@ def test_packed_batch_matches_per_sample_graphs(sign, pairing, sigma):
     arithmetic and round-off in both)."""
     config = tiny_config(
         seed=5, batch_size=5, encoder=PARITY_ENC,
-        contrastive=ContrastiveConfig(beta=0.1, noise_sigma=sigma, sign_variant=sign,
-                                      pairing_variant=pairing,
+        contrastive=ContrastiveConfig(beta=0.1, noise_sigma=sigma,
                                       kernel=KernelConfig(bandwidths=(0.5, 2.0))))
     batch = [make_sample(seed=60 + i, length=n, vocab=32,
                          domain_tag="source" if i % 2 else "target_synthetic")
@@ -653,25 +607,6 @@ def test_split_half_step_records_13_nodes():
     theirs, their_losses = _half_step(model, batch, cut, len(batch), config, 3)
     assert graph_nodes(losses(theirs)[2]) == 13
     assert graph_nodes(their_losses(mine)[2]) == 13
-
-
-def test_domain_separated_single_domain_batches_skip_the_term(tmp_path):
-    """On the experiment data (240 source, 180 synthetic, batch 12) the
-    synthetic side runs out after 30 mixed batches; the 5 source-only batches
-    that follow train on cross-entropy alone instead of aborting."""
-    source, synthetic, _ = build_experiment_data(0)
-    cfg = tiny_config(
-        epochs=1, batch_size=12, seed=0,
-        encoder=EncoderConfig(hidden_dim=16, num_layers=1, num_heads=2, ff_dim=16, max_len=128),
-        contrastive=ContrastiveConfig(beta=0.001, noise_sigma=0.01,
-                                      pairing_variant="domain-separated"))
-    _, report = train(cfg, source, synthetic, run_dir=tmp_path / "run")
-    assert len(report.steps) == 35
-    assert report.single_domain_batches == 5
-    assert [r.loss_con for r in report.steps[-5:]] == [0.0] * 5
-    assert all(r.loss_con != 0.0 for r in report.steps[:30])
-    saved = json.loads((tmp_path / "run" / "report.json").read_text())
-    assert saved["single_domain_batches"] == 5
 
 
 # -- the second half of every step in a forked child --------------------------------

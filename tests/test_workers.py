@@ -39,10 +39,13 @@ def source():
 
 
 def test_second_half_runs_in_the_worker_in_order(cpus, forks):
+    """Of five items the child runs items 2 and 3, and the odd last one runs
+    here once the child is reaped, where it could fork a child of its own."""
     cpus(2)
-    got = list(workers.split_map(_where, range(5)))
-    assert [item for item, _ in got] == list(range(5))
-    assert [pid for _, pid in got] == [os.getpid()] * 2 + forks * 3
+    got = list(workers.split_map(lambda item: (*_where(item), workers.can_fork()), range(5)))
+    assert [item for item, _, _ in got] == list(range(5))
+    assert [pid for _, pid, _ in got] == [os.getpid()] * 2 + forks * 2 + [os.getpid()]
+    assert [free for _, _, free in got] == [False] * 4 + [True]
     assert len(forks) == 1
     assert_no_child_left()
 
