@@ -8,6 +8,13 @@ decoder, for ``evaluate`` and the roundtrip filter alike: packed chunks
 (``map_chunks``, which reduces each chunk to its [N x 2] span scores, in a
 forked child for the second half of two or more chunks), ``predict_span``
 on each sample's segment here, then ``TokenizedSample.span_text``.
+
+``evaluate`` scores one question at a time (``score_samples``). Inside
+``training.train`` it hands the second half of the questions to the
+training partner (``workers.Partner``) as a one-message ``score``
+conversation between steps, scores the first half meanwhile, and appends
+the partner's records, so that the records do not depend on where either
+half ran.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .model import (
     tokenize_samples,
 )
 from .datagen import DomainDataset
+from .workers import Partner
 
 log = logging.getLogger(__name__)
 
@@ -110,21 +118,44 @@ def predict_answer(model: SpanModel, sample, max_answer_len: int) -> str:
     return predict_answers(model, [(sample, ts)], max_answer_len)[0]
 
 
-def evaluate(model: SpanModel, dataset: DomainDataset, max_answer_len: int = 48) -> EvalResult:
-    """Mean EM and F1 (x100) of greedy span predictions against single golds.
-    Untokenizable samples count as (0, 0) with the reason recorded."""
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate an empty dataset")
+def score_samples(model: SpanModel, samples: Sequence, max_answer_len: int) -> list[SampleScore]:
+    """Each sample's greedy span prediction scored against its single gold,
+    one question at a time, in order. An untokenizable sample scores (0, 0)
+    with the reason as its note; nothing is logged here."""
     records = []
-    for sample in dataset.samples:
+    for sample in samples:
         try:
             prediction = predict_answer(model, sample, max_answer_len)
         except TokenizationError as err:
-            log.warning("evaluate: %s scored (0, 0): %s", sample.sample_id, err)
             records.append(SampleScore(sample.sample_id, "", sample.answer_text, 0, 0.0, note=str(err)))
             continue
         em, f1 = em_f1(prediction, sample.answer_text)
         records.append(SampleScore(sample.sample_id, prediction, sample.answer_text, em, f1))
+    return records
+
+
+def evaluate(model: SpanModel, dataset: DomainDataset, max_answer_len: int = 48,
+             partner: Partner | None = None) -> EvalResult:
+    """Mean EM and F1 (x100) of greedy span predictions against single golds.
+    Untokenizable samples count as (0, 0), with the reason recorded and
+    logged here, in sample order. A ``workers.Partner`` whose ``serve``
+    answers ``("score", samples, max_answer_len)`` with ``score_samples``
+    over the same parameters scores the second half of the samples while
+    this process scores the first; the records are those of scoring all of
+    them here. Only ``training.train`` passes one."""
+    if len(dataset) == 0:
+        raise ValueError("cannot evaluate an empty dataset")
+    samples = dataset.samples
+    cut = len(samples)
+    if partner is not None:
+        cut = (cut + 1) // 2
+        partner.send(("score", samples[cut:], max_answer_len))
+    records = score_samples(model, samples[:cut], max_answer_len)
+    if partner is not None:
+        records += partner.recv()
+    for r in records:
+        if r.note:
+            log.warning("evaluate: %s scored (0, 0): %s", r.sample_id, r.note)
     n = len(records)
     return EvalResult(
         em=100.0 * sum(r.em for r in records) / n,

@@ -12,9 +12,11 @@ graph. The two gradients are summed in a fixed order, first half plus
 second, then clipped and applied. A child forked once per ``train`` call
 (``workers.partner``) runs the second halves while this process runs the
 first; the parameters and the second half's gradient live in memory both
-share (``workers.shared_zeros``). Where no child can be forked, the same two
-half-steps run here in the same order, so the artifacts do not depend on
-where the second half ran.
+share (``workers.shared_zeros``). Between steps, the same child scores the
+second half of each per-epoch dev evaluation, a one-message ``score``
+conversation (``evaluation.evaluate``), against the parameters just
+stepped. Where no child can be forked, the same work runs here in the same
+order, so the artifacts do not depend on where the second halves ran.
 
 A run directory holds a resolved config snapshot, a one-record-per-step log
 of the losses and the pre-clip gradient norm, per-epoch evaluation metrics,
@@ -37,7 +39,7 @@ import numpy as np
 from . import tensor as T
 from . import workers
 from .datagen import DomainDataset, derive_seed
-from .evaluation import evaluate
+from .evaluation import evaluate, score_samples
 from .losses import (
     ClassMeans,
     ContrastiveConfig,
@@ -270,6 +272,9 @@ def train(
     fresh initialization (optimizer state starts fresh)."""
     started = time.perf_counter()
     dev_sets = dev_sets or {}
+    for name, ds in dev_sets.items():
+        if len(ds) == 0:
+            raise ValueError(f"dev set {name!r} has no samples")
     max_len = config.encoder.max_len
     src_tok = [ts for _, ts in tokenize_samples(source.samples, SOURCE, max_len)]
     syn_tok = ([ts for _, ts in tokenize_samples(synthetic.samples, TARGET_SYNTHETIC, max_len)]
@@ -313,10 +318,14 @@ def train(
             _write_config_and_steps(Path(run_dir), config, report.steps)
         return DivergenceError(message, step - 1, report)
 
-    def second_half(request):
-        """The second half of a step, wherever it runs; its gradient goes to
-        ``their_grad``."""
-        at, ids, cut = request
+    def serve(request):
+        """The partner's side, wherever it runs: the second half of a dev
+        evaluation, ``("score", samples, max_answer_len)``, answered with
+        its records, or of a step, ``("step", at, ids, cut)``, whose
+        gradient goes to ``their_grad``."""
+        if request[0] == "score":
+            return score_samples(model, *request[1:])
+        _, at, ids, cut = request
         batch = [pool[k] for k in ids]
         mine, losses = _half_step(model, batch, cut, len(batch), config, at)
         *_, loss = losses((yield mine))
@@ -326,19 +335,19 @@ def train(
 
     step = 0
     current_epoch = -1
-    with workers.partner(second_half) as partner:
+    with workers.partner(serve) as partner:
         for epoch, batch in mixed_batch_sampler(src_tok, syn_tok, config.batch_size,
                                                 policy, config.seed, epochs=config.epochs):
             if epoch != current_epoch:
                 if current_epoch >= 0:
-                    _maybe_evaluate(model, dev_sets, config, current_epoch, epoch_metrics)
+                    _maybe_evaluate(model, dev_sets, config, current_epoch, epoch_metrics, partner)
                 current_epoch = epoch
                 last_epoch_first_step = step
             cut = _split_point(batch)
             split = cut < len(batch)
             try:
                 if split:
-                    partner.send((step, [pool_index[id(ts)] for ts in batch], cut))
+                    partner.send(("step", step, [pool_index[id(ts)] for ts in batch], cut))
                 mine, losses = _half_step(model, batch, 0, cut, config, step)
                 theirs = None
                 if split:
@@ -365,7 +374,7 @@ def train(
             steps.append(StepRecord(step=step, loss_ce=l_ce, loss_con=l_con, loss_total=l_qa,
                                     grad_norm=grad_norm))
             step += 1
-        _maybe_evaluate(model, dev_sets, config, current_epoch, epoch_metrics)
+        _maybe_evaluate(model, dev_sets, config, current_epoch, epoch_metrics, partner)
 
     report = build_report()
     if run_dir is not None:
@@ -373,11 +382,11 @@ def train(
     return model, report
 
 
-def _maybe_evaluate(model, dev_sets, config, epoch, epoch_metrics):
+def _maybe_evaluate(model, dev_sets, config, epoch, epoch_metrics, partner):
     if config.eval_cadence == 0 or (epoch + 1) % config.eval_cadence != 0:
         return
     for name, ds in dev_sets.items():
-        result = evaluate(model, ds, config.max_answer_len)
+        result = evaluate(model, ds, config.max_answer_len, partner)
         epoch_metrics.append(
             {"epoch": epoch, "dataset": name, "em": result.em, "f1": result.f1, "n": result.n}
         )
@@ -438,6 +447,8 @@ def grid_search(
         raise ConfigError(f"criterion: unknown criterion {criterion!r}")
     if not beta_grid or not sigma_grid:
         raise ConfigError("grids must be non-empty")
+    if len(selection) == 0:
+        raise ValueError("selection set has no samples")
     rows = []
     for beta in beta_grid:
         for sigma in sigma_grid:

@@ -16,6 +16,11 @@ and an exception raised in it is raised again here with its type. Larger
 state, such as parameters and gradients, goes in ``shared_zeros`` arrays
 made before the fork, which both processes read and write.
 
+``training.train`` holds two kinds of conversation with its one child:
+each step's second half (``("step", ...)``, two messages each way), and,
+between steps, the second half of a dev evaluation (``("score", ...)``,
+one message, answered with the records).
+
 ``split_map(fn, items)`` yields ``fn(item)`` for every item, in order, as
 a one-message conversation: of 2h or 2h + 1 items, the child computes items
 h to 2h - 1 while this process computes the first h, and answers with

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qadapt import workers
+from qadapt import training, workers
 from qadapt.cli import main
 from qadapt.datagen import load_squad_json
 from qadapt.losses import ContrastiveConfig, KernelConfig
@@ -284,6 +284,36 @@ class TestTrainEvalPca:
         cells = {(c["beta"], c["sigma"]) for c in table["cells"]}
         assert cells == {(b, s) for b in (0.1, 0.01, 0.001) for s in (0.0, 0.01)}
         assert all(c["status"] == "ok" for c in table["cells"])
+
+
+class TestEmptyEvaluationSetExits2BeforeTraining:
+    @pytest.fixture()
+    def empty(self, tmp_path, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+        monkeypatch.setattr(training, "_half_step", no_step)
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"data": []}))
+        return path
+
+    def test_train_with_an_empty_dev_set(self, synth_dir, tmp_path, capsys, empty):
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps(train_config_dict(
+            synth_dir / "source.json", dev={"target": synth_dir / "target_gold.json",
+                                            "empty": empty})))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: dev set 'empty' has no samples\n"
+        assert not out.exists()
+
+    def test_grid_with_an_empty_selection_set(self, synth_dir, tmp_path, capsys, empty):
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(train_config_dict(synth_dir / "source.json")))
+        out = tmp_path / "grid"
+        assert main(["grid", "--config", str(cfg_path), "--dataset", str(empty),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: selection set has no samples\n"
+        assert not out.exists()
 
 
 class TestMalformedInputsExitWithoutTraceback:

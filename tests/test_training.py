@@ -1,7 +1,9 @@
 import errno
 import json
+import logging
 import os
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from qadapt import tensor as T
 from qadapt import training as tr
 from qadapt import workers
 from qadapt.datagen import DomainDataset, DomainShiftSpec, derive_seed, make_synthetic_domains
-from qadapt.evaluation import evaluate
+from qadapt.evaluation import evaluate, score_samples
 from qadapt.experiment import EXPERIMENT_ENCODER, _phase_config, build_experiment_data
 from qadapt.losses import (
     ContrastiveConfig, KernelConfig, MalformedSampleError, contrastive_loss,
@@ -369,6 +371,16 @@ class TestTrain:
         assert epochs_logged == [0, 1]
         assert all(m["dataset"] == "source-dev" for m in report.epoch_metrics)
 
+    def test_empty_dev_set_rejected_before_the_first_step(self, toy_data, monkeypatch, forks):
+        source, synthetic = toy_data
+        steps = []
+        monkeypatch.setattr(tr, "_half_step", lambda *a: steps.append(a))
+        empty = DomainDataset(samples=[], domain_tag="source")
+        with pytest.raises(ValueError, match="dev set 'empty' has no samples"):
+            train(tiny_config(eval_cadence=1), source, synthetic,
+                  dev_sets={"dev": source, "empty": empty})
+        assert steps == [] and forks == []
+
 
 class TestConfig:
     def test_validation_lists_problems_field_by_field(self):
@@ -478,6 +490,15 @@ class TestGridSearch:
         assert (result.best_beta, result.best_sigma) == (0.01, 0.0)
         assert any("beta=0.1" in r.getMessage() and str(error) in r.getMessage()
                    for r in caplog.records)
+
+    def test_empty_selection_set_rejected_before_the_first_cell(self, toy_data, monkeypatch):
+        source, synthetic = toy_data
+        cells = []
+        monkeypatch.setattr(tr, "train", lambda *a, **kw: cells.append(a))
+        empty = DomainDataset(samples=[], domain_tag="source")
+        with pytest.raises(ValueError, match="selection set has no samples"):
+            grid_search(tiny_config(epochs=1), [0.01], [0.0], "dev_f1", source, synthetic, empty)
+        assert cells == []
 
     def test_unknown_criterion_rejected(self, toy_data):
         source, synthetic = toy_data
@@ -641,6 +662,93 @@ def test_artifacts_do_not_depend_on_where_the_second_half_ran(toy_data, tmp_path
     want = _artifacts(tmp_path / "child")
     for name in ("one-cpu", "unpinned", "beside", "inside"):
         assert _artifacts(tmp_path / name) == want, name
+    assert_no_child_left()
+
+
+def _dev_with_untokenizable(source, n=7, at=5):
+    """``n`` source samples; the one at ``at``, in the second half, has a
+    context too long for ``TINY_ENC``."""
+    samples = list(source.samples[:n])
+    long = samples[at]
+    samples[at] = replace(long, sample_id="too-long", context=long.context + " word" * 40)
+    return DomainDataset(samples=samples, domain_tag="source")
+
+
+def _untokenizable_warnings(caplog):
+    return [r for r in caplog.records
+            if r.name == "qadapt.evaluation" and "too-long scored (0, 0)" in r.getMessage()]
+
+
+def test_dev_evaluation_does_not_depend_on_where_its_second_half_ran(toy_data, tmp_path, cpus,
+                                                                   forks, monkeypatch, caplog):
+    """Every per-epoch dev evaluation, its second half scored by the partner
+    child, by the in-process partner on one CPU or with unpinned BLAS,
+    writes the same run directory; the untokenizable sample is warned of
+    once per evaluation, by this process."""
+    source, synthetic = toy_data
+    dev = _dev_with_untokenizable(source)
+    cfg = tiny_config(epochs=2, eval_cadence=1)
+    runs = {}
+    for name, n_cpus, pinned in (("child", 2, True), ("one-cpu", 1, True),
+                                 ("unpinned", 2, False)):
+        cpus(n_cpus)
+        caplog.clear()
+        with monkeypatch.context() as m, caplog.at_level(logging.WARNING, "qadapt.evaluation"):
+            m.setattr(workers, "BLAS_PINNED", pinned)
+            model, _ = train(cfg, source, synthetic, dev_sets={"dev": dev},
+                             run_dir=tmp_path / name)
+        warned = _untokenizable_warnings(caplog)
+        assert len(warned) == 2 and all(r.process == os.getpid() for r in warned), name
+        runs[name] = [(tmp_path / name / f).read_bytes()
+                      for f in ("metrics.json", "checkpoint.bin", "steps.jsonl")]
+    assert len(forks) == 1
+    assert runs["one-cpu"] == runs["child"] and runs["unpinned"] == runs["child"]
+    last = json.loads((tmp_path / "child" / "metrics.json").read_text())[-1]
+    final = evaluate(model, dev, cfg.max_answer_len)
+    assert (last["em"], last["f1"], last["n"]) == (final.em, final.f1, 7)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("n_cpus", [2, 1])
+def test_evaluate_with_a_partner_scores_as_alone(toy_data, cpus, forks, caplog, n_cpus):
+    source, _ = toy_data
+    model = SpanModel(TINY_ENC)
+    dev = _dev_with_untokenizable(source)
+    alone = evaluate(model, dev, 32)
+
+    def serve(request):
+        _, samples, max_answer_len = request
+        return score_samples(model, samples, max_answer_len)
+        yield  # a generator: its one answer is the value it returns
+
+    cpus(n_cpus)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, "qadapt.evaluation"):
+        with workers.partner(serve) as partner:
+            paired = evaluate(model, dev, 32, partner=partner)
+    assert paired.records == alone.records
+    assert (paired.em, paired.f1, paired.n) == (alone.em, alone.f1, alone.n)
+    assert alone.records[5].note  # the untokenizable sample is in the partner's half
+    warned = _untokenizable_warnings(caplog)
+    assert len(warned) == 1 and warned[0].process == os.getpid()
+    assert len(forks) == (n_cpus == 2)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("n_cpus", [2, 1])
+def test_nonfinite_in_the_partners_dev_half_reaches_the_caller(toy_data, monkeypatch, cpus,
+                                                                forks, n_cpus):
+    source, synthetic = toy_data
+
+    def poisoned(*args):
+        raise T.NonFiniteError("partner's dev half")
+
+    monkeypatch.setattr(tr, "score_samples", poisoned)  # the partner's half only
+    cpus(n_cpus)
+    with pytest.raises(T.NonFiniteError, match="partner's dev half"):
+        train(tiny_config(epochs=2, eval_cadence=1), source, synthetic,
+              dev_sets={"dev": _dev_with_untokenizable(source)})
+    assert len(forks) == (n_cpus == 2)
     assert_no_child_left()
 
 
