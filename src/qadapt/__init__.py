@@ -16,7 +16,6 @@ from .model import (
     tokenize_sample,
 )
 from .losses import (
-    ClassMeans,
     ContrastiveConfig,
     KernelConfig,
     class_means,
@@ -47,8 +46,8 @@ __all__ = [
     "Tensor", "backward", "constant", "finite_difference_check",
     "EncoderConfig", "SpanLogits", "SpanModel", "TokenizedSample",
     "predict_span", "tokenize_sample",
-    "ClassMeans", "ContrastiveConfig", "KernelConfig", "class_means",
-    "contrastive_loss", "mmd_squared", "span_cross_entropy",
+    "ContrastiveConfig", "KernelConfig", "class_means", "contrastive_loss",
+    "mmd_squared", "span_cross_entropy",
     "ContextOnly", "DomainDataset", "DomainShiftSpec", "GenCandidate",
     "RawQASample", "fit_toy_generator", "generate_candidates", "lm_filter",
     "load_squad_json", "make_synthetic_domains", "roundtrip_filter", "write_dataset",

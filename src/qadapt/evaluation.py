@@ -168,15 +168,15 @@ def evaluate(model: SpanModel, dataset: DomainDataset, max_answer_len: int = 48,
 def answer_mean_features(model: SpanModel, dataset: DomainDataset) -> np.ndarray:
     """Answer-token mean feature per tokenizable sample under the frozen
     model, one row per sample in dataset order. Samples are encoded in packed
-    chunks (``map_chunks``), and each chunk's [B x H] answer means come
-    from one ``class_means`` call; a row matches the sample encoded alone up
-    to round-off."""
+    chunks (``map_chunks``), and each chunk's [B x H] answer means are the
+    first B rows of one ``class_means`` stack; a row matches the sample
+    encoded alone up to round-off."""
     tokenized = [ts for _, ts in tokenize_samples(dataset.samples, dataset.domain_tag,
                                                   model.config.max_len)]
     if not tokenized:
         raise ValueError("no tokenizable samples to extract features from")
-    chunks = map_chunks(model, tokenized,
-                        lambda packed, features: class_means(features, packed).answer_mean)
+    chunks = map_chunks(model, tokenized, lambda packed, features:
+                        class_means(features, packed).data[:len(packed.samples)])
     return np.concatenate([means for _, means in chunks])
 
 

@@ -29,8 +29,9 @@ from .datagen import (
     make_synthetic_domains,
 )
 from .evaluation import answer_mean_features, evaluate
-from .losses import ContrastiveConfig, KernelConfig, mmd_squared, resolve_bandwidths
+from .losses import ContrastiveConfig, KernelConfig, mmd_squared
 from .model import EncoderConfig, SpanModel
+from .tensor import median_scale, sq_dists
 from .training import TrainConfig, train
 from .workers import split_map
 
@@ -115,9 +116,8 @@ def _phase_config(seed: int, beta: float, epochs: int) -> TrainConfig:
 
 def _kernel_from_features(source_features: np.ndarray, gold_features: np.ndarray) -> KernelConfig:
     """``measurement_kernel`` from answer-mean features already encoded."""
-    pooled = np.vstack([source_features, gold_features])
-    return KernelConfig(bandwidths=resolve_bandwidths(
-        pooled, KernelConfig(median_multipliers=(0.5, 1.0, 2.0))))
+    med = median_scale(sq_dists(np.vstack([source_features, gold_features])))
+    return KernelConfig(bandwidths=tuple(m * med for m in (0.5, 1.0, 2.0)))
 
 
 def measurement_kernel(model: SpanModel, source, gold) -> KernelConfig:

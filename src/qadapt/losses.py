@@ -10,27 +10,25 @@ resolved values are treated as constants, so no gradient flows through the
 median. The contrastive term and the kernel distance are both one
 ``tensor.kernel_sum``: a weighted sum of the kernel matrix of one stacked
 point set, the class means of a batch or the two sets being compared, and
-they differ only in their constant pair weights. The heuristic and the
-kernel take their squared distances from ``tensor.sq_dists``, in Gram form:
-[N x N] memory, where the direct difference form needs [N x N x H].
+they differ only in their constant pair weights. The kernel sum builds the
+squared distances of its points once and takes the median heuristic from
+them, so the heuristic costs no second [N x N] pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
 from .model import (
-    NON_NEGATIVE, POSITIVE, PackedBatch, SpanLogits, TokenizedSample,
+    NON_NEGATIVE, POSITIVE, PackedBatch, SpanLogits,
     check_fields, items, one_of, optional,
 )
 
 MEDIAN_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
-MEDIAN_FALLBACK = 1.0
 
 SIGN_SIMILARITY_FLIPPED = "similarity-flipped"
 
@@ -62,36 +60,12 @@ class ContrastiveConfig:
                      sign_variant=one_of(SIGN_SIMILARITY_FLIPPED))
 
 
-@dataclass
-class ClassMeans:
-    """Mean feature of the answer tokens and of the remaining question/context
-    tokens (specials excluded from both) of every sample of a batch, stacked
-    as one [2B x H] tensor: the B answer means, then the B question/context
-    means, in sample order, with one domain tag per sample."""
-
-    stacked: Tensor
-    domain_tag: tuple[str, ...]
-
-    @property
-    def answer_mean(self) -> np.ndarray:
-        """The [B x H] answer means, as an array."""
-        return self.stacked.data[:len(self.domain_tag)]
-
-
-def resolve_bandwidths(points: np.ndarray, config: KernelConfig) -> tuple[float, ...]:
-    """Concrete bandwidth list for a set of points; gradient-free."""
-    if config.bandwidths is not None:
-        return tuple(float(g) for g in config.bandwidths)
-    pts = np.asarray(points, dtype=np.float64)
-    n = pts.shape[0]
-    if n < 2:
-        med = MEDIAN_FALLBACK
-    else:
-        d2 = T.sq_dists(pts)
-        med = float(np.median(d2[np.triu_indices(n, k=1)]))
-        if not np.isfinite(med) or med <= 0.0:
-            med = MEDIAN_FALLBACK
-    return tuple(m * med for m in config.median_multipliers)
+def _kernel_sum(points: Tensor, weights: np.ndarray, config: KernelConfig) -> Tensor:
+    """``tensor.kernel_sum`` at the config's bandwidths: the explicit ones,
+    or the median multipliers times the median heuristic of the points."""
+    median = config.bandwidths is None
+    return T.kernel_sum(points, weights,
+                        config.median_multipliers if median else config.bandwidths, median)
 
 
 def mmd_squared(x, y, config: KernelConfig = KernelConfig()) -> float:
@@ -109,8 +83,7 @@ def mmd_squared(x, y, config: KernelConfig = KernelConfig()) -> float:
         raise T.ShapeError(f"set dimensions differ: {xv.shape[1]} vs {yv.shape[1]}")
     points = np.vstack([xv, yv])
     side = np.concatenate([np.full(len(xv), 1.0 / len(xv)), np.full(len(yv), -1.0 / len(yv))])
-    return T.kernel_sum(T.constant(points), np.outer(side, side),
-                        resolve_bandwidths(points, config)).item()
+    return _kernel_sum(T.constant(points), np.outer(side, side), config).item()
 
 
 def _class_weights(batch: PackedBatch, total: int, first: int) -> np.ndarray:
@@ -128,18 +101,16 @@ def _class_weights(batch: PackedBatch, total: int, first: int) -> np.ndarray:
     return weights
 
 
-def class_means(features: Tensor, batch: PackedBatch, whole: Sequence[TokenizedSample] = (),
-                first: int = 0) -> ClassMeans:
+def class_means(features: Tensor, batch: PackedBatch, total: int = 0, first: int = 0) -> Tensor:
     """Mean features of the answer tokens and of the non-answer question/context
-    tokens of every segment of a packed batch ([N x H] features), as one
-    product with a constant weight matrix. Given ``whole``, a batch whose
-    samples from ``first`` on are the packed ones, the means take their rows
-    in ``whole``'s [2 |whole| x H] stack and carry its domain tags; the rows
-    of its other samples are 0."""
-    samples = tuple(whole) or batch.samples
-    weights = _class_weights(batch, len(samples), first)
-    return ClassMeans(T.matmul(weights, features),
-                      tuple(ts.domain_tag for ts in samples))
+    tokens (specials excluded from both) of every segment of a packed batch
+    ([N x H] features), as one product with a constant weight matrix: the
+    [2B x H] stack of the B answer means, then the B question/context means,
+    in sample order. Given the size ``total`` of a whole batch whose samples
+    from ``first`` on are the packed ones, the means take their rows in the
+    whole batch's [2 total x H] stack; the rows of its other samples are 0."""
+    weights = _class_weights(batch, total or len(batch.samples), first)
+    return T.matmul(weights, features)
 
 
 def _pair_weights(n: int) -> np.ndarray:
@@ -153,7 +124,7 @@ def _pair_weights(n: int) -> np.ndarray:
     return np.block([[intra, inter], [inter, intra]])
 
 
-def contrastive_loss(means: ClassMeans, config: ContrastiveConfig) -> Tensor:
+def contrastive_loss(stacked: Tensor, config: ContrastiveConfig) -> Tensor:
     """Kernel sum over the stacked [2B x H] class means of a batch, source
     and synthetic samples pooled: the cross-class term (answer means against
     question/context means) minus the two intra-class terms, each averaged
@@ -165,12 +136,11 @@ def contrastive_loss(means: ClassMeans, config: ContrastiveConfig) -> Tensor:
     The paper prints the opposite sign (intra-class terms positive), which
     minimized spreads same-class means apart; see the README.
     """
-    stacked, n = means.stacked, len(means.domain_tag)
-    if stacked.data.ndim != 2 or stacked.shape[0] != 2 * n:
-        raise T.ShapeError(f"stacked class means {stacked.shape} for {n} tags")
-    if n == 0:
+    if stacked.data.ndim != 2 or stacked.shape[0] % 2:
+        raise T.ShapeError(f"stacked class means {stacked.shape}: not [2B x H]")
+    if stacked.shape[0] == 0:
         raise ValueError("contrastive_loss over an empty batch")
-    return T.kernel_sum(stacked, _pair_weights(n), resolve_bandwidths(stacked.data, config.kernel))
+    return _kernel_sum(stacked, _pair_weights(stacked.shape[0] // 2), config.kernel)
 
 
 def span_cross_entropy(logits: SpanLogits, gold: PackedBatch) -> Tensor:

@@ -22,10 +22,11 @@ layer norm of x), ``segment_nll`` (negative log-softmax of each segment of
 each score column at one position, for the span head's [N x 2] start and end
 scores) and ``kernel_sum`` (the weighted sum of a multi-bandwidth Gaussian
 kernel matrix over one point set, for the contrastive loss and the kernel
-distance). Every squared distance, in the kernel and in the median-heuristic
-bandwidths, comes from ``sq_dists`` in Gram form, |x_i|^2 + |x_j|^2 -
-2 x_i.x_j clamped at 0: [N x N] memory, not an [N x N x H] difference
-tensor. Segment means are a ``matmul`` of a constant weight array with a
+distance). ``kernel_sum`` builds its squared distances once per call, with
+``sq_dists`` in Gram form, |x_i|^2 + |x_j|^2 - 2 x_i.x_j clamped at 0:
+[N x N] memory, not an [N x N x H] difference tensor. Its median-heuristic
+bandwidths, when asked for, scale by ``median_scale`` of those same
+distances. Segment means are a ``matmul`` of a constant weight array with a
 tensor, and a training step's loss and class-mean stack are each one
 ``weighted_sum`` of tensors of one shape, whose weights and offset are
 floats or arrays of that shape; there is no other broadcasting. Constants,
@@ -466,17 +467,34 @@ def sq_dists(x: Array) -> Array:
     return np.maximum(d2, 0.0, out=d2)
 
 
-def kernel_sum(x: Tensor, weights: Array, bandwidths: Sequence[float]) -> Tensor:
+def median_scale(d2: Array) -> float:
+    """The median heuristic's scale of the [N x N] squared distances d2: the
+    median of the entries above the diagonal, or 1.0 when there are fewer
+    than 2 rows or that median is not positive and finite."""
+    n = d2.shape[0]
+    if n < 2:
+        return 1.0
+    med = float(np.median(d2[np.triu_indices(n, k=1)]))
+    return med if np.isfinite(med) and med > 0.0 else 1.0
+
+
+def kernel_sum(x: Tensor, weights: Array, multipliers: Sequence[float],
+               median: bool = False) -> Tensor:
     """The scalar sum over i, j of weights_ij k(x_i, x_j) for the rows of
     x [N x H] and constant [N x N] weights, where k is the Gaussian kernel
     averaged over the bandwidths: the mean over gamma of
-    exp(-||x_i - x_j||^2 / gamma). The VJP recomputes the kernel's slope
+    exp(-||x_i - x_j||^2 / gamma). The bandwidths are the multipliers times
+    a scale: ``median_scale`` of the squared distances the kernel
+    exponentiates when ``median``, else 1.0. The scale is a constant, so no
+    gradient flows through the median. The VJP recomputes the kernel's slope
     from the squared distances, so a recorded node holds one [N x N] array
     rather than one per bandwidth."""
     if x.data.ndim != 2 or weights.shape != (x.shape[0],) * 2:
         raise ShapeError(f"kernel_sum expects [N x H] points and [N x N] weights, "
                          f"got {x.shape} and {weights.shape}")
     d2 = sq_dists(x.data)
+    scale = median_scale(d2) if median else 1.0
+    bandwidths = [m * scale for m in multipliers]
     kernel = sum(np.exp(d2 * (-1.0 / gamma)) for gamma in bandwidths) * (1.0 / len(bandwidths))
     out = (kernel * weights).sum().reshape(())
 

@@ -41,7 +41,6 @@ from . import workers
 from .datagen import DomainDataset, derive_seed
 from .evaluation import evaluate, score_samples
 from .losses import (
-    ClassMeans,
     ContrastiveConfig,
     MalformedSampleError,
     class_means,
@@ -246,15 +245,14 @@ def _half_step(model: SpanModel, batch: Sequence, lo: int, hi: int, config: Trai
     ce = span_cross_entropy(model.span_logits(features), half)
     share = (hi - lo) / len(batch)
     my_ce = ce.item() * share
-    means = class_means(features, half, batch, lo)
+    means = class_means(features, half, len(batch), lo)
 
     def losses(theirs) -> tuple[float, float, T.Tensor]:
         their_ce, their_means = (0.0, 0.0) if theirs is None else theirs
-        stacked = T.weighted_sum([means.stacked], [1.0], their_means)
-        con = contrastive_loss(ClassMeans(stacked, means.domain_tag), cc)
+        con = contrastive_loss(T.weighted_sum([means], [1.0], their_means), cc)
         return my_ce + their_ce, con.item(), T.weighted_sum([ce, con], [share, cc.beta], their_ce)
 
-    return (my_ce, means.stacked.data), losses
+    return (my_ce, means.data), losses
 
 
 def train(

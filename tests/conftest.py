@@ -5,7 +5,6 @@ import pytest
 
 from qadapt import tensor as T
 from qadapt import workers
-from qadapt.losses import ClassMeans
 from qadapt.model import EncoderConfig, SpanModel, TokenizedSample
 
 
@@ -30,15 +29,29 @@ def make_sample(seed=0, length=12, vocab=32, domain_tag="source", answer=None):
     )
 
 
-def stack_means(answer_mean, cq_mean, domain_tag) -> ClassMeans:
-    """Class means from separate [B x H] answer and question/context means,
-    stacked as the sum of two products of constant selector arrays with them,
-    so that gradients reach both."""
+def stack_means(answer_mean, cq_mean) -> T.Tensor:
+    """The [2B x H] class-mean stack of separate [B x H] answer and
+    question/context means, as the sum of two products of constant selector
+    arrays with them, so that gradients reach both."""
     n = answer_mean.shape[0]
     select = np.eye(2 * n)
-    return ClassMeans(T.weighted_sum([T.matmul(select[:, :n], answer_mean),
-                                      T.matmul(select[:, n:], cq_mean)], [1.0, 1.0]),
-                      tuple(domain_tag))
+    return T.weighted_sum([T.matmul(select[:, :n], answer_mean),
+                           T.matmul(select[:, n:], cq_mean)], [1.0, 1.0])
+
+
+def two_pass_bandwidths(points, multipliers) -> list[float]:
+    """The median-heuristic bandwidths as a second pass over the points
+    computed them before the kernel sum took them from its own distances:
+    the multipliers times the median of the squared distances above the
+    diagonal, or 1.0 for fewer than 2 points or a median that is not
+    positive and finite."""
+    n = points.shape[0]
+    med = 1.0
+    if n >= 2:
+        med = float(np.median(T.sq_dists(points)[np.triu_indices(n, k=1)]))
+        if not np.isfinite(med) or med <= 0.0:
+            med = 1.0
+    return [m * med for m in multipliers]
 
 
 @pytest.fixture(scope="session")

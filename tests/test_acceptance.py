@@ -145,15 +145,14 @@ def test_criterion_3_contrastive_closed_forms():
     for _ in range(100):
         a = rng.standard_normal(5)
         c = rng.standard_normal(5)
-        means = stack_means(T.constant(a[None]), T.constant(c[None]), ("source",))
+        means = stack_means(T.constant(a[None]), T.constant(c[None]))
         expected = k(a, c) - 2.0
         ok &= abs(contrastive_loss(means, cfg).item() - expected) <= 1e-12
 
     for _ in range(100):
         a = [rng.standard_normal(4) for _ in range(2)]
         c = [rng.standard_normal(4) for _ in range(2)]
-        means = stack_means(T.constant(np.stack(a)), T.constant(np.stack(c)),
-                            ("source", "target_synthetic"))
+        means = stack_means(T.constant(np.stack(a)), T.constant(np.stack(c)))
         brute = sum(
             (k(a[i], c[j]) - k(a[i], a[j]) - k(c[i], c[j])) / 4
             for i in range(2) for j in range(2)

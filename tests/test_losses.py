@@ -8,25 +8,30 @@ from hypothesis import strategies as st
 
 from qadapt import tensor as T
 from qadapt.losses import (
-    ClassMeans,
+    MEDIAN_MULTIPLIERS,
     ContrastiveConfig,
     KernelConfig,
     MalformedSampleError,
     class_means,
     contrastive_loss,
     mmd_squared,
-    resolve_bandwidths,
     span_cross_entropy,
 )
 from qadapt.model import PackedBatch, SpanLogits, TokenizedSample, tokenize_sample
 from qadapt.training import TrainConfig, _half_step, _split_point
-from conftest import make_sample, stack_means
+from conftest import make_sample, stack_means, two_pass_bandwidths
 
 
-def cq_means(means):
+def answer_means(stacked):
+    """The [B x H] answer means of a [2B x H] class-mean stack, as an array:
+    its first B rows."""
+    return stacked.data[:len(stacked.data) // 2]
+
+
+def cq_means(stacked):
     """The [B x H] question/context means of a class-mean stack, as an array:
     the rows after the B answer means."""
-    return means.stacked.data[len(means.domain_tag):]
+    return stacked.data[len(stacked.data) // 2:]
 
 
 def unit_apart(d2, dim=4):
@@ -35,6 +40,14 @@ def unit_apart(d2, dim=4):
     y = np.zeros(dim)
     y[0] = math.sqrt(d2)
     return x, y
+
+
+def reference_bandwidths(points, kernel):
+    """The bandwidths of a kernel config for a point set: the explicit ones,
+    or the two-pass median heuristic."""
+    if kernel.bandwidths is not None:
+        return list(kernel.bandwidths)
+    return two_pass_bandwidths(points, kernel.median_multipliers)
 
 
 def brute_kernel(x, y, bandwidths):
@@ -89,19 +102,48 @@ class TestGaussianKernel:
 
 
 class TestMedianHeuristic:
+    """The bandwidths a kernel sum resolves, read off the kernel distances
+    they give: the median heuristic of the distances the sum exponentiates,
+    or explicit bandwidths as multipliers of a scale of 1.0."""
+
+    POINTS = np.array([[0.0], [1.0], [3.0]])  # pairwise d2: 1, 9, 4 -> median 4
+
     def test_explicit_bandwidths_pass_through(self):
-        cfg = KernelConfig(bandwidths=(2.0, 5.0))
-        assert resolve_bandwidths(np.zeros((3, 2)), cfg) == (2.0, 5.0)
+        x, y = self.POINTS[:1], self.POINTS[1:]
+        side = np.array([1.0, -0.5, -0.5])
+        got = mmd_squared(x, y, KernelConfig(bandwidths=(2.0, 5.0)))
+        assert got == T.kernel_sum(T.constant(self.POINTS), np.outer(side, side), (2.0, 5.0)).item()
+        assert got != T.kernel_sum(T.constant(self.POINTS), np.outer(side, side), (2.0, 5.0),
+                                   median=True).item()
 
     def test_median_times_multipliers(self):
-        pts = np.array([[0.0], [1.0], [3.0]])  # pairwise d2: 1, 9, 4 -> median 4
-        cfg = KernelConfig(median_multipliers=(0.5, 1.0, 2.0))
-        assert resolve_bandwidths(pts, cfg) == (2.0, 4.0, 8.0)
+        x, y = self.POINTS[:1], self.POINTS[1:]
+        got = mmd_squared(x, y, KernelConfig(median_multipliers=(0.5, 1.0, 2.0)))
+        assert got == mmd_squared(x, y, KernelConfig(bandwidths=(2.0, 4.0, 8.0)))
+        assert got != mmd_squared(x, y, KernelConfig(bandwidths=(0.5, 1.0, 2.0)))
 
     def test_degenerate_points_fall_back(self):
-        pts = np.zeros((4, 3))
-        got = resolve_bandwidths(pts, KernelConfig(median_multipliers=(1.0,)))
-        assert got == (1.0,)
+        # 6 of the 10 pairs are at distance 0, so the median is 0; the scale
+        # is 1.0, as for all-equal points and for a single point
+        x, y = np.zeros((4, 2)), np.array([[0.6, 0.8]])
+        got = mmd_squared(x, y, KernelConfig(median_multipliers=(1.0,)))
+        assert got == mmd_squared(x, y, KernelConfig(bandwidths=(1.0,)))
+        assert got != mmd_squared(x, y, KernelConfig(bandwidths=(2.0,)))
+        assert T.median_scale(T.sq_dists(np.zeros((4, 3)))) == 1.0
+        assert T.median_scale(T.sq_dists(np.ones((1, 3)))) == 1.0
+
+    def test_one_distance_pass_per_kernel_sum(self, monkeypatch):
+        calls, sq_dists = [], T.sq_dists
+
+        def counted(x):
+            calls.append(x.shape)
+            return sq_dists(x)
+
+        monkeypatch.setattr(T, "sq_dists", counted)
+        rng = np.random.default_rng(12)
+        mmd_squared(rng.standard_normal((5, 3)), rng.standard_normal((4, 3)))
+        contrastive_loss(T.constant(rng.standard_normal((6, 3))), ContrastiveConfig())
+        assert calls == [(9, 3), (6, 3)]
 
 
 class TestMMD:
@@ -173,12 +215,14 @@ class TestKernelMemory:
     POINTS = np.random.default_rng(11).standard_normal((360, 48))
 
     def test_median_heuristic_peak(self):
-        assert traced_peak_mb(lambda: resolve_bandwidths(self.POINTS, KernelConfig())) < 8.0
+        # the kernel sum with the median heuristic over its own distances
+        points, weights = T.constant(self.POINTS), np.full((360, 360), 1.0 / 360**2)
+        assert traced_peak_mb(
+            lambda: T.kernel_sum(points, weights, MEDIAN_MULTIPLIERS, median=True)) < 8.0
 
     def test_mmd_peak(self):
         source, gold = self.POINTS[:240], self.POINTS[240:]
-        bw = resolve_bandwidths(self.POINTS, KernelConfig())
-        assert traced_peak_mb(lambda: mmd_squared(source, gold, KernelConfig(bandwidths=bw))) < 8.0
+        assert traced_peak_mb(lambda: mmd_squared(source, gold, KernelConfig())) < 8.0
 
 
 class TestClassMeans:
@@ -188,13 +232,13 @@ class TestClassMeans:
         single = PackedBatch.pack([make_sample(seed=21, answer=(s, s))])
         feats = tiny_model.encode(single)
         cm = class_means(feats, single)
-        assert np.array_equal(cm.answer_mean, feats.data[s:s + 1])
+        assert np.array_equal(answer_means(cm), feats.data[s:s + 1])
 
     def test_constant_features_equalize_means(self):
         ts = make_sample(seed=22)
         feats = T.constant(np.ones((len(ts), 4)))
         cm = class_means(feats, PackedBatch.pack([ts]))
-        assert np.array_equal(cm.answer_mean, cq_means(cm))
+        assert np.array_equal(answer_means(cm), cq_means(cm))
 
     def test_hand_summed_means(self):
         ts = make_sample(seed=23)
@@ -204,8 +248,8 @@ class TestClassMeans:
         ans = values[ts.answer_mask].mean(axis=0)
         cq_mask = (ts.question_mask | ts.context_mask) & ~ts.answer_mask
         cq = values[cq_mask].mean(axis=0)
-        assert cm.answer_mean.shape == cq_means(cm).shape == (1, 5)
-        assert np.max(np.abs(cm.answer_mean[0] - ans)) < 1e-12
+        assert answer_means(cm).shape == cq_means(cm).shape == (1, 5)
+        assert np.max(np.abs(answer_means(cm)[0] - ans)) < 1e-12
         assert np.max(np.abs(cq_means(cm)[0] - cq)) < 1e-12
 
     def test_specials_excluded(self):
@@ -223,16 +267,14 @@ class TestClassMeans:
             class_means(feats, PackedBatch.pack([make_sample(seed=25), ts]))
 
 
-def random_means(seed, n, dim=4, tags=None):
-    """[n x dim] answer and cq means drawn row by row, as n per-sample pairs."""
+def random_means(seed, n, dim=4):
+    """The class-mean stack of [n x dim] answer and cq means drawn row by
+    row, as n per-sample pairs."""
     rng = np.random.default_rng(seed)
-    if tags is None:
-        tags = ["source" if i % 2 == 0 else "target_synthetic" for i in range(n)]
     rows = [(rng.standard_normal(dim), rng.standard_normal(dim)) for _ in range(n)]
     answer = np.array([a for a, _ in rows])
     cq = np.array([c for _, c in rows])
-    return stack_means(answer_mean=T.constant(answer), cq_mean=T.constant(cq),
-                       domain_tag=tuple(tags))
+    return stack_means(T.constant(answer), T.constant(cq))
 
 
 class TestContrastiveLoss:
@@ -240,18 +282,18 @@ class TestContrastiveLoss:
 
     def test_single_sample_identical_means(self):
         v = T.constant(np.array([[0.3, -0.2, 1.0]]))
-        means = stack_means(answer_mean=v, cq_mean=v, domain_tag=("source",))
+        means = stack_means(v, v)
         assert abs(contrastive_loss(means, self.CFG).item() + 1.0) < 1e-12
 
     def test_single_sample_closed_form(self):
         means = random_means(31, 1)
-        k = brute_kernel(means.answer_mean[0], cq_means(means)[0], self.CFG.kernel.bandwidths)
+        k = brute_kernel(answer_means(means)[0], cq_means(means)[0], self.CFG.kernel.bandwidths)
         got = contrastive_loss(means, self.CFG).item()
         assert abs(got - (k - 2.0)) < 1e-12
 
     def test_two_sample_brute_force(self):
         batch = random_means(32, 2)
-        a, c = batch.answer_mean, cq_means(batch)
+        a, c = answer_means(batch), cq_means(batch)
         bw = self.CFG.kernel.bandwidths
         expected = 0.0
         for i in range(2):
@@ -265,26 +307,28 @@ class TestContrastiveLoss:
         batch = random_means(34, 4)
         base = contrastive_loss(batch, self.CFG).item()
         order = [2, 0, 3, 1]
-        perm = stack_means(T.constant(batch.answer_mean[order]),
-                           T.constant(cq_means(batch)[order]),
-                           tuple(batch.domain_tag[i] for i in order))
+        perm = stack_means(T.constant(answer_means(batch)[order]),
+                           T.constant(cq_means(batch)[order]))
         assert abs(contrastive_loss(perm, self.CFG).item() - base) < 1e-12
 
     def test_empty_batch_rejected(self):
         empty = T.constant(np.zeros((0, 4)))
         with pytest.raises(ValueError, match="empty"):
-            contrastive_loss(stack_means(empty, empty, ()), self.CFG)
+            contrastive_loss(stack_means(empty, empty), self.CFG)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), ()])
+    def test_stack_not_2b_by_h_rejected(self, shape):
+        with pytest.raises(T.ShapeError, match="not \\[2B x H\\]"):
+            contrastive_loss(T.constant(np.zeros(shape)), self.CFG)
 
     def test_gradient_through_loss(self):
         # finite differences wrt the stacked answer means
         rng = np.random.default_rng(37)
         cq = T.constant(np.array([rng.standard_normal(4) for _ in range(3)]))
         flat = rng.standard_normal((3, 4))
-        tags = ("source", "target_synthetic", "source")
 
         def f(t):
-            return contrastive_loss(
-                stack_means(answer_mean=t, cq_mean=cq, domain_tag=tags), self.CFG)
+            return contrastive_loss(stack_means(t, cq), self.CFG)
 
         assert T.finite_difference_check(f, T.constant(flat)) < 1e-5
 
@@ -292,7 +336,7 @@ class TestContrastiveLoss:
     def three_kernel_loss(a, c, kernel):
         """The loss as three brute-force kernel matrices and three sums, the
         form before the class means were stacked."""
-        bw = resolve_bandwidths(np.vstack([a, c]), kernel)
+        bw = reference_bandwidths(np.vstack([a, c]), kernel)
         k_aa, k_cc, k_ac = (np.array([[brute_kernel(p, q, bw) for q in y] for p in x])
                             for x, y in ((a, a), (c, c), (a, c)))
         n = len(a)
@@ -307,18 +351,17 @@ class TestContrastiveLoss:
         for seed in range(20):
             n = 2 + seed % 5
             batch = random_means(500 + seed, n, dim=6)
-            want = self.three_kernel_loss(batch.answer_mean, cq_means(batch), cfg.kernel)
+            want = self.three_kernel_loss(answer_means(batch), cq_means(batch), cfg.kernel)
             assert abs(contrastive_loss(batch, cfg).item() - want) <= 1e-12
 
     @pytest.mark.parametrize("cfg", [pytest.param(
         ContrastiveConfig(beta=0.01, noise_sigma=0.0, kernel=KernelConfig(bandwidths=(1.0, 3.0))),
         id="similarity-flipped-mixed-batch")])
     def test_stacked_loss_passes_the_oracle(self, cfg):
-        tags = ("source", "target_synthetic", "source", "target_synthetic")
         stacked = np.random.default_rng(38).standard_normal((8, 4))
 
         def f(t):
-            return contrastive_loss(ClassMeans(t, tags), cfg)
+            return contrastive_loss(t, cfg)
 
         assert T.finite_difference_check(f, T.constant(stacked)) < 1e-5
 
@@ -330,21 +373,21 @@ class TestContrastiveLoss:
         """The one kernel sum over the stacked means equals the three-kernel
         form, under the median heuristic (``bandwidths`` None) or given
         bandwidths, and its gradient passes the finite-difference oracle at
-        the bandwidths it resolved. No two points lie more than a squared
+        the bandwidths it resolved, held fixed: finite differences through
+        the median are not a gradient the loss claims. No two points lie more than a squared
         distance of 4 apart, whatever the width, so no drawn bandwidth leaves
         every kernel value of a point too small to difference."""
         kernel = KernelConfig(bandwidths=None if bandwidths is None else tuple(bandwidths))
         rng = np.random.default_rng(seed)
         stacked = rng.uniform(-1.0, 1.0, (2 * n, width)) / math.sqrt(width)
-        tags = tuple("source" if i % 2 == 0 else "target_synthetic" for i in range(n))
         cfg = ContrastiveConfig(beta=0.01, noise_sigma=0.0, kernel=kernel)
-        got = contrastive_loss(ClassMeans(T.constant(stacked), tags), cfg).item()
+        got = contrastive_loss(T.constant(stacked), cfg).item()
         assert abs(got - self.three_kernel_loss(stacked[:n], stacked[n:], kernel)) <= 1e-12
         fixed = ContrastiveConfig(beta=0.01, noise_sigma=0.0, kernel=KernelConfig(
-            bandwidths=resolve_bandwidths(stacked, kernel)))
+            bandwidths=tuple(reference_bandwidths(stacked, kernel))))
 
         def f(t):
-            return contrastive_loss(ClassMeans(t, tags), fixed)
+            return contrastive_loss(t, fixed)
 
         assert T.finite_difference_check(f, T.constant(stacked)) < 1e-5
 
@@ -372,8 +415,7 @@ class TestContrastiveLoss:
             for _ in range(100):
                 a = T.Tensor(a_val, requires_grad=True)
                 c = T.Tensor(c_val, requires_grad=True)
-                tags = ("source", "target_synthetic") * 2
-                T.backward(contrastive_loss(stack_means(a, c, tags), cfg))
+                T.backward(contrastive_loss(stack_means(a, c), cfg))
                 a_val = a_val - 0.05 * a.grad
                 c_val = c_val - 0.05 * c.grad
             intra1, inter1 = stats(a_val, c_val)

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from qadapt import tensor as T
 from qadapt.tensor import Tensor, backward, constant, finite_difference_check
+from conftest import two_pass_bandwidths
 
 
 def rand(shape, seed, scale=1.0):
@@ -382,79 +383,102 @@ def _embed_weighted(tokens, positions, noise=None):
     return _contracted(out, 14)
 
 
-# each entry: (aux shape, scalar-valued function of a [4 x 3] input and the aux);
-# add and mul are the two forms of weighted_sum: a sum of two terms with a
-# float and an array weight from an array offset, and the product with a
-# constant array that ends most entries here; relu, softmax, log_softmax and masked_mean are the forms those functions take
-# inside the fused ops and the class means, matmul the product of a dense
-# constant with a tensor, exp the kernel sum over one point set with random
-# weights (not symmetric, so each point's gradient as the first and as the
-# second of a pair is checked), and pairwise_sq_dist its cross block between
-# two sets
+# each entry: (the op it drives, aux shape, scalar-valued function of a
+# [4 x 3] input and the aux). Keys that do not name their op name the form
+# that the entry drives: add and mul the two forms of weighted_sum (a sum of
+# two terms with a float and an array weight from an array offset, and the
+# product with a constant array that ends most entries here); relu, softmax
+# and log_softmax the forms those functions take inside ffn_sublayer,
+# attention_sublayer and segment_nll; masked_mean the class-mean form of
+# matmul (a constant averaging row); exp kernel_sum over one point set with
+# random weights (not symmetric, so each point's gradient as the first and as
+# the second of a pair is checked), and pairwise_sq_dist kernel_sum's cross
+# block between two sets
 OPS = {
-    "add": ((4, 3), lambda t, aux: T.weighted_sum(
+    "add": (T.weighted_sum, (4, 3), lambda t, aux: T.weighted_sum(
         [t, T.layer_norm(t, *UNIT_LN)], [-1.5, aux.data], aux.data).mean()),
-    "mul": ((4, 3), lambda t, aux: T.weighted_sum([t], [aux.data]).mean()),
-    "mean": ((4, 3), lambda t, aux: t.mean()),
-    "matmul": ((3, 4), lambda t, aux: _contracted(T.matmul(aux.data, t), 1)),
-    "exp": ((4, 4), lambda t, aux: T.kernel_sum(t, aux.data, (0.5, 2.0, 8.0))),
-    "relu": ((4, 3), lambda t, aux: T.ffn_sublayer(t, *UNIT_LN, *IDENTITY_FFN).mean()),
-    "softmax": ((4, 3), _softmax_weighted),
-    "log_softmax": ((4, 3), _col_log_softmax_weighted),
-    "layer_norm": ((4, 3), lambda t, aux: T.weighted_sum([T.layer_norm(t, *UNIT_LN)],
-                                                        [aux.data]).mean()),
-    "masked_mean": ((1, 3), lambda t, aux: T.weighted_sum(
+    "mul": (T.weighted_sum, (4, 3), lambda t, aux: T.weighted_sum([t], [aux.data]).mean()),
+    "mean": (T.mean_, (4, 3), lambda t, aux: t.mean()),
+    "matmul": (T.matmul, (3, 4), lambda t, aux: _contracted(T.matmul(aux.data, t), 1)),
+    "exp": (T.kernel_sum, (4, 4), lambda t, aux: T.kernel_sum(t, aux.data, (0.5, 2.0, 8.0))),
+    "relu": (T.ffn_sublayer, (4, 3),
+             lambda t, aux: T.ffn_sublayer(t, *UNIT_LN, *IDENTITY_FFN).mean()),
+    "softmax": (T.attention_sublayer, (4, 3), _softmax_weighted),
+    "log_softmax": (T.segment_nll, (4, 3), _col_log_softmax_weighted),
+    "layer_norm": (T.layer_norm, (4, 3), lambda t, aux: T.weighted_sum(
+        [T.layer_norm(t, *UNIT_LN)], [aux.data]).mean()),
+    "masked_mean": (T.matmul, (1, 3), lambda t, aux: T.weighted_sum(
         [T.matmul(np.array([[1 / 3, 0.0, 1 / 3, 1 / 3]]), t)], [aux.data]).mean()),
-    "pairwise_sq_dist": ((5, 3), cross_kernel),
-    "linear": ((3, 5), lambda t, aux: _contracted(T.linear(t, aux, _fixed(5, 3)), 4)),
-    "layer_norm_affine": ((2, 3), lambda t, aux: _contracted(
+    "pairwise_sq_dist": (T.kernel_sum, (5, 3), cross_kernel),
+    "linear": (T.linear, (3, 5), lambda t, aux: _contracted(T.linear(t, aux, _fixed(5, 3)), 4)),
+    "layer_norm_affine": (T.layer_norm, (2, 3), lambda t, aux: _contracted(
         T.layer_norm(t, constant(aux.data[0]), constant(aux.data[1])), 5)),
-    "ffn_sublayer": ((3, 6), lambda t, aux: _contracted(
+    "ffn_sublayer": (T.ffn_sublayer, (3, 6), lambda t, aux: _contracted(
         T.ffn_sublayer(t, *UNIT_LN, aux, _fixed(6, 6), _fixed((6, 3), 7), _fixed(3, 8)), 9)),
-    "attention_sublayer_x": ((4, 3), _attention_with(0)),
-    "attention_sublayer_q": ((4, 3), _attention_with(1)),
-    "attention_sublayer_k": ((4, 3), _attention_with(2)),
-    "attention_sublayer_v": ((4, 3), _attention_with(3)),
-    "embed": ((5, 3), _embed_weighted),
-    "embed_noise": ((5, 3), lambda t, aux: _embed_weighted(t, aux, EMBED_NOISE)),
-    "segment_nll": ((2, 3), lambda t, aux: T.weighted_sum(
+    "attention_sublayer_x": (T.attention_sublayer, (4, 3), _attention_with(0)),
+    "attention_sublayer_q": (T.attention_sublayer, (4, 3), _attention_with(1)),
+    "attention_sublayer_k": (T.attention_sublayer, (4, 3), _attention_with(2)),
+    "attention_sublayer_v": (T.attention_sublayer, (4, 3), _attention_with(3)),
+    "embed": (T.embed, (5, 3), _embed_weighted),
+    "embed_noise": (T.embed, (5, 3), lambda t, aux: _embed_weighted(t, aux, EMBED_NOISE)),
+    "segment_nll": (T.segment_nll, (2, 3), lambda t, aux: T.weighted_sum(
         [T.segment_nll(t, [0, 2, 4], [[0, 1, 1], [3, 2, 3]])], [aux.data]).mean()),
 }
 
 
+def spied(op, monkeypatch) -> list:
+    """Count the calls of a tensor op, however they reach it: the list gets
+    one entry per call."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return op(*args, **kwargs)
+
+    monkeypatch.setattr(T, op.__name__, spy)
+    return calls
+
+
 @pytest.mark.parametrize("op", sorted(OPS))
 @pytest.mark.parametrize("seed", range(7))
-def test_gradcheck_per_op(op, seed):
+def test_gradcheck_per_op(op, seed, monkeypatch):
     # spread: 22 ops x 7 seeds
-    aux_shape, fn = OPS[op]
+    driven, aux_shape, fn = OPS[op]
+    calls = spied(driven, monkeypatch)
     x = constant(rand((4, 3), seed=100 + seed))
     aux = constant(rand(aux_shape, seed=200 + seed))
     err = finite_difference_check(lambda t: fn(t, aux), x)
     assert err < 1e-5, f"{op} seed={seed}: rel err {err:.3e}"
+    assert calls, f"{op} does not drive {driven.__name__}"
 
 
-# fused ops' parameter inputs: (op, [input shapes], scalar function of the inputs)
+# fused ops' parameter inputs: (the op, [input shapes], scalar function of the inputs)
 FUSED_INPUTS = {
-    "linear": ([(4, 3), (3, 5), (5,)], lambda x, w, b: _contracted(T.linear(x, w, b), 10)),
-    "layer_norm": ([(4, 3), (3,), (3,)], lambda x, g, b: _contracted(T.layer_norm(x, g, b), 11)),
-    "ffn_sublayer": ([(4, 3), (3,), (3,), (3, 6), (6,), (6, 3), (3,)],
+    "linear": (T.linear, [(4, 3), (3, 5), (5,)],
+               lambda x, w, b: _contracted(T.linear(x, w, b), 10)),
+    "layer_norm": (T.layer_norm, [(4, 3), (3,), (3,)],
+                   lambda x, g, b: _contracted(T.layer_norm(x, g, b), 11)),
+    "ffn_sublayer": (T.ffn_sublayer, [(4, 3), (3,), (3,), (3, 6), (6,), (6, 3), (3,)],
                      lambda *inputs: _contracted(T.ffn_sublayer(*inputs), 12)),
-    "attention_sublayer": ([(4, 3), (3,), (3,)] + [(3, 3), (3,)] * 4, _attention_inputs),
+    "attention_sublayer": (T.attention_sublayer, [(4, 3), (3,), (3,)] + [(3, 3), (3,)] * 4,
+                           _attention_inputs),
     # one head of width 3: the 1/sqrt(dh) score scale is 1/sqrt(3), not 1
-    "attention_sublayer_one_head": ([(4, 3), (3,), (3,)] + [(3, 3), (3,)] * 4,
+    "attention_sublayer_one_head": (T.attention_sublayer,
+                                    [(4, 3), (3,), (3,)] + [(3, 3), (3,)] * 4,
                                     lambda *inputs: _attention_inputs(*inputs, num_heads=1)),
     # the position table; the token table is the input of the registry entries
-    "embed": ([(4, 3), (5, 3)], _embed_weighted),
-    "embed_noise": ([(4, 3), (5, 3)], lambda tokens, positions: _embed_weighted(
+    "embed": (T.embed, [(4, 3), (5, 3)], _embed_weighted),
+    "embed_noise": (T.embed, [(4, 3), (5, 3)], lambda tokens, positions: _embed_weighted(
         tokens, positions, EMBED_NOISE)),
 }
 
 
-@pytest.mark.parametrize("op,position", [(op, i) for op, (shapes, _) in sorted(FUSED_INPUTS.items())
+@pytest.mark.parametrize("op,position", [(op, i) for op, (_, shapes, _) in sorted(FUSED_INPUTS.items())
                                          for i in range(1, len(shapes))])
 @pytest.mark.parametrize("seed", range(3))
-def test_gradcheck_fused_op_parameters(op, position, seed):
-    shapes, fn = FUSED_INPUTS[op]
+def test_gradcheck_fused_op_parameters(op, position, seed, monkeypatch):
+    driven, shapes, fn = FUSED_INPUTS[op]
+    calls = spied(driven, monkeypatch)
     inputs = [constant(rand(shape, seed=400 + 10 * seed + i)) for i, shape in enumerate(shapes)]
 
     def f(t):
@@ -462,6 +486,32 @@ def test_gradcheck_fused_op_parameters(op, position, seed):
 
     err = finite_difference_check(f, inputs[position])
     assert err < 1e-5, f"{op} input {position} seed={seed}: rel err {err:.3e}"
+    assert calls, f"{op} does not drive {driven.__name__}"
+
+
+def _ops_without_an_entry(*registries) -> list[str]:
+    """The public ops of qadapt.tensor, its public functions that record a
+    graph node, that no entry of the registries drives."""
+    ops = {node.name for node in ast.parse(Path(T.__file__).read_text()).body
+           if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+           and any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_node"
+                   for call in ast.walk(node))}
+    driven = {op.__name__ for registry in registries for op, _, _ in registry.values()}
+    return sorted(ops - driven)
+
+
+def test_every_public_op_has_an_oracle_entry():
+    """Every op of the engine passes the finite-difference oracle through at
+    least one entry of ``OPS`` or ``FUSED_INPUTS``, and every entry drives
+    the op it names (``test_gradcheck_per_op``,
+    ``test_gradcheck_fused_op_parameters``)."""
+    assert _ops_without_an_entry(OPS, FUSED_INPUTS) == []
+
+
+def test_oracle_guard_sees_an_op_without_an_entry():
+    # "mean" is the one entry that drives mean_
+    missing_one = {key: entry for key, entry in OPS.items() if key != "mean"}
+    assert _ops_without_an_entry(missing_one, FUSED_INPUTS) == ["mean_"]
 
 
 class TestFusedForward:
@@ -872,6 +922,51 @@ def test_sq_dists_matches_direct_difference_form(x):
     assert np.all(np.abs(got - direct) <= 1e-12 * (norms[:, None] + norms[None, :] + 1.0))
     assert np.array_equal(got, got.T)
     assert np.all(np.diagonal(got) == 0.0)
+
+
+@st.composite
+def kernel_points(draw):
+    """A [N x H] point set of width 1 to 48: one row, several equal rows, or
+    drawn rows (which may repeat, so the median may be 0). The values lie on
+    a grid of 1e-6: a median squared distance below about 1e-308 makes the
+    bandwidth's reciprocal overflow, a fault of the heuristic that the
+    one-pass and the two-pass form share."""
+    width, rows = draw(st.integers(1, 48)), draw(st.integers(2, 12))
+    values = st.integers(-3_000_000, 3_000_000).map(lambda k: k * 1e-6)
+    form = draw(st.sampled_from(["one row", "equal rows", "drawn"]))
+    if form == "drawn":
+        return draw(hnp.arrays(np.float64, (rows, width), elements=values))
+    row = draw(hnp.arrays(np.float64, (1, width), elements=values))
+    return row if form == "one row" else np.repeat(row, rows, axis=0)
+
+
+def two_pass_kernel_sum(points, weights, bandwidths):
+    """The value of a kernel sum at given bandwidths, written out as a
+    reference: the mean over the bandwidths of the exponentiated squared
+    distances, weighted and summed."""
+    d2 = T.sq_dists(points)
+    kernel = sum(np.exp(d2 * (-1.0 / gamma)) for gamma in bandwidths) * (1.0 / len(bandwidths))
+    return (kernel * weights).sum()
+
+
+@given(points=kernel_points(), seed=st.integers(0, 2**32 - 1),
+       multipliers=st.lists(st.floats(0.1, 8.0), min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_kernel_sum_takes_the_two_pass_median_in_one_pass(points, seed, multipliers):
+    """With the median heuristic, the value and gradient are those of the
+    kernel sum at the bandwidths a second pass over the points resolves;
+    explicit bandwidths are multipliers of a scale of 1.0."""
+    weights = np.random.default_rng(seed).standard_normal((len(points),) * 2)
+    bandwidths = two_pass_bandwidths(points, multipliers)
+    one, two = Tensor(points, requires_grad=True), Tensor(points, requires_grad=True)
+    got, want = T.kernel_sum(one, weights, multipliers, median=True), T.kernel_sum(
+        two, weights, bandwidths)
+    assert got.item() == want.item() == two_pass_kernel_sum(points, weights, bandwidths)
+    backward(got)
+    backward(want)
+    assert np.array_equal(one.grad, two.grad)
+    assert T.kernel_sum(constant(points), weights, multipliers).item() == two_pass_kernel_sum(
+        points, weights, multipliers)
 
 
 @pytest.mark.parametrize("points, weights", [

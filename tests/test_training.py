@@ -546,8 +546,7 @@ def _reference_loss(model, batch, config, step):
         answers.append(a_row)
         cqs.append(c_row)
     ones = [1.0] * n
-    means = stack_means(T.weighted_sum(answers, ones), T.weighted_sum(cqs, ones),
-                        tuple(ts.domain_tag for ts in batch))
+    means = stack_means(T.weighted_sum(answers, ones), T.weighted_sum(cqs, ones))
     return T.weighted_sum(nlls + [contrastive_loss(means, cc)], [1.0 / n] * n + [cc.beta])
 
 
