@@ -5,13 +5,15 @@ token features.
 Samples reach the model through ``model.tokenize_samples`` (``tokenize_sample``
 for the one sample ``predict_answer`` scores). ``predict_answers`` is the one
 decoder, for ``evaluate`` and the roundtrip filter alike: packed chunks
-(``map_chunks``, which reduces each chunk to its [N x 2] span scores, in a
-forked child for the second half of two or more chunks), ``predict_span``
-on each sample's segment here, then ``TokenizedSample.span_text``.
+(``map_chunks``, which reduces each chunk to its [N x 2] span scores with
+``_span_scores``, in the worker for the second half of two or more chunks),
+``predict_span`` on each sample's segment here, then
+``TokenizedSample.span_text``. The reducers are module-level functions,
+because the worker receives them by reference.
 
 ``evaluate`` scores one question at a time (``score_samples``). Inside
 ``training.train`` it hands the second half of the questions to the
-training partner (``workers.Partner``) as a one-message ``score``
+training session's partner (``workers.Partner``) as a one-message ``score``
 conversation between steps, scores the first half meanwhile, and appends
 the partner's records, so that the records do not depend on where either
 half ran.
@@ -91,15 +93,26 @@ class EvalResult:
     records: list[SampleScore] = field(default_factory=list)
 
 
+def _span_scores(model: SpanModel, packed, features: T.Tensor) -> np.ndarray:
+    return model.span_logits(features).scores.data
+
+
+def _answer_means(model: SpanModel, packed, features: T.Tensor) -> np.ndarray:
+    """A chunk's [B x H] answer means: the first B rows of its class-mean stack."""
+    return class_means(features, packed).data[:len(packed.samples)]
+
+
+def _token_features(model: SpanModel, packed, features: T.Tensor) -> np.ndarray:
+    return features.data
+
+
 def predict_answers(model: SpanModel, pairs: Sequence[tuple], max_answer_len: int) -> list[str]:
     """The model's best span of each ``(sample, TokenizedSample)`` pair (as
     ``tokenize_samples`` returns them), decoded back into the sample's context
     text, in order."""
     contexts = iter([sample.context for sample, _ in pairs])
     answers = []
-    chunks = map_chunks(model, [ts for _, ts in pairs],
-                        lambda _, features: model.span_logits(features).scores.data)
-    for packed, scores in chunks:
+    for packed, scores in map_chunks(model, [ts for _, ts in pairs], _span_scores):
         edges = packed.offsets.tolist()
         for ts, lo, hi in zip(packed.samples, edges, edges[1:]):
             span = predict_span(SpanLogits(T.constant(scores[lo:hi])), ts.context_mask,
@@ -175,9 +188,7 @@ def answer_mean_features(model: SpanModel, dataset: DomainDataset) -> np.ndarray
                                                   model.config.max_len)]
     if not tokenized:
         raise ValueError("no tokenizable samples to extract features from")
-    chunks = map_chunks(model, tokenized, lambda packed, features:
-                        class_means(features, packed).data[:len(packed.samples)])
-    return np.concatenate([means for _, means in chunks])
+    return np.concatenate([means for _, means in map_chunks(model, tokenized, _answer_means)])
 
 
 def domain_gap(
@@ -225,7 +236,7 @@ def token_feature_cloud(model: SpanModel, dataset: DomainDataset, max_samples: i
                                                   dataset.domain_tag, model.config.max_len)]
     if not tokenized:
         raise ValueError("no tokenizable samples for the feature cloud")
-    feats = np.concatenate([f for _, f in map_chunks(model, tokenized, lambda _, f: f.data)])
+    feats = np.concatenate([f for _, f in map_chunks(model, tokenized, _token_features)])
     answer = np.concatenate([ts.answer_mask for ts in tokenized])
     question = np.concatenate([ts.question_mask for ts in tokenized])
     labels = ["answer" if a else "question" if q else "other" for a, q in zip(answer, question)]

@@ -116,8 +116,9 @@ def _phase_config(seed: int, beta: float, epochs: int) -> TrainConfig:
 
 def _kernel_from_features(source_features: np.ndarray, gold_features: np.ndarray) -> KernelConfig:
     """``measurement_kernel`` from answer-mean features already encoded."""
-    med = median_scale(sq_dists(np.vstack([source_features, gold_features])))
-    return KernelConfig(bandwidths=tuple(m * med for m in (0.5, 1.0, 2.0)))
+    multipliers = (0.5, 1.0, 2.0)
+    med = median_scale(sq_dists(np.vstack([source_features, gold_features])), multipliers)
+    return KernelConfig(bandwidths=tuple(m * med for m in multipliers))
 
 
 def measurement_kernel(model: SpanModel, source, gold) -> KernelConfig:
@@ -157,10 +158,10 @@ def run_seed(seed: int) -> SeedOutcome:
 
 def run_adaptation_experiment(seeds=range(5), verbose: bool = False) -> ExperimentResult:
     """``run_seed`` of every seed, in seed order. The seeds are independent:
-    a forked child runs the second half of them (``workers.split_map``),
-    and an odd last seed runs here after it, with its training steps split
-    across the two cores. Each outcome equals the one a sequential run
-    gives, bit for bit."""
+    the worker runs the second half of them (``workers.split_map``), and an
+    odd last seed runs here once it has answered, with its training steps
+    split across the two cores. Each outcome equals the one a sequential
+    run gives, bit for bit."""
     result = ExperimentResult()
     for outcome in split_map(run_seed, seeds):
         result.outcomes.append(outcome)

@@ -17,6 +17,7 @@ them, so the heuristic costs no second [N x N] pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,11 +25,16 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .model import (
-    NON_NEGATIVE, POSITIVE, PackedBatch, SpanLogits,
+    NON_NEGATIVE, POSITIVE, PackedBatch, Rule, SpanLogits,
     check_fields, items, one_of, optional,
 )
 
 MEDIAN_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+# a bandwidth gamma enters the kernel as -1 / gamma: 1e-320 is positive, but
+# its reciprocal overflows, and the kernel's zero diagonal then gives NaN
+BANDWIDTH = Rule("a finite number > 0 whose reciprocal is finite",
+                 lambda v: POSITIVE.accepts(v) and math.isfinite(1.0 / v))
 
 SIGN_SIMILARITY_FLIPPED = "similarity-flipped"
 
@@ -45,7 +51,8 @@ class KernelConfig:
     median_multipliers: tuple[float, ...] = MEDIAN_MULTIPLIERS
 
     def __post_init__(self):
-        check_fields(self, bandwidths=optional(items(POSITIVE)), median_multipliers=items(POSITIVE))
+        check_fields(self, bandwidths=optional(items(BANDWIDTH)),
+                     median_multipliers=items(BANDWIDTH))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ transformer; the span head is a per-token linear projection producing one
 ``PackedBatch``: its samples' tokens concatenated without padding, attention
 confined to each sample's segment. Forward-only passes over a sample set
 (``map_chunks``) pack it in chunks and reduce each chunk's features to a
-small result; with two or more chunks, a child forked by ``workers``
-encodes the second half.
+small result; with two or more chunks, the worker of ``workers`` encodes
+the second half, sent the model's config and parameter vector once per
+call (a model pickles as those two).
 """
 
 from __future__ import annotations
@@ -288,6 +289,21 @@ class PackedBatch:
     def __len__(self) -> int:
         return len(self.samples)
 
+    def __reduce__(self):
+        # what reaches the worker: the packed arrays and each sample's other
+        # fields, whose token ids are rebuilt as views of the packed ones (11
+        # chunks of 32 pickle in 0.3 ms, against 3.8 ms with an array each)
+        layouts = [(ts.question_len, ts.answer_span, ts.domain_tag, ts.sample_id)
+                   for ts in self.samples]
+        return _unpickle_packed, (self.offsets, self.token_ids, self.positions, layouts)
+
+
+def _unpickle_packed(offsets, token_ids, positions, layouts) -> PackedBatch:
+    edges = offsets.tolist()
+    samples = tuple(TokenizedSample(token_ids[lo:hi], *layout)
+                    for lo, hi, layout in zip(edges, edges[1:], layouts))
+    return PackedBatch(samples, offsets, token_ids, positions)
+
 
 @dataclass
 class SpanLogits:
@@ -444,6 +460,9 @@ class SpanModel:
             elif name.endswith(".gain"):
                 p.data[...] = 1.0
 
+    def __reduce__(self):  # what reaches the worker: the config and the parameter values
+        return type(self), (self.config, self.flat)
+
     def parameters(self) -> dict[str, Tensor]:
         return self.params
 
@@ -571,17 +590,19 @@ class SpanModel:
 def map_chunks(model: SpanModel, samples: Sequence[TokenizedSample], reduce: Callable
                ) -> Iterator[tuple[PackedBatch, object]]:
     """Each ``PackedBatch`` of up to ``INFER_CHUNK`` of ``samples``, in order,
-    with ``reduce(packed, features)`` of its forward-only [N x H] features
-    (one ``encode`` call, no graph). With two or more chunks a forked child
-    encodes and reduces the second half of them, an odd last one aside
-    (``workers.split_map``), so the result of ``reduce`` should be small."""
+    with ``reduce(model, packed, features)`` of its forward-only [N x H]
+    features (one ``encode`` call, no graph). With two or more chunks the
+    worker encodes and reduces the second half of them, an odd last one
+    aside (``workers.split_map``), so ``reduce`` must be a module-level
+    function, and its result should be small."""
     batches = [PackedBatch.pack(samples[lo:lo + INFER_CHUNK])
                for lo in range(0, len(samples), INFER_CHUNK)]
+    return zip(batches, workers.split_map(_encode_and_reduce, batches, model, reduce))
 
-    def encode_and_reduce(packed: PackedBatch):
-        with T.no_grad():
-            return reduce(packed, model.encode(packed))
-    return zip(batches, workers.split_map(encode_and_reduce, batches))
+
+def _encode_and_reduce(model: SpanModel, reduce: Callable, packed: PackedBatch):
+    with T.no_grad():
+        return reduce(model, packed, model.encode(packed))
 
 
 def predict_span(logits: SpanLogits, context_mask, max_answer_len: int) -> tuple[int, int]:

@@ -467,15 +467,19 @@ def sq_dists(x: Array) -> Array:
     return np.maximum(d2, 0.0, out=d2)
 
 
-def median_scale(d2: Array) -> float:
+def median_scale(d2: Array, multipliers: Sequence[float] = (1.0,)) -> float:
     """The median heuristic's scale of the [N x N] squared distances d2: the
     median of the entries above the diagonal, or 1.0 when there are fewer
-    than 2 rows or that median is not positive and finite."""
+    than 2 rows, when that median is not positive and finite, or when it is
+    so small that a bandwidth ``m * median`` of one of the multipliers would
+    have no finite reciprocal (the kernel's -1 / gamma)."""
     n = d2.shape[0]
     if n < 2:
         return 1.0
     med = float(np.median(d2[np.triu_indices(n, k=1)]))
-    return med if np.isfinite(med) and med > 0.0 else 1.0
+    usable = math.isfinite(med) and med > 0.0 and all(
+        m * med > 0.0 and math.isfinite(1.0 / (m * med)) for m in multipliers)
+    return med if usable else 1.0
 
 
 def kernel_sum(x: Tensor, weights: Array, multipliers: Sequence[float],
@@ -493,7 +497,7 @@ def kernel_sum(x: Tensor, weights: Array, multipliers: Sequence[float],
         raise ShapeError(f"kernel_sum expects [N x H] points and [N x N] weights, "
                          f"got {x.shape} and {weights.shape}")
     d2 = sq_dists(x.data)
-    scale = median_scale(d2) if median else 1.0
+    scale = median_scale(d2, multipliers) if median else 1.0
     bandwidths = [m * scale for m in multipliers]
     kernel = sum(np.exp(d2 * (-1.0 / gamma)) for gamma in bandwidths) * (1.0 / len(bandwidths))
     out = (kernel * weights).sum().reshape(())

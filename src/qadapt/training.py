@@ -9,14 +9,16 @@ and cross-entropy shares, so that each builds the loss of the whole batch
 with the other's terms as the constant offsets of ``tensor.weighted_sum``
 (a float and an array, not graph nodes), and each backpropagates its own
 graph. The two gradients are summed in a fixed order, first half plus
-second, then clipped and applied. A child forked once per ``train`` call
-(``workers.partner``) runs the second halves while this process runs the
-first; the parameters and the second half's gradient live in memory both
-share (``workers.shared_zeros``). Between steps, the same child scores the
+second, then clipped and applied. Each ``train`` call holds one session
+on the worker (``workers.session``), which runs the second halves while this
+process runs the first; the config and the tokenized samples go to it once,
+when the session opens, and each step sends only the batch's sample indices.
+The parameters and the second half's gradient live in memory both processes
+map (``workers.shared_zeros``). Between steps, the same session scores the
 second half of each per-epoch dev evaluation, a one-message ``score``
 conversation (``evaluation.evaluate``), against the parameters just
-stepped. Where no child can be forked, the same work runs here in the same
-order, so the artifacts do not depend on where the second halves ran.
+stepped. Where the worker cannot be used, the same work runs here in the
+same order, so the artifacts do not depend on where the second halves ran.
 
 A run directory holds a resolved config snapshot, a one-record-per-step log
 of the losses and the pre-clip gradient norm, per-epoch evaluation metrics,
@@ -68,7 +70,7 @@ class DivergenceError(RuntimeError):
         self.last_finite_step = last_finite_step
         self.report = report
 
-    def __reduce__(self):  # rebuilt whole when raised in a forked child (workers.split_map)
+    def __reduce__(self):  # rebuilt whole when raised in the worker (workers.split_map)
         return type(self), (str(self), self.last_finite_step, self.report)
 
 
@@ -255,6 +257,27 @@ def _half_step(model: SpanModel, batch: Sequence, lo: int, hi: int, config: Trai
     return (my_ce, means.data), losses
 
 
+def _train_partner(config: TrainConfig, pool: Sequence, shared: np.ndarray):
+    """The partner's side of ``train``, wherever it runs: a ``serve`` over
+    one model on the parameters ``shared[0]``, which answers the second half
+    of a dev evaluation, ``("score", samples, max_answer_len)``, with its
+    records, or runs that of a step, ``("step", at, ids, cut)`` over the
+    samples ``pool[k]`` of ``ids``, and puts its gradient in ``shared[1]``."""
+    model = SpanModel(config.encoder, flat=shared[0])
+
+    def serve(request):
+        if request[0] == "score":
+            return score_samples(model, *request[1:])
+        _, at, ids, cut = request
+        batch = [pool[k] for k in ids]
+        mine, losses = _half_step(model, batch, cut, len(batch), config, at)
+        *_, loss = losses((yield mine))
+        model.zero_grad()
+        T.backward(loss)
+        model.flat_grad(out=shared[1])
+    return serve
+
+
 def train(
     config: TrainConfig,
     source: DomainDataset,
@@ -285,7 +308,7 @@ def train(
         raise ConfigError("initial model config does not match encoder config")
     pool = src_tok + syn_tok
     pool_index = {id(ts): k for k, ts in enumerate(pool)}
-    # the parameters, then the second half's gradient, in memory a forked child shares
+    # the parameters, then the second half's gradient, in memory the worker shares
     start = (initial_model or SpanModel(config.encoder)).flat
     shared = workers.shared_zeros((2, start.size))
     shared[0] = start
@@ -316,24 +339,9 @@ def train(
             _write_config_and_steps(Path(run_dir), config, report.steps)
         return DivergenceError(message, step - 1, report)
 
-    def serve(request):
-        """The partner's side, wherever it runs: the second half of a dev
-        evaluation, ``("score", samples, max_answer_len)``, answered with
-        its records, or of a step, ``("step", at, ids, cut)``, whose
-        gradient goes to ``their_grad``."""
-        if request[0] == "score":
-            return score_samples(model, *request[1:])
-        _, at, ids, cut = request
-        batch = [pool[k] for k in ids]
-        mine, losses = _half_step(model, batch, cut, len(batch), config, at)
-        *_, loss = losses((yield mine))
-        model.zero_grad()
-        T.backward(loss)
-        model.flat_grad(out=their_grad)
-
     step = 0
     current_epoch = -1
-    with workers.partner(serve) as partner:
+    with workers.session(_train_partner, config, pool, shared) as partner:
         for epoch, batch in mixed_batch_sampler(src_tok, syn_tok, config.batch_size,
                                                 policy, config.seed, epochs=config.epochs):
             if epoch != current_epoch:

@@ -81,8 +81,24 @@ def assert_flat_layout(model: SpanModel) -> None:
 
 
 def assert_no_child_left():
+    """No child process is left once ``workers.stop`` has ended the worker:
+    no zombie of a worker killed before it, and no worker of its own."""
+    workers.stop()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_worker_across_patches(request):
+    """A test that patches code (``monkeypatch``) starts and ends with no
+    worker, so that a worker it forks runs the patched code and no later
+    test inherits it."""
+    if "monkeypatch" not in request.fixturenames:
+        yield
+        return
+    workers.stop()
+    yield
+    workers.stop()
 
 
 @pytest.fixture
@@ -95,7 +111,8 @@ def cpus(monkeypatch):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids that ``os.fork`` returned to this process."""
+    """The pids that ``os.fork`` returned to this process during the test,
+    which starts with no worker."""
     pids, fork = [], os.fork
 
     def counted():

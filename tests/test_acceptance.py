@@ -195,7 +195,7 @@ def test_criterion_5_directional_adaptation(adaptation_result):
 
 
 def test_experiment_seeds_equal_sequential_runs(adaptation_result):
-    # with two usable CPUs, seeds 2 and 3 ran in a child forked for the call,
+    # with two usable CPUs, seeds 2 and 3 ran in the worker,
     # each step in one process, and seed 4 ran here after it, its steps split
     outcomes = adaptation_result.outcomes
     assert [o.seed for o in outcomes] == list(range(5))

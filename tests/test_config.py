@@ -208,8 +208,13 @@ PROBLEM_LINES = [
     ("eval_cadence", 0.5, "an integer >= 0, got 0.5"),
     ("contrastive.beta", -1.0, "a finite number >= 0, got -1.0"),
     ("grad_clip", math.inf, "a finite number > 0, got inf"),
-    ("contrastive.kernel.bandwidths", [1.0, math.nan],
-     "null or a list of one or more items, each a finite number > 0, got [1.0, nan]"),
+    ("contrastive.kernel.bandwidths", [1.0, math.nan], "null or a list of one or more items, "
+     "each a finite number > 0 whose reciprocal is finite, got [1.0, nan]"),
+    # positive, but the kernel's -1 / gamma overflows
+    ("contrastive.kernel.bandwidths", [1e-320], "null or a list of one or more items, "
+     "each a finite number > 0 whose reciprocal is finite, got [1e-320]"),
+    ("contrastive.kernel.median_multipliers", [1e-320, 1.0], "a list of one or more items, "
+     "each a finite number > 0 whose reciprocal is finite, got [1e-320, 1.0]"),
     # the sign the paper prints, which the one contrastive objective flips
     ("contrastive.sign_variant", "as-printed", "one of 'similarity-flipped', got 'as-printed'"),
 ]

@@ -17,7 +17,7 @@ from qadapt.losses import (
     mmd_squared,
     span_cross_entropy,
 )
-from qadapt.model import PackedBatch, SpanLogits, TokenizedSample, tokenize_sample
+from qadapt.model import ConfigError, PackedBatch, SpanLogits, TokenizedSample, tokenize_sample
 from qadapt.training import TrainConfig, _half_step, _split_point
 from conftest import make_sample, stack_means, two_pass_bandwidths
 
@@ -131,6 +131,22 @@ class TestMedianHeuristic:
         assert got != mmd_squared(x, y, KernelConfig(bandwidths=(2.0,)))
         assert T.median_scale(T.sq_dists(np.zeros((4, 3)))) == 1.0
         assert T.median_scale(T.sq_dists(np.ones((1, 3)))) == 1.0
+
+    def test_overflowing_median_falls_back(self):
+        """A median so small that -1 / gamma overflows for a bandwidth
+        falls back to 1.0, as a zero median does, rather than giving NaN."""
+        x, y = np.array([[3.4e-158]]), np.array([[0.0]])  # d2 1.2e-315, subnormal
+        got = mmd_squared(x, y)
+        assert got == mmd_squared(x, y, KernelConfig(bandwidths=MEDIAN_MULTIPLIERS))
+        d2 = T.sq_dists(np.array([[0.0], [1e-154]]))  # median 1e-308: 1 / 1e-308 is finite
+        assert T.median_scale(d2) == d2[0, 1] > 0.0
+        assert T.median_scale(d2, (0.25, 1.0)) == 1.0  # 1 / 2.5e-309 is not
+
+    def test_bandwidth_without_finite_reciprocal_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"^bandwidths: must be .* reciprocal is finite"):
+            KernelConfig(bandwidths=(1e-320,))
+        with pytest.raises(ConfigError, match=r"^median_multipliers: must be .* whose reciprocal"):
+            KernelConfig(median_multipliers=(0.5, 1e-320))
 
     def test_one_distance_pass_per_kernel_sum(self, monkeypatch):
         calls, sq_dists = [], T.sq_dists

@@ -13,8 +13,12 @@ from hypothesis import strategies as st
 from qadapt import tensor as T
 from qadapt import training as tr
 from qadapt import workers
-from qadapt.datagen import DomainDataset, DomainShiftSpec, derive_seed, make_synthetic_domains
-from qadapt.evaluation import evaluate, score_samples
+from qadapt import model as model_module
+from qadapt.datagen import (
+    DomainDataset, DomainShiftSpec, GenCandidate, derive_seed, make_synthetic_domains,
+    roundtrip_filter,
+)
+from qadapt.evaluation import answer_mean_features, evaluate, score_samples
 from qadapt.experiment import EXPERIMENT_ENCODER, _phase_config, build_experiment_data
 from qadapt.losses import (
     ContrastiveConfig, KernelConfig, MalformedSampleError, contrastive_loss,
@@ -629,25 +633,30 @@ def test_split_half_step_records_13_nodes():
     assert graph_nodes(their_losses(mine)[2]) == 13
 
 
-# -- the second half of every step in a forked child --------------------------------
+# -- the second half of every step in the worker --------------------------------------
 
 def _artifacts(run_dir):
     return [(run_dir / name).read_bytes() for name in ("checkpoint.bin", "steps.jsonl")]
 
 
+def _train_into(cfg, source, synthetic, root, name):
+    train(cfg, source, synthetic, run_dir=root / name)
+    return name
+
+
 def test_artifacts_do_not_depend_on_where_the_second_half_ran(toy_data, tmp_path, cpus, forks,
                                                               monkeypatch):
-    """The same bytes from the partner child, from one usable CPU, from
-    unpinned BLAS, from inside a ``split_map`` child and from beside one."""
+    """The same bytes from the worker, from one usable CPU, from unpinned
+    BLAS, from inside the worker busy with a ``split_map`` and from beside
+    it."""
     source, synthetic = toy_data
     cfg = tiny_config(epochs=2, contrastive=ContrastiveConfig(beta=0.01, noise_sigma=0.01))
 
     def run(name):
-        train(cfg, source, synthetic, run_dir=tmp_path / name)
-        return name
+        return _train_into(cfg, source, synthetic, tmp_path, name)
 
     cpus(2)
-    run("child")
+    run("worker")
     assert len(forks) == 1
     cpus(1)
     run("one-cpu")
@@ -655,13 +664,62 @@ def test_artifacts_do_not_depend_on_where_the_second_half_ran(toy_data, tmp_path
     with monkeypatch.context() as m:
         m.setattr(workers, "BLAS_PINNED", False)
         run("unpinned")
-    assert len(forks) == 1
-    assert list(workers.split_map(run, ["beside", "inside"])) == ["beside", "inside"]
-    assert len(forks) == 2  # the split_map child; neither training forked its own
-    want = _artifacts(tmp_path / "child")
+    assert list(workers.split_map(_train_into, ["beside", "inside"], cfg, source, synthetic,
+                                  tmp_path)) == ["beside", "inside"]
+    assert len(forks) == 1  # the same worker; neither training used it
+    want = _artifacts(tmp_path / "worker")
     for name in ("one-cpu", "unpinned", "beside", "inside"):
         assert _artifacts(tmp_path / name) == want, name
     assert_no_child_left()
+
+
+def test_worker_forked_inside_no_grad_records_the_step_graph(toy_data, tmp_path, cpus, forks):
+    """A worker forked inside a ``no_grad`` block still records the graph of
+    each step's second half."""
+    source, synthetic = toy_data
+    cfg = tiny_config(epochs=1)
+    cpus(1)
+    train(cfg, source, synthetic, run_dir=tmp_path / "one-cpu")
+    cpus(2)
+    with T.no_grad():
+        pids = list(workers.split_map(_pid, range(2)))
+    assert pids == [os.getpid()] + forks
+    train(cfg, source, synthetic, run_dir=tmp_path / "worker")
+    assert len(forks) == 1
+    assert _artifacts(tmp_path / "worker") == _artifacts(tmp_path / "one-cpu")
+    assert_no_child_left()
+
+
+def test_one_worker_answers_every_session(toy_data, cpus, forks, monkeypatch):
+    """``train`` (steps and dev evaluation), ``answer_mean_features``, the
+    roundtrip filter and ``split_map`` all hold their sessions with the
+    one worker forked by the first of them."""
+    source, synthetic = toy_data
+    opened = []
+    real_open = workers._Worker.open
+
+    def counted_open(worker, start, args):
+        opened.append((start.__name__, worker.pid))
+        return real_open(worker, start, args)
+
+    monkeypatch.setattr(workers._Worker, "open", counted_open)
+    monkeypatch.setattr(model_module, "INFER_CHUNK", 8)  # several chunks of the small sets
+    cpus(2)
+    model, _ = train(tiny_config(epochs=2, eval_cadence=1), source, synthetic,
+                     dev_sets={"dev": source})
+    answer_mean_features(model, source)
+    candidates = [GenCandidate(s.sample_id, s.context, s.question, s.answer_text, s.answer_start,
+                               (0.5,), 0.5) for s in synthetic.samples]
+    roundtrip_filter(candidates, model, 16)
+    pids = list(workers.split_map(_pid, range(2)))
+    assert len(forks) == 1
+    assert pids == [os.getpid(), forks[0]]
+    assert opened == [("_train_partner", forks[0])] + [("_map_list", forks[0])] * 3
+    assert_no_child_left()
+
+
+def _pid(item):
+    return os.getpid()
 
 
 def _dev_with_untokenizable(source, n=7, at=5):
@@ -680,15 +738,15 @@ def _untokenizable_warnings(caplog):
 
 def test_dev_evaluation_does_not_depend_on_where_its_second_half_ran(toy_data, tmp_path, cpus,
                                                                    forks, monkeypatch, caplog):
-    """Every per-epoch dev evaluation, its second half scored by the partner
-    child, by the in-process partner on one CPU or with unpinned BLAS,
+    """Every per-epoch dev evaluation, its second half scored by the
+    worker, by the in-process partner on one CPU or with unpinned BLAS,
     writes the same run directory; the untokenizable sample is warned of
     once per evaluation, by this process."""
     source, synthetic = toy_data
     dev = _dev_with_untokenizable(source)
     cfg = tiny_config(epochs=2, eval_cadence=1)
     runs = {}
-    for name, n_cpus, pinned in (("child", 2, True), ("one-cpu", 1, True),
+    for name, n_cpus, pinned in (("worker", 2, True), ("one-cpu", 1, True),
                                  ("unpinned", 2, False)):
         cpus(n_cpus)
         caplog.clear()
@@ -701,11 +759,19 @@ def test_dev_evaluation_does_not_depend_on_where_its_second_half_ran(toy_data, t
         runs[name] = [(tmp_path / name / f).read_bytes()
                       for f in ("metrics.json", "checkpoint.bin", "steps.jsonl")]
     assert len(forks) == 1
-    assert runs["one-cpu"] == runs["child"] and runs["unpinned"] == runs["child"]
-    last = json.loads((tmp_path / "child" / "metrics.json").read_text())[-1]
+    assert runs["one-cpu"] == runs["worker"] and runs["unpinned"] == runs["worker"]
+    last = json.loads((tmp_path / "worker" / "metrics.json").read_text())[-1]
     final = evaluate(model, dev, cfg.max_answer_len)
     assert (last["em"], last["f1"], last["n"]) == (final.em, final.f1, 7)
     assert_no_child_left()
+
+
+def _scoring(model):
+    def serve(request):
+        _, samples, max_answer_len = request
+        return score_samples(model, samples, max_answer_len)
+        yield  # a generator: its one answer is the value it returns
+    return serve
 
 
 @pytest.mark.parametrize("n_cpus", [2, 1])
@@ -715,15 +781,10 @@ def test_evaluate_with_a_partner_scores_as_alone(toy_data, cpus, forks, caplog, 
     dev = _dev_with_untokenizable(source)
     alone = evaluate(model, dev, 32)
 
-    def serve(request):
-        _, samples, max_answer_len = request
-        return score_samples(model, samples, max_answer_len)
-        yield  # a generator: its one answer is the value it returns
-
     cpus(n_cpus)
     caplog.clear()
     with caplog.at_level(logging.WARNING, "qadapt.evaluation"):
-        with workers.partner(serve) as partner:
+        with workers.session(_scoring, model) as partner:
             paired = evaluate(model, dev, 32, partner=partner)
     assert paired.records == alone.records
     assert (paired.em, paired.f1, paired.n) == (alone.em, alone.f1, alone.n)
@@ -809,11 +870,15 @@ def test_abandoned_train_leaves_no_child(toy_data, monkeypatch, cpus, forks):
     assert_no_child_left()
 
 
+def _item_and_pid(item):
+    return item, os.getpid()
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_failed_fork_runs_the_block_here_and_closes_its_pipes(toy_data, tmp_path, cpus,
                                                              monkeypatch):
     """When ``os.fork`` raises (EAGAIN from a stand-in: no process limit is
-    approached), ``partner`` closes the pipes it opened and runs the block
+    approached), ``session`` closes the pipes it opened and runs the block
     with the in-process ``Partner``: ``split_map`` and ``train`` give the
     in-process results and leave no file descriptor open."""
     source, synthetic = toy_data
@@ -831,8 +896,7 @@ def test_failed_fork_runs_the_block_here_and_closes_its_pipes(toy_data, tmp_path
     monkeypatch.setattr(os, "fork", failing_fork)
     fds = sorted(os.listdir("/proc/self/fd"))
     here = os.getpid()
-    assert list(workers.split_map(lambda item: (item, os.getpid()), range(5))) == [
-        (item, here) for item in range(5)]
+    assert list(workers.split_map(_item_and_pid, range(5))) == [(item, here) for item in range(5)]
     train(cfg, source, synthetic, run_dir=tmp_path / "no-fork")
     assert sorted(os.listdir("/proc/self/fd")) == fds
     assert len(attempts) == 2
