@@ -17,7 +17,6 @@ them, so the heuristic costs no second [N x N] pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +30,8 @@ from .model import (
 
 MEDIAN_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
-# a bandwidth gamma enters the kernel as -1 / gamma: 1e-320 is positive, but
-# its reciprocal overflows, and the kernel's zero diagonal then gives NaN
 BANDWIDTH = Rule("a finite number > 0 whose reciprocal is finite",
-                 lambda v: POSITIVE.accepts(v) and math.isfinite(1.0 / v))
+                 lambda v: POSITIVE.accepts(v) and T.usable_bandwidth(float(v)))
 
 SIGN_SIMILARITY_FLIPPED = "similarity-flipped"
 

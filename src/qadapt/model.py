@@ -289,21 +289,6 @@ class PackedBatch:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def __reduce__(self):
-        # what reaches the worker: the packed arrays and each sample's other
-        # fields, whose token ids are rebuilt as views of the packed ones (11
-        # chunks of 32 pickle in 0.3 ms, against 3.8 ms with an array each)
-        layouts = [(ts.question_len, ts.answer_span, ts.domain_tag, ts.sample_id)
-                   for ts in self.samples]
-        return _unpickle_packed, (self.offsets, self.token_ids, self.positions, layouts)
-
-
-def _unpickle_packed(offsets, token_ids, positions, layouts) -> PackedBatch:
-    edges = offsets.tolist()
-    samples = tuple(TokenizedSample(token_ids[lo:hi], *layout)
-                    for lo, hi, layout in zip(edges, edges[1:], layouts))
-    return PackedBatch(samples, offsets, token_ids, positions)
-
 
 @dataclass
 class SpanLogits:

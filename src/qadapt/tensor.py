@@ -467,19 +467,24 @@ def sq_dists(x: Array) -> Array:
     return np.maximum(d2, 0.0, out=d2)
 
 
+def usable_bandwidth(gamma: float) -> bool:
+    """Whether the kernel can take gamma as a bandwidth: positive and finite,
+    with a finite -1 / gamma (1e-320 is positive, but its reciprocal
+    overflows, and the kernel's zero diagonal then gives NaN)."""
+    return 0.0 < gamma < math.inf and math.isfinite(1.0 / gamma)
+
+
 def median_scale(d2: Array, multipliers: Sequence[float] = (1.0,)) -> float:
     """The median heuristic's scale of the [N x N] squared distances d2: the
     median of the entries above the diagonal, or 1.0 when there are fewer
-    than 2 rows, when that median is not positive and finite, or when it is
-    so small that a bandwidth ``m * median`` of one of the multipliers would
-    have no finite reciprocal (the kernel's -1 / gamma)."""
+    than 2 rows or when a bandwidth ``m * median`` of one of the multipliers
+    would not be usable (a median that is not positive and finite, or one so
+    small that ``m * median`` has no finite reciprocal)."""
     n = d2.shape[0]
     if n < 2:
         return 1.0
     med = float(np.median(d2[np.triu_indices(n, k=1)]))
-    usable = math.isfinite(med) and med > 0.0 and all(
-        m * med > 0.0 and math.isfinite(1.0 / (m * med)) for m in multipliers)
-    return med if usable else 1.0
+    return med if all(usable_bandwidth(m * med) for m in multipliers) else 1.0
 
 
 def kernel_sum(x: Tensor, weights: Array, multipliers: Sequence[float],

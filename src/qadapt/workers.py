@@ -16,10 +16,13 @@ framed pickles. What reaches the worker travels as data: ``start`` and
 every function among the arguments must be module-level, since functions
 are pickled by reference (``TypeError`` otherwise, whatever the CPU
 count), and the worker builds what it needs from what it is sent, never
-from what it inherited at the fork. An argument made by ``shared_zeros`` is mapped, not copied: its
-memfd descriptor goes to the worker over a UNIX socket, and both processes
-read and write the same memory. An exception raised in ``serve`` is raised
-again here with its type, and ends only its conversation.
+from what it inherited at the fork. An argument made by ``shared_zeros``
+is mapped, not copied: its memfd descriptor goes to the worker over a UNIX
+socket, and both processes read and write the same memory. An exception
+raised in ``serve`` is raised again here with its type, and ends only its
+conversation. The worker's malloc keeps the memory it frees
+(``_keep_freed_memory``), so that the arrays of one chunk or half-step
+reuse those of the last instead of being mapped and faulted in afresh.
 
 ``training.train`` holds one session per call, with two kinds of
 conversation: each step's second half (``("step", ...)``, two messages each
@@ -34,15 +37,19 @@ answered, so that it may use the worker itself.
 
 The worker holds one session at a time. A session opened while the worker
 is busy, inside the worker, with one usable CPU, with unpinned BLAS (two
-processes would oversubscribe the cores), or when ``os.fork`` fails, runs
-its conversations in-process (``Partner``), in the same order of
-computation, so that results never depend on where they ran.
+processes would oversubscribe the cores), without ``os.memfd_create`` (not
+Linux), or when ``os.fork`` fails, runs its conversations in-process
+(``Partner``), in the same order of computation, so that results never
+depend on where they ran.
 
-A session that ends owing an answer (its block failed or was abandoned),
-or that finds the worker gone (``ChildProcessError``), SIGKILLs and reaps
-it; the next session forks another. The worker exits at EOF of its request
-pipe, which ``stop`` closes, as an ``atexit`` hook does; if this process
-dies, the kernel closes the pipe and, on Linux, SIGKILLs the worker.
+A session that finds the worker gone when it opens (killed while idle)
+reaps it and runs in-process, since nothing was sent yet. A session that
+ends owing an answer (its block failed or was abandoned), or that loses
+the worker during a conversation (``ChildProcessError``), SIGKILLs and
+reaps it. Either way the next session forks another. The worker exits at
+EOF of its request pipe, which ``stop`` closes, as an ``atexit`` hook
+does; if this process dies, the kernel closes the pipe and, on Linux,
+SIGKILLs the worker.
 """
 
 from __future__ import annotations
@@ -102,7 +109,7 @@ def can_fork() -> bool:
     """Whether a session opened now would run in the worker: a core of its
     own, the same arithmetic, and no other session holding it."""
     return (BLAS_PINNED and not _in_worker and usable_cpus() >= 2
-            and (_worker is None or not _worker.busy))
+            and hasattr(os, "memfd_create") and (_worker is None or not _worker.busy))
 
 
 class _Mapping(mmap.mmap):
@@ -120,9 +127,13 @@ def _mapped(fd: int, shape) -> np.ndarray:
 def shared_zeros(shape: int | tuple[int, ...]) -> np.ndarray:
     """A float64 array of zeros in a memfd mapping. Passed whole to a
     ``session``, it is mapped in the worker, not copied, so that each
-    process sees the other's writes."""
+    process sees the other's writes. Without ``os.memfd_create`` no session
+    uses the worker, and the zeros are an anonymous mapping."""
+    size = 8 * max(int(np.prod(shape)), 1)
+    if not hasattr(os, "memfd_create"):
+        return np.ndarray(shape, np.float64, buffer=mmap.mmap(-1, size))
     fd = os.memfd_create("qadapt-shared")
-    os.ftruncate(fd, 8 * max(int(np.prod(shape)), 1))
+    os.ftruncate(fd, size)
     return _mapped(fd, shape)
 
 
@@ -297,6 +308,21 @@ def _serve_sessions(requests, replies, descriptors: socket.socket) -> None:
             replies.flush()
 
 
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc in the worker keep the memory it frees: arrays
+    under 32 MB come from the heap, and up to 64 MB free at its top is kept,
+    the largest thresholds glibc's dynamic ones reach on 64-bit. With the
+    defaults, which the calling process has raised by freeing large blocks,
+    the worker mapped every array over 128 KB afresh and gave the heap back
+    after each chunk: 15-27k minor faults for the 11 chunks of a roundtrip
+    filter's second half, which the calling process waited 35-135 ms for."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _exit_with(parent: int) -> None:
     """Have the kernel SIGKILL this process when ``parent`` dies, even in
     the middle of a request (Linux's PR_SET_PDEATHSIG)."""
@@ -328,6 +354,7 @@ def _fork() -> _Worker | None:
         status = 1
         try:
             _exit_with(parent)
+            _keep_freed_memory()
             signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles Ctrl-C
             os.close(request_w)
             os.close(reply_r)
@@ -363,13 +390,18 @@ def session(start: Callable[..., Callable[[object], Generator]], *args) -> Itera
     if can_fork() and _worker is None:
         _worker = _fork()
     worker = _worker if can_fork() else None
+    if worker is not None:
+        try:
+            worker.open(start, args)
+        except ChildProcessError:  # it died idle; nothing was sent, so the session runs here
+            _retire(worker)
+            worker = None
     if worker is None:
         yield Partner(start, *args)
         return
     worker.busy = True
     partner = _WorkerPartner(worker)
     try:
-        worker.open(start, args)
         yield partner
     finally:
         worker.busy = False
@@ -387,10 +419,11 @@ def split_map(fn: Callable, items: Sequence, *args) -> Iterator:
     this process computes the first half; an odd last item runs here once
     the worker has answered. ``fn`` and any function among ``args`` must be
     module-level."""
-    _by_reference((fn, *args))
     items = list(items)
     half = len(items) // 2
-    if half:
+    if not half:
+        _by_reference((fn, *args))  # as a session would
+    else:
         with session(_map_list, fn, *args) as other:
             other.send(items[half:2 * half])
             for item in items[:half]:

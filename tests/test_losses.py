@@ -142,6 +142,12 @@ class TestMedianHeuristic:
         assert T.median_scale(d2) == d2[0, 1] > 0.0
         assert T.median_scale(d2, (0.25, 1.0)) == 1.0  # 1 / 2.5e-309 is not
 
+    def test_one_rule_for_a_usable_bandwidth(self):
+        """The rule both the config's bandwidths and the median's fallback use."""
+        assert T.usable_bandwidth(1e-308) and T.usable_bandwidth(1e308)
+        for gamma in (0.0, -1.0, 1e-320, math.inf, math.nan):
+            assert not T.usable_bandwidth(gamma), gamma
+
     def test_bandwidth_without_finite_reciprocal_is_rejected(self):
         with pytest.raises(ConfigError, match=r"^bandwidths: must be .* reciprocal is finite"):
             KernelConfig(bandwidths=(1e-320,))

@@ -904,6 +904,26 @@ def test_failed_fork_runs_the_block_here_and_closes_its_pipes(toy_data, tmp_path
     assert_no_child_left()
 
 
+def test_without_memfd_train_runs_here(toy_data, tmp_path, cpus, forks, monkeypatch):
+    """Where ``os.memfd_create`` is missing (not Linux), ``shared_zeros``
+    maps anonymous memory and no session uses the worker: ``train`` on one
+    CPU and on two gives the bytes it gives with a memfd, and nothing is
+    forked."""
+    source, synthetic = toy_data
+    cfg = tiny_config(epochs=1)
+    cpus(1)
+    train(cfg, source, synthetic, run_dir=tmp_path / "memfd")
+    monkeypatch.delattr(os, "memfd_create")
+    for n_cpus in (1, 2):
+        cpus(n_cpus)
+        assert not workers.can_fork()
+        train(cfg, source, synthetic, run_dir=tmp_path / f"no-memfd-{n_cpus}")
+        assert _artifacts(tmp_path / f"no-memfd-{n_cpus}") == _artifacts(tmp_path / "memfd")
+    here = os.getpid()
+    assert list(workers.split_map(_item_and_pid, range(3))) == [(item, here) for item in range(3)]
+    assert forks == []
+
+
 def test_single_sample_batch_runs_with_an_empty_second_half(toy_data, tmp_path, cpus):
     source, _ = toy_data
     assert _split_point([make_sample(seed=1)]) == 1
