@@ -66,6 +66,7 @@ class ContextOnly:
     def __post_init__(self):
         if not self.context.strip():
             raise ValueError("empty context")
+        (self.context + self.domain_id).encode("utf-8")  # a lone surrogate: UnicodeEncodeError
 
 
 @dataclass(frozen=True)
@@ -470,7 +471,7 @@ def write_contexts(path, contexts: Iterable[ContextOnly]) -> None:
 
 def load_contexts(path) -> list[ContextOnly]:
     """Read one ``{"context": ..., "id": ...}`` record per line. Bytes that are
-    not UTF-8 and malformed records raise DatasetError."""
+    not UTF-8, malformed records and lone surrogates raise DatasetError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()

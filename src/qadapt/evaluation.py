@@ -12,11 +12,11 @@ decoder, for ``evaluate`` and the roundtrip filter alike: packed chunks
 because the worker receives them by reference.
 
 ``evaluate`` scores one question at a time (``score_samples``). Inside
-``training.train`` it hands the second half of the questions to the
-training session's partner (``workers.Partner``) as a one-message ``score``
-conversation between steps, scores the first half meanwhile, and appends
-the partner's records, so that the records do not depend on where either
-half ran.
+``training.train`` it sends the second half of the questions to the
+training session's partner (``workers.Partner``) as one ``score`` request
+between steps, scores the first half meanwhile, and appends the records
+the partner answers with, so that the records do not depend on where
+either half ran.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ process runs the first; the config and the tokenized samples go to it once,
 when the session opens, and each step sends only the batch's sample indices.
 The parameters and the second half's gradient live in memory both processes
 map (``workers.shared_zeros``). Between steps, the same session scores the
-second half of each per-epoch dev evaluation, a one-message ``score``
-conversation (``evaluation.evaluate``), against the parameters just
+second half of each per-epoch dev evaluation, as the answer to one
+``score`` request (``evaluation.evaluate``), against the parameters just
 stepped. Where the worker cannot be used, the same work runs here in the
 same order, so the artifacts do not depend on where the second halves ran.
 
@@ -259,19 +259,23 @@ def _half_step(model: SpanModel, batch: Sequence, lo: int, hi: int, config: Trai
 
 def _train_partner(config: TrainConfig, pool: Sequence, shared: np.ndarray):
     """The partner's side of ``train``, wherever it runs: a ``serve`` over
-    one model on the parameters ``shared[0]``, which answers the second half
-    of a dev evaluation, ``("score", samples, max_answer_len)``, with its
-    records, or runs that of a step, ``("step", at, ids, cut)`` over the
-    samples ``pool[k]`` of ``ids``, and puts its gradient in ``shared[1]``."""
+    one model on the parameters ``shared[0]``. It answers ``("score", samples,
+    max_answer_len)`` with the records, and ``("step", at, ids, cut)``, the
+    second half over ``pool[k]`` of ``ids``, with what the first half needs;
+    ``("finish", theirs)`` then puts the second half's gradient in ``shared[1]``."""
     model = SpanModel(config.encoder, flat=shared[0])
+    pending = []  # the losses of the step whose second half ran last
 
     def serve(request):
         if request[0] == "score":
             return score_samples(model, *request[1:])
-        _, at, ids, cut = request
-        batch = [pool[k] for k in ids]
-        mine, losses = _half_step(model, batch, cut, len(batch), config, at)
-        *_, loss = losses((yield mine))
+        if request[0] == "step":
+            _, at, ids, cut = request
+            batch = [pool[k] for k in ids]
+            mine, losses = _half_step(model, batch, cut, len(batch), config, at)
+            pending.append(losses)
+            return mine
+        *_, loss = pending.pop()(request[1])
         model.zero_grad()
         T.backward(loss)
         model.flat_grad(out=shared[1])
@@ -307,14 +311,12 @@ def train(
     if initial_model is not None and initial_model.config != config.encoder:
         raise ConfigError("initial model config does not match encoder config")
     pool = src_tok + syn_tok
-    pool_index = {id(ts): k for k, ts in enumerate(pool)}
     # the parameters, then the second half's gradient, in memory the worker shares
     start = (initial_model or SpanModel(config.encoder)).flat
     shared = workers.shared_zeros((2, start.size))
     shared[0] = start
     model = SpanModel(config.encoder, flat=shared[0])
     optimizer = AdamW(model.flat, config.learning_rate, config.optimizer)
-    their_grad = shared[1]
     steps: list[StepRecord] = []
     epoch_metrics: list[dict] = []
     beta = config.contrastive.beta
@@ -342,8 +344,10 @@ def train(
     step = 0
     current_epoch = -1
     with workers.session(_train_partner, config, pool, shared) as partner:
-        for epoch, batch in mixed_batch_sampler(src_tok, syn_tok, config.batch_size,
-                                                policy, config.seed, epochs=config.epochs):
+        for epoch, ids in mixed_batch_sampler(range(len(src_tok)), range(len(src_tok), len(pool)),
+                                              config.batch_size, policy, config.seed,
+                                              epochs=config.epochs):
+            batch = [pool[k] for k in ids]
             if epoch != current_epoch:
                 if current_epoch >= 0:
                     _maybe_evaluate(model, dev_sets, config, current_epoch, epoch_metrics, partner)
@@ -353,12 +357,12 @@ def train(
             split = cut < len(batch)
             try:
                 if split:
-                    partner.send(("step", step, [pool_index[id(ts)] for ts in batch], cut))
+                    partner.send(("step", step, ids, cut))
                 mine, losses = _half_step(model, batch, 0, cut, config, step)
                 theirs = None
                 if split:
                     theirs = partner.recv()
-                    partner.send(mine)
+                    partner.send(("finish", mine))
                 l_ce, l_con, loss = losses(theirs)
                 l_qa = loss.item()
                 model.zero_grad()
@@ -366,7 +370,7 @@ def train(
                 grad = model.flat_grad()
                 if split:
                     partner.recv()
-                    grad += their_grad  # the halves' gradients summed in a fixed order
+                    grad += shared[1]  # the halves' gradients summed in a fixed order
             except T.NonFiniteError as err:
                 raise diverged(f"non-finite loss at step {step}: {err}") from err
             # the graph's total against the float sum of its logged terms
@@ -448,14 +452,15 @@ def grid_search(
     """Train one model per (beta, sigma) cell with a shared seed, score each on
     the selection set, and pick the best; ties prefer smaller beta, then sigma.
     A cell that diverges or meets a malformed or untokenizable sample is
-    logged, recorded as failed and skipped."""
+    logged, recorded as failed and skipped. If all fail, the first error that
+    is not a divergence is raised again, else a ``DivergenceError``."""
     if criterion not in CRITERIA:
         raise ConfigError(f"criterion: unknown criterion {criterion!r}")
     if not beta_grid or not sigma_grid:
         raise ConfigError("grids must be non-empty")
     if len(selection) == 0:
         raise ValueError("selection set has no samples")
-    rows = []
+    rows, errors = [], []
     for beta in beta_grid:
         for sigma in sigma_grid:
             config = replace(
@@ -471,6 +476,7 @@ def grid_search(
                     TokenizationError) as err:
                 log.warning("grid cell beta=%g sigma=%g failed: %s", beta, sigma, err)
                 row["status"] = "failed"
+                errors.append(err)
             rows.append(row)
 
     def score(row):
@@ -482,6 +488,7 @@ def grid_search(
 
     ok = [r for r in rows if r["status"] == "ok"]
     if not ok:
-        raise DivergenceError("every grid cell failed", -1, None)  # type: ignore[arg-type]
+        raise next((e for e in errors if not isinstance(e, DivergenceError)),
+                   DivergenceError("every grid cell diverged", -1))
     best = min(ok, key=lambda r: (score(r), r["beta"], r["sigma"]))
     return GridResult(best_beta=best["beta"], best_sigma=best["sigma"], rows=rows)

@@ -10,8 +10,8 @@ One worker process puts work on the second core. The first ``session``
 that can use it (``can_fork``) forks it, and it then answers every session
 until the program exits or ``stop`` is called, so that no session pays for
 a fork, nor either process for the copy-on-write faults that follow one.
-``session(start, *args)`` gives a ``Partner`` that holds conversations with
-``serve = start(*args)``, built once, in the worker, over two pipes of
+``session(start, *args)`` gives a ``Partner`` that answers each request
+with ``serve = start(*args)``, built once, in the worker, over two pipes of
 framed pickles. What reaches the worker travels as data: ``start`` and
 every function among the arguments must be module-level, since functions
 are pickled by reference (``TypeError`` otherwise, whatever the CPU
@@ -19,18 +19,18 @@ count), and the worker builds what it needs from what it is sent, never
 from what it inherited at the fork. An argument made by ``shared_zeros``
 is mapped, not copied: its memfd descriptor goes to the worker over a UNIX
 socket, and both processes read and write the same memory. An exception
-raised in ``serve`` is raised again here with its type, and ends only its
-conversation. The worker's malloc keeps the memory it frees
+raised in ``serve`` is raised again here with its type; the session still
+answers. The worker's malloc keeps the memory it frees
 (``_keep_freed_memory``), so that the arrays of one chunk or half-step
 reuse those of the last instead of being mapped and faulted in afresh.
 
-``training.train`` holds one session per call, with two kinds of
-conversation: each step's second half (``("step", ...)``, two messages each
-way), and, between steps, the second half of a dev evaluation
-(``("score", ...)``, one message, answered with the records).
+``training.train`` holds one session per call. A step's second half takes
+two requests: ``("step", ...)``, answered with what the first half needs,
+and ``("finish", ...)``, which runs its backward pass. Between steps,
+``("score", ...)`` gets the records of a dev evaluation's second half.
 
 ``split_map(fn, items, *args)`` yields ``fn(*args, item)`` for every item,
-in order, as a one-message session: of 2h or 2h + 1 items, the worker
+in order, as a session of one request: of 2h or 2h + 1 items, the worker
 computes items h to 2h - 1 while this process computes the first h, and
 answers with their results. An odd last item runs here once the worker has
 answered, so that it may use the worker itself.
@@ -38,18 +38,18 @@ answered, so that it may use the worker itself.
 The worker holds one session at a time. A session opened while the worker
 is busy, inside the worker, with one usable CPU, with unpinned BLAS (two
 processes would oversubscribe the cores), without ``os.memfd_create`` (not
-Linux), or when ``os.fork`` fails, runs its conversations in-process
+Linux), or when ``os.fork`` fails, answers its requests in-process
 (``Partner``), in the same order of computation, so that results never
 depend on where they ran.
 
 A session that finds the worker gone when it opens (killed while idle)
 reaps it and runs in-process, since nothing was sent yet. A session that
 ends owing an answer (its block failed or was abandoned), or that loses
-the worker during a conversation (``ChildProcessError``), SIGKILLs and
-reaps it. Either way the next session forks another. The worker exits at
-EOF of its request pipe, which ``stop`` closes, as an ``atexit`` hook
-does; if this process dies, the kernel closes the pipe and, on Linux,
-SIGKILLs the worker.
+the worker during a request (``ChildProcessError``), SIGKILLs and reaps
+it. Either way the next session forks another. The worker exits at EOF of
+its request pipe, which ``stop`` closes, as an ``atexit`` hook does; if
+this process dies, the kernel closes the pipe and, on Linux, SIGKILLs the
+worker.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ import signal
 import socket
 import weakref
 from contextlib import contextmanager
-from typing import Callable, Generator, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -128,12 +128,11 @@ def shared_zeros(shape: int | tuple[int, ...]) -> np.ndarray:
     """A float64 array of zeros in a memfd mapping. Passed whole to a
     ``session``, it is mapped in the worker, not copied, so that each
     process sees the other's writes. Without ``os.memfd_create`` no session
-    uses the worker, and the zeros are an anonymous mapping."""
-    size = 8 * max(int(np.prod(shape)), 1)
+    uses the worker, and the zeros are a plain array."""
     if not hasattr(os, "memfd_create"):
-        return np.ndarray(shape, np.float64, buffer=mmap.mmap(-1, size))
+        return np.zeros(shape)
     fd = os.memfd_create("qadapt-shared")
-    os.ftruncate(fd, size)
+    os.ftruncate(fd, 8 * max(int(np.prod(shape)), 1))
     return _mapped(fd, shape)
 
 
@@ -168,46 +167,34 @@ def _reply(compute: Callable[[], object]) -> bytes:
 
 
 class Partner:
-    """The calling side of a ``session``: every message ``send`` passes is
-    answered by one ``recv``, in order. The first message builds
-    ``serve = start(*args)``, once for the session. A message that arrives
-    while no conversation runs starts one, ``serve(message)``; later
-    messages are sent into it. Each answer is the value it yields next, or
-    the value it returns, which ends the conversation, as an exception does.
+    """The calling side of a ``session``: every request ``send`` passes is
+    answered by one ``recv``, in order, with ``serve(request)``, where
+    ``serve = start(*args)`` is built at the first request, once for the
+    session. An exception raised in ``serve`` is raised by ``recv``, and the
+    session answers the next request.
 
     This one runs ``serve`` in-process when its answer is asked for, so the
     work of both sides runs in the order the caller interleaves ``send``,
     its own work and ``recv``. The worker answers with one too."""
 
-    def __init__(self, start: Callable[..., Callable[[object], Generator]], *args):
+    def __init__(self, start: Callable[..., Callable], *args):
         self._start, self._args = start, args
-        self._serve: Callable[[object], Generator] | None = None
-        self._current: Generator | None = None
+        self._serve: Callable | None = None
         self._unanswered: collections.deque = collections.deque()
 
-    def send(self, message) -> None:
-        self._unanswered.append(message)
+    def send(self, request) -> None:
+        self._unanswered.append(request)
 
     def recv(self):
-        message = self._unanswered.popleft()
-        try:
-            if self._current is None:
-                if self._serve is None:
-                    self._serve = self._start(*self._args)
-                self._current = self._serve(message)
-                return next(self._current)
-            return self._current.send(message)
-        except StopIteration as stop:
-            self._current = None
-            return stop.value
-        except BaseException:
-            self._current = None
-            raise
+        request = self._unanswered.popleft()
+        if self._serve is None:
+            self._serve = self._start(*self._args)
+        return self._serve(request)
 
 
-class _Worker:
-    """This process's side of the worker: its pid, the pipes of requests and
-    replies, and the socket that carries memfd descriptors."""
+class _Worker(Partner):
+    """The worker's pid, pipes of requests and replies, and socket for memfd
+    descriptors, here: the ``Partner`` of the session that holds it."""
 
     def __init__(self, pid: int, requests, replies, descriptors: socket.socket):
         self.pid, self.requests, self.replies = pid, requests, replies
@@ -227,13 +214,21 @@ class _Worker:
         except OSError:  # EPIPE, ECONNRESET: it has exited
             raise ChildProcessError(f"worker process {self.pid} has exited") from None
 
-    def read(self):
+    def send(self, request) -> None:
+        self.write(("send", request))
+        self.owed += 1
+
+    def recv(self):
         try:
             if self.ended:
                 raise EOFError
-            return pickle.load(self.replies)
+            ok, value = pickle.load(self.replies)
         except (EOFError, pickle.UnpicklingError):  # gone before or while replying
             raise ChildProcessError(f"worker process {self.pid} exited without replying") from None
+        self.owed -= 1
+        if not ok:
+            raise value
+        return value
 
     def open(self, start: Callable, args: tuple) -> None:
         """Start a session: shared arrays among ``args`` go as descriptors."""
@@ -241,6 +236,7 @@ class _Worker:
         sent = tuple(None if at in shared else arg for at, arg in enumerate(args))
         self.write(("open", start, sent, [(at, args[at].shape) for at in shared]),
                    fds=[args[at].base.fd for at in shared])
+        self.owed = 0  # requests of this session sent and not yet answered
 
     def close_files(self) -> None:
         self.ended = True
@@ -262,28 +258,8 @@ class _Worker:
             os.waitpid(self.pid, 0)
 
 
-class _WorkerPartner(Partner):
-    """A ``Partner`` whose conversations run in the worker, which answers
-    each message as soon as it arrives."""
-
-    def __init__(self, worker: _Worker):
-        self._worker = worker
-        self.owed = 0  # messages sent and not yet answered
-
-    def send(self, message) -> None:
-        self._worker.write(("send", message))
-        self.owed += 1
-
-    def recv(self):
-        ok, value = self._worker.read()
-        self.owed -= 1
-        if not ok:
-            raise value
-        return value
-
-
 def _serve_sessions(requests, replies, descriptors: socket.socket) -> None:
-    """The worker's loop: one session at a time, each message answered in
+    """The worker's loop: one session at a time, each request answered in
     order by an in-process ``Partner``, until EOF of ``requests``."""
     answering = None
     while True:
@@ -379,10 +355,10 @@ def _retire(worker: _Worker) -> None:
 
 
 @contextmanager
-def session(start: Callable[..., Callable[[object], Generator]], *args) -> Iterator[Partner]:
-    """A ``Partner`` for the block, whose conversations are answered by
-    ``serve = start(*args)``, built once where they run: in the worker when
-    it can be used (``can_fork``), which is forked if none runs yet, and
+def session(start: Callable[..., Callable], *args) -> Iterator[Partner]:
+    """A ``Partner`` for the block, whose requests are answered by
+    ``serve = start(*args)``, built once where they run: the worker when it
+    can be used (``can_fork``), which is forked if none runs yet, and
     in-process otherwise or when the fork fails. ``start`` and any function
     among ``args`` must be module-level."""
     global _worker
@@ -400,13 +376,12 @@ def session(start: Callable[..., Callable[[object], Generator]], *args) -> Itera
         yield Partner(start, *args)
         return
     worker.busy = True
-    partner = _WorkerPartner(worker)
     try:
-        yield partner
+        yield worker
     finally:
         worker.busy = False
         try:
-            if partner.owed:  # it may still be computing the answer: never wait for it
+            if worker.owed:  # it may still be computing the answer: never wait for it
                 raise ChildProcessError
             worker.write(("close",))
         except ChildProcessError:
@@ -415,10 +390,10 @@ def session(start: Callable[..., Callable[[object], Generator]], *args) -> Itera
 
 def split_map(fn: Callable, items: Sequence, *args) -> Iterator:
     """``fn(*args, item)`` for each item, in order: one ``session``, whose
-    one answer is the results of ``items[half:2 * half]``, computed while
-    this process computes the first half; an odd last item runs here once
-    the worker has answered. ``fn`` and any function among ``args`` must be
-    module-level."""
+    one request is answered with the results of ``items[half:2 * half]``,
+    computed while this process computes the first half; an odd last item
+    runs here once the worker has answered. ``fn`` and any function among
+    ``args`` must be module-level."""
     items = list(items)
     half = len(items) // 2
     if not half:
@@ -434,12 +409,11 @@ def split_map(fn: Callable, items: Sequence, *args) -> Iterator:
         yield fn(*args, item)
 
 
-def _map_list(fn: Callable, *fixed) -> Callable[[list], Generator]:
-    """``split_map``'s serve: its one message, a list of items, is answered
+def _map_list(fn: Callable, *fixed) -> Callable[[list], list]:
+    """``split_map``'s serve: its one request, a list of items, is answered
     with ``fn(*fixed, item)`` of each."""
     def serve(items):
         return [fn(*fixed, item) for item in items]
-        yield  # a generator: its one answer is the value it returns
     return serve
 
 

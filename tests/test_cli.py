@@ -346,7 +346,10 @@ class TestMalformedInputsExitWithoutTraceback:
                      "--out", str(tmp_path / "out")]) == 2
         assert len(self.one_line_error(capsys).strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("content", [b'{"context": 5}\n', b'{"context": "caf\xe9"}\n'])
+    @pytest.mark.parametrize("content", [
+        b'{"context": 5}\n', b'{"context": "caf\xe9"}\n',
+        b'{"context": "alpha beta \\ud800 gamma delta"}\n',  # a lone surrogate
+    ])
     def test_generate_on_malformed_contexts_exits_2(self, tmp_path, capsys, content):
         contexts = tmp_path / "contexts.jsonl"
         contexts.write_bytes(content)
@@ -354,6 +357,7 @@ class TestMalformedInputsExitWithoutTraceback:
         assert main(["generate", "--contexts", str(contexts), "--k", "2",
                      "--out", str(tmp_path / "out")]) == 2
         assert len(self.one_line_error(capsys).strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("reader, code", [
         ("spec", 1), ("config", 1), ("dataset", 2), ("contexts", 2), ("checkpoint", 2)])
@@ -507,6 +511,23 @@ def test_train_with_an_unallocatable_encoder_exits_2(synth_dir, tmp_path, capsys
     assert "Traceback" not in err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_vocabulary_too_small_for_the_data_exits_2(synth_dir, tmp_path, capsys, command):
+    """A vocabulary that the data's token ids overflow fails every sample
+    with a runtime error: exit 2 for ``train``, and for ``grid``, whose
+    cells all fail with it, none of them by divergence."""
+    d = train_config_dict(synth_dir / "source.json", dev={"sel": synth_dir / "source.json"})
+    d["encoder"]["vocab_size"] = 100
+    cfg_path = tmp_path / "t.json"
+    cfg_path.write_text(json.dumps(d))
+    capsys.readouterr()
+    argv = {"train": [], "grid": ["--beta", "0.01,0.001", "--sigma", "0"]}[command]
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+                + argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: token id outside the configured vocabulary")
 
 class TestNegativeSeedExit1:
     """A negative seed is a usage error (exit 1): numpy takes only seeds >= 0."""

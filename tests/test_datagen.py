@@ -478,6 +478,33 @@ class TestReaderFuzz:
             load_contexts(p)
 
 
+UTF8_TEXT = st.text(st.characters(codec="utf-8"), max_size=12)  # no lone surrogate
+
+
+class TestContextFileProperties:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(contexts=st.lists(st.builds(ContextOnly, context=UTF8_TEXT.filter(str.strip),
+                                       domain_id=UTF8_TEXT), max_size=5))
+    def test_written_contexts_read_back_equal(self, tmp_path, contexts):
+        p = tmp_path / "ctx.jsonl"
+        write_contexts(p, contexts)
+        assert load_contexts(p) == contexts
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=UTF8_TEXT, at=st.integers(0, 12), surrogate=st.integers(0xD800, 0xDFFF),
+           field=st.sampled_from(["context", "id"]))
+    def test_lone_surrogate_is_dataset_error(self, tmp_path, text, at, surrogate, field):
+        """JSON can escape a lone surrogate, but no UTF-8 file can hold it:
+        the record is refused when read, not when the output is written."""
+        record = {"context": "ba re mi", "id": "a"}
+        record[field] += text[:at] + chr(surrogate) + text[at:]
+        p = tmp_path / "ctx.jsonl"
+        p.write_text(json.dumps(record) + "\n")  # the surrogate as a \u escape
+        with pytest.raises(DatasetError, match=r":1: bad context record: .*surrogates"):
+            load_contexts(p)
+
 def test_candidates_to_dataset_preserves_fields():
     cands = make_cands([0.7, 0.3])
     ds = candidates_to_dataset(cands)

@@ -495,6 +495,30 @@ class TestGridSearch:
         assert any("beta=0.1" in r.getMessage() and str(error) in r.getMessage()
                    for r in caplog.records)
 
+    @pytest.mark.parametrize("errors, raised", [
+        ([DivergenceError("boom", 0), DivergenceError("bang", 2)], DivergenceError),
+        ([DivergenceError("boom", 0), TokenizationError("token id outside the vocabulary"),
+          MalformedSampleError("no question tokens")], TokenizationError),
+    ])
+    def test_every_cell_failed(self, toy_data, monkeypatch, errors, raised):
+        """When no cell succeeds, ``DivergenceError`` only if every cell
+        diverged; otherwise the first other error, which the CLI maps to
+        exit code 2 rather than 3."""
+        source, synthetic = toy_data
+        cells = iter(errors)
+
+        def failing_train(*args, **kwargs):
+            raise next(cells)
+
+        monkeypatch.setattr(tr, "train", failing_train)
+        with pytest.raises(raised) as err:
+            grid_search(tiny_config(epochs=1), [0.1, 0.01, 0.001][:len(errors)], [0.0],
+                        "dev_f1", source, synthetic, source)
+        if raised is DivergenceError:
+            assert (str(err.value), err.value.last_finite_step) == ("every grid cell diverged", -1)
+        else:
+            assert err.value is errors[1]
+
     def test_empty_selection_set_rejected_before_the_first_cell(self, toy_data, monkeypatch):
         source, synthetic = toy_data
         cells = []
@@ -770,7 +794,6 @@ def _scoring(model):
     def serve(request):
         _, samples, max_answer_len = request
         return score_samples(model, samples, max_answer_len)
-        yield  # a generator: its one answer is the value it returns
     return serve
 
 
@@ -906,7 +929,7 @@ def test_failed_fork_runs_the_block_here_and_closes_its_pipes(toy_data, tmp_path
 
 def test_without_memfd_train_runs_here(toy_data, tmp_path, cpus, forks, monkeypatch):
     """Where ``os.memfd_create`` is missing (not Linux), ``shared_zeros``
-    maps anonymous memory and no session uses the worker: ``train`` on one
+    returns a plain array and no session uses the worker: ``train`` on one
     CPU and on two gives the bytes it gives with a memfd, and nothing is
     forked."""
     source, synthetic = toy_data

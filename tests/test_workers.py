@@ -286,44 +286,36 @@ def test_blas_is_pinned_when_numpy_uses_openblas():
     assert workers.pin_blas_threads() is True
 
 
-def _summing(first):
-    """A conversation: answers its opening number with this process's pid,
-    then adds each later number to a running total until sent None, and
-    returns the total."""
-    total = first
-    number = yield os.getpid()
-    while number is not None:
+def _running_total():
+    """Answers each number with this process's pid and the running total of
+    the numbers this session was sent, which starts at 0 in each session."""
+    total = 0
+
+    def serve(number):
+        nonlocal total
         total += number
-        number = yield total
-    return total
+        return os.getpid(), total
+    return serve
 
 
-def _summing_partner():
-    return _summing
-
-
-def test_partner_conversations_run_in_the_child_in_order(cpus, forks):
+def test_partner_requests_run_in_the_child_in_order(cpus, forks):
     cpus(2)
     for _ in range(2):  # two sessions, one worker
-        with workers.session(_summing_partner) as partner:
-            for first in (10, 20):
-                partner.send(first)
-                assert partner.recv() == forks[0]
-                for number, total in ((1, first + 1), (2, first + 3)):
-                    partner.send(number)
-                    assert partner.recv() == total
-                partner.send(None)
-                assert partner.recv() == first + 3
+        with workers.session(_running_total) as partner:
+            for number, total in ((10, 10), (1, 11), (2, 13)):
+                partner.send(number)
+                assert partner.recv() == (forks[0], total)
+            partner.send(5)
+            partner.send(6)  # two requests before their answers
+            assert [partner.recv(), partner.recv()] == [(forks[0], 18), (forks[0], 24)]
     assert len(forks) == 1
     assert_no_child_left()
 
 
 def _logged_doubling(order):
-    def serve(message):
-        order.append(("serve", message))
-        reply = yield message * 2
-        order.append(("serve", reply))
-        return reply + 1
+    def serve(request):
+        order.append(("serve", request))
+        return request * 2
     return serve
 
 
@@ -336,22 +328,21 @@ def test_in_process_partner_runs_when_its_answer_is_asked_for(cpus, forks):
         assert partner.recv() == 6
         partner.send(7)
         order.append(("caller", 7))
-        assert partner.recv() == 8
+        assert partner.recv() == 14
     assert order == [("caller", 3), ("serve", 3), ("caller", 7), ("serve", 7)]
     assert forks == []
 
 
 def _echo_or_diverge():
-    def serve(message):
-        reply = yield message
-        if reply == "diverge":
+    def serve(request):
+        if request == "diverge":
             raise DivergenceError("loss is nan", last_finite_step=6)
-        return reply
+        return request
     return serve
 
 
 @pytest.mark.parametrize("n_cpus", [2, 1])
-def test_partner_error_is_raised_here_and_ends_only_its_conversation(cpus, forks, n_cpus):
+def test_partner_error_is_raised_here_and_the_session_answers_again(cpus, forks, n_cpus):
     cpus(n_cpus)
     with workers.session(_echo_or_diverge) as partner:
         partner.send("open")
@@ -360,17 +351,17 @@ def test_partner_error_is_raised_here_and_ends_only_its_conversation(cpus, forks
         with pytest.raises(DivergenceError, match="loss is nan") as err:
             partner.recv()
         assert err.value.last_finite_step == 6
-        partner.send("again")  # opens a new conversation
+        partner.send("again")
         assert partner.recv() == "again"
     assert len(forks) == (n_cpus == 2)
     assert_no_child_left()
 
 
 def _exit_in_worker(here):
-    def serve(message):
+    def serve(request):
         if os.getpid() != here:
             os._exit(3)
-        yield message
+        return request
     return serve
 
 
@@ -385,10 +376,9 @@ def test_partner_child_that_exits_raises_and_is_reaped(cpus):
 
 
 def _busy_forever():
-    def serve(message):
+    def serve(request):
         while True:  # busy until killed
-            message = message + 1
-        yield message
+            request = request + 1
     return serve
 
 
@@ -405,14 +395,13 @@ def test_failed_block_kills_a_busy_partner(cpus, forks):
 
 def _double_rows(shared):
     def serve(factor):
-        while True:  # one conversation for every round
-            shared[1] = shared[0] * factor
-            factor = yield os.getpid()
+        shared[1] = shared[0] * factor
+        return os.getpid()
     return serve
 
 
 def test_shared_zeros_carry_writes_both_ways(cpus, forks):
-    """Each round's writes are seen by the other side after one message, as
+    """Each round's writes are seen by the other side after one request, as
     the trainer's parameters and gradients are: a stale read breaks a sum.
     The array goes to the worker when the session opens, after the fork."""
     cpus(2)
@@ -452,7 +441,7 @@ def test_unpinned_blas_forks_nothing(cpus, forks, monkeypatch):
     cpus(2)
     monkeypatch.setattr(workers, "BLAS_PINNED", False)
     assert {pid for _, pid in workers.split_map(_where, range(4))} == {os.getpid()}
-    with workers.session(_summing_partner) as partner:
+    with workers.session(_running_total) as partner:
         partner.send(0)
-        assert partner.recv() == os.getpid()
+        assert partner.recv() == (os.getpid(), 0)
     assert forks == []
