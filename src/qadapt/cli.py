@@ -418,7 +418,9 @@ def main(argv=None) -> int:
         print(f"config error:\n{err}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as err:
-        print(f"diverged: {err} (last finite step {err.last_finite_step})", file=sys.stderr)
+        step = err.last_finite_step
+        print(f"diverged: {err}" + (f" (last finite step {step})" if step >= 0 else ""),
+              file=sys.stderr)
         return EXIT_DIVERGENCE
     except (DatasetError, CheckpointError, TokenizationError, NonFiniteError, ValueError,
             OSError, MemoryError) as err:

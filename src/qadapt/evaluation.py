@@ -8,8 +8,11 @@ decoder, for ``evaluate`` and the roundtrip filter alike: packed chunks
 (``map_chunks``, which reduces each chunk to its [N x 2] span scores with
 ``_span_scores``, in the worker for the second half of two or more chunks),
 ``predict_span`` on each sample's segment here, then
-``TokenizedSample.span_text``. The reducers are module-level functions,
-because the worker receives them by reference.
+``TokenizedSample.span_text``. Each reducer encodes its chunk at the rows
+it reads: every row for span scores and token features, the answer rows
+alone for answer means (``_answer_means``), whose last encoder layer is
+computed only there. The reducers are module-level functions, because the
+worker receives them by reference.
 
 ``evaluate`` scores one question at a time (``score_samples``). Inside
 ``training.train`` it sends the second half of the questions to the
@@ -31,6 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
+# class_means is imported only for perfbench/tracing.py, which times it under
+# this module's name as well as under training's
 from .losses import KernelConfig, class_means, mmd_squared
 from .model import (
     SpanLogits, SpanModel, TokenizationError, map_chunks, predict_span, tokenize_sample,
@@ -93,17 +98,25 @@ class EvalResult:
     records: list[SampleScore] = field(default_factory=list)
 
 
-def _span_scores(model: SpanModel, packed, features: T.Tensor) -> np.ndarray:
-    return model.span_logits(features).scores.data
+def _span_scores(model: SpanModel, packed) -> np.ndarray:
+    with T.no_grad():
+        return model.span_logits(model.encode(packed)).scores.data
 
 
-def _answer_means(model: SpanModel, packed, features: T.Tensor) -> np.ndarray:
-    """A chunk's [B x H] answer means: the first B rows of its class-mean stack."""
-    return class_means(features, packed).data[:len(packed.samples)]
+def _answer_means(model: SpanModel, packed) -> np.ndarray:
+    """A chunk's [B x H] answer means: the last layer is computed at the
+    answer rows only, and each sample's rows are averaged."""
+    starts = packed.offsets[:-1] + [ts.answer_span[0] for ts in packed.samples]
+    lengths = np.array([ts.answer_span[1] - ts.answer_span[0] + 1 for ts in packed.samples])
+    rows = np.concatenate([np.arange(lo, lo + n) for lo, n in zip(starts, lengths)])
+    with T.no_grad():
+        answers = model.encode(packed, rows=rows).data
+    return np.add.reduceat(answers, np.cumsum(lengths) - lengths) / lengths[:, None]
 
 
-def _token_features(model: SpanModel, packed, features: T.Tensor) -> np.ndarray:
-    return features.data
+def _token_features(model: SpanModel, packed) -> np.ndarray:
+    with T.no_grad():
+        return model.encode(packed).data
 
 
 def predict_answers(model: SpanModel, pairs: Sequence[tuple], max_answer_len: int) -> list[str]:
@@ -181,9 +194,9 @@ def evaluate(model: SpanModel, dataset: DomainDataset, max_answer_len: int = 48,
 def answer_mean_features(model: SpanModel, dataset: DomainDataset) -> np.ndarray:
     """Answer-token mean feature per tokenizable sample under the frozen
     model, one row per sample in dataset order. Samples are encoded in packed
-    chunks (``map_chunks``), and each chunk's [B x H] answer means are the
-    first B rows of one ``class_means`` stack; a row matches the sample
-    encoded alone up to round-off."""
+    chunks (``map_chunks``), with the last layer computed at the answer rows
+    alone (``_answer_means``); a row matches the sample encoded alone up to
+    round-off."""
     tokenized = [ts for _, ts in tokenize_samples(dataset.samples, dataset.domain_tag,
                                                   model.config.max_len)]
     if not tokenized:

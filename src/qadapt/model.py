@@ -7,10 +7,12 @@ transformer; the span head is a per-token linear projection producing one
 [N x 2] tensor of start and end scores. A batch is encoded as one
 ``PackedBatch``: its samples' tokens concatenated without padding, attention
 confined to each sample's segment. Forward-only passes over a sample set
-(``map_chunks``) pack it in chunks and reduce each chunk's features to a
-small result; with two or more chunks, the worker of ``workers`` encodes
-the second half, sent the model's config and parameter vector once per
-call (a model pickles as those two).
+(``map_chunks``) pack it in chunks, and a reducer encodes each chunk at the
+rows it reads (``SpanModel.encode(packed, rows=...)`` computes the last
+layer only there) and reduces the features to a small result; with two or
+more chunks, the worker of ``workers`` reduces the second half, sent the
+model's config and parameter vector once per call (a model pickles as
+those two).
 """
 
 from __future__ import annotations
@@ -41,14 +43,13 @@ DEFAULT_VOCAB = 258
 CHECKPOINT_MAGIC = b"QADAPT\x01"
 
 # samples per packed forward-only encode (``map_chunks``). Re-measured with
-# BLAS pinned to one thread and the second half of the chunks in a forked
-# child on a 2-core host (medians of 8 and 12 interleaved passes): 64 is
+# BLAS pinned to one thread and the second half of the chunks in the worker
+# on a 2-core host (medians of 8 and 12 interleaved passes): 64 is
 # clearly slower (the roundtrip filter of 720 candidates 0.353 / 0.366 s),
 # while 16 and 32 are within the host's noise (0.268 / 0.292 s against
 # 0.280 / 0.296 s; the answer-mean features of two 120-sample sets 0.112 /
 # 0.111 s against 0.117 / 0.120 s), so 32 stays until paired benchmark runs
-# separate them. Peak memory grows with the chunk, and one pack of a whole
-# set is slower still, since ``losses.class_means`` builds dense [2B x N] weights
+# separate them. Peak memory grows with the chunk.
 INFER_CHUNK = 32
 
 # per-layer parameters in the argument order of the two fused sublayer ops
@@ -467,12 +468,16 @@ class SpanModel:
         return [self.params[prefix + name] for name in names]
 
     def encode(self, sample: TokenizedSample | PackedBatch, noise_sigma: float = 0.0,
-               noise_seed: int | Sequence[int] = 0) -> Tensor:
+               noise_seed: int | Sequence[int] = 0, rows=None) -> Tensor:
         """Per-token features: [L x H] for one sample, [N x H] in packed row
         order for a ``PackedBatch``. Optional Gaussian noise is applied to the
         token embeddings before the positional addition, seeded per sample:
         ``noise_seed`` is one seed for a sample, one seed per segment for a
-        packed batch."""
+        packed batch. Given ``rows``, sorted packed row indices, only those
+        rows' features, in order: the last layer's attention queries and
+        feed-forward block, and the final layer norm, run at them alone. That
+        form records no graph, and raises ``GraphError`` outside
+        ``no_grad()``."""
         cfg = self.config
         packed = sample if isinstance(sample, PackedBatch) else PackedBatch.pack([sample])
         longest = max(len(ts) for ts in packed.samples)
@@ -491,9 +496,10 @@ class SpanModel:
             ])
         x = T.embed(self.params["tok_emb"], self.params["pos_emb"], packed.token_ids,
                     packed.positions, noise)
+        last = cfg.num_layers - 1
         for i in range(cfg.num_layers):
             x = T.attention_sublayer(x, *self._layer_params(i, _ATTENTION_PARAMS), packed.offsets,
-                                     cfg.num_heads)
+                                     cfg.num_heads, rows if i == last else None)
             x = T.ffn_sublayer(x, *self._layer_params(i, _FFN_PARAMS))
         return T.layer_norm(x, self.params["final_ln.gain"], self.params["final_ln.bias"])
 
@@ -575,19 +581,14 @@ class SpanModel:
 def map_chunks(model: SpanModel, samples: Sequence[TokenizedSample], reduce: Callable
                ) -> Iterator[tuple[PackedBatch, object]]:
     """Each ``PackedBatch`` of up to ``INFER_CHUNK`` of ``samples``, in order,
-    with ``reduce(model, packed, features)`` of its forward-only [N x H]
-    features (one ``encode`` call, no graph). With two or more chunks the
-    worker encodes and reduces the second half of them, an odd last one
-    aside (``workers.split_map``), so ``reduce`` must be a module-level
-    function, and its result should be small."""
+    with ``reduce(model, packed)``, which encodes the chunk once under
+    ``no_grad()`` (at the rows it reads) and reduces the features to a
+    small result. With two or more chunks the worker reduces the second half
+    of them, an odd last one aside (``workers.split_map``), so ``reduce``
+    must be a module-level function."""
     batches = [PackedBatch.pack(samples[lo:lo + INFER_CHUNK])
                for lo in range(0, len(samples), INFER_CHUNK)]
-    return zip(batches, workers.split_map(_encode_and_reduce, batches, model, reduce))
-
-
-def _encode_and_reduce(model: SpanModel, reduce: Callable, packed: PackedBatch):
-    with T.no_grad():
-        return reduce(model, packed, model.encode(packed))
+    return zip(batches, workers.split_map(reduce, batches, model))
 
 
 def predict_span(logits: SpanLogits, context_mask, max_answer_len: int) -> tuple[int, int]:

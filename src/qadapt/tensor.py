@@ -17,8 +17,9 @@ and bias), one op for each pre-norm residual sublayer of a transformer layer,
 ``attention_sublayer`` (x plus the output projection of multi-head softmax
 attention within each segment over the layer norm of x; a segment whose
 scores all lie within +-``ROW_MAX_BOUND`` skips the softmax row-max
-subtraction) and ``ffn_sublayer`` (x plus a ReLU feed-forward block over the
-layer norm of x), ``segment_nll`` (negative log-softmax of each segment of
+subtraction; forward-only, it can compute chosen query rows alone) and
+``ffn_sublayer`` (x plus a ReLU feed-forward block over the layer norm of
+x), ``segment_nll`` (negative log-softmax of each segment of
 each score column at one position, for the span head's [N x 2] start and end
 scores) and ``kernel_sum`` (the weighted sum of a multi-bandwidth Gaussian
 kernel matrix over one point set, for the contrastive loss and the kernel
@@ -113,16 +114,21 @@ def no_grad() -> Iterator[None]:
         _grad_enabled = previous
 
 
+def _records(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op over these inputs records a graph node: recording is
+    enabled and one of them needs grad."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _node(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    """Wrap an op result; record the graph node only when a parent needs grad
-    and recording is enabled."""
+    """Wrap an op result; record the graph node only when ``_records``."""
     if not np.isfinite(data).all():
         raise NonFiniteError("operation produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._consumed = False
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -302,9 +308,21 @@ def _exp_scores(e: Array) -> Array:
     return np.exp(e, out=e)
 
 
+def _query_rows(rows, n: int) -> Array:
+    """Packed row indices as an int64 array, checked to be 1-D integers
+    rising strictly inside [0, n)."""
+    given = np.asarray(rows)
+    if given.ndim == 1 and (given.dtype.kind in "iu" or given.size == 0):
+        picked = given.astype(np.int64)
+        if not picked.size or (picked.min() >= 0 and picked.max() < n
+                               and bool(np.all(np.diff(picked) > 0))):
+            return picked
+    raise ValueError(f"rows must be 1-D integers rising strictly inside [0, {n}), got {given!r}")
+
+
 def attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tensor,
                        wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
-                       offsets, num_heads: int) -> Tensor:
+                       offsets, num_heads: int, rows=None) -> Tensor:
     """Pre-norm residual attention sublayer as one node over packed rows:
     x + mix @ wo + bo, where mix is multi-head scaled dot-product attention
     inside each segment over h = layer_norm(x, gain, bias). The q, k and v
@@ -315,18 +333,34 @@ def attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Te
     never attend across segments. The softmax is left unnormalised: each
     head's output rows are divided by the row sums instead, and a segment
     whose scores all lie within +-ROW_MAX_BOUND skips the row-max
-    subtraction."""
+    subtraction.
+
+    Given ``rows``, sorted packed row indices, the output holds only those
+    rows, in order: keys and values still come from every row, but queries,
+    scores, the mix and the output projection only from these, and a
+    segment without one is skipped. That form is forward-only, and raises
+    ``GraphError`` where it would record a node."""
     width = _check_layer_norm(x, gain, bias)
     weights, biases = (wq, wk, wv, wo), (bq, bk, bv, bo)
     if (any(w.data.shape != (width, width) for w in weights)
             or any(b.data.shape != (width,) for b in biases)):
         raise ShapeError(f"attention expects [N x H] input with [H x H] weights and [H] biases, "
                          f"got {x.shape}, {[w.shape for w in weights]}, {[b.shape for b in biases]}")
-    rows = x.data.shape[0]
+    n = x.data.shape[0]
     if num_heads < 1 or width % num_heads:
         raise ShapeError(f"width {width} does not split into {num_heads} heads")
-    edges = _segment_edges(offsets, rows)
+    edges = _segment_edges(offsets, n)
     segments = list(zip(edges[:-1], edges[1:]))
+    parents = (x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo)
+    if rows is None:
+        picked, firsts = slice(None), edges  # segment i queries rows firsts[i]:firsts[i + 1]
+    else:
+        if _records(parents):
+            raise GraphError("attention_sublayer at chosen rows is forward-only; "
+                             "call it under no_grad() or on constants")
+        picked = _query_rows(rows, n)
+        firsts = np.searchsorted(picked, edges).tolist()
+    queries = list(zip(firsts[:-1], firsts[1:]))
     dh = width // num_heads
     scale = 1.0 / math.sqrt(dh)
     h, xhat, rstd = _layer_norm_rows(x.data, gain.data, bias.data)
@@ -335,31 +369,36 @@ def attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Te
     qkv += np.concatenate([bq.data, bk.data, bv.data])
     if not np.isfinite(qkv).all():  # stop before the score matmuls turn inf into NaN
         raise NonFiniteError("operation produced non-finite values")
-    qkv[:, :width] *= scale
-    qh, kh, vh = qkv.reshape(rows, 3, num_heads, dh).transpose(1, 2, 0, 3)
+    q = qkv[picked, :width]  # a view of every row's queries, or a copy of the chosen rows'
+    q *= scale
+    qh = q.reshape(-1, num_heads, dh).transpose(1, 0, 2)
+    _, kh, vh = qkv.reshape(n, 3, num_heads, dh).transpose(1, 2, 0, 3)
+    m = firsts[-1]  # output rows
     ones = np.ones(max(hi - lo for lo, hi in segments))
-    heads = np.empty((rows, width))  # the head mix, before the output projection
-    mix = heads.reshape(rows, num_heads, dh).transpose(1, 0, 2)
-    sums = np.empty((num_heads, rows, 1))  # softmax denominators, per head and row
+    heads = np.empty((m, width))  # the head mix, before the output projection
+    mix = heads.reshape(m, num_heads, dh).transpose(1, 0, 2)
+    sums = np.empty((num_heads, m, 1))  # softmax denominators, per head and row
     exps = []  # unnormalised softmax numerators, per segment
-    for lo, hi in segments:
-        e = qh[:, lo:hi] @ kh[:, lo:hi].transpose(0, 2, 1)
+    for (lo, hi), (a, b) in zip(segments, queries):
+        if a == b:
+            continue
+        e = qh[:, a:b] @ kh[:, lo:hi].transpose(0, 2, 1)
         _exp_scores(e)
-        np.matmul(e, ones[:hi - lo, None], out=sums[:, lo:hi])
-        np.matmul(e, vh[:, lo:hi], out=mix[:, lo:hi])
+        np.matmul(e, ones[:hi - lo, None], out=sums[:, a:b])
+        np.matmul(e, vh[:, lo:hi], out=mix[:, a:b])
         exps.append(e)
     mix /= sums
     out = heads @ wo.data
     out += bo.data
-    out += x.data
+    out += x.data[picked]
 
     def vjp(g: Array):
         # gradient of the unnormalised mix e @ v
-        go = (g @ wo.data.T).reshape(rows, num_heads, dh).transpose(1, 0, 2) / sums
+        go = (g @ wo.data.T).reshape(n, num_heads, dh).transpose(1, 0, 2) / sums
         # rows of go . mix: the softmax VJP's row dots, divided by the sums
         dots = np.einsum("hnd,hnd->hn", go, mix)[..., None]
-        gqkv = np.empty((rows, 3 * width))
-        gqh, gkh, gvh = gqkv.reshape(rows, 3, num_heads, dh).transpose(1, 2, 0, 3)
+        gqkv = np.empty((n, 3 * width))
+        gqh, gkh, gvh = gqkv.reshape(n, 3, num_heads, dh).transpose(1, 2, 0, 3)
         for (lo, hi), e in zip(segments, exps):
             np.matmul(e.transpose(0, 2, 1), go[:, lo:hi], out=gvh[:, lo:hi])
             gs = go[:, lo:hi] @ vh[:, lo:hi].transpose(0, 2, 1)
@@ -377,7 +416,7 @@ def attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Te
             for part in (gw[:, i * width:(i + 1) * width], gb[i * width:(i + 1) * width])
         ) + (heads.T @ g, _col_sums(g))
 
-    return _node(out, (x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo), vjp)
+    return _node(out, parents, vjp)
 
 
 def segment_nll(scores: Tensor, offsets, index) -> Tensor:

@@ -270,6 +270,17 @@ class TestTrainEvalPca:
         assert len(table["cells"]) == 2
         assert {"beta", "sigma"} <= set(table["best"])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_grid_with_every_cell_diverged_exits_3(self, synth_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "huge_lr_grid.json"
+        cfg_path.write_text(json.dumps(train_config_dict(
+            synth_dir / "source.json", dev={"sel": synth_dir / "source.json"},
+            learning_rate=1e300)))
+        assert main(["grid", "--config", str(cfg_path), "--beta", "0.01", "--sigma", "0",
+                     "--out", str(tmp_path / "grid")]) == 3
+        err = capsys.readouterr().err
+        assert "diverged: every grid cell diverged" in err and "-1" not in err
+
     def test_grid_default_flags_cover_six_cells(self, synth_dir, tmp_path):
         # default flag grid: three weights x two noise scales, all logged
         cfg_path = tmp_path / "g6.json"

@@ -214,6 +214,10 @@ class TestEncode:
         assert not np.allclose(tiny_model.encode(swapped).data, base)
 
 
+LAYERED = EncoderConfig(vocab_size=32, hidden_dim=16, num_layers=2, num_heads=2, ff_dim=32,
+                        max_len=16)
+
+
 class TestPackedEncode:
     def test_packed_rows_equal_per_sample_encodings(self, tiny_model):
         samples = [make_sample(seed=s, length=n) for s, n in ((40, 7), (41, 12), (42, 9))]
@@ -224,6 +228,24 @@ class TestPackedEncode:
         for ts, seed, lo, hi in zip(samples, seeds, packed.offsets[:-1], packed.offsets[1:]):
             alone = tiny_model.encode(ts, noise_sigma=0.01, noise_seed=seed).data
             assert np.max(np.abs(feats[lo:hi] - alone)) < 1e-12
+
+    @given(st.lists(st.tuples(st.integers(0, 10_000), st.integers(6, 16)), min_size=1,
+                    max_size=4), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rows_equal_the_full_encode_at_those_rows(self, drawn, data):
+        """Two layers, so the first runs on every row and the last on the
+        drawn rows alone."""
+        model = SpanModel(dataclasses.replace(LAYERED, seed=drawn[0][0]))
+        packed = PackedBatch.pack([make_sample(seed=s, length=n) for s, n in drawn])
+        n = int(packed.offsets[-1])
+        rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        with T.no_grad():
+            full = model.encode(packed).data
+            got = model.encode(packed, rows=rows).data
+        assert got.shape == (len(rows), LAYERED.hidden_dim)
+        assert np.abs(got - full[rows]).max(initial=0.0) <= 1e-12 * np.abs(full).max()
+        with pytest.raises(T.GraphError):  # the parameters require grad
+            model.encode(packed, rows=rows)
 
     def test_layout(self):
         samples = [make_sample(seed=43, length=6), make_sample(seed=44, length=8)]

@@ -733,6 +733,64 @@ class TestFusedForward:
             T.segment_nll(constant(np.zeros((6, 2))), [0, 3, 6], [[1, 4], [2, 5]])
 
 
+@st.composite
+def layouts_and_rows(draw, every_row=False):
+    """Segment offsets (one segment or several, some of length 1) and the
+    sorted rows to keep: any subset, so some segments keep none, or every
+    row."""
+    lengths = draw(st.lists(st.sampled_from([1, 1, 2, 3, 5, 7]), min_size=1, max_size=5))
+    offsets = np.cumsum([0, *lengths])
+    n = int(offsets[-1])
+    if every_row:
+        return offsets, np.arange(n)
+    keep = draw(st.one_of(st.just([True] * n), st.lists(st.booleans(), min_size=n, max_size=n)))
+    return offsets, np.flatnonzero(keep)
+
+
+class TestAttentionAtRows:
+    """attention_sublayer with ``rows``: the full op's output at those rows,
+    forward-only."""
+
+    @staticmethod
+    def both(offsets, rows, heads, seed):
+        width = 2 * heads
+        x = constant(rand((int(offsets[-1]), width), seed=seed))
+        params = attention_params(width, seed=seed, scale=2.0)
+        full = T.attention_sublayer(x, *params, offsets, heads).data
+        return full, T.attention_sublayer(x, *params, offsets, heads, rows=rows).data
+
+    @given(layouts_and_rows(), st.sampled_from([1, 2, 3]), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_the_full_op(self, layout, heads, seed):
+        offsets, rows = layout
+        full, got = self.both(offsets, rows, heads, seed)
+        assert got.shape == (len(rows), full.shape[1])
+        assert np.abs(got - full[rows]).max(initial=0.0) <= 1e-12 * np.abs(full).max()
+
+    @given(layouts_and_rows(every_row=True), st.sampled_from([1, 2, 3]), st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_every_row_is_the_full_op_bit_for_bit(self, layout, heads, seed):
+        full, got = self.both(*layout, heads, seed)
+        assert np.array_equal(got, full)
+
+    @pytest.mark.parametrize("needs_grad", ["x", "wq"])
+    def test_rows_with_a_recorded_graph_raise(self, needs_grad):
+        x = Tensor(rand((5, 4), seed=50), requires_grad=needs_grad == "x")
+        params = attention_params(4, seed=50)
+        params[2] = Tensor(params[2].data, requires_grad=needs_grad == "wq")
+        with pytest.raises(T.GraphError, match="forward-only"):
+            T.attention_sublayer(x, *params, [0, 2, 5], 2, rows=[1, 3])
+        with T.no_grad():
+            assert T.attention_sublayer(x, *params, [0, 2, 5], 2, rows=[1, 3]).shape == (2, 4)
+
+    @pytest.mark.parametrize("rows", [[3, 1], [1, 1], [-1, 2], [2, 5], [[1, 2]], [0.0, 1.0],
+                                      [True, False], np.array([4, 2**63 + 1], dtype=np.uint64)])
+    def test_unsorted_or_out_of_range_rows_rejected(self, rows):
+        x = constant(rand((5, 4), seed=51))
+        with pytest.raises(ValueError, match="rows must be"):
+            T.attention_sublayer(x, *attention_params(4, seed=51), [0, 2, 5], 2, rows=rows)
+
+
 class TestNoGrad:
     def test_records_nothing_and_restores(self):
         x = Tensor(rand(3, seed=40), requires_grad=True)

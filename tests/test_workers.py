@@ -41,8 +41,9 @@ def _nested_pids(item):
     return [pid for _, pid in workers.split_map(_where, range(2))]
 
 
-def _token_rows(model, packed, features):
-    return features.data.shape[0]
+def _token_rows(model, packed):
+    with T.no_grad():
+        return model.encode(packed).data.shape[0]
 
 
 def _fail_at_3(item):
@@ -111,11 +112,11 @@ def test_lambda_reduce_in_map_chunks(cpus, forks, source):
     tokenized = [ts for _, ts in tokenize_samples(source.samples, source.domain_tag,
                                                   CONFIG.max_len)]
 
-    def local(model, packed, features):
-        return features.data.shape[0]
+    def local(model, packed):
+        return model.encode(packed).data.shape[0]
     for n_cpus in (1, 2):
         cpus(n_cpus)
-        for reduce in (lambda model, packed, features: features.data.shape[0], local):
+        for reduce in (lambda model, packed: model.encode(packed).data.shape[0], local):
             with pytest.raises(TypeError, match=r"is not a module-level function, so it "
                                                 r"cannot be sent to the worker"):
                 list(map_chunks(SpanModel(CONFIG), tokenized, reduce))
